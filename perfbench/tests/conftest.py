@@ -1,0 +1,14 @@
+"""Make the benchmark modules and the ``repro`` sources importable.
+
+Run from the root of a checkout::
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+_BENCH = Path(__file__).resolve().parent.parent
+for path in (_BENCH, _BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
