@@ -290,11 +290,11 @@ class Model:
             status = SolutionStatus.INFEASIBLE
         elif result.status == 3:
             status = SolutionStatus.UNBOUNDED
-        elif result.status == 1 and result.x is not None:
-            # Hit the iteration/time limit (HiGHS model status 13) holding a
-            # feasible incumbent: report it honestly instead of claiming
-            # optimality — the objective is load-dependent and only
-            # gap-optimal.
+        elif result.status in (1, 4) and result.x is not None:
+            # Hit the iteration/time limit (status 1, HiGHS model status
+            # 13), or stopped otherwise (status 4, e.g. a node limit),
+            # holding a feasible incumbent: report it honestly instead of
+            # claiming optimality — the objective is only gap-optimal.
             status = SolutionStatus.INCUMBENT
         else:
             status = SolutionStatus.INFEASIBLE

@@ -14,6 +14,14 @@ that leases a key whose result already landed in the store completes the
 row without computing, and the submitter polls the store rather than a
 per-task channel, so N workers on one file never compute a key twice.
 
+The submitter's poll costs the same per task at any batch size.  Its
+first poll, and every poll after one that made no progress, is a *full
+reconcile*: the queue rows and store entries of every unresolved key,
+plus re-enqueueing keys whose rows another submitter cancelled.  Every
+other poll reads only the rows whose ``seq`` change stamp moved past the
+cursor the previous poll left (:meth:`TaskQueue.changes_since`) and
+fetches from the store only the ``done`` keys among them.
+
 By default the submitting process *also* drains the queue (``inline=True``)
 — a queue-backed runner with no external workers degrades to serial
 execution with queue bookkeeping, and with workers attached it becomes one
@@ -228,11 +236,10 @@ class QueueBackend(ExecutionBackend):
             for key, indices in by_key.items()}
         supervisor = None
         try:
-            first = [tasks[indices[0]] for indices in by_key.values()]
             armed = set(queue.enqueue(
-                first,
-                budgets=[policy_by_key[t.cache_key()][0] for t in first],
-                predictions=[policy_by_key[t.cache_key()][1] for t in first]))
+                [tasks[indices[0]] for indices in by_key.values()],
+                budgets=[policy[0] for policy in policy_by_key.values()],
+                predictions=[policy[1] for policy in policy_by_key.values()]))
             if self.autoscale > 0:
                 from repro.runtime.supervisor import spawn_supervisor
                 supervisor = spawn_supervisor(store.path,
@@ -240,15 +247,36 @@ class QueueBackend(ExecutionBackend):
                                               lease_s=self.lease_s,
                                               spawn_horizon_s=self.spawn_horizon_s)
             last_progress = time.monotonic()
+            cursor = 0
+            reconcile = True  # the first poll, and every poll after an idle one
             while unresolved:
                 progressed = False
                 queue.reclaim_expired()
 
+                # Which keys to look at.  A full reconcile probes every
+                # unresolved key: results published without a queue row
+                # changing (a sibling runner's serial batch) and rows
+                # cancelled by another submitter leave no change stamp.
+                # A busy poll reads only the rows that changed since the
+                # last poll.  The cursor is taken before the snapshot, so
+                # nothing committed in between is missed.
+                if reconcile:
+                    cursor = queue.last_seq()
+                    snapshot = queue.rows(list(unresolved))
+                    probe = list(unresolved)
+                else:
+                    changed, cursor = queue.changes_since(cursor)
+                    snapshot = [row for row in changed
+                                if row.key in unresolved]
+                    probe = [row.key for row in snapshot
+                             if row.status == "done"]
+
                 # Results published in the store — by our own inline drain,
                 # by external workers, or by a sibling runner's batch.
-                probe = [tasks[indices[0]] for indices in unresolved.values()]
-                warm = store.prefetch(probe)
-                for key in [k for k in unresolved if k in warm]:
+                warm = (store.prefetch([tasks[unresolved[key][0]]
+                                        for key in probe])
+                        if probe else {})
+                for key in [k for k in probe if k in warm]:
                     result = runner._finalise(tasks[unresolved[key][0]], "ok",
                                               warm[key])
                     for idx in unresolved.pop(key):
@@ -260,28 +288,25 @@ class QueueBackend(ExecutionBackend):
                 # and 'done' rows whose published result has vanished from
                 # the store (eviction, version purge): requeue those, or
                 # the batch would wait forever on a row nobody may lease.
-                if unresolved:
-                    snapshot = queue.rows(list(unresolved))
-                    for row in snapshot:
-                        if row.key not in unresolved:
-                            continue
-                        if row.status == "failed":
-                            task = tasks[unresolved[row.key][0]]
-                            message = (row.error
-                                       or "task failed on a queue worker")
-                            sentinel = runner._finalise(task, "error",
-                                                        (message, None))
-                            for idx in unresolved.pop(row.key):
-                                yield idx, sentinel
-                            progressed = True
-                        elif (row.status == "done"
-                              and not store.contains(row.key)):
-                            # Safe to recompute: workers put() before they
-                            # complete(), so done + store-miss means the
-                            # result is truly gone, not merely in flight.
-                            queue.requeue([row.key])
-                            armed.add(row.key)
-                            progressed = True
+                for row in snapshot:
+                    if row.key not in unresolved:
+                        continue
+                    if row.status == "failed":
+                        task = tasks[unresolved[row.key][0]]
+                        message = row.error or "task failed on a queue worker"
+                        sentinel = runner._finalise(task, "error",
+                                                    (message, None))
+                        for idx in unresolved.pop(row.key):
+                            yield idx, sentinel
+                        progressed = True
+                    elif row.status == "done" and not store.contains(row.key):
+                        # Safe to recompute: workers put() before they
+                        # complete(), so done + store-miss means the
+                        # result is truly gone, not merely in flight.
+                        queue.requeue([row.key])
+                        armed.add(row.key)
+                        progressed = True
+                if reconcile and unresolved:
                     # A key with no row at all was cancelled by another
                     # submitter's early exit (rows only ever vanish through
                     # cancel_queued): re-enqueue it — their abandoning the
@@ -308,6 +333,7 @@ class QueueBackend(ExecutionBackend):
                             yield pair
                         progressed = True
 
+                reconcile = not progressed
                 if progressed:
                     last_progress = time.monotonic()
                     continue

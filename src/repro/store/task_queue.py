@@ -47,6 +47,25 @@ Row lifecycle
   the overrun in its drain stats.  No per-worker ``--timeout`` flag has
   to be kept in sync across a fleet.
 
+Change cursor
+-------------
+
+Every state transition — enqueue, lease, complete, fail, reclaim,
+requeue — stamps the rows it touches with ``seq``, a change counter kept
+in ``task_queue_meta`` and advanced *inside* the write transaction.
+SQLite serialises writers, so stamps are commit-ordered: once a reader
+has seen stamp ``s``, every change it has not seen yet carries a stamp
+above ``s``.  :meth:`TaskQueue.changes_since` hands a poller exactly
+those rows, so a submitter waiting on N keys reads what moved since its
+last poll instead of re-probing all N.  The wall-clock ``updated_at``
+cannot serve as that cursor: a worker stamps ``now`` *before* it commits,
+so a row committed just after a poll can carry a time the poller has
+already passed.  Rows deleted by :meth:`TaskQueue.cancel_queued` leave
+no stamp behind; a poller that must notice them reconciles against
+:meth:`TaskQueue.rows` now and then.  The counter lives in the meta
+table rather than being ``MAX(seq) + 1`` for the same reason: a deleted
+row must not hand its stamp to the next change.
+
 Schema versioning
 -----------------
 
@@ -58,7 +77,9 @@ touched; queue rows are salvaged where possible, with finished ``done``
 rows preserved (their ``compute_count`` history included) and all
 in-flight rows re-armed as fresh ``queued`` work.  Queue rows are cheap
 coordination state, so when even salvage fails the queue rebuilds empty
-rather than refusing to open.
+rather than refusing to open.  Version 4 (the ``seq`` change stamp) came
+through this same salvage: salvaged rows share one stamp, so a cursor of
+0 reports them all.
 """
 
 from __future__ import annotations
@@ -80,8 +101,8 @@ __all__ = ["TaskQueue", "LeasedTask", "QueueRow", "QUEUE_SCHEMA_VERSION"]
 #: (rows salvaged, in-flight work re-armed) on open.  Version 2 added the
 #: per-task ``budget_s`` column; version 3 added ``predicted_s`` (the raw
 #: cost-model runtime prediction, feeding cost-weighted supervisor
-#: scaling).
-QUEUE_SCHEMA_VERSION = 3
+#: scaling); version 4 added the ``seq`` change stamp.
+QUEUE_SCHEMA_VERSION = 4
 
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this (matches result_store._MAX_SQL_PARAMS).
@@ -104,10 +125,12 @@ _SCHEMA_STATEMENTS = (
     budget_s        REAL,
     predicted_s     REAL,
     enqueued_at     REAL NOT NULL,
-    updated_at      REAL NOT NULL
+    updated_at      REAL NOT NULL,
+    seq             INTEGER NOT NULL DEFAULT 0
 )""",
     """CREATE INDEX IF NOT EXISTS idx_task_queue_status
     ON task_queue (status, enqueued_at)""",
+    """CREATE INDEX IF NOT EXISTS idx_task_queue_seq ON task_queue (seq)""",
     """CREATE TABLE IF NOT EXISTS task_queue_meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -122,7 +145,37 @@ _SCHEMA = ";\n".join(_SCHEMA_STATEMENTS) + ";"
 _EXPECTED_COLUMNS = frozenset({
     "key", "task_payload", "status", "owner", "lease_expires_at", "attempts",
     "compute_count", "excluded_worker", "error", "budget_s", "predicted_s",
-    "enqueued_at", "updated_at"})
+    "enqueued_at", "updated_at", "seq"})
+
+#: The :class:`QueueRow` fields, in order.
+_ROW_COLUMNS = ("key, status, owner, attempts, compute_count,"
+                " excluded_worker, error, budget_s, predicted_s")
+
+#: The stamp of the transaction in progress: one past the last committed
+#: change.  Every row a transaction touches gets the same stamp, and
+#: :meth:`TaskQueue._advance_seq` moves the counter once, before COMMIT.
+_NEXT_SEQ = ("(SELECT CAST(value AS INTEGER) + 1 FROM task_queue_meta"
+             " WHERE key = 'change_seq')")
+
+#: The two ``LIMIT 1`` probes behind :meth:`TaskQueue.lease`, each an
+#: ordered walk of ``idx_task_queue_status`` (whose entries end in the
+#: rowid, so ``enqueued_at, rowid`` needs no sort): the head of the
+#: ``queued`` rows, and the oldest expired lease.
+_LEASE_COLUMNS = "key, task_payload, attempts, budget_s, enqueued_at, rowid"
+_LEASE_QUEUED_SQL = (
+    f"SELECT {_LEASE_COLUMNS} FROM task_queue"
+    " WHERE status = 'queued'"
+    "   AND (excluded_worker IS NULL OR excluded_worker != :worker"
+    "        OR updated_at <= :grace_before)"
+    "   AND attempts < :max_attempts"
+    " ORDER BY enqueued_at ASC, rowid ASC LIMIT 1")
+_LEASE_EXPIRED_SQL = (
+    f"SELECT {_LEASE_COLUMNS} FROM task_queue"
+    " WHERE status = 'leased' AND lease_expires_at <= :now"
+    "   AND owner != :worker"
+    "   AND (excluded_worker IS NULL OR excluded_worker != :worker)"
+    "   AND attempts < :max_attempts"
+    " ORDER BY enqueued_at ASC, rowid ASC LIMIT 1")
 
 
 @dataclass(frozen=True)
@@ -227,9 +280,20 @@ class TaskQueue:
             return None  # pre-versioning file (or mangled meta): migrate
 
     def _stamp_version(self) -> None:
+        """Stamp the layout version and start the change counter."""
         self._conn.execute(
             "INSERT OR REPLACE INTO task_queue_meta (key, value)"
             " VALUES ('queue_schema_version', ?)", (str(QUEUE_SCHEMA_VERSION),))
+        self._conn.execute(
+            "INSERT OR IGNORE INTO task_queue_meta (key, value)"
+            " VALUES ('change_seq', '0')")
+
+    def _advance_seq(self) -> None:
+        """Commit the stamp :data:`_NEXT_SEQ` handed out; call once per
+        write transaction that changed rows, before it commits."""
+        self._conn.execute(
+            "UPDATE task_queue_meta SET value = CAST(value AS INTEGER) + 1"
+            " WHERE key = 'change_seq'")
 
     def _migrate(self, columns: set) -> None:
         """Rebuild an outdated ``task_queue``, salvaging what rows allow.
@@ -267,18 +331,19 @@ class TaskQueue:
                 self._conn.execute("DROP TABLE IF EXISTS task_queue")
                 for statement in _SCHEMA_STATEMENTS:
                     self._conn.execute(statement)
+                self._stamp_version()
                 for row in salvaged:
                     done = row["status"] == "done"
                     self._conn.execute(
                         "INSERT OR IGNORE INTO task_queue"
                         " (key, task_payload, status, compute_count,"
-                        "  enqueued_at, updated_at)"
-                        " VALUES (?, ?, ?, ?, ?, ?)",
+                        "  enqueued_at, updated_at, seq)"
+                        f" VALUES (?, ?, ?, ?, ?, ?, {_NEXT_SEQ})",
                         (row["key"], row["task_payload"],
                          "done" if done else "queued",
                          int(row.get("compute_count") or 0),
                          float(row.get("enqueued_at") or now), now))
-                self._stamp_version()
+                self._advance_seq()
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -352,8 +417,8 @@ class TaskQueue:
                 cur = self._conn.execute(
                     "INSERT OR IGNORE INTO task_queue"
                     " (key, task_payload, status, budget_s, predicted_s,"
-                    "  enqueued_at, updated_at)"
-                    " VALUES (?, ?, 'queued', ?, ?, ?, ?)",
+                    "  enqueued_at, updated_at, seq)"
+                    f" VALUES (?, ?, 'queued', ?, ?, ?, ?, {_NEXT_SEQ})",
                     (key, payload, budget, predicted, now, now))
                 if cur.rowcount:
                     armed.append(key)
@@ -364,12 +429,14 @@ class TaskQueue:
                     " excluded_worker = NULL,"
                     " budget_s = CASE WHEN ? THEN ? ELSE budget_s END,"
                     " predicted_s = CASE WHEN ? THEN ? ELSE predicted_s END,"
-                    " updated_at = ?"
+                    f" updated_at = ?, seq = {_NEXT_SEQ}"
                     " WHERE key = ? AND status = 'failed'",
                     (1 if budgets is not None else 0, budget,
                      1 if predictions is not None else 0, predicted, now, key))
                 if cur.rowcount:
                     armed.append(key)
+            if armed:
+                self._advance_seq()
         return armed
 
     def requeue(self, keys: Sequence[str], *,
@@ -393,11 +460,13 @@ class TaskQueue:
                 cur = self._conn.execute(
                     f"UPDATE task_queue SET status = 'queued', attempts = 0,"
                     f" owner = NULL, lease_expires_at = NULL, error = NULL,"
-                    f" excluded_worker = NULL, updated_at = ?"
+                    f" excluded_worker = NULL, updated_at = ?, seq = {_NEXT_SEQ}"
                     f" WHERE status IN ('done', 'failed')"
                     f" AND key IN ({placeholders})",
                     [now, *chunk])
                 changed += cur.rowcount
+            if changed:
+                self._advance_seq()
         return changed
 
     def cancel_queued(self, keys: Sequence[str]) -> int:
@@ -436,32 +505,34 @@ class TaskQueue:
         it), the excluded worker may take it after all — otherwise a
         single-worker fleet would starve its own casualty forever while
         attempt budget remains.  Oldest-enqueued first, insertion order as
-        the deterministic tie-break.  ``BEGIN IMMEDIATE`` takes the
-        write lock up front so two workers can never claim the same row.
+        the deterministic tie-break: two ``LIMIT 1`` index probes (the
+        ``queued`` head, the oldest expired lease), of which the older
+        wins, so a lease costs the same on a ten-row and a ten-thousand-row
+        table.  ``BEGIN IMMEDIATE`` takes the write lock up front so two
+        workers can never claim the same row.
         """
         now = self._clock() if now is None else now
+        params = {"now": now, "worker": worker_id,
+                  "grace_before": now - self.lease_s,
+                  "max_attempts": self.max_attempts}
         self._conn.execute("BEGIN IMMEDIATE")
         try:
-            row = self._conn.execute(
-                "SELECT key, task_payload, attempts, budget_s FROM task_queue"
-                " WHERE (status = 'queued'"
-                "        OR (status = 'leased' AND lease_expires_at <= ?"
-                "            AND owner != ?))"
-                "   AND (excluded_worker IS NULL OR excluded_worker != ?"
-                "        OR (status = 'queued' AND updated_at <= ?))"
-                "   AND attempts < ?"
-                " ORDER BY enqueued_at ASC, rowid ASC LIMIT 1",
-                (now, worker_id, worker_id, now - self.lease_s,
-                 self.max_attempts)).fetchone()
-            if row is None:
+            candidates = [row for row in (
+                self._conn.execute(sql, params).fetchone()
+                for sql in (_LEASE_QUEUED_SQL, _LEASE_EXPIRED_SQL))
+                if row is not None]
+            if not candidates:
                 self._conn.execute("COMMIT")
                 return None
-            key, payload, attempts, budget_s = row
+            key, payload, attempts, budget_s, _, _ = min(
+                candidates, key=lambda row: (row[4], row[5]))
             self._conn.execute(
                 "UPDATE task_queue SET status = 'leased', owner = ?,"
-                " lease_expires_at = ?, attempts = ?, updated_at = ?"
+                " lease_expires_at = ?, attempts = ?, updated_at = ?,"
+                f" seq = {_NEXT_SEQ}"
                 " WHERE key = ?",
                 (worker_id, now + self.lease_s, attempts + 1, now, key))
+            self._advance_seq()
             self._conn.execute("COMMIT")
         except BaseException:
             self._conn.execute("ROLLBACK")
@@ -481,12 +552,15 @@ class TaskQueue:
         """
         now = self._clock() if now is None else now
         with self._conn:
-            self._conn.execute(
+            cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'done', owner = ?,"
                 " lease_expires_at = NULL, error = NULL,"
-                " compute_count = compute_count + ?, updated_at = ?"
+                " compute_count = compute_count + ?, updated_at = ?,"
+                f" seq = {_NEXT_SEQ}"
                 " WHERE key = ?",
                 (worker_id, 1 if computed else 0, now, key))
+            if cur.rowcount:
+                self._advance_seq()
 
     def fail(self, key: str, worker_id: str, error: str, *,
              now: Optional[float] = None) -> None:
@@ -499,11 +573,14 @@ class TaskQueue:
         """
         now = self._clock() if now is None else now
         with self._conn:
-            self._conn.execute(
+            cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'failed', owner = ?,"
-                " lease_expires_at = NULL, error = ?, updated_at = ?"
+                " lease_expires_at = NULL, error = ?, updated_at = ?,"
+                f" seq = {_NEXT_SEQ}"
                 " WHERE key = ?",
                 (worker_id, error, now, key))
+            if cur.rowcount:
+                self._advance_seq()
 
     def reclaim_expired(self, *, now: Optional[float] = None) -> int:
         """Requeue expired leases; fail rows that exhausted their attempts.
@@ -518,6 +595,7 @@ class TaskQueue:
             cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'failed', excluded_worker = owner,"
                 " owner = NULL, lease_expires_at = NULL, updated_at = ?,"
+                f" seq = {_NEXT_SEQ},"
                 " error = 'lease expired ' || attempts || ' time(s);"
                 " worker presumed crashed (attempt cap reached)'"
                 " WHERE status = 'leased' AND lease_expires_at <= ?"
@@ -526,10 +604,13 @@ class TaskQueue:
             changed += cur.rowcount
             cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'queued', excluded_worker = owner,"
-                " owner = NULL, lease_expires_at = NULL, updated_at = ?"
+                " owner = NULL, lease_expires_at = NULL, updated_at = ?,"
+                f" seq = {_NEXT_SEQ}"
                 " WHERE status = 'leased' AND lease_expires_at <= ?",
                 (now, now))
             changed += cur.rowcount
+            if changed:
+                self._advance_seq()
         return changed
 
     # ------------------------------------------------------------------
@@ -537,9 +618,7 @@ class TaskQueue:
     # ------------------------------------------------------------------
     def rows(self, keys: Optional[Sequence[str]] = None) -> List[QueueRow]:
         """Queue-state snapshots, for ``keys`` or the whole table."""
-        sql = ("SELECT key, status, owner, attempts, compute_count,"
-               " excluded_worker, error, budget_s, predicted_s"
-               " FROM task_queue")
+        sql = f"SELECT {_ROW_COLUMNS} FROM task_queue"
         out: List[QueueRow] = []
         if keys is None:
             for row in self._conn.execute(sql + " ORDER BY key ASC"):
@@ -553,6 +632,29 @@ class TaskQueue:
                     chunk):
                 out.append(QueueRow(*row))
         return out
+
+    def last_seq(self) -> int:
+        """The stamp of the latest committed change: a cursor from which
+        :meth:`changes_since` reports every later change."""
+        (value,) = self._conn.execute(
+            "SELECT value FROM task_queue_meta WHERE key = 'change_seq'"
+        ).fetchone()
+        return int(value)
+
+    def changes_since(self, cursor: int) -> Tuple[List[QueueRow], int]:
+        """``(rows changed after cursor, the cursor to pass next)``.
+
+        Each row appears once, in its latest state.  Rows removed by
+        :meth:`cancel_queued` are not reported (see the module notes).
+        """
+        out: List[QueueRow] = []
+        for *row, seq in self._conn.execute(
+                f"SELECT {_ROW_COLUMNS}, seq FROM task_queue"
+                " WHERE seq > ? ORDER BY seq ASC",
+                (int(cursor),)):
+            out.append(QueueRow(*row))
+            cursor = seq
+        return out, cursor
 
     def counts(self) -> Dict[str, int]:
         """Row counts per status (absent statuses map to 0)."""

@@ -212,6 +212,34 @@ class TestQueueBackendSpecifics:
         assert not batch.failures()
         assert len(fresh.store) == 2  # recomputed and re-published
 
+    def test_inline_drain_probes_each_key_a_bounded_number_of_times(
+            self, tmp_path, monkeypatch):
+        """Per-task polling cost must not grow with the batch: re-probing
+        every unresolved key on every poll costs about N^2/2 key probes
+        per batch, the change cursor keeps it linear."""
+        from repro.store import ResultStore
+        from repro.store.task_queue import TaskQueue
+
+        probed = {"keys": 0}
+
+        def counting(method, arg):
+            def wrapper(self, *args, **kwargs):
+                keys = args[0] if args else kwargs.get(arg)
+                probed["keys"] += len(keys) if keys is not None else 0
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ResultStore, "prefetch",
+                            counting(ResultStore.prefetch, "tasks"))
+        monkeypatch.setattr(TaskQueue, "rows", counting(TaskQueue.rows, "keys"))
+        instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
+                     for s in range(20)]
+        runner = make_runner("queue", tmp_path)
+        batch = runner.run(FAST_GRID, instances)
+        n = len(batch.results)
+        assert n == 60 and not batch.failures()
+        assert probed["keys"] <= 3 * n, probed
+
     def test_fresh_runner_warm_from_queue_run(self, tmp_path):
         store_path = tmp_path / "warm.sqlite"
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)

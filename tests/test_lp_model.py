@@ -189,3 +189,24 @@ class TestModelMIP:
         m.set_objective(x)
         sol = m.solve(as_mip=True)
         assert sol.status is SolutionStatus.INFEASIBLE
+
+    def test_stopped_mip_with_incumbent_is_incumbent(self, monkeypatch):
+        """scipy status 4 ("other": the solve stopped, e.g. at a node
+        limit) holding an ``x`` is a feasible incumbent, not infeasible."""
+        from scipy import optimize
+
+        m = Model()
+        x = m.add_vars(2, "x", lower=0.0, upper=1.0, integral=True)
+        m.add_constraint(x[0] + x[1], "<=", 1.5)
+        m.set_objective(x[0] + x[1], sense=ObjectiveSense.MAXIMIZE)
+
+        def stopped_milp(*args, **kwargs):
+            return optimize.OptimizeResult(
+                status=4, x=np.array([1.0, 0.0]), mip_gap=0.5,
+                message="node limit reached")
+
+        monkeypatch.setattr(optimize, "milp", stopped_milp)
+        sol = m.solve(as_mip=True)
+        assert sol.status is SolutionStatus.INCUMBENT
+        assert sol.objective == pytest.approx(1.0)
+        assert sol.meta["mip_gap"] == 0.5

@@ -13,6 +13,9 @@ The contracts that matter for N workers sharing one store file:
 * budgets travel with the work: the submitter stamps ``budget_s`` on the
   row, whichever worker leases it enforces it (post-hoc, result still
   published, overrun surfaced in the result meta);
+* every state transition stamps a commit-ordered change counter, so a
+  poller reading ``changes_since`` its last cursor misses nothing;
+* a lease is two ordered index probes, never a sort of the table;
 * an outdated on-disk queue schema self-heals on open, preserving store
   results and re-arming in-flight work.
 
@@ -39,6 +42,7 @@ from repro.generators import uniform_instance
 from repro.runtime import BatchTask, register_algorithm, unregister_algorithm
 from repro.runtime.worker import drain
 from repro.store import QUEUE_SCHEMA_VERSION, ResultStore, TaskQueue
+from repro.store.task_queue import _LEASE_EXPIRED_SQL, _LEASE_QUEUED_SQL
 from repro.testing import FakeClock
 
 
@@ -577,16 +581,22 @@ class TestSchemaMigration:
             assert row.status == "queued" and row.budget_s is None
             assert queue.lease("w1") is not None
 
-    def test_v2_budget_queue_migrates_to_v3(self, tmp_path):
-        """A version-2 file (budget_s but no predicted_s) self-heals:
-        done rows keep their compute history, queued work re-arms, and
-        the new column exists afterwards."""
-        path = tmp_path / "v2.sqlite"
+    @pytest.mark.parametrize("version, later_columns", [
+        (2, ""),                        # budget_s, no predicted_s
+        (3, "predicted_s REAL,"),       # no seq change stamp
+    ], ids=["v2", "v3"])
+    def test_versioned_queue_migrates_to_current(self, tmp_path, version,
+                                                 later_columns):
+        """A file from an older versioned layout self-heals: done rows
+        keep their compute history, queued work re-arms, the columns added
+        since exist afterwards, and the salvaged rows carry a change
+        stamp."""
+        path = tmp_path / f"v{version}.sqlite"
         queued, done = _task(seed=10), _task(seed=11)
         with ResultStore(path) as store:
             store.put(done, _result_for(done))
         conn = sqlite3.connect(str(path))
-        conn.executescript("""
+        conn.executescript(f"""
         CREATE TABLE task_queue (
             key             TEXT PRIMARY KEY,
             task_payload    BLOB NOT NULL,
@@ -598,12 +608,14 @@ class TestSchemaMigration:
             excluded_worker TEXT,
             error           TEXT,
             budget_s        REAL,
+            {later_columns}
             enqueued_at     REAL NOT NULL,
             updated_at      REAL NOT NULL
         );
         CREATE TABLE task_queue_meta (key TEXT PRIMARY KEY,
                                       value TEXT NOT NULL);
-        INSERT INTO task_queue_meta VALUES ('queue_schema_version', '2');
+        INSERT INTO task_queue_meta VALUES ('queue_schema_version',
+                                            '{version}');
         """)
         conn.executemany(
             "INSERT INTO task_queue (key, task_payload, status, budget_s,"
@@ -619,13 +631,94 @@ class TestSchemaMigration:
             assert by_key[queued.cache_key()].status == "queued"
             assert by_key[queued.cache_key()].predicted_s is None
             assert by_key[done.cache_key()].compute_count == 1
-            # The new column is live: predictions persist post-migration.
+            changed, cursor = queue.changes_since(0)
+            assert {r.key for r in changed} == set(by_key)
+            assert cursor == queue.last_seq() > 0
+            # The new columns are live: predictions persist and the
+            # enqueue is stamped past the migration.
             queue.enqueue([_task(seed=12)], predictions=[0.25])
+            assert [r.key for r in queue.changes_since(cursor)[0]] == \
+                [_task(seed=12).cache_key()]
         with TaskQueue(path) as queue:
             assert not queue.migrated
             (fresh,) = [r for r in queue.rows()
                         if r.key == _task(seed=12).cache_key()]
             assert fresh.predicted_s == 0.25
+
+
+class TestChangeCursor:
+    """``changes_since`` reports exactly what moved after a cursor."""
+
+    def test_sees_a_change_committed_through_another_handle(self, tmp_path):
+        path = tmp_path / "cursor.sqlite"
+        tasks = [_task(seed=s) for s in range(3)]
+        with TaskQueue(path) as reader, TaskQueue(path) as writer:
+            writer.enqueue(tasks)
+            cursor = reader.last_seq()
+            assert reader.changes_since(cursor) == ([], cursor)
+            leased = writer.lease("w1")
+            writer.complete(leased.key, "w1", computed=True)
+            changed, after = reader.changes_since(cursor)
+            assert [(r.key, r.status) for r in changed] == \
+                [(leased.key, "done")]  # one row, in its latest state
+            assert after > cursor
+            assert reader.changes_since(after) == ([], after)
+
+    def test_multi_row_reclaim_advances_the_cursor(self, tmp_path):
+        clock = FakeClock(100.0)
+        tasks = [_task(seed=s) for s in range(3)]
+        with TaskQueue(tmp_path / "reclaim.sqlite", lease_s=10.0,
+                       clock=clock) as queue:
+            queue.enqueue(tasks)
+            leased = {queue.lease(worker).key for worker in ("w1", "w2")}
+            cursor = queue.last_seq()
+            assert queue.reclaim_expired() == 0
+            assert queue.changes_since(cursor) == ([], cursor)
+            clock.advance(11.0)
+            assert queue.reclaim_expired() == 2
+            changed, after = queue.changes_since(cursor)
+            assert {r.key for r in changed} == leased
+            assert {r.status for r in changed} == {"queued"}
+            assert after > cursor
+
+    def test_cancelled_rows_do_not_hand_their_stamp_on(self, tmp_path):
+        """Deleting the newest row must not let the next change reuse
+        its stamp — a poller past that stamp would never see it."""
+        first, second = _task(seed=0), _task(seed=1)
+        with TaskQueue(tmp_path / "cancel.sqlite") as queue:
+            queue.enqueue([first])
+            queue.enqueue([second])
+            cursor = queue.last_seq()
+            assert queue.cancel_queued([second.cache_key()]) == 1
+            leased = queue.lease("w1")
+            assert [r.key for r in queue.changes_since(cursor)[0]] == \
+                [leased.key]
+
+
+class TestIndexOrderedLease:
+    def test_expired_lease_older_than_the_queued_head_wins(self, tmp_path):
+        old, fresh = _task(seed=0), _task(seed=1)
+        with TaskQueue(tmp_path / "order.sqlite", lease_s=10.0) as queue:
+            queue.enqueue([old], now=100.0)
+            assert queue.lease("w1", now=100.0).key == old.cache_key()
+            queue.enqueue([fresh], now=105.0)
+            # At 111 w1's lease on the older task has expired; w2 takes
+            # that over before the younger queued head.
+            taken = queue.lease("w2", now=111.0)
+            assert taken.key == old.cache_key() and taken.attempts == 2
+            assert queue.lease("w2", now=111.0).key == fresh.cache_key()
+
+    def test_lease_probes_walk_the_index_without_sorting(self, tmp_path):
+        params = {"now": 0.0, "worker": "w", "grace_before": 0.0,
+                  "max_attempts": 3}
+        with TaskQueue(tmp_path / "plan.sqlite") as queue:
+            queue.enqueue([_task(seed=s) for s in range(20)])
+            for sql in (_LEASE_QUEUED_SQL, _LEASE_EXPIRED_SQL):
+                plan = " | ".join(
+                    row[-1] for row in queue._conn.execute(
+                        "EXPLAIN QUERY PLAN " + sql, params))
+                assert "idx_task_queue_status" in plan, plan
+                assert "TEMP B-TREE" not in plan, plan
 
 
 class TestPredictions:
