@@ -21,7 +21,7 @@ Quick start
 Package map
 -----------
 ``repro.core``        instances, schedules, bounds, dual approximation
-``repro.lp``          LP/MILP modelling layer (substrate)
+``repro.lp``          LP/MILP matrix container over SciPy's HiGHS (substrate)
 ``repro.setcover``    SetCover substrate + Section 3.2 hardness reduction
 ``repro.generators``  synthetic instance generators and experiment suites
 ``repro.algorithms``  every algorithm of the paper + baselines + exact solvers

@@ -17,26 +17,29 @@ Both respect ineligibility (``p_ij = ∞`` or ``s_ik = ∞``).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import AlgorithmResult
+from repro.core.ilp_um import ilp_um_model
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
-from repro.lp.model import Model, ObjectiveSense
-from repro.lp.solution import SolutionStatus
+from repro.lp.model import Model
 from repro.runtime.registry import register_algorithm
 
 __all__ = ["milp_optimal", "brute_force_optimal", "build_ilp_um"]
 
 
 def build_ilp_um(instance: Instance, *, integral: bool = True,
-                 makespan_guess: Optional[float] = None) -> Tuple[Model, Dict, Dict, object]:
+                 makespan_guess: Optional[float] = None
+                 ) -> Tuple[Model, np.ndarray, np.ndarray]:
     """Build ILP-UM (constraints (1)–(5) of Section 3) with ``T`` minimised.
 
-    Returns ``(model, x, y, t_var)`` where ``x[(i, j)]`` / ``y[(i, k)]`` are
-    the assignment / setup variables (only eligible pairs get a variable).
+    Returns ``(model, x_col, y_col)``: column 0 is ``T`` and
+    ``x_col[i, j]`` / ``y_col[i, k]`` is the column of the assignment /
+    setup variable, ``-1`` where the pair is ineligible (see
+    :func:`repro.core.ilp_um.ilp_um_model` for the layout).
 
     When ``makespan_guess`` is given, constraint (5) — forbid ``x_ij`` for
     ``p_ij > T`` — is applied with that guess and ``T`` is additionally
@@ -44,49 +47,17 @@ def build_ilp_um(instance: Instance, *, integral: bool = True,
     constraint (5) is vacuous because ``T`` is free.
     """
     inst = instance
-    model = Model(f"ilp-um-{inst.name}")
-    t_upper = makespan_guess
-    t_var = model.add_var("T", lower=0.0, upper=t_upper)
-    x: Dict[Tuple[int, int], object] = {}
-    y: Dict[Tuple[int, int], object] = {}
-    for i in range(inst.num_machines):
-        for k in range(inst.num_classes):
-            if np.isfinite(inst.setups[i, k]) and (
-                    makespan_guess is None or inst.setups[i, k] <= makespan_guess + 1e-9):
-                y[i, k] = model.add_var(f"y[{i},{k}]", lower=0.0, upper=1.0, integral=integral)
-        for j in range(inst.num_jobs):
-            p = inst.processing[i, j]
-            if not np.isfinite(p):
-                continue
-            if makespan_guess is not None and p > makespan_guess + 1e-9:
-                continue  # constraint (5)
-            k = inst.job_class(j)
-            if (i, k) not in y:
-                continue
-            x[i, j] = model.add_var(f"x[{i},{j}]", lower=0.0, upper=1.0, integral=integral)
-
-    # (1) machine loads bounded by T.
-    for i in range(inst.num_machines):
-        terms = [(x[i, j], float(inst.processing[i, j]))
-                 for j in range(inst.num_jobs) if (i, j) in x]
-        terms += [(y[i, k], float(inst.setups[i, k]))
-                  for k in range(inst.num_classes) if (i, k) in y]
-        if not terms:
-            continue
-        expr = sum(coeff * var for var, coeff in terms) - t_var
-        model.add_constraint(expr, "<=", 0.0, name=f"load[{i}]")
-    # (2) every job assigned exactly once.
-    for j in range(inst.num_jobs):
-        vars_j = [x[i, j] for i in range(inst.num_machines) if (i, j) in x]
-        if not vars_j:
-            raise ValueError(f"job {j} has no machine satisfying the makespan guess")
-        model.add_constraint(sum(v for v in vars_j), "==", 1.0, name=f"assign[{j}]")
-    # (4) setup coupling.
-    for (i, j), var in x.items():
-        k = inst.job_class(j)
-        model.add_constraint(var - y[i, k], "<=", 0.0, name=f"couple[{i},{j}]")
-    model.set_objective(t_var, sense=ObjectiveSense.MINIMIZE)
-    return model, x, y, t_var
+    y_mask = np.isfinite(inst.setups)
+    x_mask = np.isfinite(inst.processing)
+    if makespan_guess is not None:
+        y_mask &= inst.setups <= makespan_guess + 1e-9
+        x_mask &= inst.processing <= makespan_guess + 1e-9  # constraint (5)
+    x_mask &= y_mask[:, inst.job_classes]
+    unassignable = np.flatnonzero(~x_mask.any(axis=0))
+    if unassignable.size:
+        raise ValueError(f"job {unassignable[0]} has no machine satisfying the makespan guess")
+    return ilp_um_model(inst, x_mask, y_mask, name=f"ilp-um-{inst.name}",
+                        t_upper=makespan_guess, integral=integral)
 
 
 @register_algorithm("milp-optimal", guarantee=1.0, tags=("exact",),
@@ -95,22 +66,16 @@ def milp_optimal(instance: Instance, *, time_limit: float | None = 60.0,
                  mip_rel_gap: float = 0.0) -> AlgorithmResult:
     """Solve ILP-UM exactly (or to ``mip_rel_gap``) and return the optimal schedule."""
     start = time.perf_counter()
-    model, x, _, _ = build_ilp_um(instance, integral=True)
+    model, x_col, _ = build_ilp_um(instance, integral=True)
     sol = model.solve(as_mip=True, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
     if not sol.has_solution:
         raise RuntimeError(f"MILP solve failed ({sol.status.value}): {sol.message}")
-    schedule = Schedule(instance)
-    for j in range(instance.num_jobs):
-        best_i, best_val = -1, 0.5
-        for i in range(instance.num_machines):
-            if (i, j) in x:
-                val = sol.value(x[i, j])
-                if val > best_val:
-                    best_val = val
-                    best_i = i
-        if best_i < 0:
-            raise RuntimeError(f"MILP solution does not assign job {j}")
-        schedule.assign(j, best_i)
+    x = np.where(x_col >= 0, sol.values[x_col], -np.inf)
+    best = np.argmax(x, axis=0)  # the first machine holding the job's maximum
+    unassigned = np.flatnonzero(x[best, np.arange(instance.num_jobs)] <= 0.5)
+    if unassigned.size:
+        raise RuntimeError(f"MILP solution does not assign job {unassigned[0]}")
+    schedule = Schedule(instance, best)
     runtime = time.perf_counter() - start
     return AlgorithmResult.from_schedule(
         "milp-optimal", schedule, runtime=runtime, guarantee=1.0,

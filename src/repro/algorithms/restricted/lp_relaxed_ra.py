@@ -31,12 +31,12 @@ pseudo-forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.instance import Instance
-from repro.lp.model import Model, ObjectiveSense
+from repro.lp.model import Model
 from repro.lp.solution import SolutionStatus
 
 __all__ = ["RelaxedRAResult", "solve_lp_relaxed_ra", "class_workload_matrix"]
@@ -124,62 +124,52 @@ def solve_lp_relaxed_ra(
     inst = instance
     workload = class_workload_matrix(inst)
     per_job = _per_job_time_matrix(inst)
-    classes = [int(k) for k in inst.classes_present()]
+    setups = inst.setups
+    present = np.zeros(inst.num_classes, dtype=bool)
+    present[inst.classes_present()] = True
+    if variant == "restrictions":
+        fits = setups <= guess + tolerance  # constraint (14)
+    else:
+        fits = setups + per_job <= guess + tolerance  # constraint (16)
+    mask = np.isfinite(setups) & np.isfinite(workload) & fits & present
+    infeasible = RelaxedRAResult(False, float(guess), np.zeros_like(workload),
+                                 workload, per_job)
+    # Constraint (12) needs a column for every non-empty class.
+    if not mask[:, present].any(axis=0).all():
+        return infeasible
 
-    model = Model(f"lp-relaxed-ra-{inst.name}")
-    x_vars: Dict[Tuple[int, int], object] = {}
-    for k in classes:
-        for i in range(inst.num_machines):
-            s = inst.setups[i, k]
-            w = workload[i, k]
-            if not np.isfinite(s) or not np.isfinite(w):
-                continue
-            if variant == "restrictions":
-                if s > guess + tolerance:
-                    continue  # constraint (14)
-            else:
-                # constraint (16): the per-job time plus setup must fit.
-                if s + per_job[i, k] > guess + tolerance:
-                    continue
-            x_vars[i, k] = model.add_var(f"x[{i},{k}]", lower=0.0, upper=1.0)
-
-    # Constraint (12): each (non-empty) class fully distributed.
-    for k in classes:
-        vars_k = [x_vars[i, k] for i in range(inst.num_machines) if (i, k) in x_vars]
-        if not vars_k:
-            return RelaxedRAResult(False, float(guess),
-                                   np.zeros_like(workload), workload, per_job)
-        model.add_constraint(sum(v for v in vars_k), "==", 1.0, name=f"dist[{k}]")
-
-    # Constraint (11): machine capacity with the α_ik surcharge.
-    for i in range(inst.num_machines):
-        terms = []
-        for k in classes:
-            if (i, k) not in x_vars:
-                continue
-            s = float(inst.setups[i, k])
-            w = float(workload[i, k])
-            denom = guess - s
-            alpha = 1.0 if denom <= 0 else max(1.0, w / denom) if denom > 0 else 1.0
-            if denom <= 0:
-                # s == guess (within tolerance): the class can only be placed
-                # here with zero workload; α is irrelevant but keep it finite.
-                alpha = 1.0
-            terms.append((x_vars[i, k], w + alpha * s))
-        if not terms:
-            continue
-        expr = sum(coeff * var for var, coeff in terms)
-        model.add_constraint(expr, "<=", float(guess), name=f"cap[{i}]")
-
+    # Columns class by class, machines in order within a class.
+    col_t = np.full(mask.T.shape, -1)
+    col_t[mask.T] = np.arange(np.count_nonzero(mask))
+    col = col_t.T
+    num_vars = np.count_nonzero(mask)
+    mi, mk = np.nonzero(mask)
+    # Constraint (11): machine capacity with the α_ik surcharge
+    # α_ik = max{1, p̄_ik / (T - s_ik)}; where s_ik == T (within tolerance)
+    # the class only fits with zero workload, so α stays 1.
+    s, w = setups[mi, mk], workload[mi, mk]
+    denom = guess - s
+    alpha = np.ones(num_vars)
+    room = denom > 0
+    alpha[room] = np.maximum(1.0, w[room] / denom[room])
+    loaded = mask.any(axis=1)
+    a_ub = sparse.csr_matrix(
+        (w + alpha * s, (np.cumsum(loaded)[mi] - 1, col[mi, mk])),
+        shape=(np.count_nonzero(loaded), num_vars))
+    # Constraint (12): each non-empty class fully distributed.
+    a_eq = sparse.csr_matrix(
+        (np.ones(num_vars), (np.cumsum(present)[mk] - 1, col[mi, mk])),
+        shape=(np.count_nonzero(present), num_vars))
     # Any feasible point suffices; minimise total setup surcharge to bias the
     # solver toward sparse supports (still a vertex of the same polytope).
-    objective = sum(float(inst.setups[i, k]) * var for (i, k), var in x_vars.items())
-    model.set_objective(objective if x_vars else 0.0, sense=ObjectiveSense.MINIMIZE)
+    c = np.zeros(num_vars)
+    c[col[mi, mk]] = s
+    model = Model(c=c, a_ub=a_ub, b_ub=np.full(a_ub.shape[0], float(guess)),
+                  a_eq=a_eq, b_eq=np.ones(a_eq.shape[0]), upper=np.ones(num_vars),
+                  name=f"lp-relaxed-ra-{inst.name}")
     sol = model.solve(vertex=True)
     if sol.status is not SolutionStatus.OPTIMAL:
-        return RelaxedRAResult(False, float(guess),
-                               np.zeros_like(workload), workload, per_job)
+        return infeasible
     x = np.zeros((inst.num_machines, inst.num_classes))
-    for (i, k), var in x_vars.items():
-        x[i, k] = max(0.0, float(sol.value(var)))
+    x[mask] = np.where(sol.values > 0.0, sol.values, 0.0)[col[mask]]
     return RelaxedRAResult(True, float(guess), x, workload, per_job)

@@ -10,13 +10,14 @@ optimum is at most ``T``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core.ilp_um import ilp_um_model
 from repro.core.instance import Instance
-from repro.lp.model import Model, ObjectiveSense
 from repro.lp.solution import SolutionStatus
 
 __all__ = ["LPRelaxationResult", "solve_ilp_um_relaxation"]
@@ -54,76 +55,58 @@ class LPRelaxationResult:
         return self.x[:, job]
 
 
+#: What :func:`solve_ilp_um_relaxation` remembers per eligibility mask:
+#: ``(fractional_makespan, x, y)``.
+RelaxationMemo = Dict[bytes, Tuple[float, np.ndarray, np.ndarray]]
+
+
 def solve_ilp_um_relaxation(instance: Instance, guess: float,
-                            *, tolerance: float = 1e-6) -> LPRelaxationResult:
+                            *, tolerance: float = 1e-6,
+                            memo: Optional[RelaxationMemo] = None) -> LPRelaxationResult:
     """Solve the LP relaxation of ILP-UM for makespan guess ``guess``.
 
     The LP minimises an auxiliary variable ``Z`` bounding every machine load
     (so the call both answers feasibility for ``guess`` and returns the best
     fractional load achievable under the guess-dependent eligibility
     filtering of constraint (5)).
+
+    ``T`` enters the LP only through that filtering, so guesses with the
+    same eligibility masks pose the same LP.  Given a ``memo`` dict (one per
+    instance — keys are the masks alone), such a guess reuses the first
+    solve and only judges feasibility anew; the hit's ``x``/``y`` arrays
+    are shared with the first result.
     """
     inst = instance
-    model = Model(f"lp-um-{inst.name}")
-    z = model.add_var("Z", lower=0.0)
-    x_vars: Dict[Tuple[int, int], object] = {}
-    y_vars: Dict[Tuple[int, int], object] = {}
-    for i in range(inst.num_machines):
-        for k in range(inst.num_classes):
-            s = inst.setups[i, k]
-            if np.isfinite(s) and s <= guess + tolerance:
-                y_vars[i, k] = model.add_var(f"y[{i},{k}]", lower=0.0, upper=1.0)
-        for j in range(inst.num_jobs):
-            p = inst.processing[i, j]
-            if not np.isfinite(p) or p > guess + tolerance:
-                continue  # ineligible or filtered by constraint (5)
-            k = inst.job_class(j)
-            if (i, k) not in y_vars:
-                continue
-            x_vars[i, j] = model.add_var(f"x[{i},{j}]", lower=0.0, upper=1.0)
-
-    # Constraint (2): every job fully assigned.  If some job lost all its
-    # machines to the filtering, the guess is infeasible outright.
-    for j in range(inst.num_jobs):
-        vars_j = [x_vars[i, j] for i in range(inst.num_machines) if (i, j) in x_vars]
-        if not vars_j:
-            return LPRelaxationResult(
-                feasible=False, guess=float(guess), fractional_makespan=float("inf"),
-                x=np.zeros((inst.num_machines, inst.num_jobs)),
-                y=np.zeros((inst.num_machines, inst.num_classes)))
-        model.add_constraint(sum(v for v in vars_j), "==", 1.0, name=f"assign[{j}]")
-
-    # Constraint (1): machine loads bounded by Z.
-    for i in range(inst.num_machines):
-        terms = [(x_vars[i, j], float(inst.processing[i, j]))
-                 for j in range(inst.num_jobs) if (i, j) in x_vars]
-        terms += [(y_vars[i, k], float(inst.setups[i, k]))
-                  for k in range(inst.num_classes) if (i, k) in y_vars]
-        if not terms:
-            continue
-        expr = sum(coeff * var for var, coeff in terms) - z
-        model.add_constraint(expr, "<=", 0.0, name=f"load[{i}]")
-
-    # Constraint (4): setup coupling.
-    for (i, j), var in x_vars.items():
-        k = inst.job_class(j)
-        model.add_constraint(var - y_vars[i, k], "<=", 0.0, name=f"couple[{i},{j}]")
-
-    model.set_objective(z, sense=ObjectiveSense.MINIMIZE)
-    sol = model.solve()
-    if sol.status is not SolutionStatus.OPTIMAL:
-        return LPRelaxationResult(
-            feasible=False, guess=float(guess), fractional_makespan=float("inf"),
-            x=np.zeros((inst.num_machines, inst.num_jobs)),
-            y=np.zeros((inst.num_machines, inst.num_classes)))
-
-    x = np.zeros((inst.num_machines, inst.num_jobs))
-    y = np.zeros((inst.num_machines, inst.num_classes))
-    for (i, j), var in x_vars.items():
-        x[i, j] = max(0.0, sol.value(var))
-    for (i, k), var in y_vars.items():
-        y[i, k] = max(0.0, sol.value(var))
-    fractional = float(sol.objective)
-    feasible = fractional <= guess * (1.0 + 1e-9) + tolerance
+    y_mask = np.isfinite(inst.setups) & (inst.setups <= guess + tolerance)
+    # Constraint (5), and x_ij needs its class's setup column.
+    x_mask = (np.isfinite(inst.processing) & (inst.processing <= guess + tolerance)
+              & y_mask[:, inst.job_classes])
+    key = x_mask.tobytes() + y_mask.tobytes()
+    if memo is not None and key in memo:
+        fractional, x, y = memo[key]
+    else:
+        fractional, x, y = _solve(inst, x_mask, y_mask)
+        if memo is not None:
+            memo[key] = fractional, x, y
+    feasible = math.isfinite(fractional) and fractional <= guess * (1.0 + 1e-9) + tolerance
     return LPRelaxationResult(
         feasible=feasible, guess=float(guess), fractional_makespan=fractional, x=x, y=y)
+
+
+def _solve(inst: Instance, x_mask: np.ndarray,
+           y_mask: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
+    """``(fractional makespan, x, y)``; ``inf`` and zeros when infeasible."""
+    x = np.zeros((inst.num_machines, inst.num_jobs))
+    y = np.zeros((inst.num_machines, inst.num_classes))
+    # Constraint (2): a job that lost all its machines to the filtering
+    # makes the guess infeasible outright.
+    if not x_mask.any(axis=0).all():
+        return float("inf"), x, y
+    model, x_col, y_col = ilp_um_model(inst, x_mask, y_mask, name=f"lp-um-{inst.name}")
+    sol = model.solve()
+    if sol.status is not SolutionStatus.OPTIMAL:
+        return float("inf"), x, y
+    values = np.where(sol.values > 0.0, sol.values, 0.0)
+    x[x_mask] = values[x_col[x_mask]]
+    y[y_mask] = values[y_col[y_mask]]
+    return float(sol.objective), x, y

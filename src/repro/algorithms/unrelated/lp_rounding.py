@@ -27,7 +27,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.algorithms.base import AlgorithmResult
-from repro.algorithms.unrelated.lp_relaxation import LPRelaxationResult, solve_ilp_um_relaxation
+from repro.algorithms.unrelated.lp_relaxation import (LPRelaxationResult, RelaxationMemo,
+                                                      solve_ilp_um_relaxation)
 from repro.core.bounds import makespan_bounds
 from repro.core.dual import dual_approximation_search
 from repro.core.instance import Instance
@@ -179,9 +180,11 @@ def randomized_rounding_approximation(
     rng = ensure_rng(seed)
     bounds = makespan_bounds(inst)
     stats_log: List[RoundingStats] = []
+    # Most guesses of the search repeat an eligibility mask, hence an LP.
+    memo: RelaxationMemo = {}
 
     def decision(guess: float) -> Optional[Schedule]:
-        relax = solve_ilp_um_relaxation(inst, guess)
+        relax = solve_ilp_um_relaxation(inst, guess, memo=memo)
         if not relax.feasible:
             return None
         best: Optional[Schedule] = None

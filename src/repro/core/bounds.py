@@ -18,9 +18,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.ilp_um import ilp_um_model
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
-from repro.lp.model import Model, ObjectiveSense
 from repro.lp.solution import SolutionStatus
 
 __all__ = [
@@ -131,40 +131,8 @@ def lp_lower_bound(instance: Instance) -> float:
     lower bound on the integral optimum.
     """
     inst = instance
-    model = Model(f"lp-lower-{inst.name}")
-    t_var = model.add_var("T", lower=0.0)
-    x = {}
-    y = {}
-    for i in range(inst.num_machines):
-        for j in range(inst.num_jobs):
-            if np.isfinite(inst.processing[i, j]):
-                x[i, j] = model.add_var(f"x[{i},{j}]", lower=0.0, upper=1.0)
-        for k in range(inst.num_classes):
-            if np.isfinite(inst.setups[i, k]):
-                y[i, k] = model.add_var(f"y[{i},{k}]", lower=0.0, upper=1.0)
-    # Load constraints.
-    for i in range(inst.num_machines):
-        terms = [(x[i, j], inst.processing[i, j])
-                 for j in range(inst.num_jobs) if (i, j) in x]
-        terms += [(y[i, k], inst.setups[i, k])
-                  for k in range(inst.num_classes) if (i, k) in y]
-        if not terms:
-            continue
-        expr = sum(coeff * var for var, coeff in terms) - t_var
-        model.add_constraint(expr, "<=", 0.0, name=f"load[{i}]")
-    # Assignment constraints.
-    for j in range(inst.num_jobs):
-        vars_j = [x[i, j] for i in range(inst.num_machines) if (i, j) in x]
-        expr = sum(v for v in vars_j)
-        model.add_constraint(expr, "==", 1.0, name=f"assign[{j}]")
-    # Setup coupling.
-    for (i, j), var in x.items():
-        k = inst.job_class(j)
-        if (i, k) in y:
-            model.add_constraint(var - y[i, k], "<=", 0.0, name=f"setup[{i},{j}]")
-        else:
-            model.add_constraint(var, "==", 0.0, name=f"forbid[{i},{j}]")
-    model.set_objective(t_var, sense=ObjectiveSense.MINIMIZE)
+    model, _, _ = ilp_um_model(inst, np.isfinite(inst.processing), np.isfinite(inst.setups),
+                               name=f"lp-lower-{inst.name}", setups_first=False)
     sol = model.solve()
     if sol.status is not SolutionStatus.OPTIMAL:
         raise RuntimeError(f"LP lower bound solve failed: {sol.message}")

@@ -1,7 +1,6 @@
-"""A small linear-programming modelling layer over SciPy's HiGHS solvers.
+"""A thin linear-programming layer over SciPy's HiGHS solvers.
 
-The paper's algorithms need three solver capabilities that a library such as
-PuLP or Gurobi would normally provide:
+The paper's algorithms need three solver capabilities:
 
 1. solving large *linear relaxations* (ILP-UM of Section 3, LP-RelaxedRA of
    Section 3.3) — handled by :func:`scipy.optimize.linprog`;
@@ -11,20 +10,18 @@ PuLP or Gurobi would normally provide:
 3. solving small *integer programs* exactly, to measure approximation ratios
    against true optima — handled by :func:`scipy.optimize.milp`.
 
-``repro.lp`` wraps these behind a tiny ``Variable`` / ``LinExpr`` /
-``Model`` API so algorithm code reads like the paper's LP formulations.
+Each builder computes its program's coefficient matrices directly from
+numpy eligibility masks, in a fixed column and row order, and wraps them in
+a :class:`Model` (``c``, ``a_ub``/``b_ub``, ``a_eq``/``b_eq``, bounds and
+optional integrality).  :meth:`Model.solve` returns a :class:`Solution`
+whose ``values`` are indexed by column.
 """
 
-from repro.lp.expression import LinExpr, Variable
-from repro.lp.model import Constraint, Model, ObjectiveSense, SolverError
+from repro.lp.model import Model, SolverError
 from repro.lp.solution import Solution, SolutionStatus
 
 __all__ = [
-    "Variable",
-    "LinExpr",
     "Model",
-    "Constraint",
-    "ObjectiveSense",
     "Solution",
     "SolutionStatus",
     "SolverError",

@@ -1,23 +1,19 @@
-"""The :class:`Model` class: build LPs/MIPs and solve them with HiGHS.
+"""The :class:`Model` class: an LP/MIP in matrix form, solved with HiGHS.
 
-Algorithms in :mod:`repro.algorithms` phrase their linear programs exactly as
-in the paper (one constraint object per displayed inequality) and call
-:meth:`Model.solve`.  The model compiles its constraints into a sparse
-matrix once per solve; constraint rows are cached so repeated solves with a
-different objective (as in the dual-approximation binary search, where only
-the makespan guess ``T`` changes) stay cheap to rebuild.
+The builders of the paper's programs (ILP-UM and its relaxations, the LP
+lower bound, LP-RelaxedRA, the SetCover LP) compute their coefficient
+matrices directly from numpy eligibility masks and hand them to
+:class:`Model`, which only passes them on to SciPy's HiGHS front ends.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional
 
 import numpy as np
 from scipy import optimize, sparse
 
-from repro.lp.expression import LinExpr, Variable, as_expr
 from repro.lp.solution import Solution, SolutionStatus
 
 
@@ -25,187 +21,75 @@ class SolverError(RuntimeError):
     """Raised when the underlying solver reports an unexpected failure."""
 
 
-class ObjectiveSense(enum.Enum):
-    """Direction of optimisation."""
-
-    MINIMIZE = "min"
-    MAXIMIZE = "max"
-
-
-class ConstraintSense(enum.Enum):
-    """Relational operator of a constraint."""
-
-    LE = "<="
-    GE = ">="
-    EQ = "=="
-
-
-@dataclass
-class Constraint:
-    """A single linear constraint ``expr (<=, >=, ==) rhs``."""
-
-    name: str
-    expr: LinExpr
-    sense: ConstraintSense
-    rhs: float
-
-    def violation(self, assignment: np.ndarray, tol: float = 1e-7) -> float:
-        """Amount by which the constraint is violated under ``assignment``.
-
-        Returns 0.0 when satisfied (within ``tol``).
-        """
-        lhs = self.expr.value(assignment)
-        if self.sense is ConstraintSense.LE:
-            return max(0.0, lhs - self.rhs - tol)
-        if self.sense is ConstraintSense.GE:
-            return max(0.0, self.rhs - lhs - tol)
-        return max(0.0, abs(lhs - self.rhs) - tol)
-
-
+@dataclass(eq=False)
 class Model:
-    """A linear / mixed-integer program.
+    """The program ``min c·x`` s.t. ``a_ub x <= b_ub``, ``a_eq x == b_eq``,
+    ``lower <= x <= upper``.
+
+    ``lower`` defaults to zeros and ``upper`` to ``+inf``; ``integrality``
+    (1 = integral, 0 = continuous, per column) is enforced only by
+    ``solve(as_mip=True)``.  Constraint blocks without rows are dropped.
 
     Example
     -------
-    >>> m = Model("toy")
-    >>> x = m.add_var("x", lower=0.0, upper=1.0)
-    >>> y = m.add_var("y", lower=0.0)
-    >>> m.add_constraint(x + 2.0 * y, ">=", 1.0)
-    >>> m.set_objective(x + y, sense=ObjectiveSense.MINIMIZE)
+    >>> from scipy import sparse
+    >>> m = Model(c=[1.0, 1.0], a_ub=sparse.csr_matrix([[-1.0, -2.0]]),
+    ...           b_ub=[-1.0], upper=[1.0, np.inf])
     >>> sol = m.solve()
     >>> round(sol.objective, 6)
     0.5
+    >>> m.num_vars, m.num_constraints
+    (2, 1)
     """
 
-    def __init__(self, name: str = "model"):
-        self.name = name
-        self._variables: List[Variable] = []
-        self._constraints: List[Constraint] = []
-        self._objective: LinExpr = LinExpr()
-        self._sense: ObjectiveSense = ObjectiveSense.MINIMIZE
+    c: np.ndarray
+    a_ub: Optional[sparse.spmatrix] = None
+    b_ub: Optional[np.ndarray] = None
+    a_eq: Optional[sparse.spmatrix] = None
+    b_eq: Optional[np.ndarray] = None
+    lower: Optional[np.ndarray] = None
+    upper: Optional[np.ndarray] = None
+    integrality: Optional[np.ndarray] = None
+    name: str = "model"
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
+    def __post_init__(self) -> None:
+        self.c = np.asarray(self.c, dtype=float)
+        n = self.c.size
+        self.lower = (np.zeros(n) if self.lower is None
+                      else np.asarray(self.lower, dtype=float))
+        self.upper = (np.full(n, np.inf) if self.upper is None
+                      else np.asarray(self.upper, dtype=float))
+        if self.lower.shape != (n,) or self.upper.shape != (n,):
+            raise ValueError(f"model {self.name!r}: bounds must have shape ({n},)")
+        if np.any(self.upper < self.lower):
+            raise ValueError(f"model {self.name!r}: an upper bound is below its lower bound")
+        self.a_ub, self.b_ub = self._block(self.a_ub, self.b_ub, "ub")
+        self.a_eq, self.b_eq = self._block(self.a_eq, self.b_eq, "eq")
+
+    def _block(self, a, b, which: str):
+        if a is None or a.shape[0] == 0:
+            return None, None
+        a = sparse.csr_matrix(a)
+        b = np.asarray(b, dtype=float)
+        if a.shape != (b.size, self.c.size):
+            raise ValueError(f"model {self.name!r}: a_{which} has shape {a.shape}, "
+                             f"expected ({b.size}, {self.c.size})")
+        return a, b
+
     @property
     def num_vars(self) -> int:
-        """Number of decision variables added so far."""
-        return len(self._variables)
+        """Number of columns."""
+        return int(self.c.size)
 
     @property
     def num_constraints(self) -> int:
-        """Number of constraints added so far."""
-        return len(self._constraints)
+        """Number of inequality plus equality rows."""
+        return sum(a.shape[0] for a in (self.a_ub, self.a_eq) if a is not None)
 
-    @property
-    def variables(self) -> Sequence[Variable]:
-        """All variables in index order."""
-        return tuple(self._variables)
-
-    @property
-    def constraints(self) -> Sequence[Constraint]:
-        """All constraints in insertion order."""
-        return tuple(self._constraints)
-
-    def add_var(
-        self,
-        name: str,
-        lower: float = 0.0,
-        upper: float | None = None,
-        integral: bool = False,
-    ) -> Variable:
-        """Add a decision variable and return its handle."""
-        if upper is not None and upper < lower:
-            raise ValueError(f"variable {name!r}: upper bound {upper} < lower bound {lower}")
-        var = Variable(index=len(self._variables), name=name, lower=float(lower),
-                       upper=None if upper is None else float(upper), integral=bool(integral))
-        self._variables.append(var)
-        return var
-
-    def add_vars(
-        self,
-        count: int,
-        prefix: str,
-        lower: float = 0.0,
-        upper: float | None = None,
-        integral: bool = False,
-    ) -> List[Variable]:
-        """Add ``count`` variables named ``prefix[0] .. prefix[count-1]``."""
-        return [
-            self.add_var(f"{prefix}[{i}]", lower=lower, upper=upper, integral=integral)
-            for i in range(count)
-        ]
-
-    def add_constraint(
-        self,
-        expr: Union[LinExpr, Variable, float],
-        sense: Union[str, ConstraintSense],
-        rhs: float,
-        name: str | None = None,
-    ) -> Constraint:
-        """Add the constraint ``expr sense rhs`` and return it."""
-        if isinstance(sense, str):
-            sense = ConstraintSense(sense)
-        constraint = Constraint(
-            name=name or f"c{len(self._constraints)}",
-            expr=as_expr(expr),
-            sense=sense,
-            rhs=float(rhs),
-        )
-        self._constraints.append(constraint)
-        return constraint
-
-    def set_objective(
-        self,
-        expr: Union[LinExpr, Variable, float],
-        sense: ObjectiveSense = ObjectiveSense.MINIMIZE,
-    ) -> None:
-        """Set the linear objective and its direction."""
-        self._objective = as_expr(expr)
-        self._sense = sense
-
-    # ------------------------------------------------------------------
-    # compilation
-    # ------------------------------------------------------------------
-    def _compile(self) -> Tuple[np.ndarray, Optional[sparse.csr_matrix], Optional[np.ndarray],
-                                Optional[sparse.csr_matrix], Optional[np.ndarray],
-                                List[Tuple[float, Optional[float]]]]:
-        """Build (c, A_ub, b_ub, A_eq, b_eq, bounds) for scipy."""
-        n = self.num_vars
-        c = np.zeros(n)
-        for idx, coeff in self._objective.coeffs.items():
-            c[idx] = coeff
-        if self._sense is ObjectiveSense.MAXIMIZE:
-            c = -c
-
-        ub_rows: List[Tuple[Dict[int, float], float]] = []
-        eq_rows: List[Tuple[Dict[int, float], float]] = []
-        for con in self._constraints:
-            if con.sense is ConstraintSense.LE:
-                ub_rows.append((con.expr.coeffs, con.rhs - con.expr.constant))
-            elif con.sense is ConstraintSense.GE:
-                negated = {i: -v for i, v in con.expr.coeffs.items()}
-                ub_rows.append((negated, -(con.rhs - con.expr.constant)))
-            else:
-                eq_rows.append((con.expr.coeffs, con.rhs - con.expr.constant))
-
-        def build(rows):
-            if not rows:
-                return None, None
-            data, row_idx, col_idx, rhs = [], [], [], []
-            for r, (coeffs, b) in enumerate(rows):
-                rhs.append(b)
-                for idx, coeff in coeffs.items():
-                    row_idx.append(r)
-                    col_idx.append(idx)
-                    data.append(coeff)
-            mat = sparse.csr_matrix((data, (row_idx, col_idx)), shape=(len(rows), n))
-            return mat, np.asarray(rhs, dtype=float)
-
-        a_ub, b_ub = build(ub_rows)
-        a_eq, b_eq = build(eq_rows)
-        bounds = [(v.lower, v.upper) for v in self._variables]
-        return c, a_ub, b_ub, a_eq, b_eq, bounds
+    def _objective(self, values: np.ndarray) -> float:
+        # Strictly left to right in column order: goldens pin these values,
+        # and the blocked summation of np.dot could change their last bits.
+        return float(np.cumsum(self.c * values)[-1])
 
     # ------------------------------------------------------------------
     # solving
@@ -213,8 +97,8 @@ class Model:
     def solve(
         self,
         *,
-        as_mip: bool = False,
         vertex: bool = False,
+        as_mip: bool = False,
         time_limit: float | None = None,
         mip_rel_gap: float = 0.0,
     ) -> Solution:
@@ -222,32 +106,35 @@ class Model:
 
         Parameters
         ----------
-        as_mip:
-            Enforce integrality of variables created with ``integral=True``.
         vertex:
             Request an extreme-point (basic) solution from the simplex
             backend.  Required by the pseudo-forest rounding of
             Section 3.3, whose correctness depends on the support graph of
             the LP solution being a pseudo-forest.
+        as_mip:
+            Enforce ``integrality``.
         time_limit:
             Optional wall-clock limit in seconds (MIP solves only).
         mip_rel_gap:
             Relative optimality gap accepted for MIP solves.
+
+        Raises
+        ------
+        SolverError
+            The LP solver failed, or a MIP solve stopped at a limit before
+            finding any feasible solution (nothing is proven either way).
         """
         if self.num_vars == 0:
-            return Solution(SolutionStatus.OPTIMAL, self._objective.constant,
-                            np.zeros(0), is_mip=as_mip)
-        c, a_ub, b_ub, a_eq, b_eq, bounds = self._compile()
+            return Solution(SolutionStatus.OPTIMAL, 0.0, np.zeros(0), is_mip=as_mip)
         if as_mip:
-            return self._solve_mip(c, a_ub, b_ub, a_eq, b_eq, bounds,
-                                   time_limit=time_limit, mip_rel_gap=mip_rel_gap)
-        return self._solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds, vertex=vertex)
+            return self._solve_mip(time_limit=time_limit, mip_rel_gap=mip_rel_gap)
+        return self._solve_lp(vertex=vertex)
 
-    # -- LP path --------------------------------------------------------
-    def _solve_lp(self, c, a_ub, b_ub, a_eq, b_eq, bounds, *, vertex: bool) -> Solution:
-        method = "highs-ds" if vertex else "highs"
+    def _solve_lp(self, *, vertex: bool) -> Solution:
         result = optimize.linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method=method,
+            self.c, A_ub=self.a_ub, b_ub=self.b_ub, A_eq=self.a_eq, b_eq=self.b_eq,
+            bounds=np.column_stack([self.lower, self.upper]),
+            method="highs-ds" if vertex else "highs",
         )
         status = {
             0: SolutionStatus.OPTIMAL,
@@ -256,32 +143,24 @@ class Model:
         }.get(result.status, SolutionStatus.ERROR)
         if status is SolutionStatus.ERROR:
             raise SolverError(f"linprog failed on model {self.name!r}: {result.message}")
-        values = result.x if result.x is not None else np.full(len(bounds), np.nan)
-        objective = float("nan")
-        if status is SolutionStatus.OPTIMAL:
-            objective = self._objective.value(values)
-        return Solution(status, objective, np.asarray(values, dtype=float),
-                        is_mip=False, message=str(result.message))
+        return self._solution(status, result, is_mip=False)
 
-    # -- MIP path -------------------------------------------------------
-    def _solve_mip(self, c, a_ub, b_ub, a_eq, b_eq, bounds, *,
-                   time_limit: float | None, mip_rel_gap: float) -> Solution:
+    def _solve_mip(self, *, time_limit: float | None, mip_rel_gap: float) -> Solution:
         constraints = []
-        if a_ub is not None:
-            constraints.append(optimize.LinearConstraint(a_ub, -np.inf, b_ub))
-        if a_eq is not None:
-            constraints.append(optimize.LinearConstraint(a_eq, b_eq, b_eq))
-        integrality = np.array([1 if v.integral else 0 for v in self._variables])
-        lower = np.array([b[0] for b in bounds], dtype=float)
-        upper = np.array([np.inf if b[1] is None else b[1] for b in bounds], dtype=float)
+        if self.a_ub is not None:
+            constraints.append(optimize.LinearConstraint(self.a_ub, -np.inf, self.b_ub))
+        if self.a_eq is not None:
+            constraints.append(optimize.LinearConstraint(self.a_eq, self.b_eq, self.b_eq))
+        integrality = (np.zeros(self.num_vars, dtype=int) if self.integrality is None
+                       else np.asarray(self.integrality, dtype=int))
         options: Dict[str, object] = {"mip_rel_gap": mip_rel_gap}
         if time_limit is not None:
             options["time_limit"] = time_limit
         result = optimize.milp(
-            c,
+            self.c,
             constraints=constraints or None,
             integrality=integrality,
-            bounds=optimize.Bounds(lower, upper),
+            bounds=optimize.Bounds(self.lower, self.upper),
             options=options,
         )
         if result.status == 0:
@@ -290,36 +169,33 @@ class Model:
             status = SolutionStatus.INFEASIBLE
         elif result.status == 3:
             status = SolutionStatus.UNBOUNDED
-        elif result.status in (1, 4) and result.x is not None:
+        elif result.x is not None:
             # Hit the iteration/time limit (status 1, HiGHS model status
             # 13), or stopped otherwise (status 4, e.g. a node limit),
             # holding a feasible incumbent: report it honestly instead of
             # claiming optimality — the objective is only gap-optimal.
             status = SolutionStatus.INCUMBENT
         else:
-            status = SolutionStatus.INFEASIBLE
-        values = result.x if result.x is not None else np.full(len(bounds), np.nan)
-        objective = float("nan")
-        if status in (SolutionStatus.OPTIMAL, SolutionStatus.INCUMBENT) and result.x is not None:
-            objective = self._objective.value(values)
-        return Solution(status, objective, np.asarray(values, dtype=float),
-                        is_mip=True, message=str(result.message),
-                        meta={"mip_gap": getattr(result, "mip_gap", None)})
+            # Stopped without an incumbent: infeasibility was not proven.
+            limit = ("its time or iteration limit" if result.status == 1
+                     else f"a limit (scipy status {result.status})")
+            raise SolverError(f"milp on model {self.name!r} stopped at {limit} "
+                              f"without a feasible solution: {result.message}")
+        return self._solution(status, result, is_mip=True,
+                              meta={"mip_gap": getattr(result, "mip_gap", None)})
 
-    # ------------------------------------------------------------------
-    # diagnostics
-    # ------------------------------------------------------------------
-    def check_feasible(self, assignment: np.ndarray, tol: float = 1e-6) -> List[str]:
-        """Return the names of constraints violated by ``assignment``."""
-        violated = []
-        for con in self._constraints:
-            if con.violation(assignment, tol=tol) > 0:
-                violated.append(con.name)
-        for var in self._variables:
-            val = assignment[var.index]
-            if val < var.lower - tol or (var.upper is not None and val > var.upper + tol):
-                violated.append(f"bounds[{var.name}]")
-        return violated
+    def _solution(self, status: SolutionStatus, result, *, is_mip: bool,
+                  meta: Optional[Dict[str, object]] = None) -> Solution:
+        if result.x is None:
+            values = np.full(self.num_vars, np.nan)
+        else:
+            values = np.asarray(result.x, dtype=float)
+        objective = float("nan")
+        if result.x is not None and status in (SolutionStatus.OPTIMAL,
+                                               SolutionStatus.INCUMBENT):
+            objective = self._objective(values)
+        return Solution(status, objective, values, is_mip=is_mip,
+                        message=str(result.message), meta=meta or {})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Model({self.name!r}, vars={self.num_vars}, "

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
-
-from repro.lp.expression import LinExpr, Variable
 
 
 class SolutionStatus(enum.Enum):
@@ -34,9 +32,10 @@ class Solution:
     status:
         :class:`SolutionStatus` of the solve.
     objective:
-        Objective value (``nan`` unless optimal).
+        Objective value; ``nan`` unless the status is ``OPTIMAL`` or
+        ``INCUMBENT``.
     values:
-        Dense vector of variable values indexed by variable index.
+        Dense vector of variable values, one per model column.
     is_mip:
         Whether the integral variables were enforced.
     message:
@@ -59,25 +58,3 @@ class Solution:
     def has_solution(self) -> bool:
         """True iff a feasible assignment is available (optimal or incumbent)."""
         return self.status in (SolutionStatus.OPTIMAL, SolutionStatus.INCUMBENT)
-
-    def value(self, item) -> float:
-        """Value of a variable or linear expression under this solution."""
-        if isinstance(item, Variable):
-            return float(self.values[item.index])
-        if isinstance(item, LinExpr):
-            return item.value(self.values)
-        raise TypeError(f"cannot evaluate {type(item).__name__}")
-
-    def __getitem__(self, item) -> float:
-        return self.value(item)
-
-
-def infeasible_solution(num_vars: int, message: str = "", is_mip: bool = False) -> Solution:
-    """Convenience constructor for an infeasible outcome."""
-    return Solution(
-        status=SolutionStatus.INFEASIBLE,
-        objective=float("nan"),
-        values=np.full(num_vars, np.nan),
-        is_mip=is_mip,
-        message=message,
-    )

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import time
@@ -16,6 +17,21 @@ if TYPE_CHECKING:
     from repro.runtime.runner import BatchTask
 
 __all__ = ["PoolBackend", "terminate_workers"]
+
+
+def _submit(pool: ProcessPoolExecutor, fn, *args) -> Future:
+    """``pool.submit``, or a future already holding ``BrokenProcessPool``.
+
+    A worker can die while a batch is still being submitted; ``submit``
+    then raises.  Returning the error in a future lets the task that was
+    never sent go through the same casualty path as the in-flight ones.
+    """
+    try:
+        return pool.submit(fn, *args)
+    except BrokenProcessPool as exc:
+        failed: Future = Future()
+        failed.set_exception(exc)
+        return failed
 
 
 def terminate_workers(pool: ProcessPoolExecutor) -> None:
@@ -89,7 +105,7 @@ class PoolBackend(ExecutionBackend):
             for indices in chunk_indices:
                 payload = [(tasks[i].algorithm, tasks[i].instance,
                             tasks[i].kwargs_dict()) for i in indices]
-                future_to_indices[pool.submit(run_chunk, payload)] = indices
+                future_to_indices[_submit(pool, run_chunk, payload)] = indices
             waiting = set(future_to_indices)
             while waiting:
                 done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
@@ -148,9 +164,8 @@ class PoolBackend(ExecutionBackend):
                                   min(cursor + runner.max_workers, len(tasks))))
                 cursor = wave[-1] + 1
                 future_to_index = {
-                    pool.submit(run_one, tasks[idx].algorithm,
-                                tasks[idx].instance,
-                                tasks[idx].kwargs_dict()): idx
+                    _submit(pool, run_one, tasks[idx].algorithm,
+                            tasks[idx].instance, tasks[idx].kwargs_dict()): idx
                     for idx in wave
                 }
                 deadline = time.monotonic() + runner.timeout
@@ -236,7 +251,7 @@ class PoolBackend(ExecutionBackend):
         results: List["AlgorithmResult"] = []
         with ProcessPoolExecutor(max_workers=runner.max_workers,
                                  mp_context=runner._mp_context) as pool:
-            futures = [pool.submit(run_chunk, payload) for payload in payloads]
+            futures = [_submit(pool, run_chunk, payload) for payload in payloads]
             for future, payload in zip(futures, payloads):  # submission order
                 try:
                     outcomes = future.result()

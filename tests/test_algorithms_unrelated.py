@@ -171,6 +171,49 @@ class TestRandomizedRoundingApproximation:
         result = randomized_rounding_approximation(inst, seed=15)
         assert result.schedule.validate() == []
 
+    def test_memo_solves_each_distinct_relaxation_once(self, monkeypatch):
+        """Guesses with the same eligibility masks pose the same LP: the
+        search solves it once, and the result equals an unmemoised run."""
+        from scipy import optimize
+
+        from repro.algorithms.unrelated import lp_rounding
+
+        # Processing times near the makespan, so guesses filter columns.
+        inst = unrelated_instance(10, 5, 3, seed=1, processing_range=(1.0, 500.0))
+        searches, solves = [], []
+        real_search = lp_rounding.dual_approximation_search
+        real_linprog = optimize.linprog
+
+        def search(*args, **kwargs):
+            searches.append(real_search(*args, **kwargs))
+            return searches[-1]
+
+        def linprog(*args, **kwargs):
+            solves.append(args)
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(lp_rounding, "dual_approximation_search", search)
+        monkeypatch.setattr(optimize, "linprog", linprog)
+        memoised = randomized_rounding_approximation(inst, seed=6)
+
+        masks, lp_guesses = set(), 0
+        for guess, _, _ in searches[0].history:
+            y = np.isfinite(inst.setups) & (inst.setups <= guess + 1e-6)
+            x = (np.isfinite(inst.processing) & (inst.processing <= guess + 1e-6)
+                 & y[:, inst.job_classes])
+            if x.any(axis=0).all():  # otherwise infeasible without an LP
+                masks.add(x.tobytes() + y.tobytes())
+                lp_guesses += 1
+        assert 1 < len(solves) == len(masks) < len(searches[0].history)
+
+        real_solve = lp_rounding.solve_ilp_um_relaxation
+        monkeypatch.setattr(lp_rounding, "solve_ilp_um_relaxation",
+                            lambda inst, guess, memo=None, **kw: real_solve(inst, guess, **kw))
+        plain = randomized_rounding_approximation(inst, seed=6)
+        assert len(solves) == len(masks) + lp_guesses
+        assert np.array_equal(plain.schedule.assignment, memoised.schedule.assignment)
+        assert plain.meta == memoised.meta
+
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=8, deadline=None)
     def test_property_schedule_always_valid(self, seed):

@@ -376,6 +376,33 @@ class TestStreaming:
             else:
                 assert np.isfinite(pairs[idx].makespan)
 
+    @pytest.mark.parametrize("timeout", [None, 60.0])
+    def test_run_iter_pool_breaking_during_submission_yields_all(
+            self, monkeypatch, timeout):
+        """A worker dying while chunks are still being submitted makes
+        ``submit`` raise ``BrokenProcessPool``; the unsent tasks must be
+        recovered like in-flight casualties, not escape ``run_iter``."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit_once(pool, *args, **kwargs):
+            if getattr(pool, "_test_submitted", False):
+                raise BrokenProcessPool("a worker died during submission")
+            pool._test_submitted = True
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_once)
+        tasks = [BatchTask.make("class-aware-greedy",
+                                uniform_instance(12, 3, 3, seed=s, integral=True))
+                 for s in range(4)]
+        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+                             chunk_size=1, timeout=timeout)
+        indices = [idx for idx, result in runner.run_iter(tasks)
+                   if np.isfinite(result.makespan)]
+        assert sorted(indices) == list(range(len(tasks)))
+
     def test_early_close_does_not_block_on_remaining_batch(self,
                                                            sleeper_algorithm):
         """Breaking out of run_iter abandons in-flight pool work promptly."""
