@@ -110,7 +110,6 @@ from repro.api import (
     SessionConfig,
     load_scenario,
 )
-from repro.runtime.pool import get_runner
 
 __all__ = [
     "__version__",
@@ -172,5 +171,4 @@ __all__ = [
     "ScenarioSpec",
     "AlgorithmSweep",
     "load_scenario",
-    "get_runner",
 ]

@@ -146,15 +146,18 @@ def solve_lp_relaxed_ra(
     mi, mk = np.nonzero(mask)
     # Constraint (11): machine capacity with the α_ik surcharge
     # α_ik = max{1, p̄_ik / (T - s_ik)}; where s_ik == T (within tolerance)
-    # the class only fits with zero workload, so α stays 1.
+    # the class only fits with zero workload, so α stays 1.  A zero setup
+    # has no surcharge even when a tiny T overflows α to inf.
     s, w = setups[mi, mk], workload[mi, mk]
     denom = guess - s
     alpha = np.ones(num_vars)
     room = denom > 0
-    alpha[room] = np.maximum(1.0, w[room] / denom[room])
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha[room] = np.maximum(1.0, w[room] / denom[room])
+        surcharge = np.where(s > 0, alpha * s, 0.0)
     loaded = mask.any(axis=1)
     a_ub = sparse.csr_matrix(
-        (w + alpha * s, (np.cumsum(loaded)[mi] - 1, col[mi, mk])),
+        (w + surcharge, (np.cumsum(loaded)[mi] - 1, col[mi, mk])),
         shape=(np.count_nonzero(loaded), num_vars))
     # Constraint (12): each non-empty class fully distributed.
     a_eq = sparse.csr_matrix(

@@ -22,7 +22,6 @@ from repro.analysis.ratios import ReferenceBound, compare_algorithms, reference_
 from repro.analysis.tables import ResultTable
 from repro.analysis.experiments import (
     EXPERIMENTS,
-    get_runner,
     run_experiment,
     experiment_e1_lpt,
     experiment_e2_ptas,
@@ -43,7 +42,6 @@ __all__ = [
     "compare_algorithms",
     "ResultTable",
     "EXPERIMENTS",
-    "get_runner",
     "run_experiment",
     "experiment_e1_lpt",
     "experiment_e2_ptas",

@@ -8,19 +8,16 @@ same rows.
 
 Since the :mod:`repro.api` redesign the E-experiments are *thin wrappers*:
 each declares its sweep as a :class:`~repro.api.ScenarioSpec` (suite +
-algorithm grid + scale presets), executes it through the shared
-:class:`~repro.api.Session` facade, and keeps only the post-processing that
+algorithm grid + scale presets), executes it through the
+:class:`~repro.api.Session` it is handed, and keeps only the post-processing that
 turns aligned results into its published table (reference solves, ratio
 columns).  Non-algorithm sweep steps (the E4 hardness construction, the E8
 dual-search probes, the F1 structure analysis) go through ``Session.map``.
 The F-benchmarks that *measure the stack itself* (F2 throughput, F3 store,
 F4 queue, F5 supervisor) keep their bespoke harnesses but construct every
-runner via :meth:`Session.build_runner`, so one config object governs them
-too.
-
-``get_runner`` is re-exported from :mod:`repro.runtime.pool` — the
-canonical keyed runner pool — for backwards compatibility with the
-pre-``repro.api`` entry point that used to live here.
+runner via the session's :meth:`~repro.api.Session.build_runner`, so one
+config object governs them too.  Every experiment takes ``(scale,
+session)``; :func:`run_experiment` builds the session.
 
 The paper itself contains no empirical evaluation (it is a theory paper);
 the experiments here verify each proven guarantee empirically and
@@ -51,7 +48,6 @@ from repro.core.instance import Instance
 from repro.generators import uniform_instance
 from repro.generators.suites import SUITES, iter_suite
 from repro.runtime import BatchRunner, BatchTask
-from repro.runtime.pool import get_runner
 from repro.setcover import (
     greedy_set_cover,
     integrality_gap_instance,
@@ -63,7 +59,6 @@ from repro.setcover import (
 __all__ = [
     "EXPERIMENTS",
     "run_experiment",
-    "get_runner",
     "experiment_e1_lpt",
     "experiment_e2_ptas",
     "experiment_e3_randomized_rounding",
@@ -94,7 +89,7 @@ E1_SPEC = ScenarioSpec(
 )
 
 
-def experiment_e1_lpt(scale: str = "quick") -> ResultTable:
+def experiment_e1_lpt(scale: str, session: Session) -> ResultTable:
     """Measured ratio of the Lemma 2.1 LPT algorithm vs its 4.74 guarantee."""
     quick = scale == "quick"
     table = ResultTable(
@@ -102,7 +97,7 @@ def experiment_e1_lpt(scale: str = "quick") -> ResultTable:
         columns=["n", "m", "K", "setup_regime", "reference", "lpt_ratio",
                  "plain_lpt_ratio", "guarantee"],
     )
-    run = Session().run(E1_SPEC, scale=scale)
+    run = session.run(E1_SPEC, scale=scale)
     lpt_results = run.by_algorithm("lpt-with-setups")
     plain_results = run.by_algorithm("lpt-class-oblivious")
     for (params, seed, inst), lpt, plain in zip(run.points, lpt_results,
@@ -124,7 +119,7 @@ def experiment_e1_lpt(scale: str = "quick") -> ResultTable:
 # ---------------------------------------------------------------------------
 # E2 — PTAS for uniform machines (Section 2)
 # ---------------------------------------------------------------------------
-def experiment_e2_ptas(scale: str = "quick") -> ResultTable:
+def experiment_e2_ptas(scale: str, session: Session) -> ResultTable:
     """Measured PTAS ratio and runtime as ε shrinks."""
     quick = scale == "quick"
     epsilons = [0.5, 0.25, 0.1] if quick else [0.5, 0.25, 0.1, 0.05]
@@ -141,7 +136,7 @@ def experiment_e2_ptas(scale: str = "quick") -> ResultTable:
         columns=["epsilon", "instances", "mean_ratio", "max_ratio", "mean_runtime_s",
                  "lpt_mean_ratio"],
     )
-    run = Session().run(spec, scale=scale)
+    run = session.run(spec, scale=scale)
     refs = [reference_makespan(inst, exact_limit=500)
             for _params, _seed, inst in run.points]
     # The LPT baseline is epsilon-independent; the shared cache means the
@@ -166,7 +161,7 @@ def experiment_e2_ptas(scale: str = "quick") -> ResultTable:
 # ---------------------------------------------------------------------------
 # E3 — randomized rounding on unrelated machines (Section 3.1)
 # ---------------------------------------------------------------------------
-def experiment_e3_randomized_rounding(scale: str = "quick") -> ResultTable:
+def experiment_e3_randomized_rounding(scale: str, session: Session) -> ResultTable:
     """Measured rounding ratio against the LP lower bound and the Chernoff bound."""
     quick = scale == "quick"
     spec = ScenarioSpec(
@@ -183,7 +178,7 @@ def experiment_e3_randomized_rounding(scale: str = "quick") -> ResultTable:
         columns=["n", "m", "K", "correlation", "reference", "ratio",
                  "theoretical_bound", "greedy_ratio"],
     )
-    run = Session().run(spec, scale=scale)
+    run = session.run(spec, scale=scale)
     rounding_results = run.by_algorithm("randomized-rounding")
     greedy_results = run.by_algorithm("class-aware-greedy")
     for (params, seed, inst), rounding, greedy in zip(run.points,
@@ -229,7 +224,7 @@ def _e4_row(args: Tuple[int, int]) -> Dict[str, object]:
     }
 
 
-def experiment_e4_hardness_gap(scale: str = "quick") -> ResultTable:
+def experiment_e4_hardness_gap(scale: str, session: Session) -> ResultTable:
     """Yes/No makespan gap of the SetCoverGap reduction and the SetCover LP gap."""
     quick = scale == "quick"
     qs = [3, 4] if quick else [3, 4, 5, 6]
@@ -239,7 +234,7 @@ def experiment_e4_hardness_gap(scale: str = "quick") -> ResultTable:
                  "no_lower_bound(alpha=lnN)", "sc_lp_value", "sc_greedy_size"],
     )
     rng_seed = 20190415
-    for row in Session().map(_e4_row, [(q, rng_seed) for q in qs]):
+    for row in session.map(_e4_row, [(q, rng_seed) for q in qs]):
         table.add_row(**row)
     table.add_note("expected shape: yes_makespan stays near (K/m)·t while the no-instance "
                    "lower bound grows by the Θ(log N) factor alpha; the SetCover LP value "
@@ -259,14 +254,15 @@ E5_SPEC = ScenarioSpec(
 )
 
 
-def experiment_e5_class_uniform_restrictions(scale: str = "quick") -> ResultTable:
+def experiment_e5_class_uniform_restrictions(scale: str,
+                                             session: Session) -> ResultTable:
     """Measured ratio of the 2-approximation of Theorem 3.10."""
     quick = scale == "quick"
     table = ResultTable(
         title="E5: restricted assignment with class-uniform restrictions (Theorem 3.10)",
         columns=["n", "m", "K", "reference", "ratio", "guarantee", "greedy_ratio"],
     )
-    run = Session().run(E5_SPEC, scale=scale)
+    run = session.run(E5_SPEC, scale=scale)
     approx_results = run.by_algorithm("class-uniform-restrictions-2approx")
     greedy_results = run.by_algorithm("class-aware-greedy")
     for (params, seed, inst), result, greedy in zip(run.points, approx_results,
@@ -292,14 +288,14 @@ E6_SPEC = ScenarioSpec(
 )
 
 
-def experiment_e6_class_uniform_ptimes(scale: str = "quick") -> ResultTable:
+def experiment_e6_class_uniform_ptimes(scale: str, session: Session) -> ResultTable:
     """Measured ratio of the 3-approximation of Theorem 3.11."""
     quick = scale == "quick"
     table = ResultTable(
         title="E6: unrelated machines with class-uniform processing times (Theorem 3.11)",
         columns=["n", "m", "K", "reference", "ratio", "guarantee", "rounding_ratio"],
     )
-    run = Session().run(E6_SPEC, scale=scale)
+    run = session.run(E6_SPEC, scale=scale)
     approx_results = run.by_algorithm("class-uniform-ptimes-3approx")
     rounding_results = run.by_algorithm("randomized-rounding")
     for (params, seed, inst), result, rounding in zip(run.points, approx_results,
@@ -339,15 +335,13 @@ E7_UNRELATED_SPEC = ScenarioSpec(
 )
 
 
-def experiment_e7_baselines(scale: str = "quick") -> ResultTable:
+def experiment_e7_baselines(scale: str, session: Session) -> ResultTable:
     """Class-aware vs class-oblivious scheduling across setup regimes."""
     table = ResultTable(
         title="E7: class-aware vs class-oblivious baselines across setup regimes",
         columns=["environment", "setup_regime", "reference", "class_oblivious_ratio",
                  "class_aware_ratio", "lpt_with_setups_ratio", "best_machine_ratio"],
     )
-    session = Session()
-
     uniform_run = session.run(E7_UNIFORM_SPEC, scale=scale)
     oblivious = uniform_run.by_algorithm("class-oblivious-list")
     aware = uniform_run.by_algorithm("class-aware-greedy")
@@ -414,7 +408,7 @@ def _e8_rows(args: Tuple[Instance, Tuple[float, ...]]) -> List[Dict[str, object]
     return rows
 
 
-def experiment_e8_dual_search(scale: str = "quick") -> ResultTable:
+def experiment_e8_dual_search(scale: str, session: Session) -> ResultTable:
     """Convergence of the dual-approximation binary search (Section 1.1.1)."""
     quick = scale == "quick"
     table = ResultTable(
@@ -427,7 +421,7 @@ def experiment_e8_dual_search(scale: str = "quick") -> ResultTable:
     if quick:
         points = points[:2]
     probes = [(inst, tuple(precisions)) for _params, _seed, inst in points]
-    for rows in Session().map(_e8_rows, probes):
+    for rows in session.map(_e8_rows, probes):
         for row in rows:
             table.add_row(**row)
     table.add_note("expected shape: iterations grow logarithmically as the precision shrinks; "
@@ -448,7 +442,7 @@ E9_SPEC = ScenarioSpec(
 )
 
 
-def experiment_e9_scalability(scale: str = "quick") -> ResultTable:
+def experiment_e9_scalability(scale: str, session: Session) -> ResultTable:
     """Runtime of the polynomial-time algorithms as n, m, K grow.
 
     Uses a dedicated single-worker runner (``Session.build_runner``): the
@@ -460,10 +454,9 @@ def experiment_e9_scalability(scale: str = "quick") -> ResultTable:
         title="E9: runtime scalability of the polynomial-time algorithms",
         columns=["n", "m", "K", "lpt_s", "greedy_s", "ptas_eps0.25_s", "lp_lower_bound_s"],
     )
-    session = Session()
     compiled = E9_SPEC.compile(scale)
     runner = session.build_runner(max_workers=1, cache=False, store=None,
-                                  backend=None)
+                                  backend="serial")
     batch = runner.run_tasks(compiled.tasks).raise_for_failures()
     run = _scenario_run_over(compiled, batch)
     lpt = run.by_algorithm("lpt-with-setups")
@@ -519,7 +512,7 @@ def _f1_rows(args: Tuple[Instance, float]) -> List[Dict[str, object]]:
     return rows
 
 
-def experiment_f1_speed_groups(scale: str = "quick") -> ResultTable:
+def experiment_f1_speed_groups(scale: str, session: Session) -> ResultTable:
     """Regenerate the structural content of Figure 1 for a generated instance."""
     spec = SUITES["f1_speed_groups"]
     params, seed, inst = next(iter(iter_suite(spec)))
@@ -528,7 +521,7 @@ def experiment_f1_speed_groups(scale: str = "quick") -> ResultTable:
         columns=["group", "speed_low", "speed_high", "num_machines", "classes_with_core_group",
                  "fringe_jobs_native_here"],
     )
-    for rows in Session().map(_f1_rows, [(inst, 0.25)]):
+    for rows in session.map(_f1_rows, [(inst, 0.25)]):
         for row in rows:
             table.add_row(**row)
     table.add_note("groups overlap pairwise (each speed lies in exactly two consecutive "
@@ -549,7 +542,7 @@ F2_ALGORITHMS = (("ptas-uniform", {"epsilon": 0.05}),
                  ("class-aware-greedy", {}))
 
 
-def experiment_f2_batch_throughput(scale: str = "quick") -> ResultTable:
+def experiment_f2_batch_throughput(scale: str, session: Session) -> ResultTable:
     """Instances/second of the batch runtime, serial vs parallel dispatch.
 
     Runs the same ``(algorithm × instance)`` grid twice with the result
@@ -567,9 +560,8 @@ def experiment_f2_batch_throughput(scale: str = "quick") -> ResultTable:
     tasks = [BatchTask.make(name, inst, kwargs)
              for inst in instances for name, kwargs in F2_ALGORITHMS]
 
-    session = Session()
     serial = session.build_runner(max_workers=1, cache=False, store=None,
-                                  backend=None)
+                                  backend="serial")
     serial_batch = serial.run_tasks(tasks)
     serial_batch.raise_for_failures()
     parallel = session.build_runner(cache=False, chunk_size=2, store=None,
@@ -636,7 +628,7 @@ def _f3_stream(runner: BatchRunner, tasks: List[BatchTask]) -> Dict[str, float]:
             "tasks": count}
 
 
-def experiment_f3_store_warm_vs_cold(scale: str = "quick") -> ResultTable:
+def experiment_f3_store_warm_vs_cold(scale: str, session: Session) -> ResultTable:
     """Persistent-store throughput: cold compute vs warm re-run vs mixed.
 
     Three passes over the same task grid, each with a *fresh*
@@ -652,8 +644,8 @@ def experiment_f3_store_warm_vs_cold(scale: str = "quick") -> ResultTable:
     The pool is forced on (even on one CPU) so the mixed row measures real
     fork/dispatch latency, and the cost model fitted from the cold pass
     orders the mixed pass's cold tasks by descending predicted cost.
-    Runners come from a store-configured :class:`Session`
-    (``build_runner``: fresh in-memory cache per pass, shared disk store).
+    Runners come from the session's ``build_runner`` on a scratch store
+    (fresh in-memory cache per pass, shared disk store).
     """
     import shutil
     import tempfile
@@ -674,11 +666,10 @@ def experiment_f3_store_warm_vs_cold(scale: str = "quick") -> ResultTable:
 
     store_dir = Path(tempfile.mkdtemp(prefix="repro-f3-"))
     store_path = store_dir / "f3_store.sqlite"
-    session = Session(store_path=str(store_path))
 
     def fresh_runner() -> BatchRunner:
-        return session.build_runner(use_processes=True, chunk_size=2,
-                                    backend=None)
+        return session.build_runner(store=str(store_path), backend="pool",
+                                    chunk_size=2)
 
     table = ResultTable(
         title="F3: persistent result store — warm vs cold grid re-runs",
@@ -743,7 +734,7 @@ def result_digest(results) -> str:
     return h.hexdigest()
 
 
-def experiment_f4_queue_workers(scale: str = "quick") -> ResultTable:
+def experiment_f4_queue_workers(scale: str, session: Session) -> ResultTable:
     """Distributed queue backend vs serial: equality and exactly-once compute.
 
     Runs one deterministic task grid twice:
@@ -762,9 +753,9 @@ def experiment_f4_queue_workers(scale: str = "quick") -> ResultTable:
     (store-mediated dedup: two workers on one file never compute a cache
     key twice).  On a 1-CPU host the workers interleave instead of
     parallelising — correctness, not speedup, is the quantity under test.
-    Both runners are built by :class:`Session` facades: the serial
-    reference from a store-less config, the coordinator from a
-    queue-backend config with its options in ``backend_options``.
+    Both runners are built by the session's ``build_runner``: the serial
+    reference store-less, the coordinator on the queue backend with its
+    options in ``backend_options``.
     """
     import shutil
     import subprocess
@@ -787,8 +778,8 @@ def experiment_f4_queue_workers(scale: str = "quick") -> ResultTable:
                  "computed", "duplicate_computes", "digest12"],
     )
 
-    serial = Session(backend="serial").build_runner(max_workers=1,
-                                                    cache=False, store=None)
+    serial = session.build_runner(backend="serial", max_workers=1,
+                                  cache=False, store=None)
     serial_batch = serial.run_tasks(tasks).raise_for_failures()
     serial_digest = result_digest(serial_batch.results)
     table.add_row(mode="serial", workers=0, tasks=len(serial_batch),
@@ -810,11 +801,10 @@ def experiment_f4_queue_workers(scale: str = "quick") -> ResultTable:
                  "--store", str(store_path), "--worker-id", f"f4-worker-{i}",
                  "--idle-exit", "20", "--poll-s", "0.02"],
                 env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
-        coordinator = Session(
-            store_path=str(store_path), backend="queue",
+        coordinator = session.build_runner(
+            store=str(store_path), backend="queue", max_workers=1,
             backend_options={"inline": False, "poll_s": 0.02,
-                             "stall_timeout_s": 120.0},
-        ).build_runner(max_workers=1)
+                             "stall_timeout_s": 120.0})
         queue_batch = coordinator.run_tasks(tasks).raise_for_failures()
         queue_digest = result_digest(queue_batch.results)
         queue = TaskQueue(store_path)
@@ -847,13 +837,13 @@ def experiment_f4_queue_workers(scale: str = "quick") -> ResultTable:
 # ---------------------------------------------------------------------------
 # F5 — supervised worker fleet: autoscaling, crash restarts, budgets
 # ---------------------------------------------------------------------------
-def experiment_f5_supervisor(scale: str = "quick") -> ResultTable:
+def experiment_f5_supervisor(scale: str, session: Session) -> ResultTable:
     """Supervised chaos fleet vs serial: equality, exactly-once, budgets.
 
     Runs one deterministic task grid twice:
 
     * ``serial`` — the in-process :class:`SerialBackend`, the semantic
-      reference (built by a :class:`Session` facade);
+      reference (built by the session's ``build_runner``);
     * ``supervised`` — tasks enqueued into a fresh store file's
       ``task_queue`` with a per-task ``budget_s`` stamped on every row,
       then drained by a :class:`~repro.runtime.supervisor.Supervisor`
@@ -895,8 +885,8 @@ def experiment_f5_supervisor(scale: str = "quick") -> ResultTable:
                  "retired", "budgeted", "over_budget", "digest12"],
     )
 
-    serial = Session(backend="serial").build_runner(max_workers=1,
-                                                    cache=False, store=None)
+    serial = session.build_runner(backend="serial", max_workers=1,
+                                  cache=False, store=None)
     serial_batch = serial.run_tasks(tasks).raise_for_failures()
     serial_digest = result_digest(serial_batch.results)
     table.add_row(mode="serial", max_workers=0, tasks=len(serial_batch),
@@ -956,7 +946,7 @@ def experiment_f5_supervisor(scale: str = "quick") -> ResultTable:
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
-EXPERIMENTS: Dict[str, Callable[[str], ResultTable]] = {
+EXPERIMENTS: Dict[str, Callable[[str, Session], ResultTable]] = {
     "E1": experiment_e1_lpt,
     "E2": experiment_e2_ptas,
     "E3": experiment_e3_randomized_rounding,
@@ -978,14 +968,14 @@ def run_experiment(experiment_id: str, scale: str = "quick",
                    store_path: Union[None, str, Path] = None) -> ResultTable:
     """Run one experiment by id (``"E1"`` … ``"E9"``, ``"F1"``–``"F5"``).
 
-    ``store_path`` attaches a persistent result store to the shared runner
-    pool (see :func:`repro.runtime.pool.get_runner`) so sweep results are
-    reused across processes; F2/F3/F4/F5/E9 manage their own runners and
-    stores by design.
+    The experiment runs on ``Session(store_path=store_path)``, or on
+    ``Session()`` (``REPRO_*`` environment, then defaults) when no path is
+    given.  With a store, sweep results are reused across processes;
+    F2/F3/F4/F5/E9 manage their own runners and stores by design.
     """
     key = experiment_id.upper()
     if key not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {experiment_id!r}; known: {sorted(EXPERIMENTS)}")
-    if store_path is not None:
-        get_runner(store_path)
-    return EXPERIMENTS[key](scale)
+    session = (Session(store_path=store_path) if store_path is not None
+               else Session())
+    return EXPERIMENTS[key](scale, session)

@@ -57,9 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.api.session import Session
+    from repro.api.session import Session, SessionConfig
     from repro.api.spec import load_scenario
 
     spec_path = Path(args.spec)
@@ -71,16 +69,14 @@ def _run(args: argparse.Namespace) -> int:
         overrides["backend"] = args.backend
     if args.autoscale is not None:
         overrides["autoscale"] = args.autoscale
-        effective_backend = (args.backend
-                             or os.environ.get("REPRO_BACKEND") or None)
-        if args.autoscale > 0 and effective_backend != "queue":
-            # An explicitly requested worker fleet must not silently not
-            # exist: autoscaling is a queue-backend feature.
-            print(f"error: --autoscale needs --backend queue (resolved "
-                  f"backend: {effective_backend or 'auto'})",
-                  file=sys.stderr)
-            return 2
-    session = Session(**overrides)
+    config = SessionConfig.resolve(**overrides)
+    if overrides.get("autoscale", 0) > 0 and config.backend != "queue":
+        # An explicitly requested worker fleet must not silently not
+        # exist: autoscaling is a queue-backend feature.
+        print(f"error: --autoscale needs --backend queue (resolved "
+              f"backend: {config.backend or 'auto'})", file=sys.stderr)
+        return 2
+    session = Session(config)
     run = session.run(spec, scale=args.scale)
     table = run.table()
     print(table.to_markdown() if args.markdown else table.render())

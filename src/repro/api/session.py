@@ -13,12 +13,13 @@ declarative :class:`~repro.api.spec.ScenarioSpec` sweeps through it:
 >>> run = session.run(load_scenario("scenarios/epsilon_ladder.toml"))
 >>> print(run.table().render())                   # doctest: +SKIP
 
-Sessions resolve runners through the canonical keyed pool
-(:func:`repro.runtime.get_runner`) — two sessions on the same
-``(store, backend)`` key share one runner, its cache, and its store
-handle — and hand out dedicated runners (:meth:`Session.build_runner`)
-for workloads whose measurement would be contaminated by sharing
-(throughput benchmarks, scenarios carrying their own budget policy).
+:class:`SessionConfig` is the only place configuration is resolved:
+nothing below it reads ``REPRO_*``.  Sessions take their runners from a
+keyed pool (:mod:`repro.runtime.pool`) — two sessions whose configs
+build the same runner share it, its cache, and its store handle — and
+hand out dedicated runners (:meth:`Session.build_runner`) for workloads
+whose measurement would be contaminated by sharing (throughput
+benchmarks, scenarios carrying their own budget policy).
 """
 
 from __future__ import annotations
@@ -54,10 +55,12 @@ class SessionConfig:
         results in-memory only.
     backend:
         Execution backend name (``"serial"`` / ``"pool"`` / ``"queue"``;
-        ``REPRO_BACKEND``); ``None`` keeps the historical auto rule.
+        ``REPRO_BACKEND``); ``None`` picks the pool iff the runner has
+        more than one worker, in-process execution otherwise.
     autoscale:
-        Queue-backend worker fleet ceiling (``REPRO_AUTOSCALE``); ``0``
-        disables autoscaling.  Only meaningful with ``backend="queue"``.
+        Queue-backend worker fleet ceiling (``REPRO_AUTOSCALE``, a
+        non-negative integer); ``0`` disables autoscaling.  Only
+        meaningful with ``backend="queue"``.
     max_workers / timeout_s / cache / chunk_size / refit_every:
         Forwarded to :class:`BatchRunner` construction.
     backend_options:
@@ -80,8 +83,10 @@ class SessionConfig:
         """Build a config with **kwargs > environment > defaults**.
 
         Recognised environment variables: ``REPRO_RESULT_STORE``,
-        ``REPRO_BACKEND``, ``REPRO_AUTOSCALE``.  Unknown keyword names
-        raise (a typo must not silently fall back to a default).
+        ``REPRO_BACKEND``, ``REPRO_AUTOSCALE``; they are read here and
+        nowhere else.  Unknown keyword names raise (a typo must not
+        silently fall back to a default), and so does a
+        ``REPRO_AUTOSCALE`` that is not a non-negative integer.
         """
         unknown = set(overrides) - set(_CONFIG_FIELDS)
         if unknown:
@@ -97,13 +102,16 @@ class SessionConfig:
             values["backend"] = os.environ.get("REPRO_BACKEND") or None
         if "autoscale" not in values:
             raw = os.environ.get("REPRO_AUTOSCALE", "").strip()
-            values["autoscale"] = int(raw) if raw else 0
+            if raw and not raw.isdigit():
+                raise ValueError(
+                    f"REPRO_AUTOSCALE must be a non-negative integer "
+                    f"worker count, got {raw!r}")
+            values["autoscale"] = int(raw or 0)
         return cls(**values)
 
     def runner_kwargs(self) -> Dict[str, Any]:
         """The :class:`BatchRunner` constructor kwargs this config implies
-        (defaults omitted, so pooled runners constructed elsewhere with
-        plain defaults compare equal in behaviour)."""
+        (defaults omitted, so equal configs give equal pool keys)."""
         kwargs: Dict[str, Any] = {}
         if self.max_workers is not None:
             kwargs["max_workers"] = self.max_workers
@@ -144,12 +152,12 @@ class Session:
     # runners
     # ------------------------------------------------------------------
     def runner(self) -> BatchRunner:
-        """The session's shared runner, from the canonical keyed pool.
+        """The session's shared runner, from the keyed pool.
 
-        Two sessions configured for the same ``(store, backend)`` key get
-        the *same* runner — shared cache, shared store handle, shared
-        cost model.  The config's runner kwargs apply only when this call
-        is the one that constructs the pool entry.
+        The pool key is the whole config — store, backend and runner
+        kwargs — so two sessions get the *same* runner (shared cache,
+        store handle and cost model) exactly when their configs would
+        build the same one.
         """
         from repro.runtime.pool import get_runner
 
@@ -196,7 +204,8 @@ class Session:
         if spec.budget.timeout_s is not None:
             overrides["timeout"] = spec.budget.timeout_s
         if self.config.backend == "queue":
-            options = dict(self.config.backend_options)
+            options = dict(self.config.runner_kwargs().get(
+                "backend_options", {}))
             if spec.budget.budget_factor is not None:
                 options["budget_factor"] = spec.budget.budget_factor
             if spec.budget.min_budget_s is not None:

@@ -33,11 +33,13 @@ This package turns the loose algorithm functions of
   spawn for *work*, not for rows), restart crashed workers behind an
   exponential backoff with a consecutive-crash cap, retire on idle, exit
   when the queue drains.  Submitters opt in with
-  ``QueueBackend(autoscale=N)`` / ``REPRO_AUTOSCALE=N``.
-* :mod:`repro.runtime.pool` — :func:`get_runner`, the canonical keyed
-  runner pool (one runner per ``(store, backend)`` pair, shared
-  ``ResultStore`` handles) that :class:`repro.api.Session` and the
-  experiment harness resolve runners through.
+  ``QueueBackend(autoscale=N)``, or ``Session(autoscale=N)`` /
+  ``REPRO_AUTOSCALE=N`` on the queue backend.
+* :mod:`repro.runtime.pool` — the keyed runner pool behind
+  :meth:`repro.api.Session.runner`: one runner per ``(store, backend,
+  runner kwargs)`` configuration, one shared ``ResultStore`` handle per
+  store file.  Configuration is resolved by :class:`repro.api.SessionConfig`
+  before it reaches the pool.
 
 Quickstart
 ----------
@@ -66,7 +68,7 @@ from repro.runtime.backends import (
     QueueBackend,
     SerialBackend,
 )
-from repro.runtime.pool import get_runner, reset_runner_pool
+from repro.runtime.pool import reset_runner_pool
 from repro.runtime.registry import (
     AlgorithmSpec,
     algorithm_names,
@@ -107,7 +109,6 @@ __all__ = [
     "BatchTask",
     "BatchResult",
     "BatchRunner",
-    "get_runner",
     "reset_runner_pool",
     "instance_fingerprint",
     "usable_cpus",

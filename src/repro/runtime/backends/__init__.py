@@ -12,11 +12,10 @@ queue     distributed SQLite work queue shared with ``repro.runtime.worker``
           processes (requires a persistent store)
 ========  ==================================================================
 
-Select one with ``BatchRunner(backend="pool")``, through
-``get_runner(backend=...)``, or fleet-wide with the ``REPRO_BACKEND``
-environment variable (read by :func:`repro.analysis.get_runner`).  The
-default (``backend=None`` / ``"auto"``) preserves the historical
-behaviour: a process pool when more than one worker is usable, in-process
+Select one with ``BatchRunner(backend="pool")``, or through
+``Session(backend=...)`` / the ``REPRO_BACKEND`` environment variable,
+both resolved by :class:`repro.api.SessionConfig`.  ``backend=None``
+picks the pool when the runner has more than one worker and in-process
 execution otherwise.
 """
 
@@ -48,8 +47,8 @@ def make_backend(spec: Union[None, str, ExecutionBackend],
                  options: Optional[dict] = None) -> ExecutionBackend:
     """Resolve a backend spec into a backend bound to ``runner``.
 
-    ``None`` / ``"auto"`` picks :class:`PoolBackend` when the runner wants
-    processes and :class:`SerialBackend` otherwise; a registry name builds
+    ``None`` picks :class:`PoolBackend` when the runner has more than one
+    worker and :class:`SerialBackend` otherwise; a registry name builds
     that class with ``options`` as constructor kwargs; a ready instance is
     re-bound to ``runner`` and used as-is (``options`` must then be empty —
     the instance already made its choices).
@@ -60,10 +59,8 @@ def make_backend(spec: Union[None, str, ExecutionBackend],
                              "ready-made backend instance")
         spec.runner = runner
         return spec
-    if spec is None or spec == "auto":
-        cls: Type[ExecutionBackend] = (PoolBackend if runner.use_processes
-                                       else SerialBackend)
-        return cls(runner, **(options or {}))
+    if spec is None:
+        spec = "pool" if runner.max_workers > 1 else "serial"
     try:
         cls = BACKENDS[spec]
     except KeyError:

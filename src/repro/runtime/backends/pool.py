@@ -19,19 +19,34 @@ if TYPE_CHECKING:
 __all__ = ["PoolBackend", "terminate_workers"]
 
 
-def _submit(pool: ProcessPoolExecutor, fn, *args) -> Future:
-    """``pool.submit``, or a future already holding ``BrokenProcessPool``.
+def _submit_all(pool: ProcessPoolExecutor, fn,
+                calls: Sequence[tuple]) -> List[Future]:
+    """``pool.submit(fn, *args)`` for each ``args`` in ``calls``.
 
-    A worker can die while a batch is still being submitted; ``submit``
-    then raises.  Returning the error in a future lets the task that was
-    never sent go through the same casualty path as the in-flight ones.
+    A worker can die while a batch is still being submitted.  ``submit``
+    then raises, or — before CPython 3.12, whose manager thread fails the
+    pending futures without holding the lock ``submit`` takes — hands
+    back a future the broken pool never completes, and waiting on it
+    hangs.  Both become futures holding ``BrokenProcessPool``, so the
+    tasks go through the same casualty path as the in-flight ones.
     """
-    try:
-        return pool.submit(fn, *args)
-    except BrokenProcessPool as exc:
-        failed: Future = Future()
-        failed.set_exception(exc)
-        return failed
+    futures: List[Future] = []
+    for args in calls:
+        try:
+            futures.append(pool.submit(fn, *args))
+        except BrokenProcessPool as exc:
+            failed: Future = Future()
+            failed.set_exception(exc)
+            futures.append(failed)
+    broken = getattr(pool, "_broken", False)
+    if broken:
+        manager = getattr(pool, "_executor_manager_thread", None)
+        if manager is not None:
+            manager.join()  # it has failed every future it knew about
+        for future in futures:
+            if not future.done():
+                future.set_exception(BrokenProcessPool(broken))
+    return futures
 
 
 def terminate_workers(pool: ProcessPoolExecutor) -> None:
@@ -101,11 +116,13 @@ class PoolBackend(ExecutionBackend):
         pool = ProcessPoolExecutor(max_workers=runner.max_workers,
                                    mp_context=runner._mp_context)
         try:
-            future_to_indices = {}
-            for indices in chunk_indices:
-                payload = [(tasks[i].algorithm, tasks[i].instance,
-                            tasks[i].kwargs_dict()) for i in indices]
-                future_to_indices[_submit(pool, run_chunk, payload)] = indices
+            payloads = [[(tasks[i].algorithm, tasks[i].instance,
+                          tasks[i].kwargs_dict()) for i in indices]
+                        for indices in chunk_indices]
+            future_to_indices = dict(zip(
+                _submit_all(pool, run_chunk,
+                            [(payload,) for payload in payloads]),
+                chunk_indices))
             waiting = set(future_to_indices)
             while waiting:
                 done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
@@ -163,11 +180,11 @@ class PoolBackend(ExecutionBackend):
                 wave = list(range(cursor,
                                   min(cursor + runner.max_workers, len(tasks))))
                 cursor = wave[-1] + 1
-                future_to_index = {
-                    _submit(pool, run_one, tasks[idx].algorithm,
-                            tasks[idx].instance, tasks[idx].kwargs_dict()): idx
-                    for idx in wave
-                }
+                future_to_index = dict(zip(
+                    _submit_all(pool, run_one,
+                                [(tasks[idx].algorithm, tasks[idx].instance,
+                                  tasks[idx].kwargs_dict()) for idx in wave]),
+                    wave))
                 deadline = time.monotonic() + runner.timeout
                 pending = set(future_to_index)
                 pool_broken = False
@@ -251,7 +268,8 @@ class PoolBackend(ExecutionBackend):
         results: List["AlgorithmResult"] = []
         with ProcessPoolExecutor(max_workers=runner.max_workers,
                                  mp_context=runner._mp_context) as pool:
-            futures = [_submit(pool, run_chunk, payload) for payload in payloads]
+            futures = _submit_all(pool, run_chunk,
+                                  [(payload,) for payload in payloads])
             for future, payload in zip(futures, payloads):  # submission order
                 try:
                     outcomes = future.result()

@@ -130,8 +130,8 @@ class QueueBackend(ExecutionBackend):
         subprocess that watches the queue and manages a worker fleet of
         up to that many processes for the duration of the batch — one
         knob replaces starting workers by hand.  ``None`` (the default)
-        reads the ``REPRO_AUTOSCALE`` environment variable (an integer;
-        unset/empty/``0`` disables autoscaling).
+        and ``0`` disable autoscaling.  ``REPRO_AUTOSCALE`` reaches this
+        parameter only through :class:`repro.api.SessionConfig`.
     budget_factor / min_budget_s:
         Policy for the per-task ``budget_s`` stamped on enqueued rows.
         With the runner's ``timeout`` set, that value is the budget for
@@ -180,20 +180,10 @@ class QueueBackend(ExecutionBackend):
 
     @staticmethod
     def _resolve_autoscale(autoscale: Union[None, bool, int]) -> int:
-        if autoscale is None:
-            raw = os.environ.get("REPRO_AUTOSCALE", "").strip()
-            if not raw:
-                return 0
-            try:
-                autoscale = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_AUTOSCALE must be an integer worker count, "
-                    f"got {raw!r}") from None
         if autoscale is True:
             from repro.runtime.runner import usable_cpus
             return usable_cpus()
-        return max(0, int(autoscale))
+        return max(0, int(autoscale or 0))
 
     def _policy_for(self, task: "BatchTask"
                     ) -> Tuple[Optional[float], Optional[float]]:

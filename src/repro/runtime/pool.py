@@ -1,35 +1,28 @@
-"""The canonical keyed runner pool: one :class:`BatchRunner` per tenant.
+"""The keyed runner pool behind :meth:`repro.api.Session.runner`.
 
-Grown from a process singleton inside ``repro.analysis.experiments`` into
-the single shared entry point every consumer — the experiment harness,
-the :class:`repro.api.Session` facade, embedded servers — resolves
-runners through.  Each distinct ``(store file, backend)`` pair gets its
-own runner (independent cache and stats), while runners keyed on the same
-store file share a single :class:`~repro.store.ResultStore` handle (one
-SQLite connection, one put counter feeding cost-model auto-refits).
+One :class:`BatchRunner` per configuration: the pool keys each runner on
+its store file, its backend name and its constructor kwargs, so two
+callers share a runner (its cache, stats and cost model) only when they
+would have built the same one.  Runners on the same store file share a
+single :class:`~repro.store.ResultStore` handle (one SQLite connection,
+one put counter feeding cost-model auto-refits).
 
-``repro.analysis.experiments.get_runner`` re-exports this function for
-backwards compatibility; there is exactly one pool per process.
+The pool reads no environment: :class:`repro.api.SessionConfig` resolves
+kwargs, ``REPRO_*`` variables and defaults before anything reaches it.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Hashable, Optional, Tuple, Union
 
 from repro.runtime.runner import BatchRunner
 from repro.store import ResultStore
 
 __all__ = ["get_runner", "reset_runner_pool", "shared_store"]
 
-#: Keyed runner pool: one runner per ``(store file, backend)`` pair, every
-#: runner on the same store file sharing one :class:`ResultStore` handle.
-#: Within a runner, one content-hash cache spans all experiments, so e.g.
-#: the LPT baseline measured by E2 for every epsilon is computed once.
-_RUNNERS: Dict[Tuple[Optional[str], Optional[str]], BatchRunner] = {}
+_RUNNERS: Dict[Tuple[Optional[str], Optional[str], Hashable], BatchRunner] = {}
 _SHARED_STORES: Dict[str, ResultStore] = {}
-_DEFAULT_RUNNER: Optional[BatchRunner] = None
 
 
 def shared_store(path: Union[str, Path]) -> ResultStore:
@@ -46,73 +39,32 @@ def shared_store(path: Union[str, Path]) -> ResultStore:
     return store
 
 
+def _canonical(value: object) -> Hashable:
+    """A hashable form of a kwargs value that ignores dict order."""
+    if isinstance(value, dict):
+        return tuple(sorted((key, _canonical(item))
+                            for key, item in value.items()))
+    return value  # type: ignore[return-value]
+
+
 def get_runner(store_path: Union[None, str, Path] = None,
                backend: Optional[str] = None,
                **runner_kwargs: object) -> BatchRunner:
-    """The shared runner(s): one per ``(store, backend)`` key.
+    """The pooled runner for one ``(store file, backend, kwargs)`` key.
 
-    ``store_path`` (or the ``REPRO_RESULT_STORE`` environment variable)
-    selects a persistent :class:`~repro.store.ResultStore`, so sweep
-    results survive process restarts — a re-run of yesterday's experiment
-    grid streams from disk instead of recomputing its MILP/PTAS seconds.
-    ``backend`` (or ``REPRO_BACKEND``) selects the execution backend
-    (``"serial"``, ``"pool"``, ``"queue"``; default auto).  Extra keyword
-    arguments are forwarded to :class:`BatchRunner` **only when this call
-    constructs the runner** — an existing runner for the key is returned
-    as-is (the first construction's configuration wins; a pool entry
-    never silently reconfigures mid-flight).
-
-    This used to be a process singleton; it is now a *keyed pool*: each
-    distinct ``(store file, backend)`` pair gets its own runner, so an
-    embedded server can drive independent sweeps per tenant — separate
-    caches and stats, different store files or backends — while runners
-    keyed on the same store file share a single ``ResultStore`` handle
-    (one SQLite connection, one put counter feeding cost-model refits).
-
-    Calls without a ``store_path`` return the *default* runner — the first
-    runner this process created — preserving the historical contract that
-    ``run_experiment(..., store_path=...)`` configures the store once and
-    every experiment's bare ``get_runner()`` then hits it.  A bare first
-    call creates a store-less default; a later ``store_path`` call
-    attaches that store to it (first store wins;
-    :meth:`BatchRunner.attach_store` keeps its no-op-on-conflict
-    semantics, so a singleton-era caller can never silently switch files
-    mid-flight).
+    The first call with a key builds the runner (on the shared store
+    handle for ``store_path``, if any); every later call with an equal
+    key returns it.  Any difference — another store file, another
+    backend, another keyword argument — is another key, so a caller is
+    never handed a runner configured for someone else.
     """
-    global _DEFAULT_RUNNER
-    path = store_path if store_path is not None else os.environ.get("REPRO_RESULT_STORE")
-    backend_name = backend if backend is not None else os.environ.get("REPRO_BACKEND")
-    if not path:
-        runner = _RUNNERS.get((None, backend_name))
-        if runner is not None:
-            return runner
-        if backend_name is None:
-            # A plain bare call: the default runner, whatever its key —
-            # that is the legacy contract the experiments rely on.
-            if _DEFAULT_RUNNER is None:
-                _DEFAULT_RUNNER = BatchRunner(**runner_kwargs)
-                _RUNNERS[(None, None)] = _DEFAULT_RUNNER
-            return _DEFAULT_RUNNER
-        # An explicit backend must be honoured even when a default with a
-        # different backend already exists: key a store-less runner on it.
-        runner = BatchRunner(backend=backend_name, **runner_kwargs)
-        _RUNNERS[(None, backend_name)] = runner
-        if _DEFAULT_RUNNER is None:
-            _DEFAULT_RUNNER = runner
-        return runner
-    norm = str(Path(path))
-    key = (norm, backend_name)
+    norm = str(Path(store_path)) if store_path else None
+    key = (norm, backend, _canonical(runner_kwargs))
     runner = _RUNNERS.get(key)
     if runner is None:
-        runner = BatchRunner(store=shared_store(norm), backend=backend_name,
-                             **runner_kwargs)
+        store = shared_store(norm) if norm is not None else None
+        runner = BatchRunner(store=store, backend=backend, **runner_kwargs)
         _RUNNERS[key] = runner
-    if _DEFAULT_RUNNER is None:
-        _DEFAULT_RUNNER = runner
-    elif _DEFAULT_RUNNER.store is None:
-        # Legacy singleton flow: a store-less default picks up the first
-        # explicitly configured store (attach_store ignores later ones).
-        _DEFAULT_RUNNER.attach_store(shared_store(norm))
     return runner
 
 
@@ -123,10 +75,8 @@ def reset_runner_pool(*, close_stores: bool = True) -> None:
     the point.  Runners handed out earlier keep working; they just stop
     being the ones future ``get_runner`` calls return.
     """
-    global _DEFAULT_RUNNER
     if close_stores:
         for store in _SHARED_STORES.values():
             store.close()
     _RUNNERS.clear()
     _SHARED_STORES.clear()
-    _DEFAULT_RUNNER = None

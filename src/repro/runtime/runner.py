@@ -222,12 +222,9 @@ class BatchRunner:
     Parameters
     ----------
     max_workers:
-        Pool size; ``None`` auto-detects the usable CPU count.  A resolved
-        value of 1 runs tasks in-process (no pool, no pickling) unless
-        ``use_processes=True`` forces a pool.
-    use_processes:
-        ``None`` (default) uses a pool iff more than one worker; ``True`` /
-        ``False`` force the choice.
+        Pool size; ``None`` auto-detects the usable CPU count.  With
+        ``backend=None`` a resolved value of 1 runs tasks in-process (no
+        pool, no pickling); ``backend="pool"`` forks a pool regardless.
     timeout:
         Per-task wall-clock budget in seconds.  In pool mode tasks are
         dispatched in waves of ``max_workers`` (so every task starts its
@@ -270,8 +267,8 @@ class BatchRunner:
         Where cold tasks execute: a name from
         :data:`repro.runtime.backends.BACKENDS` (``"serial"``, ``"pool"``,
         ``"queue"``), a ready :class:`ExecutionBackend` instance, or
-        ``None`` / ``"auto"`` to keep the historical rule — a process pool
-        iff ``use_processes`` resolves true, in-process otherwise.  The
+        ``None`` for a process pool iff ``max_workers`` resolves above 1
+        and in-process execution otherwise.  The
         queue backend additionally needs a ``store`` (the queue lives in
         the store file) and is drained by this process and/or external
         ``python -m repro.runtime.worker`` processes.
@@ -290,7 +287,6 @@ class BatchRunner:
         self,
         *,
         max_workers: Optional[int] = None,
-        use_processes: Optional[bool] = None,
         timeout: Optional[float] = None,
         cache: bool = True,
         store: Union[None, str, Path, ResultStore] = None,
@@ -306,8 +302,6 @@ class BatchRunner:
         if refit_every is not None and refit_every < 1:
             raise ValueError("refit_every must be >= 1 (or None to disable)")
         self.max_workers = max_workers if max_workers is not None else usable_cpus()
-        self.use_processes = (self.max_workers > 1 if use_processes is None
-                              else bool(use_processes))
         self.timeout = timeout
         self.cache_enabled = cache
         self.chunk_size = chunk_size
@@ -316,7 +310,7 @@ class BatchRunner:
         self.store: Optional[ResultStore] = store
         self._cost_model: Union[None, str, CostModel] = cost_model
         #: Whether the cost model is runner-managed ("auto") as opposed to
-        #: caller-provided/disabled; attach_store may only re-arm the former.
+        #: caller-provided/disabled; only the former is auto-refitted.
         self._cost_model_auto = isinstance(cost_model, str)
         self.refit_every = refit_every
         self._next_refit_at = self._refit_threshold()
@@ -473,7 +467,7 @@ class BatchRunner:
         """Re-arm the ``"auto"`` cost model every ``refit_every`` store puts.
 
         The counter watched is the attached store handle's ``puts`` — with
-        :func:`repro.analysis.get_runner` sharing one :class:`ResultStore`
+        :func:`repro.runtime.pool.get_runner` sharing one :class:`ResultStore`
         across runners, every tenant's writes advance the same counter, so
         any of them crossing the threshold refreshes this runner's
         predictions.  Re-arming is lazy (the actual fit happens on the next
@@ -486,23 +480,6 @@ class BatchRunner:
         if self.store.stats_counters["puts"] >= self._next_refit_at:
             self._cost_model = "auto"
             self._next_refit_at = self._refit_threshold()
-
-    def attach_store(self, store: Union[str, Path, ResultStore]) -> None:
-        """Attach a persistent store to a runner created without one.
-
-        No-op when a store is already attached (the first store wins; a
-        singleton runner must not silently switch files mid-flight).  An
-        ``"auto"`` cost model that already resolved to ``None`` for lack of
-        a store is re-armed, so the newly attached records can feed it.
-        """
-        if self.store is not None:
-            return
-        if isinstance(store, (str, Path)):
-            store = ResultStore(store)
-        self.store = store
-        if self._cost_model_auto:
-            self._cost_model = "auto"
-        self._next_refit_at = self._refit_threshold()
 
     def _order_by_cost(self, tasks: Sequence[BatchTask],
                        pending: List[int]) -> List[int]:

@@ -32,8 +32,8 @@ regardless — the supervisor only restores fleet capacity.
 
 Submitters normally do not run this by hand:
 ``BatchRunner(backend="queue", backend_options={"autoscale": N})`` — or
-``REPRO_AUTOSCALE=N`` fleet-wide — spawns a supervisor around every
-batch (see :func:`spawn_supervisor`).
+``Session(backend="queue", autoscale=N)`` / ``REPRO_AUTOSCALE=N`` —
+spawns a supervisor around every batch (see :func:`spawn_supervisor`).
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ def spawn_supervisor(store_path: Union[str, Path], *, max_workers: int,
     """Start ``python -m repro.runtime.supervisor`` as a subprocess.
 
     The submitter-facing entry point behind
-    ``QueueBackend(autoscale=N)`` / ``REPRO_AUTOSCALE``: the supervisor
+    ``QueueBackend(autoscale=N)``: the supervisor
     exits on its own once the queue drains; callers terminate it early
     only to abandon a batch (SIGTERM is handled — workers are reaped
     before it dies).

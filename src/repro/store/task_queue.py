@@ -70,16 +70,15 @@ Schema versioning
 -----------------
 
 The table layout is stamped into a ``task_queue_meta`` row
-(:data:`QUEUE_SCHEMA_VERSION`).  Opening a file whose queue predates the
-current layout (or whose columns drifted) triggers a **self-healing
-migration**: the ``results`` table — real computed value — is never
-touched; queue rows are salvaged where possible, with finished ``done``
-rows preserved (their ``compute_count`` history included) and all
-in-flight rows re-armed as fresh ``queued`` work.  Queue rows are cheap
-coordination state, so when even salvage fails the queue rebuilds empty
-rather than refusing to open.  Version 4 (the ``seq`` change stamp) came
-through this same salvage: salvaged rows share one stamp, so a cursor of
-0 reports them all.
+(:data:`QUEUE_SCHEMA_VERSION`).  Opening a file whose queue has another
+version (or whose columns drifted) **rebuilds the queue empty**, as
+:class:`~repro.store.ResultStore` does on its own schema mismatch.  The
+``results`` table — real computed value — is never touched, so a batch
+re-run after the rebuild is served from the store and computes nothing.
+Queue rows are only coordination state; the workers they referred to
+belong to the old layout.  The rebuild re-checks the stamp under the
+write lock, so a second process opening the same old file concurrently
+does not drop rows the first one has already enqueued.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
 
 __all__ = ["TaskQueue", "LeasedTask", "QueueRow", "QUEUE_SCHEMA_VERSION"]
 
-#: Bump when the ``task_queue`` layout changes; older queues are migrated
-#: (rows salvaged, in-flight work re-armed) on open.  Version 2 added the
+#: Bump when the ``task_queue`` layout changes; queues stamped with another
+#: version are rebuilt empty on open.  Version 2 added the
 #: per-task ``budget_s`` column; version 3 added ``predicted_s`` (the raw
 #: cost-model runtime prediction, feeding cost-weighted supervisor
 #: scaling); version 4 added the ``seq`` change stamp.
@@ -108,9 +107,8 @@ QUEUE_SCHEMA_VERSION = 4
 #: SELECTs are chunked below this (matches result_store._MAX_SQL_PARAMS).
 _MAX_SQL_PARAMS = 500
 
-#: Kept as individual statements so the migration can replay them inside
-#: one explicit transaction (``executescript`` would issue an implicit
-#: COMMIT and make a mid-migration crash lose the salvaged rows).
+#: Kept as individual statements so the rebuild can run them inside its
+#: ``BEGIN IMMEDIATE`` (``executescript`` would issue an implicit COMMIT).
 _SCHEMA_STATEMENTS = (
     """CREATE TABLE IF NOT EXISTS task_queue (
     key             TEXT PRIMARY KEY,
@@ -137,11 +135,9 @@ _SCHEMA_STATEMENTS = (
 )""",
 )
 
-_SCHEMA = ";\n".join(_SCHEMA_STATEMENTS) + ";"
-
 #: The column set the current schema version expects; any drift (missing
-#: ``budget_s`` on a pre-v2 file, columns from some future layout) routes
-#: the open through the migration path.
+#: ``budget_s`` on a pre-v2 file, columns from some future layout) rebuilds
+#: the queue.
 _EXPECTED_COLUMNS = frozenset({
     "key", "task_payload", "status", "owner", "lease_expires_at", "attempts",
     "compute_count", "excluded_worker", "error", "budget_s", "predicted_s",
@@ -241,8 +237,6 @@ class TaskQueue:
         self.lease_s = float(lease_s)
         self.max_attempts = int(max_attempts)
         self._clock: Callable[[], float] = clock if clock is not None else time.time
-        #: Whether opening this file migrated (rebuilt) an outdated queue.
-        self.migrated = False
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(self.path), timeout=30.0)
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -253,22 +247,35 @@ class TaskQueue:
     # schema lifecycle
     # ------------------------------------------------------------------
     def _ensure_schema(self) -> None:
-        """Create the queue tables, migrating an outdated layout in place.
+        """Create the queue tables, rebuilding them empty on a mismatch.
 
         The store's ``results`` table shares this file and is *never*
         touched here: queue rows are disposable coordination state,
         computed results are not.
         """
+        if self._schema_current():
+            return
+        # Python's sqlite3 autocommits DDL outside an explicit
+        # transaction, so BEGIN IMMEDIATE, not `with`.
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            # Re-check under the write lock: a concurrent opener may have
+            # rebuilt the queue, and enqueued into it, since the probe.
+            if not self._schema_current():
+                self._conn.execute("DROP TABLE IF EXISTS task_queue")
+                for statement in _SCHEMA_STATEMENTS:
+                    self._conn.execute(statement)
+                self._stamp_version()
+            self._conn.execute("COMMIT")
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+
+    def _schema_current(self) -> bool:
         columns = {row[1] for row in
                    self._conn.execute("PRAGMA table_info(task_queue)")}
-        if not columns:
-            self._conn.executescript(_SCHEMA)
-            self._stamp_version()
-            self._conn.commit()
-            return
-        if columns == _EXPECTED_COLUMNS and self._stored_version() == QUEUE_SCHEMA_VERSION:
-            return
-        self._migrate(columns)
+        return (columns == _EXPECTED_COLUMNS
+                and self._stored_version() == QUEUE_SCHEMA_VERSION)
 
     def _stored_version(self) -> Optional[int]:
         try:
@@ -277,7 +284,7 @@ class TaskQueue:
                 " WHERE key = 'queue_schema_version'").fetchone()
             return int(row[0]) if row is not None else None
         except (sqlite3.Error, ValueError):
-            return None  # pre-versioning file (or mangled meta): migrate
+            return None  # pre-versioning file (or mangled meta): rebuild
 
     def _stamp_version(self) -> None:
         """Stamp the layout version and start the change counter."""
@@ -294,67 +301,6 @@ class TaskQueue:
         self._conn.execute(
             "UPDATE task_queue_meta SET value = CAST(value AS INTEGER) + 1"
             " WHERE key = 'change_seq'")
-
-    def _migrate(self, columns: set) -> None:
-        """Rebuild an outdated ``task_queue``, salvaging what rows allow.
-
-        Finished work is preserved: ``done`` rows keep their status and
-        ``compute_count`` history (their results live in the store, which
-        this migration never touches).  Everything else — queued, leased,
-        failed — is re-armed as fresh ``queued`` work with a full attempt
-        budget: the old file's in-flight bookkeeping (owners, leases,
-        exclusions) referred to workers that no longer exist.  A file too
-        mangled to salvage rebuilds the queue empty; refusing to open
-        would turn stale coordination state into an outage.
-        """
-        now = self._clock()
-        salvage_cols = [c for c in ("key", "task_payload", "status",
-                                    "compute_count", "enqueued_at")
-                        if c in columns]
-        rows: List[dict] = []
-        if {"key", "task_payload", "status"} <= columns:
-            try:
-                for raw in self._conn.execute(
-                        f"SELECT {', '.join(salvage_cols)} FROM task_queue"
-                        f" ORDER BY rowid ASC"):
-                    rows.append(dict(zip(salvage_cols, raw)))
-            except sqlite3.Error:
-                rows = []
-        def _rebuild(salvaged: List[dict]) -> None:
-            # One explicit transaction end to end: drop, recreate, salvage,
-            # stamp.  A crash anywhere rolls the file back to the old
-            # layout, which the next open simply migrates again — rows are
-            # never half-lost.  (Python's sqlite3 autocommits DDL outside
-            # an explicit transaction, so BEGIN IMMEDIATE, not `with`.)
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute("DROP TABLE IF EXISTS task_queue")
-                for statement in _SCHEMA_STATEMENTS:
-                    self._conn.execute(statement)
-                self._stamp_version()
-                for row in salvaged:
-                    done = row["status"] == "done"
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO task_queue"
-                        " (key, task_payload, status, compute_count,"
-                        "  enqueued_at, updated_at, seq)"
-                        f" VALUES (?, ?, ?, ?, ?, ?, {_NEXT_SEQ})",
-                        (row["key"], row["task_payload"],
-                         "done" if done else "queued",
-                         int(row.get("compute_count") or 0),
-                         float(row.get("enqueued_at") or now), now))
-                self._advance_seq()
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-
-        try:
-            _rebuild(rows)
-        except sqlite3.Error:
-            # Salvage itself failed mid-write: last resort, empty queue.
-            _rebuild([])
-        self.migrated = True
 
     # ------------------------------------------------------------------
     # lifecycle

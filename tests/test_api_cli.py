@@ -28,7 +28,6 @@ SMALLEST_SCENARIO = REPO_ROOT / "scenarios" / "uniform_baselines.toml"
 def isolated_runner_pool(monkeypatch):
     monkeypatch.setattr(pool, "_RUNNERS", {})
     monkeypatch.setattr(pool, "_SHARED_STORES", {})
-    monkeypatch.setattr(pool, "_DEFAULT_RUNNER", None)
     for var in ("REPRO_RESULT_STORE", "REPRO_BACKEND", "REPRO_AUTOSCALE"):
         monkeypatch.delenv(var, raising=False)
     yield

@@ -3,8 +3,8 @@
 What the facade promises:
 
 * ``SessionConfig.resolve`` layers **kwargs > environment > defaults**;
-* ``Session.runner()`` resolves through the canonical keyed pool (two
-  equally-configured sessions share one runner);
+* ``Session.runner()`` resolves through the keyed pool, keyed on the
+  whole config (two sessions share a runner iff their configs match);
 * ``run`` / ``stream`` / ``portfolio`` execute compiled scenarios with
   results aligned to the compile order, failures surfaced, and tables
   honouring the spec's declared columns;
@@ -24,14 +24,13 @@ from repro.api import (
     Session,
     SessionConfig,
 )
-from repro.runtime import SerialBackend, pool
+from repro.runtime import QueueBackend, SerialBackend, pool
 
 
 @pytest.fixture(autouse=True)
 def isolated_runner_pool(monkeypatch):
     monkeypatch.setattr(pool, "_RUNNERS", {})
     monkeypatch.setattr(pool, "_SHARED_STORES", {})
-    monkeypatch.setattr(pool, "_DEFAULT_RUNNER", None)
     for var in ("REPRO_RESULT_STORE", "REPRO_BACKEND", "REPRO_AUTOSCALE"):
         monkeypatch.delenv(var, raising=False)
     yield
@@ -74,6 +73,22 @@ class TestSessionConfig:
         config = SessionConfig.resolve(backend="serial", autoscale=0)
         assert config.backend == "serial"
         assert config.autoscale == 0
+
+    @pytest.mark.parametrize("raw", ["two", "-1"])
+    def test_invalid_autoscale_environment_names_the_variable(
+            self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_AUTOSCALE", raw)
+        with pytest.raises(ValueError, match="REPRO_AUTOSCALE"):
+            SessionConfig.resolve()
+        # An explicit kwarg never reads the variable.
+        assert SessionConfig.resolve(autoscale=1).autoscale == 1
+
+    def test_autoscale_environment_reaches_the_queue_backend(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_AUTOSCALE", "2")
+        assert Session(backend="queue").build_runner().backend.autoscale == 2
+        monkeypatch.setenv("REPRO_AUTOSCALE", "")
+        assert SessionConfig.resolve().autoscale == 0
 
     def test_unknown_option_rejected(self):
         with pytest.raises(TypeError, match="bakend"):
@@ -136,6 +151,53 @@ class TestRunnerWiring:
         assert dedicated is not session.runner()
         assert dedicated.timeout == 30.0
         assert dedicated.store is session.runner().store
+
+
+    def test_budget_spec_on_queue_keeps_the_config_autoscale(self, tmp_path):
+        session = Session(store_path=str(tmp_path / "q.sqlite"),
+                          backend="queue", autoscale=2)
+        spec = _spec(budget=BudgetPolicy(budget_factor=4.0))
+        dedicated = session._runner_for(spec)
+        assert dedicated.backend.autoscale == 2
+        assert dedicated.backend.budget_factor == 4.0
+
+
+class TestOneConfigurationPath:
+    """A session's runner depends on its own config, never on which
+    runner the process happened to build first."""
+
+    def test_plain_session_never_gets_another_sessions_runner(self,
+                                                              tmp_path):
+        queued = Session(store_path=str(tmp_path / "a.sqlite"),
+                         backend="queue").runner()
+        plain = Session().runner()
+        assert plain is not queued
+        assert plain.store is None
+        assert not isinstance(plain.backend, QueueBackend)
+
+    def test_runner_kwargs_hold_on_a_shared_store_and_backend(self,
+                                                              tmp_path):
+        path = str(tmp_path / "p.sqlite")
+        plain = Session(store_path=path, backend="serial").runner()
+        tuned = Session(store_path=path, backend="serial", timeout_s=1.0,
+                        cache=False).runner()
+        assert tuned is not plain
+        assert tuned.timeout == 1.0
+        assert tuned.cache_enabled is False
+        assert tuned.store is plain.store  # one handle per store file
+
+    def test_storeless_runner_never_gains_a_store(self, tmp_path):
+        plain = Session().runner()
+        Session(store_path=str(tmp_path / "later.sqlite")).runner()
+        assert plain.store is None
+
+    def test_autoscale_kwarg_beats_the_environment(self, monkeypatch,
+                                                   tmp_path):
+        monkeypatch.setenv("REPRO_AUTOSCALE", "3")
+        session = Session(store_path=str(tmp_path / "q.sqlite"),
+                          backend="queue", autoscale=0)
+        assert session.runner().backend.autoscale == 0
+        assert session.build_runner().backend.autoscale == 0
 
 
 class TestScenarioExecution:

@@ -76,7 +76,6 @@ def make_runner(backend: str, tmp_path, **kwargs) -> BatchRunner:
     """
     if backend == "pool":
         kwargs.setdefault("max_workers", 2)
-        kwargs.setdefault("use_processes", True)
         kwargs.setdefault("chunk_size", 1)
         return BatchRunner(backend="pool", **kwargs)
     if backend == "queue":
@@ -312,7 +311,7 @@ class TestMapBackend:
         assert set(runner.map(_pid, [1, 2, 3, 4])) == {os.getpid()}
 
     def test_map_forks_under_pool_backend(self):
-        runner = BatchRunner(max_workers=2, use_processes=True, backend="pool")
+        runner = BatchRunner(max_workers=2, backend="pool")
         pids = set(runner.map(_pid, list(range(8))))
         assert os.getpid() not in pids  # every chunk ran on a pool worker
 
@@ -321,14 +320,13 @@ class TestBackendSelection:
     def test_registry_names(self):
         assert set(BACKENDS) == {"serial", "pool", "queue"}
 
-    def test_auto_follows_use_processes(self):
+    def test_none_picks_pool_iff_several_workers(self):
         assert isinstance(BatchRunner(max_workers=1).backend, SerialBackend)
-        assert isinstance(BatchRunner(max_workers=2, use_processes=True).backend,
+        assert isinstance(BatchRunner(max_workers=2).backend, PoolBackend)
+        assert isinstance(BatchRunner(max_workers=1, backend="pool").backend,
                           PoolBackend)
-        assert isinstance(
-            BatchRunner(max_workers=2, use_processes=True,
-                        backend="serial").backend,
-            SerialBackend)
+        assert isinstance(BatchRunner(max_workers=2, backend="serial").backend,
+                          SerialBackend)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown execution backend"):

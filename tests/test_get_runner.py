@@ -1,12 +1,10 @@
 """The keyed runner pool (`get_runner`) and cost-model auto-refit.
 
-`get_runner` grew from a process singleton into a pool keyed by
-``(store file, backend)`` so an embedded server can run independent
-sweeps per tenant; the legacy contract — configure the store once, every
-bare ``get_runner()`` call hits it — must keep holding for the
-experiment harness.  The pool now lives in :mod:`repro.runtime.pool`
-(the canonical entry point); ``repro.analysis.experiments.get_runner``
-must stay a re-export of the same function.
+`get_runner` keys each runner on ``(store file, backend, runner kwargs)``
+so an embedded server can run independent sweeps per tenant, and two
+callers share a runner only when they would have built the same one.
+It reads no environment: ``SessionConfig`` resolves ``REPRO_*`` before
+anything reaches the pool (``test_api_session`` covers that layer).
 """
 
 from __future__ import annotations
@@ -23,18 +21,9 @@ def isolated_runner_pool(monkeypatch):
     """Each test sees an empty runner pool (the module state is global)."""
     monkeypatch.setattr(pool, "_RUNNERS", {})
     monkeypatch.setattr(pool, "_SHARED_STORES", {})
-    monkeypatch.setattr(pool, "_DEFAULT_RUNNER", None)
-    monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     yield
     for store in pool._SHARED_STORES.values():
         store.close()
-
-
-def test_experiments_reexport_is_the_canonical_pool():
-    from repro.analysis import experiments
-
-    assert experiments.get_runner is get_runner
 
 
 class TestKeyedPool:
@@ -66,44 +55,19 @@ class TestKeyedPool:
         # One ResultStore handle: one connection, one put counter.
         assert serial.store is queued.store
 
-    def test_legacy_flow_store_configured_first(self, tmp_path):
-        path = tmp_path / "configured.sqlite"
-        configured = get_runner(path)          # run_experiment(store_path=...)
-        assert get_runner() is configured      # experiments' bare calls hit it
-
-    def test_legacy_flow_bare_first_then_store_attaches(self, tmp_path):
-        bare = get_runner()                    # created store-less
-        assert bare.store is None
-        keyed = get_runner(tmp_path / "late.sqlite")
-        assert bare.store is not None          # attached to the default too
-        assert bare.store is keyed.store
-
-    def test_attach_conflict_keeps_first_store(self, tmp_path):
-        bare = get_runner()
-        first = get_runner(tmp_path / "first.sqlite")
-        get_runner(tmp_path / "second.sqlite")
-        # attach_store's first-wins/no-op-on-conflict semantics still hold:
-        # the default runner never silently switches files mid-flight.
-        assert bare.store is first.store
-
-    def test_backend_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        assert isinstance(get_runner().backend, SerialBackend)
-
-    def test_explicit_backend_honoured_after_default_exists(self):
-        default = get_runner()  # auto backend
-        serial = get_runner(backend="serial")
-        assert isinstance(serial.backend, SerialBackend)
-        assert get_runner(backend="serial") is serial
-        assert get_runner() is default  # bare calls still hit the default
-
-    def test_store_env_variable_selects_store(self, tmp_path, monkeypatch):
-        path = tmp_path / "env.sqlite"
-        monkeypatch.setenv("REPRO_RESULT_STORE", str(path))
-        runner = get_runner()  # bare call honours the env var (legacy)
-        assert runner.store is not None
-        assert str(runner.store.path) == str(path)
-        assert get_runner(str(path)) is runner  # same pool key
+    def test_runner_kwargs_are_part_of_the_key(self, tmp_path):
+        path = tmp_path / "kwargs.sqlite"
+        plain = get_runner(path, backend="serial")
+        timed = get_runner(path, backend="serial", timeout=1.0)
+        assert timed is not plain
+        assert (plain.timeout, timed.timeout) == (None, 1.0)
+        assert timed.store is plain.store
+        # Nested options are keyed by content, not by dict order.
+        first = get_runner(path, backend="queue",
+                           backend_options={"poll_s": 0.01, "lease_s": 5.0})
+        assert get_runner(path, backend="queue",
+                          backend_options={"lease_s": 5.0,
+                                           "poll_s": 0.01}) is first
 
 
 class TestAutoRefit:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -181,8 +181,9 @@ def relaxed_ra_loops(inst: Instance, guess: float, variant: str,
         for k in classes:
             if ("x", i, k) in prog.cols:
                 s, w = inst.setups[i, k], workload[i, k]
-                alpha = max(1.0, w / (guess - s)) if guess - s > 0 else 1.0
-                terms.append((("x", i, k), w + alpha * s))
+                with np.errstate(over="ignore"):
+                    alpha = max(1.0, w / (guess - s)) if guess - s > 0 else 1.0
+                terms.append((("x", i, k), w + (alpha * s if s > 0 else 0.0)))
         if terms:
             prog.ub.append((prog.row(terms), float(guess)))
     return prog
@@ -302,6 +303,9 @@ def test_lp_lower_bound_matches_loops(inst):
 
 @SETTINGS
 @given(inst=instances(), guess=guesses, variant=st.sampled_from(["restrictions", "ptimes"]))
+# A subnormal guess overflows α = p̄ / T to inf on a zero setup.
+@example(inst=Instance.unrelated(np.array([[2.0]]), np.array([[0.0]]), [0], name="hyp"),
+         guess=1.1125369292536007e-308, variant="restrictions")
 def test_lp_relaxed_ra_matches_loops(inst, guess, variant):
     prog = relaxed_ra_loops(inst, guess, variant)
     with captured_models() as models:

@@ -1,6 +1,6 @@
 """BatchRunner edge cases: empty grids, caching, timeouts, errors, portfolio.
 
-The pool tests force ``use_processes=True`` so the dispatch path is
+The pool tests force ``backend="pool"`` so the dispatch path is
 exercised even on single-CPU hosts (where the runner would otherwise
 degrade to in-process execution).
 """
@@ -19,6 +19,7 @@ from repro.generators import uniform_instance
 from repro.runtime import (
     BatchRunner,
     BatchTask,
+    SerialBackend,
     algorithms_for,
     get_algorithm,
     instance_fingerprint,
@@ -97,13 +98,13 @@ class TestEmptyAndTrivialGrids:
 class TestDispatchModes:
     def test_single_worker_runs_in_process(self):
         runner = BatchRunner(max_workers=1)
-        assert not runner.use_processes
+        assert isinstance(runner.backend, SerialBackend)
 
     def test_single_worker_matches_pool(self):
         instances = [uniform_instance(15, 3, 3, seed=s, integral=True)
                      for s in range(4)]
         serial = BatchRunner(max_workers=1, cache=False).run(FAST_GRID, instances)
-        pooled = BatchRunner(max_workers=2, use_processes=True,
+        pooled = BatchRunner(max_workers=2, backend="pool",
                              cache=False).run(FAST_GRID, instances)
         assert [t.algorithm for t in serial.tasks] == [t.algorithm for t in pooled.tasks]
         assert [r.makespan for r in serial.results] == [r.makespan for r in pooled.results]
@@ -112,7 +113,7 @@ class TestDispatchModes:
     def test_chunked_dispatch_preserves_task_order(self):
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
                              chunk_size=2)
         batch = runner.run(FAST_GRID, instances)
         reference = BatchRunner(max_workers=1, cache=False).run(FAST_GRID, instances)
@@ -120,14 +121,14 @@ class TestDispatchModes:
                                                        for r in reference.results]
 
     def test_map_matches_serial(self):
-        runner = BatchRunner(max_workers=2, use_processes=True)
+        runner = BatchRunner(max_workers=2, backend="pool")
         assert runner.map(abs, [-3, 1, -2, 0]) == [3, 1, 2, 0]
 
 
 class TestTimeouts:
     def test_worker_timeout_yields_sentinel(self, sleeper_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
-        runner = BatchRunner(max_workers=2, use_processes=True, timeout=0.2)
+        runner = BatchRunner(max_workers=2, backend="pool", timeout=0.2)
         result = runner.run_one(sleeper_algorithm, inst, delay=1.2)
         assert result.meta.get("timeout") is True
         assert result.makespan == float("inf")
@@ -135,7 +136,7 @@ class TestTimeouts:
 
     def test_timeout_does_not_poison_fast_tasks(self, sleeper_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
-        runner = BatchRunner(max_workers=2, use_processes=True, timeout=0.5)
+        runner = BatchRunner(max_workers=2, backend="pool", timeout=0.5)
         batch = runner.run_tasks([
             BatchTask.make("class-aware-greedy", inst),
             BatchTask.make(sleeper_algorithm, inst, {"delay": 1.5}),
@@ -149,7 +150,7 @@ class TestTimeouts:
         # One worker: the second task is queued behind the stuck one; wave
         # dispatch must give it a fresh budget on a fresh worker.
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
-        runner = BatchRunner(max_workers=1, use_processes=True, timeout=0.4)
+        runner = BatchRunner(max_workers=1, backend="pool", timeout=0.4)
         batch = runner.run_tasks([
             BatchTask.make(sleeper_algorithm, inst, {"delay": 2.0}),
             BatchTask.make("class-aware-greedy", inst),
@@ -177,7 +178,7 @@ class TestErrorCapture:
 
     def test_error_in_pool_mode(self, failing_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
-        runner = BatchRunner(max_workers=2, use_processes=True)
+        runner = BatchRunner(max_workers=2, backend="pool")
         batch = runner.run([failing_algorithm, "class-aware-greedy"], [inst])
         failed, ok = batch.results
         assert "ValueError" in str(failed.meta["error"])
@@ -188,7 +189,7 @@ class TestErrorCapture:
         # as an error sentinel while collateral sibling tasks are retried.
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
                              chunk_size=1)
         batch = runner.run([dying_algorithm, "class-aware-greedy"], instances)
         died = batch.by_algorithm(dying_algorithm)
@@ -354,7 +355,7 @@ class TestStreaming:
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
         tasks = [BatchTask.make("class-aware-greedy", inst) for inst in instances]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
                              chunk_size=2)
         pairs = list(runner.run_iter(tasks))
         assert sorted(idx for idx, _ in pairs) == list(range(5))
@@ -366,7 +367,7 @@ class TestStreaming:
         tasks = [BatchTask.make(name, inst)
                  for inst in instances
                  for name in (dying_algorithm, "class-aware-greedy")]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
                              chunk_size=1)
         pairs = dict(runner.run_iter(tasks))
         assert sorted(pairs) == list(range(len(tasks)))
@@ -397,18 +398,54 @@ class TestStreaming:
         tasks = [BatchTask.make("class-aware-greedy",
                                 uniform_instance(12, 3, 3, seed=s, integral=True))
                  for s in range(4)]
-        runner = BatchRunner(max_workers=2, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
                              chunk_size=1, timeout=timeout)
         indices = [idx for idx, result in runner.run_iter(tasks)
                    if np.isfinite(result.makespan)]
         assert sorted(indices) == list(range(len(tasks)))
+
+    def test_run_iter_pool_future_orphaned_by_the_break_is_a_casualty(
+            self, monkeypatch, dying_algorithm):
+        """Before CPython 3.12, ``submit`` racing the manager thread's
+        ``terminate_broken`` can return a future the broken pool never
+        completes.  Simulated: the first pool's later submits return such
+        futures once the dier has broken it.  They must be recovered like
+        any casualty, not waited on forever."""
+        from concurrent.futures import Future, ProcessPoolExecutor
+
+        real_submit = ProcessPoolExecutor.submit
+        first_pool = []
+
+        def racing_submit(pool, *args, **kwargs):
+            if not first_pool:
+                first_pool.append(pool)
+                future = real_submit(pool, *args, **kwargs)
+                future.exception()  # the dier broke the pool
+                pool._executor_manager_thread.join()
+                return future
+            if pool is first_pool[0]:
+                return Future()  # accepted after the pending futures failed
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", racing_submit)
+        inst = uniform_instance(12, 3, 3, seed=0, integral=True)
+        tasks = [BatchTask.make(dying_algorithm, inst),
+                 BatchTask.make("class-aware-greedy", inst),
+                 BatchTask.make("lpt-with-setups", inst)]
+        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+                             chunk_size=1)
+        pairs = dict(runner.run_iter(tasks))
+        assert sorted(pairs) == [0, 1, 2]
+        assert "worker died" in str(pairs[0].meta.get("error"))
+        assert np.isfinite(pairs[1].makespan)
+        assert np.isfinite(pairs[2].makespan)
 
     def test_early_close_does_not_block_on_remaining_batch(self,
                                                            sleeper_algorithm):
         """Breaking out of run_iter abandons in-flight pool work promptly."""
         inst_fast = uniform_instance(12, 3, 3, seed=0, integral=True)
         inst_slow = uniform_instance(12, 3, 3, seed=1, integral=True)
-        runner = BatchRunner(max_workers=1, use_processes=True, cache=False,
+        runner = BatchRunner(max_workers=1, backend="pool", cache=False,
                              chunk_size=1)
         tasks = [BatchTask.make("class-aware-greedy", inst_fast),
                  BatchTask.make(sleeper_algorithm, inst_slow, {"delay": 5.0})]
@@ -418,25 +455,6 @@ class TestStreaming:
             break  # abandon the 5s sleeper
         elapsed = time.perf_counter() - t0
         assert elapsed < 3.0, f"early break blocked for {elapsed:.1f}s"
-
-    def test_attach_store_rearms_auto_cost_model(self, tmp_path):
-        store_path = tmp_path / "attach.sqlite"
-        seed_task = BatchTask.make(
-            "class-aware-greedy",
-            uniform_instance(15, 3, 3, seed=1, integral=True))
-        from repro.algorithms.base import AlgorithmResult as _AR
-        from repro.core.bounds import greedy_upper_bound as _gub
-        from repro.store import ResultStore
-        _, schedule = _gub(seed_task.instance)
-        with ResultStore(store_path) as store:
-            store.put(seed_task, _AR.from_schedule("class-aware-greedy", schedule,
-                                                   runtime=0.2))
-        runner = BatchRunner(max_workers=1)
-        assert runner.cost_model() is None  # auto resolves to None: no store
-        runner.attach_store(store_path)
-        model = runner.cost_model()  # re-armed by the attach
-        assert model is not None
-        assert model.known_algorithms() == ["class-aware-greedy"]
 
     def test_failed_results_never_reach_the_store(self, tmp_path,
                                                   failing_algorithm):

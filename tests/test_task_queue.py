@@ -39,7 +39,8 @@ from repro.algorithms.base import AlgorithmResult
 from repro.core.bounds import greedy_upper_bound
 from repro.core.instance import Instance
 from repro.generators import uniform_instance
-from repro.runtime import BatchTask, register_algorithm, unregister_algorithm
+from repro.runtime import (BatchRunner, BatchTask, register_algorithm,
+                           unregister_algorithm)
 from repro.runtime.worker import drain
 from repro.store import QUEUE_SCHEMA_VERSION, ResultStore, TaskQueue
 from repro.store.task_queue import _LEASE_EXPIRED_SQL, _LEASE_QUEUED_SQL
@@ -479,11 +480,31 @@ class TestCrossProcess:
             assert len(done) == 2
 
 
-class TestSchemaMigration:
-    """Opening a pre-budget queue self-heals without losing anything real."""
+def _results_rows(path) -> list:
+    """Every ``results`` row, payload included, straight from SQLite."""
+    conn = sqlite3.connect(str(path))
+    try:
+        return conn.execute("SELECT * FROM results ORDER BY key").fetchall()
+    finally:
+        conn.close()
 
-    #: The PR-3 layout: no ``budget_s`` column, no ``task_queue_meta``.
-    PRE_PR4_SCHEMA = """
+
+def _stamped_version(path) -> str:
+    conn = sqlite3.connect(str(path))
+    try:
+        return conn.execute(
+            "SELECT value FROM task_queue_meta"
+            " WHERE key = 'queue_schema_version'").fetchone()[0]
+    finally:
+        conn.close()
+
+
+class TestSchemaMigration:
+    """Opening a queue of another layout rebuilds it empty; the stored
+    results — the real computed value — are never touched."""
+
+    #: The v1 layout: no ``budget_s`` column, no ``task_queue_meta``.
+    V1_SCHEMA = """
     CREATE TABLE task_queue (
         key             TEXT PRIMARY KEY,
         task_payload    BLOB NOT NULL,
@@ -500,86 +521,67 @@ class TestSchemaMigration:
     CREATE INDEX idx_task_queue_status ON task_queue (status, enqueued_at);
     """
 
-    def _make_pre_pr4_file(self, path, queued, done, leased=None):
-        """A store file whose queue uses the PR-3 schema: one stored
+    def _make_v1_file(self, path, queued, done, leased):
+        """A store file whose queue uses the v1 schema: one stored
         result for ``done``, plus rows in the given states."""
-        done_result = _result_for(done)
         with ResultStore(path) as store:
-            store.put(done, done_result)
+            store.put(done, _result_for(done))
         conn = sqlite3.connect(str(path))
-        conn.executescript(self.PRE_PR4_SCHEMA)
-        rows = [
-            (queued.cache_key(), pickle.dumps(queued), "queued", 0, 0,
-             None, None),
-            (done.cache_key(), pickle.dumps(done), "done", 1, 1,
-             "old-worker", None),
-        ]
-        if leased is not None:
-            rows.append((leased.cache_key(), pickle.dumps(leased), "leased",
-                         1, 0, "dead-worker", 12345.0))
+        conn.executescript(self.V1_SCHEMA)
         conn.executemany(
             "INSERT INTO task_queue (key, task_payload, status, attempts,"
             " compute_count, owner, lease_expires_at, enqueued_at, updated_at)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, 100.0, 100.0)", rows)
+            " VALUES (?, ?, ?, ?, ?, ?, ?, 100.0, 100.0)",
+            [(queued.cache_key(), pickle.dumps(queued), "queued", 0, 0,
+              None, None),
+             (done.cache_key(), pickle.dumps(done), "done", 1, 1,
+              "old-worker", None),
+             (leased.cache_key(), pickle.dumps(leased), "leased", 1, 0,
+              "dead-worker", 12345.0)])
         conn.commit()
         conn.close()
-        return done_result
+
+    def _assert_rebuilt(self, path, stored):
+        """Open ``path``: the queue comes back empty and stamped current,
+        ``results`` is byte-identical, and re-running the ``stored`` tasks
+        is served from the store with zero computes."""
+        before = _results_rows(path)
+        assert len(before) == len(stored)
+        with TaskQueue(path) as queue:
+            assert queue.rows() == []
+        assert _stamped_version(path) == str(QUEUE_SCHEMA_VERSION)
+        assert _results_rows(path) == before
+
+        runner = BatchRunner(max_workers=1, store=path, backend="queue",
+                             backend_options={"stall_timeout_s": 30.0})
+        batch = runner.run_tasks(stored).raise_for_failures()
+        runner.store.close()
+        assert runner.stats["store_hits"] == len(stored)
+        assert [r.makespan for r in batch.results] == \
+            [_result_for(t).makespan for t in stored]
+        with TaskQueue(path) as queue:
+            assert queue.rows() == []  # nothing was enqueued, let alone run
 
     def test_pre_budget_queue_migrates_preserving_store_and_work(self, tmp_path):
         path = tmp_path / "old.sqlite"
         queued, done, leased = _task(seed=0), _task(seed=1), _task(seed=2)
-        done_result = self._make_pre_pr4_file(path, queued, done, leased)
-
-        with TaskQueue(path) as queue:
-            assert queue.migrated
-            by_key = {r.key: r for r in queue.rows()}
-            # Queued work was re-armed and is claimable, budget-less.
-            row = by_key[queued.cache_key()]
-            assert row.status == "queued" and row.attempts == 0
-            assert row.budget_s is None
-            # The orphaned lease (its worker died with the old file) was
-            # re-armed too, its stale bookkeeping dropped.
-            row = by_key[leased.cache_key()]
-            assert row.status == "queued" and row.owner is None
-            # Finished work kept its status and compute history.
-            row = by_key[done.cache_key()]
-            assert row.status == "done" and row.compute_count == 1
-            # The re-armed rows actually lease, with intact payloads.
-            takeover = queue.lease("fresh-worker")
-            assert takeover is not None
-            assert takeover.task.cache_key() == takeover.key
-
-        # The store's results table was never touched by the migration.
-        with ResultStore(path) as store:
-            survived = store.get(done)
-            assert survived is not None
-            assert survived.makespan == done_result.makespan
-
-        # A second open sees the current schema: no repeated migration
-        # (the lease taken above survives it untouched).
-        with TaskQueue(path) as queue:
-            assert not queue.migrated
-            assert queue.outstanding() == 2
+        self._make_v1_file(path, queued, done, leased)
+        self._assert_rebuilt(path, [done])
 
     def test_unversioned_meta_table_triggers_migration(self, tmp_path):
-        """A current-columns table without a version stamp still migrates
+        """A current-columns table without a version stamp is rebuilt too
         (covers files written by hypothetical intermediate builds)."""
         path = tmp_path / "stampless.sqlite"
-        task = _task()
+        done, queued = _task(seed=3), _task(seed=4)
+        with ResultStore(path) as store:
+            store.put(done, _result_for(done))
         with TaskQueue(path) as queue:
-            queue.enqueue([task], budgets=[5.0])
+            queue.enqueue([queued], budgets=[5.0])
         conn = sqlite3.connect(str(path))
         conn.execute("DELETE FROM task_queue_meta")
         conn.commit()
         conn.close()
-        with TaskQueue(path) as queue:
-            assert queue.migrated
-            (row,) = queue.rows([task.cache_key()])
-            # Salvage keeps the row queued; the budget column is not among
-            # the salvaged fields (stale budgets from unknown layouts are
-            # not trusted), so it resets to unbudgeted.
-            assert row.status == "queued" and row.budget_s is None
-            assert queue.lease("w1") is not None
+        self._assert_rebuilt(path, [done])
 
     @pytest.mark.parametrize("version, later_columns", [
         (2, ""),                        # budget_s, no predicted_s
@@ -587,10 +589,8 @@ class TestSchemaMigration:
     ], ids=["v2", "v3"])
     def test_versioned_queue_migrates_to_current(self, tmp_path, version,
                                                  later_columns):
-        """A file from an older versioned layout self-heals: done rows
-        keep their compute history, queued work re-arms, the columns added
-        since exist afterwards, and the salvaged rows carry a change
-        stamp."""
+        """A file from an older versioned layout is rebuilt empty, and the
+        columns added since are live afterwards."""
         path = tmp_path / f"v{version}.sqlite"
         queued, done = _task(seed=10), _task(seed=11)
         with ResultStore(path) as store:
@@ -625,25 +625,39 @@ class TestSchemaMigration:
              (done.cache_key(), pickle.dumps(done), "done", None, 1)])
         conn.commit()
         conn.close()
+        self._assert_rebuilt(path, [done])
+        fresh = _task(seed=12)
         with TaskQueue(path) as queue:
-            assert queue.migrated
-            by_key = {r.key: r for r in queue.rows()}
-            assert by_key[queued.cache_key()].status == "queued"
-            assert by_key[queued.cache_key()].predicted_s is None
-            assert by_key[done.cache_key()].compute_count == 1
-            changed, cursor = queue.changes_since(0)
-            assert {r.key for r in changed} == set(by_key)
-            assert cursor == queue.last_seq() > 0
-            # The new columns are live: predictions persist and the
-            # enqueue is stamped past the migration.
-            queue.enqueue([_task(seed=12)], predictions=[0.25])
+            cursor = queue.last_seq()
+            queue.enqueue([fresh], predictions=[0.25])
             assert [r.key for r in queue.changes_since(cursor)[0]] == \
-                [_task(seed=12).cache_key()]
-        with TaskQueue(path) as queue:
-            assert not queue.migrated
-            (fresh,) = [r for r in queue.rows()
-                        if r.key == _task(seed=12).cache_key()]
-            assert fresh.predicted_s == 0.25
+                [fresh.cache_key()]
+        with TaskQueue(path) as queue:  # current now: no second rebuild
+            (row,) = queue.rows()
+            assert row.key == fresh.cache_key() and row.predicted_s == 0.25
+
+    def test_concurrent_opener_keeps_rows_enqueued_after_the_rebuild(
+            self, tmp_path, monkeypatch):
+        """Two processes open the same old file: the one whose probe saw
+        the old layout must re-check under the write lock, not drop the
+        rows the other enqueued after its rebuild."""
+        path = tmp_path / "race.sqlite"
+        self._make_v1_file(path, _task(seed=20), _task(seed=21),
+                                _task(seed=22))
+        fresh = _task(seed=23)
+        with TaskQueue(path) as first:
+            first.enqueue([fresh])
+        probes = []
+        current = TaskQueue._schema_current
+
+        def stale_first_probe(queue):
+            probes.append(queue)
+            return False if len(probes) == 1 else current(queue)
+
+        monkeypatch.setattr(TaskQueue, "_schema_current", stale_first_probe)
+        with TaskQueue(path) as second:
+            assert [r.key for r in second.rows()] == [fresh.cache_key()]
+        assert len(probes) == 2
 
 
 class TestChangeCursor:
