@@ -54,13 +54,19 @@ _WORKER_STATS_KEYS = ("computed", "deduped", "failed", "overtime")
 
 
 def process_lease(store: "ResultStore", queue: TaskQueue, leased: LeasedTask,
-                  worker_id: str) -> Tuple[str, object, float]:
+                  worker_id: str, *, task: Optional["BatchTask"] = None
+                  ) -> Tuple[str, object, float]:
     """Run one leased task and settle its queue row.
 
     The single implementation of the worker-side protocol — store-dedup
-    check, compute, publish-then-complete, fail on captured error —
-    shared by the inline drain below and the ``repro.runtime.worker``
-    CLI, so exactly-once accounting can never diverge between them.
+    check, compute, publish, fail on captured error — shared by the
+    inline drain below, the ``repro.runtime.worker`` CLI and the chaos
+    worker, so exactly-once accounting can never diverge between them.
+    ``queue`` must be bound to ``store`` (``TaskQueue(store)``): the
+    result and the row's turn to ``done`` commit in one transaction
+    (:meth:`TaskQueue.complete` with ``publish``), so a crash leaves
+    either both or neither.  ``task`` is the caller's own copy of the
+    leased task, which spares decoding the leased payload.
 
     Returns ``("deduped", None, 0.0)`` when the store already held the
     result, ``("computed", result, elapsed)`` on success (the result is
@@ -81,7 +87,7 @@ def process_lease(store: "ResultStore", queue: TaskQueue, leased: LeasedTask,
         # (another worker, or a previous run) — never compute twice.
         queue.complete(leased.key, worker_id, computed=False)
         return ("deduped", None, 0.0)
-    task = leased.task
+    task = leased.task if task is None else task
     t0 = time.perf_counter()
     status, payload = run_one(task.algorithm, task.instance,
                               task.kwargs_dict())
@@ -92,8 +98,8 @@ def process_lease(store: "ResultStore", queue: TaskQueue, leased: LeasedTask,
             if elapsed > leased.budget_s:
                 payload.meta["over_budget"] = True
                 payload.meta["budget_elapsed_s"] = elapsed
-        store.put(task, payload)
-        queue.complete(leased.key, worker_id, computed=True)
+        queue.complete(leased.key, worker_id, computed=True,
+                       publish=(task, payload))
         return ("computed", payload, elapsed)
     message, _tb = payload
     queue.fail(leased.key, worker_id, message)
@@ -214,7 +220,7 @@ class QueueBackend(ExecutionBackend):
         by_key: Dict[str, List[int]] = {}
         for idx, task in enumerate(tasks):
             by_key.setdefault(task.cache_key(), []).append(idx)
-        queue = TaskQueue(store.path, lease_s=self.lease_s)
+        queue = TaskQueue(store, lease_s=self.lease_s)
         unresolved = dict(by_key)  # key -> indices still awaiting a result
         armed: set = set()  # keys *we* queued (ok to cancel on early exit)
         # Budgets travel with the rows: the submitter's policy (explicit
@@ -290,9 +296,9 @@ class QueueBackend(ExecutionBackend):
                             yield idx, sentinel
                         progressed = True
                     elif row.status == "done" and not store.contains(row.key):
-                        # Safe to recompute: workers put() before they
-                        # complete(), so done + store-miss means the
-                        # result is truly gone, not merely in flight.
+                        # A worker's result and its 'done' row commit
+                        # together, so only eviction or a version purge
+                        # gets here: the result is truly gone.
                         queue.requeue([row.key])
                         armed.add(row.key)
                         progressed = True
@@ -395,12 +401,12 @@ class QueueBackend(ExecutionBackend):
         latency, so serving it later cannot violate anyone's budget.
         """
         runner = self.runner
-        ours = leased.key in unresolved
+        indices = unresolved.get(leased.key)
+        task = tasks[indices[0]] if indices is not None else None
         outcome, payload, elapsed = process_lease(runner.store, queue, leased,
-                                                  self.worker_id)
-        if not ours or outcome == "deduped":
+                                                  self.worker_id, task=task)
+        if task is None or outcome == "deduped":
             return  # a dedup hit of ours is served by the next store poll
-        task = tasks[unresolved[leased.key][0]]
         if (outcome == "computed" and runner.timeout is not None
                 and elapsed > runner.timeout):
             runner.stats["timeouts"] += 1

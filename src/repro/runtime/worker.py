@@ -9,7 +9,9 @@ A worker is the distributed half of the ``"queue"`` execution backend:
 it opens the shared store file, leases tasks from the ``task_queue``
 table, computes them through the same registry dispatch every other
 backend uses, and writes successful results into the
-:class:`~repro.store.result_store.ResultStore` — where the submitting
+:class:`~repro.store.result_store.ResultStore` — in the same transaction
+that marks the row ``done``, so a worker killed half-way leaves neither
+— where the submitting
 :class:`~repro.runtime.backends.queue.QueueBackend` (and any warm re-run
 forever after) picks them up.  Start as many workers against one store
 file as you have cores — or let ``python -m repro.runtime.supervisor``
@@ -72,6 +74,8 @@ def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
           max_tasks: Optional[int] = None) -> dict:
     """The worker loop (importable for in-process tests).
 
+    ``queue`` must be bound to ``store`` (``TaskQueue(store)``), so that
+    each result publishes in one transaction with its ``done`` row.
     Returns drain statistics: ``computed`` (tasks actually run),
     ``deduped`` (leases completed from an already-stored result),
     ``failed`` (captured algorithm errors), ``overtime`` (tasks that blew
@@ -108,7 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     worker_id = args.worker_id or f"worker-{os.getpid()}"
     store = ResultStore(args.store)
-    queue = TaskQueue(args.store, lease_s=args.lease_s)
+    queue = TaskQueue(store, lease_s=args.lease_s)
     try:
         stats = drain(store, queue, worker_id, poll_s=args.poll_s,
                       idle_exit=args.idle_exit, max_tasks=args.max_tasks)

@@ -20,7 +20,10 @@ size, timestamps).  The metadata serves three purposes:
 
 The store is self-healing: a corrupted file or an old on-disk schema is
 rebuilt empty rather than crashing the runner (losing a cache is cheap;
-refusing to serve is not).  Rows are also stamped with the package
+refusing to serve is not).  A file that is merely *busy* — another
+connection holds the write lock, or is setting up the WAL index — is not
+damaged and is never rebuilt: that error reaches the caller, and the rows
+stay.  Rows are also stamped with the package
 version that produced them and rows from *another* version are purged on
 open: a task's cache key hashes the inputs, not the code, so without the
 purge a persisted store would keep serving results computed by old
@@ -37,7 +40,8 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, TypeVar, Union)
 
 from repro._version import __version__ as _REPRO_VERSION
 
@@ -54,6 +58,90 @@ SCHEMA_VERSION = 2
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this.
 _MAX_SQL_PARAMS = 500
+
+#: How long a statement waits for another connection's write lock.
+BUSY_TIMEOUT_S = 30.0
+
+#: Opens retried after ``SQLITE_PROTOCOL`` (two connections racing to set
+#: up a fresh file's WAL index) before the error reaches the caller.
+_OPEN_ATTEMPTS = 5
+
+#: SQLite primary result codes that mean another connection is in the
+#: way — never that the file is damaged.
+_SQLITE_BUSY, _SQLITE_LOCKED, _SQLITE_PROTOCOL = 5, 6, 15
+
+_T = TypeVar("_T")
+
+
+def connect(path: Union[str, Path]) -> sqlite3.Connection:
+    """A WAL-mode connection to the store file (the store's and the queue's)."""
+    conn = sqlite3.connect(str(path), timeout=BUSY_TIMEOUT_S)
+    try:
+        _enter_wal(conn)
+        conn.execute("PRAGMA synchronous=NORMAL")
+    except BaseException:
+        conn.close()
+        raise
+    return conn
+
+
+def _enter_wal(conn: sqlite3.Connection) -> None:
+    """``PRAGMA journal_mode=WAL``, waiting out other openers of the file.
+
+    Switching a fresh file to WAL takes an exclusive lock, and SQLite
+    fails that at once — its busy handler could deadlock there — while
+    another connection is opening the same file.  Wait as the busy
+    handler would have, up to :data:`BUSY_TIMEOUT_S`.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if (_error_code(exc) not in (_SQLITE_BUSY, _SQLITE_LOCKED)
+                    or time.monotonic() >= deadline):
+                raise
+        time.sleep(0.005)
+
+
+def _error_code(exc: sqlite3.Error) -> Optional[int]:
+    """The primary SQLite result code of ``exc``, where it can be told."""
+    code = getattr(exc, "sqlite_errorcode", None)  # Python >= 3.11
+    if code is not None:
+        return code & 0xFF
+    message = str(exc)
+    if "locking protocol" in message:
+        return _SQLITE_PROTOCOL
+    if "is locked" in message:
+        return _SQLITE_BUSY
+    return None
+
+
+def is_contention(exc: sqlite3.Error) -> bool:
+    """Whether ``exc`` is a lock, busy or locking-protocol error: the file
+    is in use, not corrupt."""
+    return _error_code(exc) in (_SQLITE_BUSY, _SQLITE_LOCKED, _SQLITE_PROTOCOL)
+
+
+def open_retrying(open_fn: Callable[[], _T]) -> _T:
+    """Call ``open_fn``, retrying it after a transient ``SQLITE_PROTOCOL``.
+
+    Connections opening one fresh file at the same moment can race on its
+    WAL index; SQLite then fails a statement with "locking protocol".  The
+    file is fine and a second try succeeds.  ``open_fn`` must close its
+    connection before it raises.
+    """
+    attempt = 1
+    while True:
+        try:
+            return open_fn()
+        except sqlite3.OperationalError as exc:
+            if _error_code(exc) != _SQLITE_PROTOCOL or attempt >= _OPEN_ATTEMPTS:
+                raise
+        time.sleep(0.01 * attempt)
+        attempt += 1
+
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -77,6 +165,11 @@ CREATE TABLE IF NOT EXISTS results (
 CREATE INDEX IF NOT EXISTS idx_results_algorithm ON results (algorithm);
 CREATE INDEX IF NOT EXISTS idx_results_last_access ON results (last_access);
 """
+_VERSION_SQL = "SELECT value FROM store_meta WHERE key = 'schema_version'"
+_PUT_SQL = ("INSERT OR REPLACE INTO results (key, repro_version, algorithm,"
+            " environment, num_jobs, num_machines, num_classes, wall_seconds,"
+            " payload, payload_bytes, created_at, last_access)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)")
 
 
 @dataclass(frozen=True)
@@ -127,36 +220,35 @@ class ResultStore:
             "gets": 0, "hits": 0, "puts": 0, "evictions": 0, "rebuilds": 0,
             "version_purged": 0}
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = self._open_or_rebuild()
+        self._conn = open_retrying(self._open_or_rebuild)
 
     # ------------------------------------------------------------------
     # connection lifecycle
     # ------------------------------------------------------------------
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
-
     def _open_or_rebuild(self) -> sqlite3.Connection:
         """Open the store, rebuilding it empty when unreadable or outdated.
 
         A store is a cache: any corruption (truncated file, non-SQLite
-        bytes, missing tables) or a schema-version mismatch makes the file
-        disposable, never an error for the caller.
+        bytes, missing tables or columns) or a schema-version mismatch
+        makes the file disposable, never an error for the caller.  A
+        busy file is not disposable: lock and locking-protocol errors
+        propagate (after :func:`open_retrying`'s retries) and the file is
+        left alone — unlinking it would drop every row of a store that
+        another process is merely writing to.
         """
         conn: Optional[sqlite3.Connection] = None
         try:
-            conn = self._connect()
+            conn = connect(self.path)
             conn.executescript(_SCHEMA)
-            row = conn.execute(
-                "SELECT value FROM store_meta WHERE key = 'schema_version'").fetchone()
+            row = conn.execute(_VERSION_SQL).fetchone()
             if row is None:
-                conn.execute(
-                    "INSERT INTO store_meta (key, value) VALUES ('schema_version', ?)",
-                    (str(SCHEMA_VERSION),))
-                conn.commit()
-                return conn
+                # OR IGNORE: a concurrent opener of the same fresh file may
+                # stamp it first, which is no reason to rebuild.
+                with conn:
+                    conn.execute(
+                        "INSERT OR IGNORE INTO store_meta (key, value)"
+                        " VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),))
+                row = conn.execute(_VERSION_SQL).fetchone()
             if int(row[0]) == SCHEMA_VERSION:
                 # The purge doubles as a column-level sanity probe: a file
                 # whose meta claims the right version but whose table lost
@@ -165,7 +257,7 @@ class ResultStore:
                 self._purge_other_versions(conn)
                 return conn
             conn.close()
-        except (sqlite3.Error, ValueError):
+        except (sqlite3.Error, ValueError) as exc:
             # Close before unlinking: a still-open handle would leak (and on
             # Windows block the unlink, making the rebuild re-open the same
             # corrupt file and fail the constructor).
@@ -174,10 +266,12 @@ class ResultStore:
                     conn.close()
                 except sqlite3.Error:
                     pass
+            if isinstance(exc, sqlite3.Error) and is_contention(exc):
+                raise
         # Unreadable or wrong version: start over.
         self.stats_counters["rebuilds"] += 1
         self._remove_files()
-        conn = self._connect()
+        conn = connect(self.path)
         conn.executescript(_SCHEMA)
         conn.execute(
             "INSERT INTO store_meta (key, value) VALUES ('schema_version', ?)",
@@ -220,26 +314,37 @@ class ResultStore:
     # ------------------------------------------------------------------
     # core API
     # ------------------------------------------------------------------
-    def put(self, task: "BatchTask", result: "AlgorithmResult") -> None:
+    def put(self, task: "BatchTask", result: "AlgorithmResult", *,
+            payload: Optional[bytes] = None) -> None:
         """Persist ``result`` under ``task.cache_key()`` and evict if needed.
 
         Failure sentinels (``meta["error"]`` / ``meta["timeout"]``) are the
         caller's responsibility to filter; the store persists whatever it is
-        given.
+        given.  ``payload`` is ``result`` already pickled, for a caller
+        that pickles before it takes the write lock.
+
+        Called inside a write transaction the caller holds open on this
+        store's connection — :meth:`TaskQueue.complete` publishing a
+        result — ``put`` only INSERTs: the row commits or rolls back with
+        the caller's transaction, and the caller runs :meth:`evict` after
+        its COMMIT.
         """
         key = task.cache_key()
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        if payload is None:
+            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         now = time.time()
         inst = task.instance
+        row = (key, _REPRO_VERSION, task.algorithm, inst.environment.value,
+               inst.num_jobs, inst.num_machines, inst.num_classes,
+               float(result.runtime_seconds), payload, len(payload), now, now)
+        if self._conn.in_transaction:
+            # No `with self._conn` here: leaving it would commit the
+            # caller's transaction half-way.
+            self._conn.execute(_PUT_SQL, row)
+            self.stats_counters["puts"] += 1
+            return
         with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO results (key, repro_version, algorithm,"
-                " environment, num_jobs, num_machines, num_classes, wall_seconds,"
-                " payload, payload_bytes, created_at, last_access)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (key, _REPRO_VERSION, task.algorithm, inst.environment.value,
-                 inst.num_jobs, inst.num_machines, inst.num_classes,
-                 float(result.runtime_seconds), payload, len(payload), now, now))
+            self._conn.execute(_PUT_SQL, row)
         self.stats_counters["puts"] += 1
         self.evict(now=now)
 

@@ -5,23 +5,33 @@ r"""Distributed work queue over the result-store SQLite file.
 file into a complete *work plane*: any number of runner and worker
 processes open the same path, lease tasks from the queue, and publish
 results through the store.  WAL mode serialises the writers; every state
-transition below is a single transaction, so the queue is safe under
-concurrent workers on one host (the store file is the coordination
-medium — no extra daemon).
+transition below is a single transaction, and so is a worker's publish:
+the result row and the queue row's turn to ``done`` commit together.  The
+queue is safe under concurrent workers on one host (the store file is
+the coordination medium — no extra daemon).
 
 Row lifecycle
 -------------
 
 ::
 
-    enqueue --> queued --lease--> leased --complete--> done
+                                        complete, one transaction with
+                                        the result INSERT (publish)
+    enqueue --> queued --lease--> leased ---------------------------> done
                   ^                 |  \
                   |   lease expired |   \-- fail (algorithm error) --> failed
                   +--- (requeue) ---+
                         attempts > max_attempts --> failed
 
+* **Publish is atomic.**  A drain loop's queue is *bound* to its
+  :class:`~repro.store.result_store.ResultStore` (``TaskQueue(store)``)
+  and shares the store's connection, so :meth:`TaskQueue.complete` with
+  ``publish`` runs the ``results`` INSERT, the ``done`` UPDATE and the
+  change-counter advance in one ``BEGIN IMMEDIATE … COMMIT``.  A worker
+  that dies before COMMIT leaves neither a result nor a ``done`` row:
+  the row stays ``leased`` and its lease expires like any crash's.
 * **Leases expire.**  A worker that crashes (OOM kill, segfault, power
-  loss) never calls :meth:`complete`; its lease times out and
+  loss) never commits :meth:`complete`; its lease times out and
   :meth:`reclaim_expired` hands the task to the next worker.  The crashed
   worker's id is recorded in ``excluded_worker`` so the *same* worker does
   not immediately re-claim the task that just killed it — a second worker
@@ -86,12 +96,17 @@ from __future__ import annotations
 import pickle
 import sqlite3
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
+
+from repro.store.result_store import ResultStore, connect, open_retrying
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
+    from repro.algorithms.base import AlgorithmResult
     from repro.runtime.runner import BatchTask
 
 __all__ = ["TaskQueue", "LeasedTask", "QueueRow", "QUEUE_SCHEMA_VERSION"]
@@ -176,12 +191,21 @@ _LEASE_EXPIRED_SQL = (
 
 @dataclass(frozen=True)
 class LeasedTask:
-    """One successfully leased unit of work."""
+    """One successfully leased unit of work.
+
+    The task stays pickled until :attr:`task` is first read: a drain loop
+    that already holds the task (a submitter leasing a key of its own
+    batch) never pays for decoding it.
+    """
 
     key: str
-    task: "BatchTask"
+    task_payload: bytes = field(repr=False)
     attempts: int
     budget_s: Optional[float] = None
+
+    @cached_property
+    def task(self) -> "BatchTask":
+        return pickle.loads(self.task_payload)
 
 
 @dataclass(frozen=True)
@@ -205,8 +229,13 @@ class TaskQueue:
     Parameters
     ----------
     path:
-        The store file (the same path a :class:`ResultStore` opens); the
-        ``task_queue`` table is created on first use.
+        The store file (the same path a :class:`ResultStore` opens), or
+        an open :class:`ResultStore`.  The ``task_queue`` table is created
+        on first use.  Given a store, the queue is *bound*: it runs on
+        the store's connection and never closes it, and only a bound
+        queue can :meth:`complete` a row and publish its result in one
+        transaction.  Drain loops use bound queues; the supervisor and
+        inspection open the path.
     lease_s:
         How long a lease lasts before the task is considered abandoned and
         becomes reclaimable.  Must comfortably exceed the longest expected
@@ -226,22 +255,55 @@ class TaskQueue:
     the same *file* from each process (exactly like ``ResultStore``).
     """
 
-    def __init__(self, path: Union[str, Path], *, lease_s: float = 60.0,
-                 max_attempts: int = 3,
+    def __init__(self, path: Union[str, Path, ResultStore], *,
+                 lease_s: float = 60.0, max_attempts: int = 3,
                  clock: Optional[Callable[[], float]] = None) -> None:
         if lease_s <= 0:
             raise ValueError("lease_s must be > 0")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        self.path = Path(path)
         self.lease_s = float(lease_s)
         self.max_attempts = int(max_attempts)
         self._clock: Callable[[], float] = clock if clock is not None else time.time
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = sqlite3.connect(str(self.path), timeout=30.0)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._ensure_schema()
+        #: The store this queue is bound to (``None``: opened by path).
+        self.store: Optional[ResultStore] = None
+        self._idle = False  # the last lease found nothing (see lease())
+        if isinstance(path, ResultStore):
+            self.store, self.path, self._conn = path, path.path, path._conn
+            open_retrying(self._ensure_schema)
+        else:
+            self.path = Path(path)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._conn = open_retrying(self._open)
+
+    def _open(self) -> sqlite3.Connection:
+        self._conn = connect(self.path)
+        try:
+            self._ensure_schema()
+        except BaseException:
+            self._conn.close()
+            raise
+        return self._conn
+
+    @contextmanager
+    def _write(self) -> Iterator[None]:
+        """One ``BEGIN IMMEDIATE … COMMIT``; rolled back if the body raises.
+
+        Not ``with self._conn``: Python's sqlite3 autocommits DDL outside
+        an explicit transaction, and the write lock is taken up front so
+        a read-then-write body cannot lose a race to another writer.  A
+        failed COMMIT may already have ended the transaction, so ROLLBACK
+        only runs while one is open — otherwise its own error would hide
+        the cause.
+        """
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+            self._conn.execute("COMMIT")
+        except BaseException:
+            if self._conn.in_transaction:
+                self._conn.execute("ROLLBACK")
+            raise
 
     # ------------------------------------------------------------------
     # schema lifecycle
@@ -255,10 +317,7 @@ class TaskQueue:
         """
         if self._schema_current():
             return
-        # Python's sqlite3 autocommits DDL outside an explicit
-        # transaction, so BEGIN IMMEDIATE, not `with`.
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with self._write():
             # Re-check under the write lock: a concurrent opener may have
             # rebuilt the queue, and enqueued into it, since the probe.
             if not self._schema_current():
@@ -266,10 +325,6 @@ class TaskQueue:
                 for statement in _SCHEMA_STATEMENTS:
                     self._conn.execute(statement)
                 self._stamp_version()
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
 
     def _schema_current(self) -> bool:
         columns = {row[1] for row in
@@ -306,10 +361,11 @@ class TaskQueue:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the underlying connection (idempotent)."""
-        if self._conn is not None:
+        """Close the underlying connection (idempotent).  A bound queue
+        leaves its store's connection open: the store owns it."""
+        if self._conn is not None and self.store is None:
             self._conn.close()
-            self._conn = None  # type: ignore[assignment]
+        self._conn = None  # type: ignore[assignment]
 
     def __enter__(self) -> "TaskQueue":
         return self
@@ -352,7 +408,7 @@ class TaskQueue:
             raise ValueError("predictions must align 1:1 with tasks")
         now = self._clock() if now is None else now
         armed: List[str] = []
-        with self._conn:
+        with self._write():
             for pos, task in enumerate(tasks):
                 key = task.cache_key()
                 budget = budgets[pos] if budgets is not None else None
@@ -399,7 +455,7 @@ class TaskQueue:
         """
         now = self._clock() if now is None else now
         changed = 0
-        with self._conn:
+        with self._write():
             for lo in range(0, len(keys), _MAX_SQL_PARAMS):
                 chunk = list(keys[lo:lo + _MAX_SQL_PARAMS])
                 placeholders = ",".join("?" * len(chunk))
@@ -423,7 +479,7 @@ class TaskQueue:
         finished rows are left alone.
         """
         dropped = 0
-        with self._conn:
+        with self._write():
             for lo in range(0, len(keys), _MAX_SQL_PARAMS):
                 chunk = list(keys[lo:lo + _MAX_SQL_PARAMS])
                 placeholders = ",".join("?" * len(chunk))
@@ -455,23 +511,23 @@ class TaskQueue:
         ``queued`` head, the oldest expired lease), of which the older
         wins, so a lease costs the same on a ten-row and a ten-thousand-row
         table.  ``BEGIN IMMEDIATE`` takes the write lock up front so two
-        workers can never claim the same row.
+        workers can never claim the same row.  After a lease that found
+        nothing, the probes first run as a plain read, and the lock is
+        taken only once they find a row: an idle drain loop polls
+        without write-lock traffic, and a busy one pays no extra read.
         """
         now = self._clock() if now is None else now
         params = {"now": now, "worker": worker_id,
                   "grace_before": now - self.lease_s,
                   "max_attempts": self.max_attempts}
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            candidates = [row for row in (
-                self._conn.execute(sql, params).fetchone()
-                for sql in (_LEASE_QUEUED_SQL, _LEASE_EXPIRED_SQL))
-                if row is not None]
-            if not candidates:
-                self._conn.execute("COMMIT")
+        if self._idle and self._lease_candidate(params) is None:
+            return None
+        with self._write():
+            chosen = self._lease_candidate(params)
+            self._idle = chosen is None
+            if chosen is None:
                 return None
-            key, payload, attempts, budget_s, _, _ = min(
-                candidates, key=lambda row: (row[4], row[5]))
+            key, payload, attempts, budget_s, _, _ = chosen
             self._conn.execute(
                 "UPDATE task_queue SET status = 'leased', owner = ?,"
                 " lease_expires_at = ?, attempts = ?, updated_at = ?,"
@@ -479,25 +535,49 @@ class TaskQueue:
                 " WHERE key = ?",
                 (worker_id, now + self.lease_s, attempts + 1, now, key))
             self._advance_seq()
-            self._conn.execute("COMMIT")
-        except BaseException:
-            self._conn.execute("ROLLBACK")
-            raise
-        return LeasedTask(key=key, task=pickle.loads(payload),
+        return LeasedTask(key=key, task_payload=payload,
                           attempts=attempts + 1, budget_s=budget_s)
 
+    def _lease_candidate(self, params: Dict[str, object]) -> Optional[tuple]:
+        """The older of the two lease probes' rows, or ``None``."""
+        candidates = [row for row in (
+            self._conn.execute(sql, params).fetchone()
+            for sql in (_LEASE_QUEUED_SQL, _LEASE_EXPIRED_SQL))
+            if row is not None]
+        return (min(candidates, key=lambda row: (row[4], row[5]))
+                if candidates else None)
+
     def complete(self, key: str, worker_id: str, *, computed: bool,
+                 publish: Optional[Tuple["BatchTask", "AlgorithmResult"]] = None,
                  now: Optional[float] = None) -> None:
         """Mark a key ``done``.  ``computed=False`` records a dedup hit
         (the result was already in the store; nothing was computed).
+
+        ``publish=(task, result)`` stores the result in the same write
+        transaction: the ``results`` INSERT (:meth:`ResultStore.put`),
+        the ``done`` UPDATE and the change-counter advance commit
+        together or not at all, and the store's eviction sweep runs after
+        the COMMIT.  Only a queue bound to its store can do that; an
+        unbound queue raises ``ValueError`` before it touches the file —
+        its own connection would wait forever on the write lock the
+        store's connection holds.
 
         Deliberately not owner-checked: results are content-addressed, so
         a worker finishing after its lease expired (and after a second
         worker re-leased the row) still reports a correct outcome —
         last-writer-wins on identical content is harmless.
         """
+        if publish is not None and self.store is None:
+            raise ValueError(
+                "publishing a result needs a queue bound to its store: "
+                "open it as TaskQueue(store), not TaskQueue(path)")
         now = self._clock() if now is None else now
-        with self._conn:
+        if publish is not None:
+            task, result = publish
+            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        with self._write():
+            if publish is not None:
+                self.store.put(task, result, payload=payload)
             cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'done', owner = ?,"
                 " lease_expires_at = NULL, error = NULL,"
@@ -507,6 +587,8 @@ class TaskQueue:
                 (worker_id, 1 if computed else 0, now, key))
             if cur.rowcount:
                 self._advance_seq()
+        if publish is not None:
+            self.store.evict()
 
     def fail(self, key: str, worker_id: str, error: str, *,
              now: Optional[float] = None) -> None:
@@ -518,7 +600,7 @@ class TaskQueue:
         :meth:`reclaim_expired` instead, which does retry.
         """
         now = self._clock() if now is None else now
-        with self._conn:
+        with self._write():
             cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'failed', owner = ?,"
                 " lease_expires_at = NULL, error = ?, updated_at = ?,"
@@ -533,11 +615,17 @@ class TaskQueue:
 
         The presumed-dead worker is recorded as ``excluded_worker`` so it
         does not immediately re-claim the task it died on.  Returns the
-        number of rows whose state changed.
+        number of rows whose state changed.  A read decides first whether
+        any lease has expired: on an idle poll none has, and no write
+        lock is taken.
         """
         now = self._clock() if now is None else now
+        if self._conn.execute(
+                "SELECT 1 FROM task_queue WHERE status = 'leased'"
+                " AND lease_expires_at <= ? LIMIT 1", (now,)).fetchone() is None:
+            return 0
         changed = 0
-        with self._conn:
+        with self._write():
             cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'failed', excluded_worker = owner,"
                 " owner = NULL, lease_expires_at = NULL, updated_at = ?,"

@@ -3,7 +3,8 @@
 ::
 
     python -m repro.testing.chaos --store PATH [--worker-id ID]
-        [--crash-after N] [--crash-mid-task] [--crash-exit-code C]
+        [--crash-after N] [--crash-mid-task | --crash-in-publish]
+        [--crash-exit-code C]
         [--stall-s S] [--slow-s S] [--refuse-leases N]
         [--lease-s S] [--poll-s S] [--idle-exit S] [--max-tasks N]
 
@@ -27,6 +28,12 @@ Fault repertoire
     Die right **after leasing** the (N+1)-th task, before computing it —
     the OOM-kill shape.  The abandoned lease must expire, be reclaimed
     with this worker excluded, and land on someone else's desk.
+``crash_in_publish`` (modifies ``crash_after``)
+    Die **inside the publish transaction** of the (N+1)-th task: after
+    its ``results`` INSERT, before the COMMIT that would also mark the
+    row ``done``.  Neither write may survive — the key has no stored
+    result, its row is still ``leased``, and after expiry the next
+    worker computes it exactly once.
 ``stall_s=S``
     Hold the first lease for S seconds before computing (a worker that
     leased and then hung).  With ``stall_s > lease_s`` the lease expires
@@ -66,17 +73,24 @@ class ChaosPlan:
 
     crash_after: Optional[int] = None
     crash_mid_task: bool = False
+    crash_in_publish: bool = False
     crash_exit_code: int = 9
     stall_s: float = 0.0
     slow_s: float = 0.0
     refuse_leases: int = 0
 
+    def __post_init__(self) -> None:
+        if self.crash_mid_task and self.crash_in_publish:
+            raise ValueError("crash_mid_task and crash_in_publish are two "
+                             "places to die; arm one of them")
+
     @classmethod
     def from_env(cls, env: Optional[Mapping[str, str]] = None) -> "ChaosPlan":
         """Read the fault schedule from ``REPRO_CHAOS_*`` variables.
 
-        ``REPRO_CHAOS_CRASH_AFTER`` (int), ``REPRO_CHAOS_MID_TASK``
-        (truthy: ``1``/``true``/``yes``), ``REPRO_CHAOS_EXIT_CODE``
+        ``REPRO_CHAOS_CRASH_AFTER`` (int), ``REPRO_CHAOS_MID_TASK`` and
+        ``REPRO_CHAOS_IN_PUBLISH`` (truthy: ``1``/``true``/``yes``),
+        ``REPRO_CHAOS_EXIT_CODE``
         (int, default 9), ``REPRO_CHAOS_STALL_S`` / ``REPRO_CHAOS_SLOW_S``
         (float seconds), ``REPRO_CHAOS_REFUSE_LEASES`` (int).  Unset
         variables leave the healthy default in place.
@@ -89,9 +103,8 @@ class ChaosPlan:
 
         return cls(
             crash_after=_get("REPRO_CHAOS_CRASH_AFTER", int, None),
-            crash_mid_task=_get("REPRO_CHAOS_MID_TASK",
-                                lambda s: s.lower() in ("1", "true", "yes"),
-                                False),
+            crash_mid_task=_get("REPRO_CHAOS_MID_TASK", _truthy, False),
+            crash_in_publish=_get("REPRO_CHAOS_IN_PUBLISH", _truthy, False),
             crash_exit_code=_get("REPRO_CHAOS_EXIT_CODE", int, 9),
             stall_s=_get("REPRO_CHAOS_STALL_S", float, 0.0),
             slow_s=_get("REPRO_CHAOS_SLOW_S", float, 0.0),
@@ -104,6 +117,8 @@ class ChaosPlan:
             crash_after=(args.crash_after if args.crash_after is not None
                          else self.crash_after),
             crash_mid_task=bool(args.crash_mid_task or self.crash_mid_task),
+            crash_in_publish=bool(args.crash_in_publish
+                                  or self.crash_in_publish),
             crash_exit_code=(args.crash_exit_code
                              if args.crash_exit_code is not None
                              else self.crash_exit_code),
@@ -112,6 +127,23 @@ class ChaosPlan:
             refuse_leases=(args.refuse_leases if args.refuse_leases is not None
                            else self.refuse_leases),
         )
+
+
+def _truthy(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
+
+
+def _die_inside_publish(store: ResultStore, exit_code: int) -> None:
+    """Make ``store``'s next :meth:`~ResultStore.put` kill the process
+    right after its INSERT — inside the publish transaction, before the
+    COMMIT that would also mark the queue row ``done``."""
+    put = store.put
+
+    def put_then_die(*args, **kwargs):
+        put(*args, **kwargs)
+        os._exit(exit_code)
+
+    store.put = put_then_die  # type: ignore[method-assign]
 
 
 def chaos_drain(store: ResultStore, queue: TaskQueue, worker_id: str,
@@ -155,6 +187,9 @@ def chaos_drain(store: ResultStore, queue: TaskQueue, worker_id: str,
             # Die holding the lease — the OOM-kill shape.  The row stays
             # 'leased' until expiry; reclaim must exclude this worker.
             os._exit(plan.crash_exit_code)
+        if (plan.crash_after is not None and plan.crash_in_publish
+                and processed >= plan.crash_after):
+            _die_inside_publish(store, plan.crash_exit_code)
         if plan.stall_s > 0 and not stalled:
             stalled = True
             sleep(plan.stall_s)
@@ -167,6 +202,7 @@ def chaos_drain(store: ResultStore, queue: TaskQueue, worker_id: str,
             stats["overtime"] += 1
         processed += 1
         if (plan.crash_after is not None and not plan.crash_mid_task
+                and not plan.crash_in_publish
                 and processed >= plan.crash_after):
             # Die *between* tasks: no lease held, exactly-once unharmed —
             # pure restart pressure for the supervisor.
@@ -197,6 +233,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--crash-mid-task", action="store_true",
                         help="crash holding the (N+1)-th lease instead of "
                              "between tasks")
+    parser.add_argument("--crash-in-publish", action="store_true",
+                        help="crash inside the (N+1)-th lease's publish "
+                             "transaction, after the result INSERT and "
+                             "before COMMIT")
     parser.add_argument("--crash-exit-code", type=int, default=None,
                         help="exit code of the injected crash (default: 9)")
     parser.add_argument("--stall-s", type=float, default=None,
@@ -213,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     plan = ChaosPlan.from_env().merged_with_args(args)
     worker_id = args.worker_id or f"chaos-{os.getpid()}"
     store = ResultStore(args.store)
-    queue = TaskQueue(args.store, lease_s=args.lease_s)
+    queue = TaskQueue(store, lease_s=args.lease_s)
     try:
         stats = chaos_drain(store, queue, worker_id, plan,
                             poll_s=args.poll_s, idle_exit=args.idle_exit,

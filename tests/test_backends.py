@@ -239,6 +239,32 @@ class TestQueueBackendSpecifics:
         assert n == 60 and not batch.failures()
         assert probed["keys"] <= 3 * n, probed
 
+    def test_inline_drain_commits_two_write_transactions_per_task(
+            self, tmp_path, monkeypatch):
+        """One to lease, one to publish and complete: reclaim and the
+        submitter's polls only read, and the result and its ``done`` row
+        commit together.  Every connection opened during the batch is
+        traced; each write transaction starts with a BEGIN."""
+        import sqlite3
+
+        statements = []
+        connect = sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
+                     for s in range(10)]
+        runner = make_runner("queue", tmp_path)
+        batch = runner.run(FAST_GRID, instances)
+        n = len(batch.results)
+        assert n == 30 and not batch.failures()
+        begins = sum(1 for sql in statements if sql.startswith("BEGIN"))
+        assert begins <= 2 * n + 5, begins
+
     def test_fresh_runner_warm_from_queue_run(self, tmp_path):
         store_path = tmp_path / "warm.sqlite"
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
@@ -292,7 +318,7 @@ class TestQueueBackendSpecifics:
                     time.sleep(0.01)
                 assert queue.rows([key]), "the vanished row was not re-enqueued"
             with ResultStore(store_path) as store, \
-                    TaskQueue(store_path) as queue:
+                    TaskQueue(store) as queue:
                 drain(store, queue, "helper", idle_exit=1.0, poll_s=0.01)
         finally:
             consumer.join(timeout=30)

@@ -3,8 +3,8 @@
 The durability tests are the contract that matters: results written by one
 ``BatchRunner`` must be cache hits in a *fresh process* (that is the whole
 point of the store), a corrupted or old-schema file must be rebuilt rather
-than crash the runner, and the eviction policy must actually bound the
-file.
+than crash the runner, a file that is merely busy must never be rebuilt,
+and the eviction policy must actually bound the file.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.core.bounds import greedy_upper_bound
 from repro.generators import uniform_instance
 from repro.runtime import BatchRunner, BatchTask
 from repro.store import SCHEMA_VERSION, CostModel, ResultStore
+from repro.store import result_store
 from repro.store.cli import main as store_cli
 
 
@@ -357,3 +358,92 @@ class TestStoreCli:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert "entries:  2" in proc.stdout
+
+
+#: Run by each concurrent opener: wait at a file barrier, then open the
+#: round's fresh store (half the processes open the queue first, as a
+#: supervisor does), publish one result and report the rebuild count.
+_OPENER = textwrap.dedent("""
+    import json, sys, time
+    from pathlib import Path
+    from repro.algorithms.base import AlgorithmResult
+    from repro.core.bounds import greedy_upper_bound
+    from repro.generators import uniform_instance
+    from repro.runtime import BatchTask
+    from repro.store import ResultStore, TaskQueue
+
+    root, me, procs, rounds = Path(sys.argv[1]), int(sys.argv[2]), \\
+        int(sys.argv[3]), int(sys.argv[4])
+    task = BatchTask.make("class-aware-greedy",
+                          uniform_instance(8, 2, 2, seed=me, integral=True))
+    _, schedule = greedy_upper_bound(task.instance)
+    result = AlgorithmResult.from_schedule(task.algorithm, schedule)
+    rebuilds = 0
+    deadline = time.monotonic() + 60
+    for r in range(rounds):
+        (root / f"gate-{r}-{me}").touch()
+        while len(list(root.glob(f"gate-{r}-*"))) < procs:
+            if time.monotonic() > deadline:  # a sibling died: do not spin on
+                sys.exit(f"opener {me}: round {r} gate never filled")
+            time.sleep(0.002)
+        path = root / f"fresh-{r}.sqlite"
+        if me % 2:
+            TaskQueue(path).close()
+        with ResultStore(path) as store:
+            TaskQueue(store).close()
+            store.put(task, result)
+            rebuilds += store.stats_counters["rebuilds"]
+    print(json.dumps({"rebuilds": rebuilds}))
+""")
+
+
+class TestConcurrentOpen:
+    """Opening a store never deletes one: lock, busy and locking-protocol
+    errors are contention, not corruption."""
+
+    def test_held_write_lock_raises_and_keeps_every_row(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(result_store, "BUSY_TIMEOUT_S", 0.2)
+        path = tmp_path / "busy.sqlite"
+        task = _task()
+        with ResultStore(path) as store:
+            store.put(task, _result_for(task))
+        holder = sqlite3.connect(str(path))
+        holder.execute("BEGIN IMMEDIATE")
+        try:
+            with pytest.raises(sqlite3.OperationalError, match="locked"):
+                ResultStore(path)
+        finally:
+            holder.close()
+        with ResultStore(path) as reopened:
+            assert reopened.stats_counters["rebuilds"] == 0
+            assert len(reopened) == 1
+            assert reopened.get(task) is not None
+
+    def test_concurrent_fresh_openers_never_rebuild(self, tmp_path):
+        procs, rounds = 6, 8
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        openers = [subprocess.Popen(
+            [sys.executable, "-c", _OPENER, str(tmp_path), str(me),
+             str(procs), str(rounds)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for me in range(procs)]
+        for proc in openers:
+            stdout, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0, stderr
+            assert '"rebuilds": 0' in stdout, stdout
+        for r in range(rounds):
+            with ResultStore(tmp_path / f"fresh-{r}.sqlite") as store:
+                assert len(store) == procs  # nobody's row was dropped
+
+    def test_contention_is_told_from_corruption(self):
+        assert result_store.is_contention(
+            sqlite3.OperationalError("database is locked"))
+        assert result_store.is_contention(
+            sqlite3.OperationalError("locking protocol"))
+        assert not result_store.is_contention(
+            sqlite3.DatabaseError("file is not a database"))
+        assert not result_store.is_contention(
+            sqlite3.OperationalError("no such column: repro_version"))

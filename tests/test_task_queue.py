@@ -6,6 +6,10 @@ The contracts that matter for N workers sharing one store file:
 * a crashed worker's lease expires, the task requeues with the dead
   worker excluded, and a task that keeps killing workers stops retrying
   after ``max_attempts``;
+* publish is atomic: a drain loop's queue is bound to its store, and the
+  result INSERT, the row's turn to ``done`` and the change-counter advance
+  commit in one transaction, or roll back together;
+* an idle poll takes no write lock: reclaim and lease read first;
 * dedup is store-mediated: a key whose result is already published is
   completed without computing, so ``compute_count == 1`` for every key no
   matter how many workers drain the queue (verified across real
@@ -41,8 +45,10 @@ from repro.core.instance import Instance
 from repro.generators import uniform_instance
 from repro.runtime import (BatchRunner, BatchTask, register_algorithm,
                            unregister_algorithm)
+from repro.runtime.backends.queue import process_lease
 from repro.runtime.worker import drain
 from repro.store import QUEUE_SCHEMA_VERSION, ResultStore, TaskQueue
+from repro.store import result_store
 from repro.store.task_queue import _LEASE_EXPIRED_SQL, _LEASE_QUEUED_SQL
 from repro.testing import FakeClock
 
@@ -303,13 +309,150 @@ class TestLeaseExpiry:
             assert queue.lease("w3", now=now) is None
 
 
+def _hold_write_lock(path) -> sqlite3.Connection:
+    """A second connection holding the file's write lock until closed."""
+    holder = sqlite3.connect(str(path))
+    holder.execute("BEGIN IMMEDIATE")
+    return holder
+
+
+class TestAtomicPublish:
+    """``complete(..., publish=(task, result))`` on a bound queue: the
+    result and the ``done`` row commit together or not at all."""
+
+    def test_publish_is_one_write_transaction(self, tmp_path):
+        path = tmp_path / "publish.sqlite"
+        task = _task()
+        with ResultStore(path) as store, TaskQueue(store) as queue:
+            queue.enqueue([task])
+            leased = queue.lease("w1")
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            queue.complete(leased.key, "w1", computed=True,
+                           publish=(task, _result_for(task)))
+            store._conn.set_trace_callback(None)
+            begins = [sql for sql in statements if sql.startswith("BEGIN")]
+            assert begins == ["BEGIN IMMEDIATE"], statements
+        with ResultStore(path) as store, TaskQueue(path) as queue:
+            assert store.get(task) is not None
+            (row,) = queue.rows([task.cache_key()])
+            assert row.status == "done" and row.compute_count == 1
+
+    def test_failure_after_the_insert_rolls_back_both_tables(self, tmp_path):
+        path = tmp_path / "rollback.sqlite"
+        task = _task()
+        key = task.cache_key()
+        with ResultStore(path) as store, TaskQueue(store) as queue:
+            queue.enqueue([task])
+            queue.lease("w1")
+            seq = queue.last_seq()
+            put = store.put
+
+            def put_then_fail(*args, **kwargs):
+                put(*args, **kwargs)
+                raise RuntimeError("injected after the results INSERT")
+
+            store.put = put_then_fail
+            with pytest.raises(RuntimeError, match="injected"):
+                queue.complete(key, "w1", computed=True,
+                               publish=(task, _result_for(task)))
+            del store.put
+            assert not store._conn.in_transaction
+            assert len(store) == 0
+            (row,) = queue.rows([key])
+            assert row.status == "leased" and row.compute_count == 0
+            assert queue.last_seq() == seq
+            # The connection is clean: the retry publishes normally.
+            queue.complete(key, "w1", computed=True,
+                           publish=(task, _result_for(task)))
+            assert store.contains(key)
+            assert queue.rows([key])[0].status == "done"
+            assert queue.last_seq() == seq + 1
+
+    def test_unbound_queue_refuses_to_publish(self, tmp_path):
+        path = tmp_path / "unbound.sqlite"
+        task = _task()
+        with ResultStore(path) as store, TaskQueue(path) as queue:
+            queue.enqueue([task])
+            leased = queue.lease("w1")
+            t0 = time.monotonic()
+            with pytest.raises(ValueError, match="bound to its store"):
+                queue.complete(leased.key, "w1", computed=True,
+                               publish=(task, _result_for(task)))
+            assert time.monotonic() - t0 < 1.0
+            assert len(store) == 0
+            assert queue.rows([leased.key])[0].status == "leased"
+
+    def test_process_lease_decodes_no_payload_it_was_handed(self, tmp_path):
+        path = tmp_path / "own.sqlite"
+        task = _task()
+        with ResultStore(path) as store, TaskQueue(store) as queue:
+            queue.enqueue([task])
+            leased = queue.lease("w1")
+            outcome, result, _ = process_lease(store, queue, leased, "w1",
+                                               task=task)
+            assert outcome == "computed"
+            assert "task" not in vars(leased)  # never unpickled
+            assert store.get(task).makespan == result.makespan
+
+    def test_closing_a_bound_queue_leaves_the_store_open(self, tmp_path):
+        with ResultStore(tmp_path / "bound.sqlite") as store:
+            with TaskQueue(store) as queue:
+                assert queue.store is store
+            assert len(store) == 0
+
+
+class TestIdlePolls:
+    """Polls that find nothing to do read; they never wait on the write
+    lock another connection holds."""
+
+    @pytest.fixture(autouse=True)
+    def _short_busy_timeout(self, monkeypatch):
+        # Should a poll block after all, fail in seconds, not 30.
+        monkeypatch.setattr(result_store, "BUSY_TIMEOUT_S", 2.0)
+
+    def test_idle_reclaim_takes_no_write_lock(self, tmp_path):
+        path = tmp_path / "idle.sqlite"
+        with TaskQueue(path, lease_s=10.0) as queue:
+            queue.enqueue([_task()])
+            queue.lease("w1")  # a live lease: nothing has expired
+            holder = _hold_write_lock(path)
+            try:
+                t0 = time.monotonic()
+                assert queue.reclaim_expired() == 0
+                assert time.monotonic() - t0 < 1.0
+            finally:
+                holder.close()
+
+    def test_idle_lease_takes_no_write_lock(self, tmp_path):
+        path = tmp_path / "idle.sqlite"
+        with TaskQueue(path, lease_s=10.0) as queue:
+            queue.enqueue([_task()])
+            queue.lease("w1")
+            assert queue.lease("w2") is None  # nothing claimable
+            holder = _hold_write_lock(path)
+            try:
+                t0 = time.monotonic()
+                assert queue.lease("w2") is None
+                assert time.monotonic() - t0 < 1.0
+            finally:
+                holder.close()
+
+    def test_idle_lease_still_sees_new_work(self, tmp_path):
+        path = tmp_path / "wake.sqlite"
+        with TaskQueue(path) as queue, TaskQueue(path) as producer:
+            assert queue.lease("w1") is None
+            producer.enqueue([_task()])
+            assert queue.lease("w1") is not None
+
+
 class TestWorkerDrain:
     """The importable worker loop (``repro.runtime.worker.drain``)."""
 
     def test_drain_computes_and_publishes(self, tmp_path):
         path = tmp_path / "drain.sqlite"
         tasks = [_task(seed=s) for s in range(3)]
-        with ResultStore(path) as store, TaskQueue(path) as queue:
+        with ResultStore(path) as store, TaskQueue(store) as queue:
             queue.enqueue(tasks)
             stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
             assert stats == {"computed": 3, "deduped": 0, "failed": 0,
@@ -321,7 +464,7 @@ class TestWorkerDrain:
     def test_drain_dedups_against_the_store(self, tmp_path):
         path = tmp_path / "dedup.sqlite"
         tasks = [_task(seed=s) for s in range(2)]
-        with ResultStore(path) as store, TaskQueue(path) as queue:
+        with ResultStore(path) as store, TaskQueue(store) as queue:
             store.put(tasks[0], _result_for(tasks[0]))  # already published
             queue.enqueue(tasks)
             stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
@@ -340,7 +483,7 @@ class TestWorkerDrain:
         try:
             path = tmp_path / "fail.sqlite"
             task = _task(algorithm=name)
-            with ResultStore(path) as store, TaskQueue(path) as queue:
+            with ResultStore(path) as store, TaskQueue(store) as queue:
                 queue.enqueue([task])
                 stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
                 assert stats["failed"] == 1
@@ -369,7 +512,7 @@ class TestWorkerDrain:
             path = tmp_path / "budget.sqlite"
             over = _task(algorithm=name, seed=0)
             within = _task(algorithm=name, seed=1)
-            with ResultStore(path) as store, TaskQueue(path) as queue:
+            with ResultStore(path) as store, TaskQueue(store) as queue:
                 queue.enqueue([over, within], budgets=[0.01, 30.0])
                 stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
                 assert stats["overtime"] == 1 and stats["computed"] == 2
@@ -478,6 +621,42 @@ class TestCrossProcess:
         with ResultStore(path) as store:
             done = [t for t in tasks if store.get(t) is not None]
             assert len(done) == 2
+
+
+    def test_chaos_crash_inside_publish_leaves_neither_write(self, tmp_path):
+        """``--crash-in-publish`` dies after the ``results`` INSERT and
+        before COMMIT.  The rollback must take both writes: no stored
+        result, the row still ``leased``.  After the lease expires, the
+        next drain computes the key exactly once, and its result matches
+        a serial run."""
+        path = tmp_path / "publish-crash.sqlite"
+        task = _task()
+        key = task.cache_key()
+        with TaskQueue(path, lease_s=30.0) as queue:
+            queue.enqueue([task])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.testing.chaos",
+             "--store", str(path), "--worker-id", "crashy-worker",
+             "--crash-after", "0", "--crash-in-publish", "--lease-s", "30",
+             "--idle-exit", "0", "--poll-s", "0.01"],
+            capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 9, proc.stderr  # died inside the publish
+        with ResultStore(path) as store, \
+                TaskQueue(store, lease_s=30.0) as queue:
+            assert not store.contains(key)
+            (row,) = queue.rows([key])
+            assert row.status == "leased" and row.owner == "crashy-worker"
+            assert row.compute_count == 0
+            assert queue.reclaim_expired(now=time.time() + 31.0) == 1
+            stats = drain(store, queue, "healthy-worker", idle_exit=0.0,
+                          poll_s=0.01)
+            assert stats["computed"] == 1 and stats["deduped"] == 0
+            assert queue.compute_counts([key]) == {key: 1}
+            assert len(store) == 1
+            published = store.get(key)
+        serial = BatchRunner(max_workers=1, backend="serial", cache=False)
+        (expected,) = serial.run_tasks([task]).results
+        assert published.makespan == expected.makespan
 
 
 def _results_rows(path) -> list:
