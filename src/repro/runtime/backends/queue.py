@@ -53,8 +53,24 @@ __all__ = ["QueueBackend", "process_lease"]
 _WORKER_STATS_KEYS = ("computed", "deduped", "failed", "overtime")
 
 
-def process_lease(store: "ResultStore", queue: TaskQueue, leased: LeasedTask,
-                  worker_id: str, *, task: Optional["BatchTask"] = None
+def _bound_store(queue: TaskQueue,
+                store: Optional["ResultStore"] = None) -> "ResultStore":
+    """The store ``queue`` is bound to; ``ValueError`` when it is unbound
+    or, given ``store``, bound to another one.
+
+    Drain loops call this before they lease: an unbound queue cannot
+    publish, and finding that out after computing would leave the row
+    leased until its lease expires.
+    """
+    if queue.store is None or (store is not None and queue.store is not store):
+        raise ValueError(
+            "a drain loop needs its queue bound to its store: "
+            "open it as TaskQueue(store), not TaskQueue(path)")
+    return queue.store
+
+
+def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
+                  task: Optional["BatchTask"] = None
                   ) -> Tuple[str, object, float]:
     """Run one leased task and settle its queue row.
 
@@ -62,11 +78,13 @@ def process_lease(store: "ResultStore", queue: TaskQueue, leased: LeasedTask,
     check, compute, publish, fail on captured error — shared by the
     inline drain below, the ``repro.runtime.worker`` CLI and the chaos
     worker, so exactly-once accounting can never diverge between them.
-    ``queue`` must be bound to ``store`` (``TaskQueue(store)``): the
-    result and the row's turn to ``done`` commit in one transaction
+    ``queue`` must be bound to its store (``TaskQueue(store)``), which
+    serves the dedup check and takes the publish: the result and the
+    row's turn to ``done`` commit in one transaction
     (:meth:`TaskQueue.complete` with ``publish``), so a crash leaves
-    either both or neither.  ``task`` is the caller's own copy of the
-    leased task, which spares decoding the leased payload.
+    either both or neither.  An unbound queue raises ``ValueError``
+    before anything is computed.  ``task`` is the caller's own copy of
+    the leased task, which spares decoding the leased payload.
 
     Returns ``("deduped", None, 0.0)`` when the store already held the
     result, ``("computed", result, elapsed)`` on success (the result is
@@ -82,6 +100,7 @@ def process_lease(store: "ResultStore", queue: TaskQueue, leased: LeasedTask,
     would permanently break the key for every submitter sharing the
     queue.
     """
+    store = _bound_store(queue)
     if store.contains(leased.key):
         # Store-mediated dedup: someone already published this key
         # (another worker, or a previous run) — never compute twice.
@@ -403,7 +422,7 @@ class QueueBackend(ExecutionBackend):
         runner = self.runner
         indices = unresolved.get(leased.key)
         task = tasks[indices[0]] if indices is not None else None
-        outcome, payload, elapsed = process_lease(runner.store, queue, leased,
+        outcome, payload, elapsed = process_lease(queue, leased,
                                                   self.worker_id, task=task)
         if task is None or outcome == "deduped":
             return  # a dedup hit of ours is served by the next store poll

@@ -43,7 +43,8 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.runtime.backends.queue import _WORKER_STATS_KEYS, process_lease
+from repro.runtime.backends.queue import (_WORKER_STATS_KEYS, _bound_store,
+                                          process_lease)
 from repro.store import ResultStore, TaskQueue
 
 __all__ = ["main", "drain"]
@@ -75,7 +76,8 @@ def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
     """The worker loop (importable for in-process tests).
 
     ``queue`` must be bound to ``store`` (``TaskQueue(store)``), so that
-    each result publishes in one transaction with its ``done`` row.
+    each result publishes in one transaction with its ``done`` row;
+    otherwise ``ValueError`` is raised before the first lease.
     Returns drain statistics: ``computed`` (tasks actually run),
     ``deduped`` (leases completed from an already-stored result),
     ``failed`` (captured algorithm errors), ``overtime`` (tasks that blew
@@ -84,6 +86,7 @@ def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
     and discarding a valid result would permanently fail the key for
     every submitter sharing the queue).
     """
+    _bound_store(queue, store)
     stats = dict.fromkeys(_WORKER_STATS_KEYS, 0)
     idle_since = time.monotonic()
     while True:
@@ -95,8 +98,7 @@ def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
                 return stats
             time.sleep(poll_s)
             continue
-        outcome, payload, _elapsed = process_lease(store, queue, leased,
-                                                   worker_id)
+        outcome, payload, _elapsed = process_lease(queue, leased, worker_id)
         stats[outcome] += 1
         # process_lease is the single budget judge; its meta verdict is
         # the one the submitter will see, so it is the one counted here.

@@ -59,12 +59,9 @@ SCHEMA_VERSION = 2
 #: SELECTs are chunked below this.
 _MAX_SQL_PARAMS = 500
 
-#: How long a statement waits for another connection's write lock.
+#: How long a statement waits for another connection's write lock, and
+#: how long :func:`open_retrying` keeps retrying a contended open.
 BUSY_TIMEOUT_S = 30.0
-
-#: Opens retried after ``SQLITE_PROTOCOL`` (two connections racing to set
-#: up a fresh file's WAL index) before the error reaches the caller.
-_OPEN_ATTEMPTS = 5
 
 #: SQLite primary result codes that mean another connection is in the
 #: way — never that the file is damaged.
@@ -74,35 +71,20 @@ _T = TypeVar("_T")
 
 
 def connect(path: Union[str, Path]) -> sqlite3.Connection:
-    """A WAL-mode connection to the store file (the store's and the queue's)."""
+    """A WAL-mode connection to the store file (the store's and the queue's).
+
+    Open through :func:`open_retrying`: switching a fresh file to WAL
+    fails at once — SQLite's busy handler could deadlock there — while
+    another connection is opening the same file.
+    """
     conn = sqlite3.connect(str(path), timeout=BUSY_TIMEOUT_S)
     try:
-        _enter_wal(conn)
+        conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
     except BaseException:
         conn.close()
         raise
     return conn
-
-
-def _enter_wal(conn: sqlite3.Connection) -> None:
-    """``PRAGMA journal_mode=WAL``, waiting out other openers of the file.
-
-    Switching a fresh file to WAL takes an exclusive lock, and SQLite
-    fails that at once — its busy handler could deadlock there — while
-    another connection is opening the same file.  Wait as the busy
-    handler would have, up to :data:`BUSY_TIMEOUT_S`.
-    """
-    deadline = time.monotonic() + BUSY_TIMEOUT_S
-    while True:
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            return
-        except sqlite3.OperationalError as exc:
-            if (_error_code(exc) not in (_SQLITE_BUSY, _SQLITE_LOCKED)
-                    or time.monotonic() >= deadline):
-                raise
-        time.sleep(0.005)
 
 
 def _error_code(exc: sqlite3.Error) -> Optional[int]:
@@ -125,22 +107,25 @@ def is_contention(exc: sqlite3.Error) -> bool:
 
 
 def open_retrying(open_fn: Callable[[], _T]) -> _T:
-    """Call ``open_fn``, retrying it after a transient ``SQLITE_PROTOCOL``.
+    """Call ``open_fn``, retrying it after contention for up to
+    :data:`BUSY_TIMEOUT_S`.
 
-    Connections opening one fresh file at the same moment can race on its
-    WAL index; SQLite then fails a statement with "locking protocol".  The
-    file is fine and a second try succeeds.  ``open_fn`` must close its
-    connection before it raises.
+    Connections opening one fresh file at the same moment race on its
+    journal mode and WAL index: SQLite then fails a statement with
+    "database is locked" or "locking protocol" at once, without waiting.
+    The file is fine and a later try succeeds.  Once the deadline has
+    passed — a statement that waited out the busy timeout on a held
+    write lock has used it up — the error reaches the caller.
+    ``open_fn`` must close its connection before it raises.
     """
-    attempt = 1
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
     while True:
         try:
             return open_fn()
         except sqlite3.OperationalError as exc:
-            if _error_code(exc) != _SQLITE_PROTOCOL or attempt >= _OPEN_ATTEMPTS:
+            if not is_contention(exc) or time.monotonic() >= deadline:
                 raise
-        time.sleep(0.01 * attempt)
-        attempt += 1
+        time.sleep(0.005)
 
 
 _SCHEMA = """
@@ -232,7 +217,7 @@ class ResultStore:
         bytes, missing tables or columns) or a schema-version mismatch
         makes the file disposable, never an error for the caller.  A
         busy file is not disposable: lock and locking-protocol errors
-        propagate (after :func:`open_retrying`'s retries) and the file is
+        propagate (:func:`open_retrying` retries them) and the file is
         left alone — unlinking it would drop every row of a store that
         another process is merely writing to.
         """

@@ -267,7 +267,6 @@ class TaskQueue:
         self._clock: Callable[[], float] = clock if clock is not None else time.time
         #: The store this queue is bound to (``None``: opened by path).
         self.store: Optional[ResultStore] = None
-        self._idle = False  # the last lease found nothing (see lease())
         if isinstance(path, ResultStore):
             self.store, self.path, self._conn = path, path.path, path._conn
             open_retrying(self._ensure_schema)
@@ -511,21 +510,19 @@ class TaskQueue:
         ``queued`` head, the oldest expired lease), of which the older
         wins, so a lease costs the same on a ten-row and a ten-thousand-row
         table.  ``BEGIN IMMEDIATE`` takes the write lock up front so two
-        workers can never claim the same row.  After a lease that found
-        nothing, the probes first run as a plain read, and the lock is
-        taken only once they find a row: an idle drain loop polls
-        without write-lock traffic, and a busy one pays no extra read.
+        workers can never claim the same row.  The probes first run as a
+        plain read, and the lock is taken only once they find a row, so an
+        idle drain loop polls without write-lock traffic.
         """
         now = self._clock() if now is None else now
         params = {"now": now, "worker": worker_id,
                   "grace_before": now - self.lease_s,
                   "max_attempts": self.max_attempts}
-        if self._idle and self._lease_candidate(params) is None:
+        if self._lease_candidate(params) is None:
             return None
         with self._write():
             chosen = self._lease_candidate(params)
-            self._idle = chosen is None
-            if chosen is None:
+            if chosen is None:  # another worker took it since the read
                 return None
             key, payload, attempts, budget_s, _, _ = chosen
             self._conn.execute(

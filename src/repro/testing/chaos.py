@@ -61,7 +61,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional
 
-from repro.runtime.backends.queue import _WORKER_STATS_KEYS, process_lease
+from repro.runtime.backends.queue import (_WORKER_STATS_KEYS, _bound_store,
+                                          process_lease)
 from repro.store import ResultStore, TaskQueue
 
 __all__ = ["ChaosPlan", "chaos_drain", "main"]
@@ -163,6 +164,7 @@ def chaos_drain(store: ResultStore, queue: TaskQueue, worker_id: str,
     unit-tested against a :class:`~repro.testing.clock.FakeClock` without
     real subprocesses or wall-clock waits.
     """
+    _bound_store(queue, store)
     stats = dict.fromkeys(_WORKER_STATS_KEYS, 0)
     processed = 0
     refusals_left = max(0, plan.refuse_leases)
@@ -195,8 +197,7 @@ def chaos_drain(store: ResultStore, queue: TaskQueue, worker_id: str,
             sleep(plan.stall_s)
         if plan.slow_s > 0:
             sleep(plan.slow_s)
-        outcome, payload, _elapsed = process_lease(store, queue, leased,
-                                                   worker_id)
+        outcome, payload, _elapsed = process_lease(queue, leased, worker_id)
         stats[outcome] += 1
         if outcome == "computed" and payload.meta.get("over_budget"):
             stats["overtime"] += 1

@@ -383,14 +383,32 @@ class TestAtomicPublish:
             assert len(store) == 0
             assert queue.rows([leased.key])[0].status == "leased"
 
+    def test_drain_loops_refuse_an_unbound_queue_before_leasing(self,
+                                                                tmp_path):
+        path = tmp_path / "unbound.sqlite"
+        task = _task()
+        with ResultStore(path) as store, TaskQueue(path) as queue, \
+                ResultStore(tmp_path / "other.sqlite") as other:
+            queue.enqueue([task])
+            with pytest.raises(ValueError, match="bound to its store"):
+                drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
+            with TaskQueue(other) as elsewhere:
+                with pytest.raises(ValueError, match="bound to its store"):
+                    drain(store, elsewhere, "w1", idle_exit=0.0, poll_s=0.01)
+            assert queue.rows([task.cache_key()])[0].status == "queued"
+            leased = queue.lease("w1")
+            with pytest.raises(ValueError, match="bound to its store"):
+                process_lease(queue, leased, "w1", task=task)
+            assert len(store) == 0
+            assert queue.rows([leased.key])[0].compute_count == 0
+
     def test_process_lease_decodes_no_payload_it_was_handed(self, tmp_path):
         path = tmp_path / "own.sqlite"
         task = _task()
         with ResultStore(path) as store, TaskQueue(store) as queue:
             queue.enqueue([task])
             leased = queue.lease("w1")
-            outcome, result, _ = process_lease(store, queue, leased, "w1",
-                                               task=task)
+            outcome, result, _ = process_lease(queue, leased, "w1", task=task)
             assert outcome == "computed"
             assert "task" not in vars(leased)  # never unpickled
             assert store.get(task).makespan == result.makespan
@@ -428,8 +446,7 @@ class TestIdlePolls:
         path = tmp_path / "idle.sqlite"
         with TaskQueue(path, lease_s=10.0) as queue:
             queue.enqueue([_task()])
-            queue.lease("w1")
-            assert queue.lease("w2") is None  # nothing claimable
+            queue.lease("w1")  # nothing else is claimable
             holder = _hold_write_lock(path)
             try:
                 t0 = time.monotonic()
