@@ -1,3 +1,3 @@
 """Single source of truth for the package version."""
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"

@@ -2,7 +2,9 @@
 
 * :mod:`repro.algorithms.restricted.lp_relaxed_ra` — the class-level linear
   program LP-RelaxedRA (constraints (11)–(14), or (16) for the
-  processing-time-uniform variant).
+  processing-time-uniform variant), and :class:`RelaxedRAFlow`, which
+  decides (11)–(14) under class-uniform restrictions as a transportation
+  max flow.
 * :mod:`repro.algorithms.restricted.pseudoforest` — the support-graph
   rounding of Correa et al. [5] restated in the paper: cycle breaking,
   rooted-tree orientation, and the ``i_k⁺ / i_k⁻`` machine selection with
@@ -15,7 +17,11 @@
   share one processing time per machine).
 """
 
-from repro.algorithms.restricted.lp_relaxed_ra import RelaxedRAResult, solve_lp_relaxed_ra
+from repro.algorithms.restricted.lp_relaxed_ra import (
+    RelaxedRAFlow,
+    RelaxedRAResult,
+    solve_lp_relaxed_ra,
+)
 from repro.algorithms.restricted.pseudoforest import (
     SupportRounding,
     round_support_graph,
@@ -32,6 +38,7 @@ from repro.algorithms.restricted.class_uniform_ptimes import (
 )
 
 __all__ = [
+    "RelaxedRAFlow",
     "RelaxedRAResult",
     "solve_lp_relaxed_ra",
     "SupportRounding",

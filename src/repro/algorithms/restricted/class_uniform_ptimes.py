@@ -22,11 +22,12 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.algorithms.base import AlgorithmResult
-from repro.algorithms.restricted.class_uniform_restrictions import greedy_fill_classes
-from repro.algorithms.restricted.lp_relaxed_ra import RelaxedRAResult, solve_lp_relaxed_ra
+from repro.algorithms.restricted.class_uniform_restrictions import (
+    _quick_reject,
+    greedy_fill_classes,
+)
+from repro.algorithms.restricted.lp_relaxed_ra import solve_lp_relaxed_ra
 from repro.algorithms.restricted.pseudoforest import round_support_graph
 from repro.core.bounds import makespan_bounds
 from repro.core.dual import dual_approximation_search
@@ -51,26 +52,15 @@ def _check_applicable(instance: Instance) -> None:
             "processing time per machine (Instance.has_class_uniform_processing_times())")
 
 
-def _quick_reject(instance: Instance, guess: float) -> bool:
-    """Necessary feasibility condition: each job fits, with its setup, on some machine."""
-    inst = instance
-    cost = inst.processing + inst.setups[:, inst.job_classes]
-    best = np.min(np.where(np.isfinite(cost), cost, np.inf), axis=0)
-    return bool(np.any(best > guess * (1.0 + 1e-9)))
-
-
 def class_uniform_ptimes_decision(
     instance: Instance,
     guess: float,
-    *,
-    relaxation: Optional[RelaxedRAResult] = None,
 ) -> Optional[Schedule]:
     """Decision procedure for guess ``T``: a schedule of makespan ≤ 3T, or ``None``."""
     inst = instance
     if _quick_reject(inst, guess):
         return None
-    relax = relaxation if relaxation is not None else solve_lp_relaxed_ra(
-        inst, guess, variant="ptimes")
+    relax = solve_lp_relaxed_ra(inst, guess, variant="ptimes")
     if not relax.feasible:
         return None
     rounding = round_support_graph(relax.x)

@@ -5,8 +5,11 @@ the following dual-approximation decision procedure produces, for any guess
 ``T`` that admits a schedule of makespan ``T``, a schedule of makespan at
 most ``2T``:
 
-1. solve LP-RelaxedRA (extreme point) for guess ``T``; reject if infeasible
-   (Lemma 3.7 shows feasibility of the guess implies LP feasibility);
+1. solve LP-RelaxedRA for guess ``T``; reject if infeasible (Lemma 3.7
+   shows feasibility of the guess implies LP feasibility).  Under
+   class-uniform restrictions the LP is a transportation problem, decided
+   by a max flow (:class:`RelaxedRAFlow`) whose solution has forest
+   support — a forest is a pseudo-forest, so steps 2–4 apply unchanged;
 2. round the support graph (Lemma 3.8) to obtain, per fractional class
    ``k``, the kept machines (``i_k⁺`` candidates) and the at-most-one
    dropped machine ``i_k⁻``;
@@ -26,7 +29,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.algorithms.base import AlgorithmResult
-from repro.algorithms.restricted.lp_relaxed_ra import RelaxedRAResult, solve_lp_relaxed_ra
+from repro.algorithms.restricted.lp_relaxed_ra import RelaxedRAFlow
+# Unused here, but perfbench/tracing.py patches this module-level name.
+from repro.algorithms.restricted.lp_relaxed_ra import solve_lp_relaxed_ra  # noqa: F401
 from repro.algorithms.restricted.pseudoforest import SupportRounding, round_support_graph
 from repro.core.bounds import makespan_bounds
 from repro.core.dual import dual_approximation_search
@@ -44,11 +49,17 @@ __all__ = [
 GUARANTEE: float = 2.0
 
 
-def _check_applicable(instance: Instance) -> None:
+def _check_applicable(instance: Instance) -> RelaxedRAFlow:
+    """The instance's LP-RelaxedRA flow oracle, or ``ValueError`` naming why Thm 3.10 fails.
+
+    Besides one eligible-machine set per class, the flow needs each class's
+    workload and setup to be the same on all its eligible machines.
+    """
     if not instance.has_class_uniform_restrictions():
         raise ValueError(
             "class_uniform_restrictions algorithms require all jobs of a class to share "
             "one eligible-machine set (Instance.has_class_uniform_restrictions())")
+    return RelaxedRAFlow(instance)
 
 
 def _quick_reject(instance: Instance, guess: float) -> bool:
@@ -102,14 +113,17 @@ def class_uniform_restrictions_decision(
     instance: Instance,
     guess: float,
     *,
-    relaxation: Optional[RelaxedRAResult] = None,
+    flow: Optional[RelaxedRAFlow] = None,
 ) -> Optional[Schedule]:
-    """Decision procedure for guess ``T``: a schedule of makespan ≤ 2T, or ``None``."""
+    """Decision procedure for guess ``T``: a schedule of makespan ≤ 2T, or ``None``.
+
+    ``flow`` is the instance's :class:`RelaxedRAFlow`; pass it to reuse its
+    per-instance set-up across guesses.
+    """
     inst = instance
     if _quick_reject(inst, guess):
         return None
-    relax = relaxation if relaxation is not None else solve_lp_relaxed_ra(
-        inst, guess, variant="restrictions")
+    relax = (flow if flow is not None else RelaxedRAFlow(inst)).solve(guess)
     if not relax.feasible:
         return None
     rounding = round_support_graph(relax.x)
@@ -162,11 +176,11 @@ def class_uniform_restrictions_approximation(
 ) -> AlgorithmResult:
     """The full 2(1+precision)-approximation via dual-approximation search."""
     start = time.perf_counter()
-    _check_applicable(instance)
+    flow = _check_applicable(instance)
     bounds = makespan_bounds(instance)
 
     def decision(guess: float) -> Optional[Schedule]:
-        return class_uniform_restrictions_decision(instance, guess)
+        return class_uniform_restrictions_decision(instance, guess, flow=flow)
 
     result = dual_approximation_search(instance, decision, precision=precision, bounds=bounds)
     runtime = time.perf_counter() - start

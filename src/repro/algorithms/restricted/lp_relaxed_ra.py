@@ -26,11 +26,26 @@ For the class-uniform processing-times case (Section 3.3.2), constraint
 An *extreme point* (vertex) solution is requested from the simplex backend
 because the subsequent rounding relies on the support graph being a
 pseudo-forest.
+
+Under class-uniform restrictions (Section 3.3.1) every eligible machine of
+class ``k`` sees the same ``p̄_k`` and ``s_k``, so the coefficient of
+``x̄_ik`` in (11) is a per-class constant ``w_k(T) = p̄_k + α_k(T)·s_k``
+and, with ``f_ik = w_k·x̄_ik``, (11)–(14) is a transportation problem:
+class ``k`` ships ``w_k(T)`` to the machines of ``M_k`` (if ``s_k ≤ T``),
+each machine takes at most ``T``.  :class:`RelaxedRAFlow` decides it with a
+max flow and returns a solution whose support is a forest, so the
+Theorem 3.10 algorithm needs no LP solver.  :func:`solve_lp_relaxed_ra`
+with ``variant="restrictions"`` stays as the reference the tests compare
+the flow against; the ``"ptimes"`` variant's constraint (16) has
+machine-dependent coefficients (a generalised flow), so Theorem 3.11 keeps
+the LP.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 from scipy import sparse
@@ -39,7 +54,7 @@ from repro.core.instance import Instance
 from repro.lp.model import Model
 from repro.lp.solution import SolutionStatus
 
-__all__ = ["RelaxedRAResult", "solve_lp_relaxed_ra", "class_workload_matrix"]
+__all__ = ["RelaxedRAResult", "RelaxedRAFlow", "solve_lp_relaxed_ra", "class_workload_matrix"]
 
 
 @dataclass
@@ -176,3 +191,221 @@ def solve_lp_relaxed_ra(
     x = np.zeros((inst.num_machines, inst.num_classes))
     x[mask] = np.where(sol.values > 0.0, sol.values, 0.0)[col[mask]]
     return RelaxedRAResult(True, float(guess), x, workload, per_job)
+
+
+#: The flow oracle's tolerances are relative (to the guess ``T`` or to the
+#: total supply), so scaling every time by ``2^j`` scales every intermediate
+#: value exactly and leaves the solution unchanged.  ``_REL_TOL`` bounds
+#: constraint slack (as the LP's feasibility tolerance does), ``_FLOW_TOL``
+#: the residual capacity still worth augmenting.
+_REL_TOL = 1e-9
+_FLOW_TOL = 1e-12
+
+
+class RelaxedRAFlow:
+    """LP-RelaxedRA (11)–(14) under class-uniform restrictions, as a max flow.
+
+    Build it once per instance (the per-class ``p̄_k``, ``s_k`` and ``M_k``
+    are computed here), then call :meth:`solve` per guess.  The verdict is
+    LP-RelaxedRA's: the guess is feasible iff every class's supply
+    ``w_k(T)`` ships.
+
+    Raises
+    ------
+    ValueError
+        If a class's workload or setup differs across its eligible machines
+        (uniform machines with distinct speeds, say): then (11) is not a
+        transportation problem.
+    """
+
+    def __init__(self, instance: Instance) -> None:
+        self.workload = class_workload_matrix(instance)
+        self.per_job = _per_job_time_matrix(instance)
+        setups = instance.setups
+        eligible = np.isfinite(setups) & np.isfinite(self.workload)
+        self.classes: List[int] = [int(k) for k in instance.classes_present()]
+        self.p: List[float] = []
+        self.s: List[float] = []
+        self.machines: List[List[int]] = []
+        for k in self.classes:
+            rows = np.flatnonzero(eligible[:, k])
+            p, s = self.workload[rows, k], setups[rows, k]
+            if rows.size and (np.any(p != p[0]) or np.any(s != s[0])):
+                raise ValueError(
+                    f"class {k}: workload or setup differs across its eligible machines, "
+                    "so LP-RelaxedRA is not a transportation problem")
+            self.p.append(float(p[0]) if rows.size else 0.0)
+            self.s.append(float(s[0]) if rows.size else 0.0)
+            self.machines.append([int(i) for i in rows])
+        self.num_machines = instance.num_machines
+        #: For each machine, the positions (in ``classes``) of the classes it serves.
+        self.served: List[List[int]] = [[] for _ in range(self.num_machines)]
+        for c, rows in enumerate(self.machines):
+            for i in rows:
+                self.served[i].append(c)
+
+    def _infeasible(self, guess: float) -> RelaxedRAResult:
+        return RelaxedRAResult(False, guess, np.zeros_like(self.workload),
+                               self.workload, self.per_job)
+
+    def _supplies(self, guess: float) -> List[float]:
+        """``w_k(T)`` per class, or an empty list if some class has no edge."""
+        supply = []
+        for p, s, rows in zip(self.p, self.s, self.machines):
+            if not rows or s > guess * (1.0 + _REL_TOL):  # constraint (14)
+                return []
+            if s == 0.0:
+                supply.append(p)
+            elif guess > s:
+                supply.append(p + max(1.0, p / (guess - s)) * s)
+            else:  # s == T within tolerance: no room for α, as in the LP
+                supply.append(p + s)
+        return supply
+
+    def solve(self, guess: float) -> RelaxedRAResult:
+        """Decide LP-RelaxedRA for ``guess``; the feasible solution has forest support."""
+        guess = float(guess)
+        supply = self._supplies(guess)
+        total = sum(supply)
+        if not supply or total > self.num_machines * guess * (1.0 + _REL_TOL):
+            return self._infeasible(guess)
+        flow = self._max_flow(supply, guess)
+        shipped = sum(sum(f.values()) for f in flow)
+        if total - shipped > _REL_TOL * total:
+            return self._infeasible(guess)
+        self._cancel_cycles(flow)
+        # Dividing by what each class shipped keeps (12) exact; (11) then
+        # exceeds T by at most the unshipped total, under _REL_TOL·total.
+        x = np.zeros_like(self.workload)
+        for c, f in enumerate(flow):
+            sent = sum(f.values())
+            for i, amount in f.items():
+                x[i, self.classes[c]] = amount / sent if sent > 0 else 1.0
+        return RelaxedRAResult(True, guess, x, self.workload, self.per_job)
+
+    def _max_flow(self, supply: List[float], guess: float) -> List[Dict[int, float]]:
+        """``flow[c][i]``: whole classes first, then BFS augmenting paths."""
+        eps = _FLOW_TOL * guess
+        room = [guess] * self.num_machines
+        flow: List[Dict[int, float]] = [{} for _ in supply]
+        rest = [0.0] * len(supply)
+        # Place each class whole on its roomiest machine, largest first.
+        for c in sorted(range(len(supply)), key=lambda c: -supply[c]):
+            i = max(self.machines[c], key=room.__getitem__)
+            if supply[c] <= room[i]:
+                room[i] -= supply[c]
+                flow[c][i] = supply[c]
+            else:
+                rest[c] = supply[c]
+        # Ship the rest along shortest augmenting paths in the residual graph.
+        while True:
+            from_machine = {}  # machine -> class it was reached from (forward edge)
+            from_class = {c: None for c in range(len(rest)) if rest[c] > eps}
+            queue = deque(from_class)
+            end = None
+            while queue and end is None:
+                c = queue.popleft()
+                for i in self.machines[c]:
+                    if i in from_machine:
+                        continue
+                    from_machine[i] = c
+                    if room[i] > eps:
+                        end = i
+                        break
+                    for back in self.served[i]:  # reverse edges out of a full machine
+                        if back not in from_class and flow[back].get(i, 0.0) > eps:
+                            from_class[back] = i
+                            queue.append(back)
+            if end is None:
+                return flow
+            path = []
+            delta, i = room[end], end
+            while True:
+                c = from_machine[i]
+                path.append((c, i))
+                i = from_class[c]
+                if i is None:
+                    delta = min(delta, rest[c])
+                    break
+                delta = min(delta, flow[c][i])
+            room[end] -= delta
+            rest[c] -= delta
+            for c, i in path:
+                flow[c][i] = flow[c].get(i, 0.0) + delta
+                back = from_class[c]
+                if back is not None:
+                    flow[c][back] -= delta
+                    if flow[c][back] <= eps:
+                        del flow[c][back]
+
+    def _cancel_cycles(self, flow: List[Dict[int, float]]) -> None:
+        """Push flow around support cycles until the support is a forest.
+
+        Each push keeps every class's shipment and machine's load and empties
+        at least one edge; of the two directions, the one moving less flow
+        is taken.
+        """
+        while True:
+            cycle = self._support_cycle(flow)
+            if cycle is None:
+                return
+            # cycle = [(class, machine), ...]: consecutive edges share a node,
+            # alternate ones gain and lose.
+            even, odd = cycle[0::2], cycle[1::2]
+            gain, lose = (even, odd) if (min(flow[c][i] for c, i in odd)
+                                         <= min(flow[c][i] for c, i in even)) else (odd, even)
+            delta = min(flow[c][i] for c, i in lose)
+            for c, i in gain:
+                flow[c][i] += delta
+            for c, i in lose:
+                flow[c][i] -= delta
+                if flow[c][i] <= 0.0:
+                    del flow[c][i]
+
+    def _support_cycle(self, flow: List[Dict[int, float]]):
+        """A cycle of the bipartite support as its edge list, or ``None``."""
+        # Nodes: classes 0..C-1, machine i is C + i.
+        num_classes = len(flow)
+        adjacency: List[List[int]] = [[] for _ in range(num_classes + self.num_machines)]
+        for c, f in enumerate(flow):
+            for i in f:
+                adjacency[c].append(num_classes + i)
+                adjacency[num_classes + i].append(c)
+        parent = [-2] * len(adjacency)
+        for root in range(num_classes):
+            if parent[root] != -2:
+                continue
+            parent[root] = -1
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for v in adjacency[u]:
+                    if v == parent[u]:
+                        continue
+                    if parent[v] == -2:
+                        parent[v] = u
+                        stack.append(v)
+                        continue
+                    # Non-tree edge u-v closes a cycle through their common ancestor.
+                    return _edges_of_cycle(u, v, parent, num_classes)
+        return None
+
+
+def _edges_of_cycle(u: int, v: int, parent: List[int], num_classes: int):
+    """The cycle made by tree paths to ``u`` and ``v`` plus the edge ``u-v``."""
+    def ancestors(node):
+        chain = [node]
+        while parent[chain[-1]] >= 0:
+            chain.append(parent[chain[-1]])
+        return chain
+
+    up, vp = ancestors(u), ancestors(v)
+    common = set(up) & set(vp)
+    up = up[:next(idx for idx, n in enumerate(up) if n in common) + 1]
+    vp = vp[:next(idx for idx, n in enumerate(vp) if n in common)]
+    nodes = up[::-1] + vp  # ancestor ... u, then v ... (child of ancestor)
+    edges = []
+    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+        c, m = (a, b) if a < num_classes else (b, a)
+        edges.append((c, m - num_classes))
+    return edges

@@ -1,8 +1,9 @@
 """Tests for the Section 3.3 constant-factor algorithms (Theorems 3.10, 3.11)."""
 
+import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import milp_optimal
@@ -11,17 +12,46 @@ from repro.algorithms.restricted import (
     class_uniform_ptimes_decision,
     class_uniform_restrictions_approximation,
     class_uniform_restrictions_decision,
+    RelaxedRAFlow,
     round_support_graph,
     solve_lp_relaxed_ra,
     support_graph,
     verify_pseudoforest,
 )
 from repro.algorithms.restricted.lp_relaxed_ra import class_workload_matrix
+from repro.core.bounds import makespan_bounds
+from repro.core.instance import Instance
 from repro.generators import (
     class_uniform_ptimes_instance,
     class_uniform_restrictions_instance,
+    identical_instance,
     uniform_instance,
 )
+
+
+def _cu_instance(seed: int) -> Instance:
+    """A class-uniform restrictions instance, small or medium by seed parity."""
+    n, m, k, most = ((16, 4, 5, 3), (30, 6, 8, 4))[seed % 2]
+    return class_uniform_restrictions_instance(n, m, k, seed=seed,
+                                               min_eligible=1, max_eligible=most)
+
+
+def _flow_threshold(inst: Instance) -> float:
+    """The least guess the flow accepts, bisected to machine precision."""
+    flow = RelaxedRAFlow(inst)
+    lo, hi = 0.0, makespan_bounds(inst).upper
+    assert flow.solve(hi).feasible
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if flow.solve(mid).feasible else (mid, hi)
+    return hi
+
+
+def _scaled(inst: Instance, factor: float) -> Instance:
+    return Instance.restricted(inst.job_sizes * factor, inst.setup_sizes * factor,
+                               inst.job_classes, np.isfinite(inst.processing))
 
 
 class TestLPRelaxedRA:
@@ -59,6 +89,75 @@ class TestLPRelaxedRA:
     def test_invalid_variant(self, small_cu_restrictions):
         with pytest.raises(ValueError):
             solve_lp_relaxed_ra(small_cu_restrictions, 10.0, variant="bogus")
+
+
+class TestRelaxedRAFlow:
+    """The transportation max flow that decides LP-RelaxedRA for Theorem 3.10."""
+
+    @given(seed=st.integers(0, 2000),
+           factors=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_verdict_matches_lp(self, seed, factors):
+        inst = _cu_instance(seed)
+        threshold = _flow_threshold(inst)
+        flow = RelaxedRAFlow(inst)
+        for factor in factors:
+            assume(abs(factor - 1.0) > 1e-6)
+            guess = threshold * factor
+            lp = solve_lp_relaxed_ra(inst, guess, variant="restrictions")
+            assert flow.solve(guess).feasible == lp.feasible == (factor > 1.0)
+
+    def test_solution_satisfies_lp_with_forest_support(self):
+        # About 2% of these flows have a cycle before cancelling (seed 16, say).
+        for seed in range(24):
+            inst = _cu_instance(seed)
+            threshold = _flow_threshold(inst)
+            flow = RelaxedRAFlow(inst)
+            for guess in threshold * np.geomspace(1.0, 3.0, 12):
+                relax = flow.solve(guess)
+                assert relax.feasible
+                present = inst.classes_present()
+                assert np.allclose(relax.x[:, present].sum(axis=0), 1.0, rtol=1e-12, atol=0.0)
+                eligible = np.isfinite(relax.workload) & np.isfinite(inst.setups)
+                assert np.all(relax.x[~eligible] == 0.0)
+                # Constraint (11), with w_k(T) = p̄_k + α_k(T)·s_k.
+                setups = np.where(eligible, inst.setups, 0.0)
+                p = np.where(eligible, relax.workload, 0.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    alpha = np.where(guess > setups, np.maximum(1.0, p / (guess - setups)), 1.0)
+                load = (relax.x * (p + alpha * setups)).sum(axis=1)
+                # The flow may leave 1e-9 of the total supply (≤ m·T) unshipped.
+                assert np.all(load <= guess * (1 + 1e-9 * (inst.num_machines + 1)))
+                graph = nx.Graph()
+                graph.add_edges_from((("machine", i), ("class", k))
+                                     for i, k in zip(*np.nonzero(relax.x)))
+                assert nx.is_forest(graph)
+
+    @given(seed=st.integers(0, 2000), factor=st.floats(0.9, 3.0))
+    @settings(max_examples=25, deadline=None)
+    def test_accepted_schedule_within_twice_guess(self, seed, factor):
+        inst = _cu_instance(seed)
+        guess = _flow_threshold(inst) * factor
+        schedule = class_uniform_restrictions_decision(inst, guess)
+        if schedule is not None:
+            assert schedule.validate() == []
+            assert schedule.makespan() <= 2.0 * guess * (1 + 1e-9)
+
+    @pytest.mark.parametrize("exponent", [-30, -10, 20])
+    def test_scaling_times_by_power_of_two_keeps_assignment(self, exponent):
+        for seed in range(30):
+            inst = _cu_instance(seed)
+            base = class_uniform_restrictions_approximation(inst)
+            scaled = class_uniform_restrictions_approximation(_scaled(inst, 2.0 ** exponent))
+            assert np.array_equal(base.schedule.assignment, scaled.schedule.assignment)
+
+    def test_rejects_class_with_machine_dependent_workload(self):
+        inst = uniform_instance(15, 3, 4, seed=2, integral=True)
+        assert len(set(inst.speeds)) > 1
+        with pytest.raises(ValueError, match="class"):
+            class_uniform_restrictions_approximation(inst)
+        with pytest.raises(ValueError, match="class"):
+            RelaxedRAFlow(inst)
 
 
 class TestPseudoforestRounding:
@@ -158,8 +257,9 @@ class TestClassUniformRestrictions:
                 class_uniform_restrictions_approximation(inst)
 
     def test_works_on_unrestricted_uniform_instance(self):
-        # Uniform instances trivially have class-uniform restrictions.
-        inst = uniform_instance(15, 3, 4, seed=2, integral=True)
+        # Identical machines (uniform with unit speeds) trivially have
+        # class-uniform restrictions and per-class constant p̄ and s.
+        inst = identical_instance(15, 3, 4, seed=2, integral=True)
         result = class_uniform_restrictions_approximation(inst)
         assert result.schedule.validate() == []
 

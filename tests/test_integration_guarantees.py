@@ -17,6 +17,7 @@ from repro import (
     class_uniform_restrictions_approximation,
     class_uniform_restrictions_instance,
     compare_algorithms,
+    identical_instance,
     lpt_uniform_with_setups,
     milp_optimal,
     ptas_uniform,
@@ -132,10 +133,14 @@ class TestRandomisedConsistency:
     @settings(max_examples=6, deadline=None)
     def test_property_every_algorithm_feasible_on_uniform(self, seed):
         inst = uniform_instance(12, 3, 3, seed=seed, integral=True)
-        for algo in (lpt_uniform_with_setups, class_aware_list_schedule,
-                     lambda i: ptas_uniform(i, epsilon=0.3),
-                     class_uniform_restrictions_approximation):
-            result = algo(inst)
+        # Theorem 3.10's algorithm needs every eligible machine of a class to
+        # see the same workload, so it runs on identical machines.
+        same = identical_instance(12, 3, 3, seed=seed, integral=True)
+        for algo, instance in ((lpt_uniform_with_setups, inst),
+                               (class_aware_list_schedule, inst),
+                               (lambda i: ptas_uniform(i, epsilon=0.3), inst),
+                               (class_uniform_restrictions_approximation, same)):
+            result = algo(instance)
             assert result.schedule.validate() == []
             assert np.isfinite(result.makespan)
 
