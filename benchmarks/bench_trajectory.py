@@ -10,16 +10,14 @@ is the trajectory.
 
 Usage, from the root of a checkout::
 
-    python3 benchmarks/bench_trajectory.py                  # every workload, seeds 0 1 2
-    python3 benchmarks/bench_trajectory.py --workload paper-cold --seeds 0 --seconds 10
+    python3 benchmarks/bench_trajectory.py
 
-Each run takes about ``--seconds``, so the default takes about
+Each run takes about ``SECONDS``, so a call takes about
 3 workloads x 3 seeds x 2 runs x 35 s.  The script defines no tests.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -31,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 WORKLOADS = ("paper-cold", "queue-small", "sweep-extend")
 SEEDS = (0, 1, 2)
+SECONDS = 35.0
 
 
 def run_once(workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
@@ -95,18 +94,11 @@ def trajectory(workload: str, seeds: Sequence[int], seconds: float) -> Dict[str,
     }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Write BENCH_<workload>.json from perfbench runs at fixed seeds.")
-    parser.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--out-dir", type=Path, default=ROOT)
-    args = parser.parse_args(argv)
+def main() -> int:
     correct = True
-    for workload in WORKLOADS if args.workload == "all" else (args.workload,):
-        data = trajectory(workload, args.seeds, args.seconds)
-        path = args.out_dir / f"BENCH_{workload}.json"
+    for workload in WORKLOADS:
+        data = trajectory(workload, SEEDS, SECONDS)
+        path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
         print(f"{path}: correct={data['correct']} "
               + " ".join(f"{name}={data['metrics'][name]['median']:.4g}"

@@ -45,8 +45,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+import networkx as nx
 import numpy as np
 from scipy import sparse
 
@@ -248,12 +249,12 @@ class RelaxedRAFlow:
         return RelaxedRAResult(False, guess, np.zeros_like(self.workload),
                                self.workload, self.per_job)
 
-    def _supplies(self, guess: float) -> List[float]:
-        """``w_k(T)`` per class, or an empty list if some class has no edge."""
+    def _supplies(self, guess: float) -> Optional[List[float]]:
+        """``w_k(T)`` per class, or ``None`` if some class has no edge."""
         supply = []
         for p, s, rows in zip(self.p, self.s, self.machines):
             if not rows or s > guess * (1.0 + _REL_TOL):  # constraint (14)
-                return []
+                return None
             if s == 0.0:
                 supply.append(p)
             elif guess > s:
@@ -266,8 +267,10 @@ class RelaxedRAFlow:
         """Decide LP-RelaxedRA for ``guess``; the feasible solution has forest support."""
         guess = float(guess)
         supply = self._supplies(guess)
+        if supply is None:
+            return self._infeasible(guess)
         total = sum(supply)
-        if not supply or total > self.num_machines * guess * (1.0 + _REL_TOL):
+        if total > self.num_machines * guess * (1.0 + _REL_TOL):
             return self._infeasible(guess)
         flow = self._max_flow(supply, guess)
         shipped = sum(sum(f.values()) for f in flow)
@@ -345,13 +348,18 @@ class RelaxedRAFlow:
         at least one edge; of the two directions, the one moving less flow
         is taken.
         """
-        while True:
-            cycle = self._support_cycle(flow)
-            if cycle is None:
-                return
-            # cycle = [(class, machine), ...]: consecutive edges share a node,
-            # alternate ones gain and lose.
-            even, odd = cycle[0::2], cycle[1::2]
+        support = nx.Graph()
+        support.add_edges_from((("class", c), ("machine", i))
+                               for c, f in enumerate(flow) for i in f)
+        # A forest has one edge fewer than nodes per component; counting
+        # components (and the flow's edges) is far cheaper than a find_cycle
+        # that finds none.
+        while sum(map(len, flow)) > (support.number_of_nodes()
+                                     - nx.number_connected_components(support)):
+            cycle = nx.find_cycle(support)
+            # Consecutive edges share a node, so alternate ones gain and lose.
+            edges = [(u[1], v[1]) if u[0] == "class" else (v[1], u[1]) for u, v in cycle]
+            even, odd = edges[0::2], edges[1::2]
             gain, lose = (even, odd) if (min(flow[c][i] for c, i in odd)
                                          <= min(flow[c][i] for c, i in even)) else (odd, even)
             delta = min(flow[c][i] for c, i in lose)
@@ -361,51 +369,4 @@ class RelaxedRAFlow:
                 flow[c][i] -= delta
                 if flow[c][i] <= 0.0:
                     del flow[c][i]
-
-    def _support_cycle(self, flow: List[Dict[int, float]]):
-        """A cycle of the bipartite support as its edge list, or ``None``."""
-        # Nodes: classes 0..C-1, machine i is C + i.
-        num_classes = len(flow)
-        adjacency: List[List[int]] = [[] for _ in range(num_classes + self.num_machines)]
-        for c, f in enumerate(flow):
-            for i in f:
-                adjacency[c].append(num_classes + i)
-                adjacency[num_classes + i].append(c)
-        parent = [-2] * len(adjacency)
-        for root in range(num_classes):
-            if parent[root] != -2:
-                continue
-            parent[root] = -1
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for v in adjacency[u]:
-                    if v == parent[u]:
-                        continue
-                    if parent[v] == -2:
-                        parent[v] = u
-                        stack.append(v)
-                        continue
-                    # Non-tree edge u-v closes a cycle through their common ancestor.
-                    return _edges_of_cycle(u, v, parent, num_classes)
-        return None
-
-
-def _edges_of_cycle(u: int, v: int, parent: List[int], num_classes: int):
-    """The cycle made by tree paths to ``u`` and ``v`` plus the edge ``u-v``."""
-    def ancestors(node):
-        chain = [node]
-        while parent[chain[-1]] >= 0:
-            chain.append(parent[chain[-1]])
-        return chain
-
-    up, vp = ancestors(u), ancestors(v)
-    common = set(up) & set(vp)
-    up = up[:next(idx for idx, n in enumerate(up) if n in common) + 1]
-    vp = vp[:next(idx for idx, n in enumerate(vp) if n in common)]
-    nodes = up[::-1] + vp  # ancestor ... u, then v ... (child of ancestor)
-    edges = []
-    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        c, m = (a, b) if a < num_classes else (b, a)
-        edges.append((c, m - num_classes))
-    return edges
+                    support.remove_edge(("class", c), ("machine", i))

@@ -263,6 +263,14 @@ class TestClassUniformRestrictions:
         result = class_uniform_restrictions_approximation(inst)
         assert result.schedule.validate() == []
 
+    def test_instance_without_jobs(self):
+        # No class is present, so every guess is feasible for the flow.
+        inst = Instance.identical([], [1.0, 2.0], [], 3)
+        assert RelaxedRAFlow(inst).solve(1.0).feasible
+        result = class_uniform_restrictions_approximation(inst)
+        assert result.schedule.validate() == []
+        assert result.makespan == 0.0
+
     def test_respects_eligibility(self):
         inst = class_uniform_restrictions_instance(20, 5, 5, seed=3,
                                                    min_eligible=1, max_eligible=2)
