@@ -67,7 +67,8 @@ def tree_dirty() -> Optional[bool]:
     return bool(proc.stdout.strip())
 
 
-def trajectory(workload: str, seeds: Sequence[int], seconds: float) -> Dict[str, Any]:
+def trajectory(workload: str, seeds: Sequence[int], seconds: float,
+               dirty: Optional[bool]) -> Dict[str, Any]:
     """Every metric of ``workload`` over ``seeds``, in the committed file's layout."""
     runs: List[Dict[str, Any]] = [run_once(workload, seed, seconds, trace)
                                   for trace in (0, 1) for seed in seeds]
@@ -85,7 +86,7 @@ def trajectory(workload: str, seeds: Sequence[int], seconds: float) -> Dict[str,
         "seeds": list(seeds),
         "seconds": seconds,
         "git_sha": runs[0]["host"]["git_sha"],
-        "tree_dirty": tree_dirty(),
+        "tree_dirty": dirty,
         "host": runs[0]["host"],
         "correct": all(run["correct"] for run in runs),
         "attempted": sum(run["attempted"] for run in runs),
@@ -95,9 +96,11 @@ def trajectory(workload: str, seeds: Sequence[int], seconds: float) -> Dict[str,
 
 
 def main() -> int:
+    # Checked before the first file is written: the BENCH files are tracked.
+    dirty = tree_dirty()
     correct = True
     for workload in WORKLOADS:
-        data = trajectory(workload, SEEDS, SECONDS)
+        data = trajectory(workload, SEEDS, SECONDS, dirty)
         path = ROOT / f"BENCH_{workload}.json"
         path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
         print(f"{path}: correct={data['correct']} "

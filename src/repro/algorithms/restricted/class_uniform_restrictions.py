@@ -111,8 +111,9 @@ def class_uniform_restrictions_decision(instance: Instance, guess: float) -> Opt
 def _decide(instance: Instance, guess: float, flow: RelaxedRAFlow) -> Optional[Schedule]:
     """The decision procedure, given the instance's flow oracle.
 
-    The search reuses one oracle across its guesses: building it costs about
-    a third of a task on ``paper-cold``.
+    The search reuses one oracle across its guesses: building it once per
+    guess took about a third of each ``paper-cold`` class-uniform task
+    (2-CPU Xeon host).
     """
     inst = instance
     if _quick_reject(inst, guess):
