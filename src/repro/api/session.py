@@ -39,8 +39,7 @@ __all__ = ["SessionConfig", "Session", "ScenarioRun"]
 
 #: SessionConfig fields accepted as keyword overrides by ``resolve``.
 _CONFIG_FIELDS = ("store_path", "backend", "autoscale", "max_workers",
-                  "timeout_s", "cache", "chunk_size", "refit_every",
-                  "backend_options")
+                  "timeout_s", "cache", "backend_options")
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class SessionConfig:
         Queue-backend worker fleet ceiling (``REPRO_AUTOSCALE``, a
         non-negative integer); ``0`` disables autoscaling.  Only
         meaningful with ``backend="queue"``.
-    max_workers / timeout_s / cache / chunk_size / refit_every:
+    max_workers / timeout_s / cache:
         Forwarded to :class:`BatchRunner` construction.
     backend_options:
         Extra backend constructor kwargs (e.g. chaos/testing knobs such
@@ -74,8 +73,6 @@ class SessionConfig:
     max_workers: Optional[int] = None
     timeout_s: Optional[float] = None
     cache: bool = True
-    chunk_size: Optional[int] = None
-    refit_every: Optional[int] = 200
     backend_options: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -119,10 +116,6 @@ class SessionConfig:
             kwargs["timeout"] = self.timeout_s
         if not self.cache:
             kwargs["cache"] = False
-        if self.chunk_size is not None:
-            kwargs["chunk_size"] = self.chunk_size
-        if self.refit_every != 200:
-            kwargs["refit_every"] = self.refit_every
         options = dict(self.backend_options)
         if self.autoscale and self.backend == "queue":
             options.setdefault("autoscale", self.autoscale)

@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import json
 import math
+import tomllib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.core.instance import Instance
 from repro.generators import (
@@ -44,11 +45,6 @@ from repro.generators import (
 )
 from repro.generators.suites import SUITES, SuiteSpec, iter_suite
 from repro.runtime.runner import BatchTask
-
-try:  # Python >= 3.11
-    import tomllib as _toml
-except ImportError:  # pragma: no cover - exercised on 3.9/3.10 only
-    from repro.api import _toml  # type: ignore[no-redef]
 
 __all__ = [
     "GENERATORS",
@@ -91,13 +87,37 @@ def _thaw(value: Any) -> Any:
     return value
 
 
-def _check_keys(mapping: Mapping[str, Any], allowed: Iterable[str],
-                where: str) -> None:
+#: The value kinds a spec file may hold where a key is typed, by the
+#: names error messages use (a bool is never a number).
+_TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float),
+          "a table": (Mapping,), "an array": (list, tuple)}
+
+
+def _check_value(value: Any, kind: str, what: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        raise ValueError(f"{what} must be {kind}, not {type(value).__name__}")
+
+
+def _items(values: Optional[Sequence[Any]], kind: str,
+           where: str) -> Tuple[Any, ...]:
+    """An optional array's elements, each checked to be ``kind``."""
+    for value in values or ():
+        _check_value(value, kind, f"each element of {where}")
+    return tuple(values or ())
+
+
+def _check_keys(mapping: Any, allowed: Mapping[str, str], where: str) -> None:
+    """Reject a non-table, unknown keys, and a value that is not of the
+    kind ``allowed`` maps its key to (``None`` counts as absent)."""
+    _check_value(mapping, "a table", where)
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ValueError(
             f"unknown key(s) {sorted(unknown)} in {where}; "
             f"allowed: {sorted(allowed)}")
+    for key, kind in allowed.items():
+        if mapping.get(key) is not None:
+            _check_value(mapping[key], kind, f"{key!r} in {where}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +167,8 @@ class AlgorithmSweep:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "AlgorithmSweep":
-        _check_keys(data, ("name", "params", "seed_kwarg"),
-                    "an [[algorithms]] entry")
+        _check_keys(data, {"name": "a string", "params": "a table",
+                           "seed_kwarg": "a string"}, "an [[algorithms]] entry")
         if "name" not in data:
             raise ValueError("an [[algorithms]] entry needs a name")
         return AlgorithmSweep.make(data["name"], data.get("params"),
@@ -177,7 +197,8 @@ class ScalePreset:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any], where: str) -> "ScalePreset":
-        _check_keys(data, ("max_points", "replications"), where)
+        _check_keys(data, {"max_points": "an integer",
+                           "replications": "an integer"}, where)
         return ScalePreset(max_points=data.get("max_points"),
                            replications=data.get("replications"))
 
@@ -205,7 +226,8 @@ class BudgetPolicy:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "BudgetPolicy":
-        _check_keys(data, ("timeout_s", "budget_factor", "min_budget_s"),
+        _check_keys(data, dict.fromkeys(
+            ("timeout_s", "budget_factor", "min_budget_s"), "a number"),
                     "[scenario.budget]")
         return BudgetPolicy(
             timeout_s=data.get("timeout_s"),
@@ -227,11 +249,11 @@ class ReferencePolicy:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ReferencePolicy":
-        _check_keys(data, ("exact_limit", "time_limit"),
-                    "[scenario.reference]")
-        return ReferencePolicy(
-            exact_limit=int(data.get("exact_limit", 600)),
-            time_limit=float(data.get("time_limit", 60.0)))
+        _check_keys(data, {"exact_limit": "an integer",
+                           "time_limit": "a number"}, "[scenario.reference]")
+        policy = ReferencePolicy(**{key: value for key, value in data.items()
+                                    if value is not None})
+        return replace(policy, time_limit=float(policy.time_limit))
 
 
 @dataclass(frozen=True)
@@ -528,29 +550,33 @@ def _toml_value(value: Any) -> str:
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from parsed TOML/JSON, rejecting
-    unknown keys at every level (a typo in a spec file must fail loudly,
-    not silently drop a constraint)."""
-    _check_keys(data, ("scenario", "algorithms", "generator"),
-                "the spec top level")
+    unknown keys and mistyped values at every level with a ``ValueError``
+    (a typo in a spec file must fail loudly, not silently drop a
+    constraint)."""
+    _check_keys(data, {"scenario": "a table", "algorithms": "an array",
+                       "generator": "a table"}, "the spec top level")
     scenario = data.get("scenario")
-    if not isinstance(scenario, Mapping):
+    if scenario is None:
         raise ValueError("a spec file needs a [scenario] table")
-    _check_keys(scenario, ("name", "title", "description", "mode", "suite",
-                           "replications", "base_seed", "columns", "notes",
-                           "scales", "budget", "reference"), "[scenario]")
-    algorithms = data.get("algorithms") or ()
-    if not isinstance(algorithms, Sequence) or isinstance(algorithms, str):
-        raise ValueError("[[algorithms]] must be an array of tables")
+    _check_keys(scenario, {
+        **dict.fromkeys(("name", "title", "description", "mode", "suite"),
+                        "a string"),
+        "replications": "an integer", "base_seed": "an integer",
+        "columns": "an array", "notes": "an array",
+        **dict.fromkeys(("scales", "budget", "reference"), "a table")},
+        "[scenario]")
     generator = data.get("generator")
     gen_name: Optional[str] = None
     sweep: Tuple[Dict[str, Any], ...] = ()
     replications = scenario.get("replications")
     base_seed = scenario.get("base_seed")
     if generator is not None:
-        _check_keys(generator, ("name", "sweep", "replications", "base_seed"),
-                    "[generator]")
+        _check_keys(generator, {"name": "a string", "sweep": "an array",
+                                "replications": "an integer",
+                                "base_seed": "an integer"}, "[generator]")
         gen_name = generator.get("name")
-        sweep = tuple(dict(point) for point in generator.get("sweep") or ())
+        sweep = tuple(dict(point) for point in _items(
+            generator.get("sweep"), "a table", "[[generator.sweep]]"))
         if replications is None:
             replications = generator.get("replications")
         if base_seed is None:
@@ -564,7 +590,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     return ScenarioSpec(
         name=scenario.get("name", ""),
         algorithms=tuple(AlgorithmSweep.from_dict(entry)
-                         for entry in algorithms),
+                         for entry in data.get("algorithms") or ()),
         suite=scenario.get("suite"),
         generator=gen_name,
         sweep=sweep,
@@ -578,23 +604,22 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
                 if "budget" in scenario else None),
         reference=(ReferencePolicy.from_dict(scenario["reference"])
                    if "reference" in scenario else None),
-        columns=tuple(scenario.get("columns") or ()),
-        notes=tuple(scenario.get("notes") or ()),
+        columns=_items(scenario.get("columns"), "a string", "columns"),
+        notes=_items(scenario.get("notes"), "a string", "notes"),
     )
 
 
 def load_scenario(source: Union[str, Path]) -> ScenarioSpec:
     """Load a scenario spec from a ``.toml`` or ``.json`` file."""
     path = Path(source)
-    text = path.read_text()
-    if path.suffix == ".toml":
-        data = _toml.loads(text)
-    elif path.suffix == ".json":
-        data = json.loads(text)
-    else:
-        raise ValueError(
-            f"unsupported spec extension {path.suffix!r} (use .toml or .json)")
     try:
+        if path.suffix == ".toml":
+            data = tomllib.loads(path.read_text())
+        elif path.suffix == ".json":
+            data = json.loads(path.read_text())
+        else:
+            raise ValueError(f"unsupported spec extension {path.suffix!r} "
+                             f"(use .toml or .json)")
         return scenario_from_dict(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

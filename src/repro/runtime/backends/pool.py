@@ -49,6 +49,15 @@ def _submit_all(pool: ProcessPoolExecutor, fn,
     return futures
 
 
+def _died_outcome(exc: BaseException) -> Tuple[str, Tuple[str, None]]:
+    """The ``(status, outcome)`` of a task whose worker process died."""
+    return "error", (f"worker died: {type(exc).__name__}: {exc}", None)
+
+
+def _worker_died(result: "AlgorithmResult") -> bool:
+    return "worker died" in str(result.meta.get("error", ""))
+
+
 def terminate_workers(pool: ProcessPoolExecutor) -> None:
     """Forcibly stop a pool's worker processes (used after a timeout).
 
@@ -83,36 +92,48 @@ class PoolBackend(ExecutionBackend):
 
     def submit(self, tasks: Sequence["BatchTask"]
                ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
-        """Pool execution, yielding each chunk's results as it completes.
+        """Pool execution, yielding each result as its future completes.
 
-        Chunks finish in arbitrary order; the yielded local indices keep
-        the caller aligned.  Tasks whose future *raised* (their worker
-        died, breaking the pool) are withheld from the stream, then
-        recovered at the end through the collateral-retry path on fresh
-        pools, so a streaming consumer still sees exactly one result per
-        task.
+        Results arrive in arbitrary order; the yielded local indices keep
+        the caller aligned.  Tasks whose worker died (breaking the pool)
+        are withheld from the stream, then recovered at the end through
+        the collateral-retry path on fresh pools, so a streaming consumer
+        still sees exactly one result per task.
         """
+        casualties: List[Tuple[int, "AlgorithmResult"]] = []
+        for local_idx, result in self._dispatch(tasks):
+            if _worker_died(result):
+                casualties.append((local_idx, result))
+            else:
+                yield local_idx, result
+        if casualties:
+            casualties.sort(key=lambda pair: pair[0])
+            recovered = self._retry_collateral(
+                [tasks[i] for i, _ in casualties], [r for _, r in casualties])
+            for (local_idx, _), result in zip(casualties, recovered):
+                yield local_idx, result
+
+    def _dispatch(self, tasks: Sequence["BatchTask"]
+                  ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
+        """One pool pass: waves with a runner ``timeout``, else chunks."""
+        if self.runner.timeout is not None:
+            return self._iter_waves(tasks)
+        return self._iter_chunks(tasks)
+
+    # ------------------------------------------------------------------
+    # no-timeout mode: chunked dispatch
+    # ------------------------------------------------------------------
+    def _iter_chunks(self, tasks: Sequence["BatchTask"]
+                     ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
+        """No-timeout mode: chunks of tasks per future (see
+        :func:`resolve_chunk_size`), each chunk's results yielded as its
+        future completes; a chunk whose worker died yields "worker died"
+        sentinels."""
         runner = self.runner
-        if runner.timeout is not None:
-            wave_casualties: List[Tuple[int, "AlgorithmResult"]] = []
-            for local_idx, result in self._iter_waves(tasks):
-                if "worker died" in str(result.meta.get("error", "")):
-                    wave_casualties.append((local_idx, result))
-                else:
-                    yield local_idx, result
-            if wave_casualties:
-                wave_casualties.sort(key=lambda pair: pair[0])
-                retry_tasks = [tasks[i] for i, _ in wave_casualties]
-                recovered = self._retry_collateral(
-                    retry_tasks, [r for _, r in wave_casualties])
-                for (local_idx, _), result in zip(wave_casualties, recovered):
-                    yield local_idx, result
-            return
         chunk = resolve_chunk_size(runner.chunk_size, len(tasks),
                                    runner.max_workers)
         chunk_indices = [list(range(lo, min(lo + chunk, len(tasks))))
                          for lo in range(0, len(tasks), chunk)]
-        casualties: List[Tuple[int, str]] = []
         pool = ProcessPoolExecutor(max_workers=runner.max_workers,
                                    mp_context=runner._mp_context)
         try:
@@ -131,9 +152,7 @@ class PoolBackend(ExecutionBackend):
                     try:
                         outcomes = future.result()
                     except Exception as exc:  # worker died (OOM kill, segfault, …)
-                        message = f"worker died: {type(exc).__name__}: {exc}"
-                        casualties.extend((i, message) for i in indices)
-                        continue
+                        outcomes = [_died_outcome(exc)] * len(indices)
                     for local_idx, (status, outcome) in zip(indices, outcomes):
                         yield local_idx, runner._finalise(tasks[local_idx],
                                                           status, outcome)
@@ -145,16 +164,6 @@ class PoolBackend(ExecutionBackend):
             # work is the point of breaking out.
             pool.shutdown(wait=False, cancel_futures=True)
             terminate_workers(pool)
-        if casualties:
-            casualties.sort()
-            retry_tasks = [tasks[i] for i, _ in casualties]
-            placeholders = []
-            for task, (_, message) in zip(retry_tasks, casualties):
-                runner.stats["errors"] += 1
-                placeholders.append(runner._sentinel(task, error=message))
-            recovered = self._retry_collateral(retry_tasks, placeholders)
-            for (local_idx, _), result in zip(casualties, recovered):
-                yield local_idx, result
 
     # ------------------------------------------------------------------
     # timeout mode: wave dispatch
@@ -200,9 +209,7 @@ class PoolBackend(ExecutionBackend):
                             status, outcome = future.result()
                         except Exception as exc:  # worker died mid-task
                             pool_broken = True
-                            status = "error"
-                            outcome = (f"worker died: {type(exc).__name__}: {exc}",
-                                       None)
+                            status, outcome = _died_outcome(exc)
                         yield idx, runner._finalise(tasks[idx], status, outcome)
                 if pending:  # deadline passed with tasks still running
                     for future in pending:
@@ -237,8 +244,7 @@ class PoolBackend(ExecutionBackend):
         poisoning the others.  After that it keeps its sentinel.
         """
         def dead_indices(rs: List["AlgorithmResult"]) -> List[int]:
-            return [i for i, r in enumerate(rs)
-                    if "worker died" in str(r.meta.get("error", ""))]
+            return [i for i, r in enumerate(rs) if _worker_died(r)]
 
         dead = dead_indices(results)
         if not dead:
@@ -256,27 +262,5 @@ class PoolBackend(ExecutionBackend):
     def _execute_pool(self, tasks: Sequence["BatchTask"]
                       ) -> List["AlgorithmResult"]:
         """Collect one pool pass in submission order (collateral-retry path)."""
-        runner = self.runner
-        if runner.timeout is not None:
-            collected = sorted(self._iter_waves(tasks), key=lambda pair: pair[0])
-            return [result for _, result in collected]
-        chunk = resolve_chunk_size(runner.chunk_size, len(tasks),
-                                   runner.max_workers)
-        payloads = [[(t.algorithm, t.instance, t.kwargs_dict())
-                     for t in tasks[i:i + chunk]]
-                    for i in range(0, len(tasks), chunk)]
-        results: List["AlgorithmResult"] = []
-        with ProcessPoolExecutor(max_workers=runner.max_workers,
-                                 mp_context=runner._mp_context) as pool:
-            futures = _submit_all(pool, run_chunk,
-                                  [(payload,) for payload in payloads])
-            for future, payload in zip(futures, payloads):  # submission order
-                try:
-                    outcomes = future.result()
-                except Exception as exc:  # worker died (OOM kill, segfault, …)
-                    outcomes = [("error", (f"worker died: {type(exc).__name__}: {exc}",
-                                           None))] * len(payload)
-                for status, outcome in outcomes:
-                    results.append(runner._finalise(tasks[len(results)], status,
-                                                    outcome))
-        return results
+        return [result for _, result in sorted(self._dispatch(tasks),
+                                               key=lambda pair: pair[0])]

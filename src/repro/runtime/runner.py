@@ -259,10 +259,6 @@ class BatchRunner:
         Tasks per pool submission; ``None`` picks ``ceil(len/4·workers)``
         capped at 16.  Not used when ``timeout`` is set (wave dispatch is
         per-task).
-    mp_context:
-        ``multiprocessing`` context; defaults to ``"fork"`` where available
-        so registry state (including dynamically registered algorithms)
-        reaches the workers.
     backend:
         Where cold tasks execute: a name from
         :data:`repro.runtime.backends.BACKENDS` (``"serial"``, ``"pool"``,
@@ -292,7 +288,6 @@ class BatchRunner:
         store: Union[None, str, Path, ResultStore] = None,
         cost_model: Union[None, str, CostModel] = "auto",
         chunk_size: Optional[int] = None,
-        mp_context: Optional[multiprocessing.context.BaseContext] = None,
         backend: Union[None, str, ExecutionBackend] = None,
         backend_options: Optional[Dict[str, object]] = None,
         refit_every: Optional[int] = 200,
@@ -314,9 +309,11 @@ class BatchRunner:
         self._cost_model_auto = isinstance(cost_model, str)
         self.refit_every = refit_every
         self._next_refit_at = self._refit_threshold()
-        if mp_context is None and "fork" in multiprocessing.get_all_start_methods():
-            mp_context = multiprocessing.get_context("fork")
-        self._mp_context = mp_context
+        # Fork where available, so registry state (including dynamically
+        # registered algorithms) reaches the workers.
+        self._mp_context = (multiprocessing.get_context("fork")
+                            if "fork" in multiprocessing.get_all_start_methods()
+                            else None)
         self._cache: Dict[str, AlgorithmResult] = {}
         self.stats: Dict[str, int] = {"tasks": 0, "cache_hits": 0,
                                       "store_hits": 0, "store_puts": 0,

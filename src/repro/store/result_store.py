@@ -88,16 +88,10 @@ def connect(path: Union[str, Path]) -> sqlite3.Connection:
 
 
 def _error_code(exc: sqlite3.Error) -> Optional[int]:
-    """The primary SQLite result code of ``exc``, where it can be told."""
-    code = getattr(exc, "sqlite_errorcode", None)  # Python >= 3.11
-    if code is not None:
-        return code & 0xFF
-    message = str(exc)
-    if "locking protocol" in message:
-        return _SQLITE_PROTOCOL
-    if "is locked" in message:
-        return _SQLITE_BUSY
-    return None
+    """The primary SQLite result code of ``exc``; ``None`` for errors the
+    sqlite3 module raises itself, which carry no code."""
+    code = getattr(exc, "sqlite_errorcode", None)
+    return None if code is None else code & 0xFF
 
 
 def is_contention(exc: sqlite3.Error) -> bool:

@@ -4,27 +4,16 @@ These helpers are deliberately tiny and dependency-free (NumPy only) so that
 every other subpackage can rely on them without import cycles.
 """
 
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.rounding import (
     arithmetic_grid_round,
     geometric_round,
     next_power_of_two_exponent,
 )
-from repro.utils.validation import (
-    check_nonnegative,
-    check_positive,
-    check_probability,
-    check_shape,
-)
 
 __all__ = [
     "ensure_rng",
-    "spawn_rngs",
     "arithmetic_grid_round",
     "geometric_round",
     "next_power_of_two_exponent",
-    "check_nonnegative",
-    "check_positive",
-    "check_probability",
-    "check_shape",
 ]

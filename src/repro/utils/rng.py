@@ -9,7 +9,7 @@ here keeps every experiment reproducible from a single seed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -36,42 +36,3 @@ def ensure_rng(seed: RandomState = None) -> np.random.Generator:
     if seed is None or isinstance(seed, (int, np.integer)):
         return np.random.default_rng(seed)
     raise TypeError(f"cannot build a Generator from {type(seed).__name__}")
-
-
-def spawn_rngs(seed: RandomState, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent generators from ``seed``.
-
-    Used by repeated-trial experiments (e.g. the ``c log n`` rounding
-    iterations of Section 3.1 when run as independent restarts) so each
-    trial is reproducible yet uncorrelated with its siblings.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        # Spawn via fresh SeedSequences drawn from the generator itself.
-        seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in seeds]
-    base = np.random.SeedSequence(seed if not isinstance(seed, np.random.SeedSequence) else seed.entropy)
-    return [np.random.default_rng(child) for child in base.spawn(count)]
-
-
-def sample_without_replacement(
-    rng: np.random.Generator, population: Sequence, size: int
-) -> list:
-    """Sample ``size`` distinct elements from ``population`` (order random)."""
-    if size > len(population):
-        raise ValueError("sample size exceeds population size")
-    idx = rng.choice(len(population), size=size, replace=False)
-    return [population[int(i)] for i in idx]
-
-
-def random_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A uniformly random permutation of ``range(n)`` as an int array."""
-    return rng.permutation(n)
-
-
-def maybe_seed_int(rng: Optional[np.random.Generator]) -> Optional[int]:
-    """Draw a fresh integer seed from ``rng`` (or ``None`` if no rng given)."""
-    if rng is None:
-        return None
-    return int(rng.integers(0, 2**62))

@@ -16,9 +16,6 @@ Two roundings appear in the paper:
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
-import numpy as np
 
 
 def next_power_of_two_exponent(value: float) -> int:
@@ -53,15 +50,6 @@ def arithmetic_grid_round(value: float, epsilon: float) -> float:
     return rounded
 
 
-def arithmetic_grid_round_array(values: Iterable[float], epsilon: float) -> np.ndarray:
-    """Vectorised :func:`arithmetic_grid_round` over an iterable of values."""
-    arr = np.asarray(list(values), dtype=float)
-    out = np.empty_like(arr)
-    for idx, v in enumerate(arr):
-        out[idx] = arithmetic_grid_round(float(v), epsilon)
-    return out
-
-
 def geometric_round(value: float, epsilon: float, floor_value: float) -> float:
     """Round ``value`` down to ``(1+ε)^k · floor_value`` (``k`` integer, ``k ≥ 0``).
 
@@ -77,23 +65,3 @@ def geometric_round(value: float, epsilon: float, floor_value: float) -> float:
         raise ValueError("value must be at least floor_value")
     k = int(math.floor(math.log(value / floor_value) / math.log1p(epsilon) + 1e-12))
     return floor_value * (1.0 + epsilon) ** k
-
-
-def geometric_round_array(
-    values: Iterable[float], epsilon: float, floor_value: float
-) -> np.ndarray:
-    """Vectorised :func:`geometric_round`."""
-    arr = np.asarray(list(values), dtype=float)
-    out = np.empty_like(arr)
-    for idx, v in enumerate(arr):
-        out[idx] = geometric_round(float(v), epsilon, floor_value)
-    return out
-
-
-def round_up_to_multiple(value: float, step: float) -> float:
-    """Round ``value`` up to the nearest non-negative multiple of ``step``."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if value <= 0:
-        return 0.0
-    return math.ceil(value / step - 1e-12) * step

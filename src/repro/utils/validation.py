@@ -6,39 +6,6 @@ mis-shaped NumPy broadcast three layers down an LP model build.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
-
-def check_positive(name: str, value: float) -> float:
-    """Require ``value > 0`` and return it."""
-    if not np.isfinite(value) or value <= 0:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
-
-
-def check_nonnegative(name: str, value: float) -> float:
-    """Require ``value >= 0`` (finite) and return it."""
-    if not np.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
-    return float(value)
-
-
-def check_probability(name: str, value: float) -> float:
-    """Require ``0 <= value <= 1`` and return it."""
-    if not np.isfinite(value) or value < 0 or value > 1:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
-
-
-def check_shape(name: str, array: np.ndarray, shape: Sequence[int]) -> np.ndarray:
-    """Require ``array.shape == tuple(shape)`` and return the array."""
-    arr = np.asarray(array)
-    if arr.shape != tuple(shape):
-        raise ValueError(f"{name} must have shape {tuple(shape)}, got {arr.shape}")
-    return arr
-
 
 def check_index(name: str, value: int, upper: int) -> int:
     """Require ``0 <= value < upper`` and return ``int(value)``."""

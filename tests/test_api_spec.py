@@ -7,9 +7,9 @@ The contracts the satellite checklist pins:
   through both ``save``/``load_scenario`` and ``to_dict``/``from_dict``);
 * unknown keys anywhere in a spec file fail loudly;
 * two compiles of one spec produce identical ``cache_key()`` task lists;
-* the shipped ``scenarios/*.toml`` files all load, and the bundled
-  fallback TOML parser agrees byte-for-byte with stdlib ``tomllib``
-  on every one of them (the 3.9/3.10 path must not drift).
+* the shipped ``scenarios/*.toml`` files all load;
+* a malformed spec file fails with a ``ValueError`` naming the file,
+  never a ``TypeError`` / ``AttributeError`` from deep inside the loader.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     AlgorithmSweep,
@@ -28,7 +30,6 @@ from repro.api import (
     load_scenario,
     scenario_from_dict,
 )
-from repro.api import _toml
 
 SCENARIO_DIR = pathlib.Path(__file__).parent.parent / "scenarios"
 
@@ -241,43 +242,64 @@ class TestShippedScenarios:
             compiled = spec.compile("quick")
             assert len(compiled.tasks) > 0, path.name
 
-    def test_fallback_toml_parser_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        for path in sorted(SCENARIO_DIR.glob("*.toml")):
-            text = path.read_text()
-            assert _toml.loads(text) == tomllib.loads(text), path.name
 
-    def test_fallback_parser_handles_core_toml(self):
-        parsed = _toml.loads("""
-        # comment
-        [table]
-        s = "a \\"quoted\\" string"   # trailing comment
-        lit = 'C:\\path'
-        i = 42
-        f = -0.5
-        t = true
-        arr = [1, 2,
-               3]
-        inline = {a = 1, b = "x"}
-        [table.sub]
-        k = "v"
-        [[items]]
-        n = 1
-        [[items]]
-        n = 2
-        """)
-        assert parsed["table"]["s"] == 'a "quoted" string'
-        assert parsed["table"]["lit"] == "C:\\path"
-        assert parsed["table"]["i"] == 42
-        assert parsed["table"]["f"] == -0.5
-        assert parsed["table"]["t"] is True
-        assert parsed["table"]["arr"] == [1, 2, 3]
-        assert parsed["table"]["inline"] == {"a": 1, "b": "x"}
-        assert parsed["table"]["sub"] == {"k": "v"}
-        assert [item["n"] for item in parsed["items"]] == [1, 2]
+#: Where a fuzzed value may replace part of a valid spec dict (``()`` is
+#: the whole document; keys absent from the base spec are added).
+_FIELDS = [
+    (), ("scenario",), ("algorithms",), ("generator",),
+    *[("scenario", key) for key in (
+        "name", "title", "description", "mode", "suite", "replications",
+        "base_seed", "columns", "notes", "scales", "budget", "reference")],
+    ("scenario", "scales", "quick"), ("scenario", "scales", "quick",
+                                      "max_points"),
+    ("scenario", "budget", "timeout_s"), ("scenario", "reference"),
+    ("scenario", "reference", "exact_limit"),
+    ("scenario", "reference", "time_limit"),
+    ("algorithms", 0), ("algorithms", 0, "name"), ("algorithms", 0, "params"),
+    ("algorithms", 1, "seed_kwarg"), ("generator", "name"),
+    ("generator", "sweep"), ("generator", "sweep", 0),
+    ("generator", "replications"), ("generator", "base_seed"),
+]
 
-    def test_fallback_parser_rejects_unsupported_toml(self):
-        with pytest.raises(_toml.TOMLDecodeError):
-            _toml.loads('s = """multi\nline"""')
-        with pytest.raises(_toml.TOMLDecodeError):
-            _toml.loads("a = 1\na = 2")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestMalformedFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+    def test_a_malformed_field_fails_with_a_value_error_naming_the_file(
+            self, tmp_path_factory, where, value):
+        spec = _generator_spec() if where[:1] == ("generator",) else _demo_spec()
+        data = spec.to_dict()
+        if where:
+            parent = data
+            for key in where[:-1]:
+                parent = (parent.setdefault(key, {})
+                          if isinstance(key, str) else parent[key])
+            parent[where[-1]] = value
+        else:
+            data = value
+        path = tmp_path_factory.mktemp("fuzz") / "fuzzed-spec.json"
+        path.write_text(json.dumps(data))
+        try:
+            load_scenario(path)
+        except ValueError as exc:
+            assert "fuzzed-spec.json" in str(exc)
+
+    @pytest.mark.parametrize("text, match", [
+        ("[scenario\nname = 'x'", "Expected ']'"),
+        ('scenario = "demo"', "'scenario' in the spec top level must be a table"),
+        ("algorithms = ['lpt-with-setups']\n[scenario]\nname = 'x'",
+         "an \\[\\[algorithms\\]\\] entry must be a table, not str"),
+    ])
+    def test_malformed_toml_names_the_file(self, tmp_path, text, match):
+        path = tmp_path / "broken.toml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            load_scenario(path)
+        assert "broken.toml" in str(info.value)

@@ -184,18 +184,27 @@ class TestErrorCapture:
         assert "ValueError" in str(failed.meta["error"])
         assert np.isfinite(ok.makespan)
 
-    def test_worker_death_is_captured_and_siblings_recover(self, dying_algorithm):
+    @staticmethod
+    def _check_worker_death(dying_algorithm, timeout):
         # A dying worker breaks the whole pool; the culprit must come back
-        # as an error sentinel while collateral sibling tasks are retried.
+        # as an error sentinel while collateral sibling tasks are retried,
+        # and only the culprits count as errors.
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
         runner = BatchRunner(max_workers=2, backend="pool", cache=False,
-                             chunk_size=1)
+                             chunk_size=1, timeout=timeout)
         batch = runner.run([dying_algorithm, "class-aware-greedy"], instances)
         died = batch.by_algorithm(dying_algorithm)
         ok = batch.by_algorithm("class-aware-greedy")
         assert all("worker died" in str(r.meta.get("error")) for r in died)
         assert all(np.isfinite(r.makespan) for r in ok)
+        assert runner.stats["errors"] == 3
+
+    def test_worker_death_is_captured_and_siblings_recover(self, dying_algorithm):
+        self._check_worker_death(dying_algorithm, timeout=None)
+
+    def test_worker_death_is_captured_in_wave_mode(self, dying_algorithm):
+        self._check_worker_death(dying_algorithm, timeout=60.0)
 
     def test_unknown_algorithm_is_captured_not_raised(self):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)

@@ -438,12 +438,39 @@ class TestConcurrentOpen:
             with ResultStore(tmp_path / f"fresh-{r}.sqlite") as store:
                 assert len(store) == procs  # nobody's row was dropped
 
-    def test_contention_is_told_from_corruption(self):
-        assert result_store.is_contention(
-            sqlite3.OperationalError("database is locked"))
-        assert result_store.is_contention(
-            sqlite3.OperationalError("locking protocol"))
+    def test_contention_is_told_from_corruption(self, tmp_path):
+        def raised(fn):
+            try:
+                fn()
+            except sqlite3.Error as exc:
+                return exc
+            raise AssertionError("no sqlite3 error raised")
+
+        path = str(tmp_path / "locked.sqlite")
+        holder = sqlite3.connect(path, isolation_level=None)
+        other = sqlite3.connect(path, timeout=0)
+        try:
+            holder.execute("CREATE TABLE t (x)")
+            holder.execute("BEGIN EXCLUSIVE")
+            assert result_store.is_contention(
+                raised(lambda: other.execute("SELECT * FROM t")))
+            holder.execute("ROLLBACK")
+            assert not result_store.is_contention(
+                raised(lambda: other.execute("SELECT repro_version FROM t")))
+        finally:
+            other.close()
+            holder.close()
+        protocol = sqlite3.OperationalError("locking protocol")
+        protocol.sqlite_errorcode = sqlite3.SQLITE_PROTOCOL
+        assert result_store.is_contention(protocol)
+        garbage = tmp_path / "garbage.sqlite"
+        garbage.write_bytes(b"not a database " * 100)
+        conn = sqlite3.connect(str(garbage))
+        try:
+            assert not result_store.is_contention(
+                raised(lambda: conn.execute("SELECT * FROM sqlite_master")))
+        finally:
+            conn.close()
+        # Errors the sqlite3 module raises itself carry no result code.
         assert not result_store.is_contention(
-            sqlite3.DatabaseError("file is not a database"))
-        assert not result_store.is_contention(
-            sqlite3.OperationalError("no such column: repro_version"))
+            raised(lambda: conn.execute("SELECT 1")))

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import (
-    ensure_rng,
-    maybe_seed_int,
-    random_permutation,
-    sample_without_replacement,
-    spawn_rngs,
-)
+from repro.utils.rng import ensure_rng
 
 
 class TestEnsureRng:
@@ -33,46 +27,3 @@ class TestEnsureRng:
         with pytest.raises(TypeError):
             ensure_rng("not-a-seed")
 
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(3, 5)) == 5
-
-    def test_independent_streams(self):
-        rngs = spawn_rngs(3, 2)
-        a = rngs[0].integers(0, 10**9, size=5)
-        b = rngs[1].integers(0, 10**9, size=5)
-        assert not np.array_equal(a, b)
-
-    def test_reproducible(self):
-        a = spawn_rngs(11, 3)[2].integers(0, 10**9, size=4)
-        b = spawn_rngs(11, 3)[2].integers(0, 10**9, size=4)
-        assert np.array_equal(a, b)
-
-    def test_from_generator(self):
-        rngs = spawn_rngs(np.random.default_rng(0), 3)
-        assert len(rngs) == 3
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
-
-
-class TestHelpers:
-    def test_sample_without_replacement(self):
-        rng = ensure_rng(0)
-        sample = sample_without_replacement(rng, list(range(10)), 4)
-        assert len(sample) == 4
-        assert len(set(sample)) == 4
-
-    def test_sample_too_large(self):
-        with pytest.raises(ValueError):
-            sample_without_replacement(ensure_rng(0), [1, 2], 3)
-
-    def test_random_permutation(self):
-        perm = random_permutation(ensure_rng(1), 6)
-        assert sorted(perm.tolist()) == list(range(6))
-
-    def test_maybe_seed_int(self):
-        assert maybe_seed_int(None) is None
-        assert isinstance(maybe_seed_int(ensure_rng(0)), int)

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from repro.utils.rounding import (
     arithmetic_grid_round,
-    arithmetic_grid_round_array,
     geometric_round,
-    geometric_round_array,
     next_power_of_two_exponent,
-    round_up_to_multiple,
 )
 
 
@@ -73,11 +70,6 @@ class TestArithmeticGridRound:
         with pytest.raises(ValueError):
             arithmetic_grid_round(1.0, 0.0)
 
-    def test_array_version_matches_scalar(self):
-        values = [0.5, 1.7, 42.0]
-        out = arithmetic_grid_round_array(values, 0.1)
-        assert out.tolist() == [arithmetic_grid_round(v, 0.1) for v in values]
-
     @given(st.floats(min_value=1e-6, max_value=1e9),
            st.sampled_from([0.5, 0.25, 0.125, 0.1]))
     @settings(max_examples=200, deadline=None)
@@ -110,11 +102,6 @@ class TestGeometricRound:
         with pytest.raises(ValueError):
             geometric_round(0.5, 0.25, 1.0)
 
-    def test_array_version(self):
-        out = geometric_round_array([1.0, 5.0, 9.0], 0.25, 1.0)
-        assert len(out) == 3
-        assert np.all(out <= np.array([1.0, 5.0, 9.0]) + 1e-12)
-
     @given(st.floats(min_value=1.0, max_value=1e6), st.sampled_from([0.5, 0.25, 0.1]))
     @settings(max_examples=200, deadline=None)
     def test_property_sandwich(self, value, eps):
@@ -122,15 +109,3 @@ class TestGeometricRound:
         assert rounded <= value * (1 + 1e-12)
         assert value <= rounded * (1.0 + eps) * (1 + 1e-9)
 
-
-class TestRoundUpToMultiple:
-    def test_basic(self):
-        assert round_up_to_multiple(7.0, 2.0) == pytest.approx(8.0)
-        assert round_up_to_multiple(8.0, 2.0) == pytest.approx(8.0)
-
-    def test_zero(self):
-        assert round_up_to_multiple(0.0, 5.0) == 0.0
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            round_up_to_multiple(1.0, 0.0)
