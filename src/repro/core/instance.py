@@ -29,6 +29,26 @@ from repro.utils.validation import check_index
 
 __all__ = ["MachineEnvironment", "Instance"]
 
+#: The array fields of :meth:`Instance.to_dict`, with their dimensions.
+_DICT_ARRAY_NDIM = {"processing": 2, "setups": 2, "job_classes": 1,
+                    "speeds": 1, "job_sizes": 1, "setup_sizes": 1}
+#: Every field of :meth:`Instance.to_dict`; the first four are required.
+_DICT_FIELDS = ("environment", "processing", "setups", "job_classes",
+                "speeds", "job_sizes", "setup_sizes", "name", "meta")
+
+
+def _field_array(field: str, value: object, ndim: int) -> np.ndarray:
+    """``value`` as an ``ndim``-dimensional float array; a ``ValueError``
+    naming ``field`` when it is ragged or holds anything but numbers."""
+    try:
+        a = np.asarray(value)
+    except (ValueError, TypeError):  # ragged nesting
+        a = None
+    if a is None or a.ndim != ndim or a.dtype.kind not in "iuf":
+        raise ValueError(f"instance field {field!r} must be a {ndim}-D array "
+                         f"of numbers")
+    return a.astype(float)
+
 
 class MachineEnvironment(enum.Enum):
     """The machine environment of an instance (Section 1.1)."""
@@ -360,22 +380,32 @@ class Instance:
         if self.setups.shape[0] != m:
             raise ValueError("processing and setups disagree on the number of machines")
         if self.job_classes.shape != (n,):
-            raise ValueError("job_classes must have shape (n,)")
+            raise ValueError(
+                f"job_classes must have shape (n,) = ({n},), one entry per "
+                f"column of processing; got {self.job_classes.shape}")
         if n and (self.job_classes.min() < 0 or self.job_classes.max() >= self.num_classes):
-            raise ValueError("job_classes entries must lie in [0, K)")
-        if np.any(np.nan_to_num(self.processing, nan=-1.0, posinf=0.0) < 0):
+            raise ValueError(
+                f"job_classes entries must lie in [0, K), where K = "
+                f"{self.num_classes} is the number of columns of setups")
+        # `>= 0` is False for NaN and -inf and True for +inf (ineligible).
+        if not (self.processing >= 0).all():
             raise ValueError("processing times must be non-negative")
-        if np.any(np.nan_to_num(self.setups, nan=-1.0, posinf=0.0) < 0):
-            raise ValueError("setup times must be non-negative")
-        for j in range(n):
-            if not np.any(np.isfinite(self.processing[:, j])):
-                raise ValueError(f"job {j} has no eligible machine")
+        if not (self.setups >= 0).all():
+            raise ValueError("setup times must be non-negative (setups)")
+        eligible = np.isfinite(self.processing).any(axis=0)
+        if not eligible.all():
+            raise ValueError(f"job {int(np.argmin(eligible))} has no eligible "
+                             f"machine (its processing column is all inf)")
         if self.speeds is not None and self.speeds.shape != (m,):
-            raise ValueError("speeds must have shape (m,)")
+            raise ValueError(f"speeds must have shape (m,) = ({m},), one "
+                             f"entry per row of processing")
         if self.job_sizes is not None and self.job_sizes.shape != (n,):
-            raise ValueError("job_sizes must have shape (n,)")
+            raise ValueError(f"job_sizes must have shape (n,) = ({n},), one "
+                             f"entry per column of processing")
         if self.setup_sizes is not None and self.setup_sizes.shape != (self.num_classes,):
-            raise ValueError("setup_sizes must have shape (K,)")
+            raise ValueError(
+                f"setup_sizes must have shape (K,) = ({self.num_classes},), "
+                f"one entry per column of setups")
 
     def to_dict(self) -> Dict[str, object]:
         """Serialise the instance to plain Python containers (JSON-friendly)."""
@@ -396,20 +426,48 @@ class Instance:
 
     @staticmethod
     def from_dict(payload: Dict[str, object]) -> "Instance":
-        """Inverse of :meth:`to_dict`."""
-        def arr(a, dtype=float):
-            return None if a is None else np.asarray(a, dtype=dtype)
+        """Inverse of :meth:`to_dict`.
 
+        Malformed input fails with a ``ValueError`` that names the field:
+        a non-dict payload, an unknown or missing key, a value of the
+        wrong type or shape, or a class label that is not an integer.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"an instance payload must be a dict, "
+                             f"not {type(payload).__name__}")
+        unknown = set(payload) - set(_DICT_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown instance field(s) {sorted(unknown, key=str)}; "
+                             f"allowed: {list(_DICT_FIELDS)}")
+        for key in _DICT_FIELDS[:4]:
+            if payload.get(key) is None:
+                raise ValueError(f"instance field {key!r} is required")
+        environments = [env.value for env in MachineEnvironment]
+        if payload["environment"] not in environments:
+            raise ValueError(f"instance field 'environment' must be one of "
+                             f"{environments}, not {payload['environment']!r}")
+        name = payload.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"instance field 'name' must be a string, "
+                             f"not {type(name).__name__}")
+        meta = payload.get("meta")
+        if meta is not None and not isinstance(meta, dict):
+            raise ValueError(f"instance field 'meta' must be a dict, "
+                             f"not {type(meta).__name__}")
+        arrays = {key: None if payload.get(key) is None
+                  else _field_array(key, payload[key], ndim)
+                  for key, ndim in _DICT_ARRAY_NDIM.items()}
+        classes = arrays["job_classes"]
+        # Also rules out NaN, inf and labels too large to cast to int.
+        if not ((classes == np.floor(classes)) & (abs(classes) < 2.0**62)).all():
+            raise ValueError("instance field 'job_classes' must hold integer "
+                             "class labels")
+        arrays["job_classes"] = classes.astype(int)
         inst = Instance(
             environment=MachineEnvironment(payload["environment"]),
-            processing=arr(payload["processing"]),
-            setups=arr(payload["setups"]),
-            job_classes=arr(payload["job_classes"], dtype=int),
-            speeds=arr(payload.get("speeds")),
-            job_sizes=arr(payload.get("job_sizes")),
-            setup_sizes=arr(payload.get("setup_sizes")),
-            name=str(payload.get("name", "instance")),
-            meta=dict(payload.get("meta", {})),
+            name="instance" if name is None else name,
+            meta=dict(meta or {}),
+            **arrays,
         )
         inst.validate()
         return inst

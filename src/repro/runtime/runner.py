@@ -15,11 +15,16 @@ and the portfolio mode:
   chunks complete instead of waiting on a batch barrier, so a serving loop
   can forward each schedule the moment it exists; :meth:`BatchRunner.run`
   and :meth:`BatchRunner.run_tasks` are thin collecting wrappers over it;
-* **persistent result store** — with ``store=`` set, every successful
-  result is also written to an on-disk
-  :class:`~repro.store.result_store.ResultStore`; warm keys are
-  bulk-prefetched and *streamed immediately*, before any pool work starts,
-  and survive process restarts (unlike the in-memory cache);
+* **persistent result store** — with ``store=`` set, successful results
+  are written through to an on-disk
+  :class:`~repro.store.result_store.ResultStore` in groups: one
+  transaction per group of fresh results whose compute time reaches
+  0.1 s, plus one for the rest when the stream ends, is closed or raises
+  (so a task of 0.1 s or more is stored before it is yielded).  A crash
+  loses at most the held group, under 0.1 s of compute, which is only
+  recomputed: the store is a cache.  Warm keys are bulk-prefetched and
+  *streamed immediately*, before any pool work starts, and survive
+  process restarts (unlike the in-memory cache);
 * **cost-model-driven scheduling** — when the store has recorded wall
   times, a fitted :class:`~repro.store.cost_model.CostModel` orders
   cold tasks by descending predicted cost before chunking (cutting pool
@@ -68,10 +73,24 @@ __all__ = ["BatchTask", "BatchResult", "BatchRunner", "instance_fingerprint",
            "usable_cpus"]
 
 
+#: ``str(dtype).encode()`` per dtype seen: ``dtype.__str__`` is slow
+#: enough to show on cheap sweeps, and the hashed bytes must not change.
+_DTYPE_TAGS: Dict[np.dtype, bytes] = {}
+
+#: Fresh results are written to the store in one transaction per group
+#: whose compute (the backend's time to produce them) reaches this many
+#: seconds, and when the stream ends.  A task at least this long is
+#: stored before it is yielded.
+_GROUP_COMMIT_S = 0.1
+
+
 def _hash_array(h, arr: np.ndarray) -> None:
     """Feed an array's content (dtype, shape, bytes) into a hash."""
     a = np.ascontiguousarray(arr)
-    h.update(str(a.dtype).encode())
+    tag = _DTYPE_TAGS.get(a.dtype)
+    if tag is None:
+        tag = _DTYPE_TAGS[a.dtype] = str(a.dtype).encode()
+    h.update(tag)
     h.update(str(a.shape).encode())
     h.update(a.tobytes())
 
@@ -130,12 +149,21 @@ class BatchTask:
         return dict(self.kwargs)
 
     def cache_key(self) -> str:
-        """Content-hash cache key for this task."""
-        h = hashlib.sha256()
-        h.update(self.algorithm.encode())
-        _hash_value(h, self.kwargs)
-        h.update(instance_fingerprint(self.instance).encode())
-        return h.hexdigest()
+        """Content-hash cache key for this task.
+
+        Computed once per task object and memoised on it, which is sound
+        because the task is frozen: the runner, the store's prefetch and
+        its put all ask for the same key.
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            h = hashlib.sha256()
+            h.update(self.algorithm.encode())
+            _hash_value(h, self.kwargs)
+            h.update(instance_fingerprint(self.instance).encode())
+            key = h.hexdigest()
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
 
 def _hash_value(h, value) -> None:
@@ -377,9 +405,11 @@ class BatchRunner:
 
         Every yielded pair carries the index into ``tasks``, so a consumer
         needing alignment can scatter into a list (that is exactly what
-        :meth:`run_tasks` does).  Successful fresh results are written to
-        the in-memory cache and, when configured, the persistent store
-        before being yielded.
+        :meth:`run_tasks` does).  Successful fresh results enter the
+        in-memory cache before being yielded; the persistent store, when
+        configured, takes them in groups (see the module docstring), and
+        every group is committed by the time the stream ends, is closed
+        or raises.
         """
         tasks = list(tasks)
         keys: List[Optional[str]] = [None] * len(tasks)
@@ -416,16 +446,45 @@ class BatchRunner:
             return
         ordered = self._order_by_cost(tasks, pending)
         ordered_tasks = [tasks[i] for i in ordered]
-        for local_idx, result in self.backend.submit(ordered_tasks):
-            idx = ordered[local_idx]
-            ok = not (result.meta.get("error") or result.meta.get("timeout"))
-            if ok and self.cache_enabled and keys[idx] is not None:
-                self._cache[keys[idx]] = result
-                if self.store is not None and not self.backend.persists_results:
-                    self.store.put(tasks[idx], result)
-                    self.stats["store_puts"] += 1
-                self._maybe_rearm_cost_model()
-            yield idx, result
+        # Write-through in groups: a queue backend publishes each result
+        # itself; otherwise fresh results wait here (never in an open
+        # transaction across a yield) until the time the backend took to
+        # produce them reaches _GROUP_COMMIT_S, and the rest go when the
+        # stream ends.  The time is measured here, not read from
+        # `runtime_seconds`, which an algorithm need not report.
+        group: Optional[List[Tuple[BatchTask, AlgorithmResult]]] = (
+            [] if self.store is not None and not self.backend.persists_results
+            else None)
+        group_s = 0.0
+        resumed = time.perf_counter()
+        try:
+            for local_idx, result in self.backend.submit(ordered_tasks):
+                idx = ordered[local_idx]
+                ok = not (result.meta.get("error") or result.meta.get("timeout"))
+                if ok and self.cache_enabled and keys[idx] is not None:
+                    self._cache[keys[idx]] = result
+                    if group is None:
+                        self._maybe_rearm_cost_model()
+                    else:
+                        group.append((tasks[idx], result))
+                        group_s += time.perf_counter() - resumed
+                        if group_s >= _GROUP_COMMIT_S:
+                            self._write_group(group)
+                            group_s = 0.0
+                yield idx, result
+                resumed = time.perf_counter()
+        finally:
+            if group:
+                self._write_group(group)
+
+    def _write_group(self, group: List[Tuple[BatchTask, AlgorithmResult]]
+                     ) -> None:
+        """Store ``group`` in one transaction, empty it, and re-arm the
+        cost model if the store's put count crossed its threshold."""
+        self.store.put_many(group)
+        self.stats["store_puts"] += len(group)
+        group.clear()
+        self._maybe_rearm_cost_model()
 
     # ------------------------------------------------------------------
     # cost model

@@ -1,7 +1,11 @@
 """Tests for the Instance data model."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import Instance, MachineEnvironment
 
@@ -60,6 +64,44 @@ class TestFactories:
     def test_bad_class_index_rejected(self):
         with pytest.raises(ValueError):
             Instance.uniform([1.0], [1.0], [5], [1.0])
+
+
+def _unrelated_5x2() -> tuple:
+    """Processing (2, 5), setups (2, 2), classes of 5 jobs, all finite."""
+    processing = np.arange(1.0, 11.0).reshape(2, 5)
+    setups = np.array([[1.0, 2.0], [3.0, 4.0]])
+    return processing, setups, [0, 1, 0, 1, 0]
+
+
+class TestValidate:
+    """``validate``'s rejections, pinned value by value."""
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("processing", "processing times must be non-negative"),
+        ("setups", "setup times must be non-negative"),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf])
+    def test_rejects_nan_negative_and_minus_inf(self, matrix, message, bad):
+        processing, setups, kappa = _unrelated_5x2()
+        (processing if matrix == "processing" else setups)[1, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            Instance.unrelated(processing, setups, kappa)
+
+    @pytest.mark.parametrize("matrix", ["processing", "setups"])
+    def test_accepts_plus_inf(self, matrix):
+        processing, setups, kappa = _unrelated_5x2()
+        (processing if matrix == "processing" else setups)[1, 1] = np.inf
+        Instance.unrelated(processing, setups, kappa)
+
+    def test_names_the_first_job_without_an_eligible_machine(self):
+        processing, setups, kappa = _unrelated_5x2()
+        processing[:, [2, 4]] = np.inf
+        with pytest.raises(ValueError, match="job 2 has no eligible machine"):
+            Instance.unrelated(processing, setups, kappa)
+
+    def test_no_jobs_pass(self):
+        inst = Instance.unrelated(np.zeros((3, 0)), np.ones((3, 2)), [])
+        assert inst.num_jobs == 0 and inst.num_machines == 3
 
 
 class TestQueries:
@@ -136,6 +178,76 @@ class TestSerialisation:
     def test_repr_contains_dimensions(self, tiny_uniform):
         text = repr(tiny_uniform)
         assert "n=5" in text and "m=2" in text and "K=2" in text
+
+
+def _restricted_payload() -> dict:
+    """A valid ``to_dict()`` payload as JSON reads it back (``inf`` kept)."""
+    inst = Instance.restricted(
+        [2.0, 3.0, 1.0, 4.0], [1.0, 2.0], [0, 0, 1, 1],
+        np.array([[True, False, True, True], [True, True, False, True]]),
+        name="fuzz-base", meta={"seed": 3})
+    return json.loads(inst.to_json())
+
+
+#: Arbitrary JSON values, plus number matrices that come close to valid.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8) | st.lists(
+        st.lists(st.integers(-2, 5) | st.floats(-1.0, 1e3) | st.just(float("inf")),
+                 min_size=1, max_size=5),
+        min_size=1, max_size=3)
+
+_FIELDS = [None, "environment", "processing", "setups", "job_classes",
+           "speeds", "job_sizes", "setup_sizes", "name", "meta", "extra"]
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("field, value, match", [
+        ("processing", None, "'processing' is required"),
+        ("meta", [1], "'meta' must be a dict"),
+        ("setups", [[1.0, 2.0], [1.0]], "'setups' must be a 2-D array"),
+        ("processing", [[2.0, 3.0], [1.0]], "'processing' must be a 2-D array"),
+        ("job_classes", [0.7, 0, 1, 1], "'job_classes' must hold integer"),
+        ("job_classes", [0, 0, 1, "1"], "'job_classes' must be a 1-D array"),
+        ("environment", "parallel", "'environment' must be one of"),
+        ("name", 5, "'name' must be a string"),
+        ("extra", 1, r"unknown instance field\(s\) \['extra'\]"),
+    ])
+    def test_malformed_field_raises_value_error(self, field, value, match):
+        payload = _restricted_payload()
+        payload[field] = value
+        with pytest.raises(ValueError, match=match):
+            Instance.from_dict(payload)
+
+    def test_missing_field_is_named(self):
+        payload = _restricted_payload()
+        del payload["processing"]
+        with pytest.raises(ValueError, match="'processing' is required"):
+            Instance.from_dict(payload)
+
+    def test_non_dict_payload(self):
+        with pytest.raises(ValueError, match="must be a dict, not list"):
+            Instance.from_dict([1])
+
+    def test_integral_float_labels_load(self):
+        payload = _restricted_payload()
+        payload["job_classes"] = [0.0, 0.0, 1.0, 1.0]
+        assert Instance.from_dict(payload).job_classes.tolist() == [0, 0, 1, 1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+    def test_a_replaced_field_loads_or_raises_a_value_error_naming_it(
+            self, field, value):
+        payload = _restricted_payload() if field is not None else value
+        if field is not None:
+            payload[field] = value
+        try:
+            Instance.from_dict(payload)
+        except ValueError as exc:
+            assert (field or "instance") in str(exc)
 
 
 class TestTransformations:

@@ -7,6 +7,7 @@ degrade to in-process execution).
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from repro.algorithms.base import AlgorithmResult
 from repro.core.bounds import greedy_upper_bound
 from repro.core.instance import Instance
-from repro.generators import uniform_instance
+from repro.generators import uniform_instance, unrelated_instance
 from repro.runtime import (
     BatchRunner,
     BatchTask,
@@ -26,6 +27,7 @@ from repro.runtime import (
     register_algorithm,
     unregister_algorithm,
 )
+from repro.store import ResultStore
 
 FAST_GRID = ["lpt-with-setups", "class-aware-greedy", "best-machine"]
 
@@ -265,6 +267,23 @@ class TestCache:
         b = runner.run_one("class-aware-greedy", inst)
         assert a is not b
 
+    def test_cache_keys_match_earlier_versions(self):
+        """Golden keys: stores written by earlier versions keep hitting."""
+        uniform = uniform_instance(20, 4, 4, seed=5)
+        assert BatchTask.make("lpt-with-setups", uniform).cache_key() == (
+            "ed8ebe346a2c9c919ea6d4b34e6ec084c3cd96168d03e340a1683f99aa68c78c")
+        kwargs = {"epsilon": 0.5, "w": np.arange(3, dtype=np.int32),
+                  "d": {"a": [1, 2.5]}}
+        assert BatchTask.make("ptas-uniform", uniform, kwargs).cache_key() == (
+            "76b9f68156b2c4f24f1137a31389c39385f3cd9fb7b07088deb3999b1d14e4bf")
+        unrelated = unrelated_instance(12, 3, 4, seed=7)  # no size vectors
+        assert BatchTask.make("class-aware-greedy", unrelated).cache_key() == (
+            "f690a8eb7538c8eeec5e85cf47050ad165068f02a1785820bca75345d992d936")
+
+    def test_cache_key_is_computed_once_per_task(self):
+        task = BatchTask.make("lpt-with-setups", uniform_instance(8, 2, 2, seed=0))
+        assert task.cache_key() is task.cache_key()
+
 
 class TestPortfolio:
     def test_portfolio_tie_breaking_is_deterministic(self):
@@ -464,6 +483,38 @@ class TestStreaming:
             break  # abandon the 5s sleeper
         elapsed = time.perf_counter() - t0
         assert elapsed < 3.0, f"early break blocked for {elapsed:.1f}s"
+
+    def test_closing_the_stream_stores_every_yielded_result(self, tmp_path):
+        """Cheap results are grouped; closing the generator commits them."""
+        path = tmp_path / "grouped.sqlite"
+        runner = BatchRunner(max_workers=1, store=path, cost_model=None)
+        tasks = [BatchTask.make("class-aware-greedy",
+                                uniform_instance(12, 3, 3, seed=s, integral=True))
+                 for s in range(6)]
+        seen = []
+        with contextlib.closing(runner.run_iter(tasks)) as stream:
+            for idx, _result in stream:
+                seen.append(tasks[idx].cache_key())
+                if len(seen) == 3:
+                    break
+        with ResultStore(path) as other:
+            assert {record.key for record in other.records()} == set(seen)
+        assert runner.stats["store_puts"] == 3
+
+    def test_slow_result_is_stored_before_it_is_yielded(self, tmp_path,
+                                                         sleeper_algorithm):
+        path = tmp_path / "durable.sqlite"
+        runner = BatchRunner(max_workers=1, store=path, cost_model=None)
+        inst = uniform_instance(12, 3, 3, seed=4, integral=True)
+        tasks = [BatchTask.make("class-aware-greedy", inst),
+                 BatchTask.make(sleeper_algorithm, inst, {"delay": 0.15}),
+                 BatchTask.make("lpt-with-setups", inst)]
+        with ResultStore(path) as other:
+            for idx, _result in runner.run_iter(tasks):
+                if idx == 1:
+                    assert other.contains(tasks[1])
+                    assert other.contains(tasks[0])  # committed in its group
+            assert len(other) == 3
 
     def test_failed_results_never_reach_the_store(self, tmp_path,
                                                   failing_algorithm):

@@ -90,6 +90,45 @@ class TestStoreBasics:
         assert payload["n"] == 15
 
 
+class TestPutMany:
+    def test_stores_every_pair_and_counts_each_put(self, tmp_path):
+        tasks = [_task(seed=s) for s in range(4)]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put_many([(t, _result_for(t)) for t in tasks])
+            assert not store._conn.in_transaction
+            assert store.stats_counters["puts"] == 4
+            assert set(store.prefetch(tasks)) == {t.cache_key() for t in tasks}
+
+    def test_joins_an_open_transaction(self, tmp_path):
+        tasks = [_task(seed=s) for s in range(2)]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store._conn.execute("BEGIN IMMEDIATE")
+            store.put_many([(t, _result_for(t)) for t in tasks])
+            assert store._conn.in_transaction  # not committed by put_many
+            store._conn.execute("ROLLBACK")
+            assert len(store) == 0
+
+    def test_evicts_once_after_commit(self, tmp_path):
+        tasks = [_task(seed=s) for s in range(5)]
+        results = [_result_for(t) for t in tasks]
+        row_bytes = len(pickle.dumps(results[0], pickle.HIGHEST_PROTOCOL))
+        with ResultStore(tmp_path / "s.sqlite",
+                         max_bytes=2 * row_bytes + 10) as store:
+            store.put_many(zip(tasks, results))
+            assert len(store) == 2
+            assert store.stats_counters["evictions"] == 3
+
+    def test_a_failing_put_rolls_back_the_group(self, tmp_path):
+        tasks = [_task(seed=s) for s in range(2)]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            broken = BatchTask.make("class-aware-greedy", None)  # no instance
+            with pytest.raises(AttributeError):
+                store.put_many([(tasks[0], _result_for(tasks[0])),
+                                (broken, _result_for(tasks[1]))])
+            assert not store._conn.in_transaction
+            assert len(store) == 0
+
+
 class TestDurability:
     def test_runner_results_survive_process_restart(self, tmp_path):
         """Results written by one BatchRunner are hits in a fresh process."""
