@@ -108,7 +108,7 @@ class TestPutMany:
             store._conn.execute("ROLLBACK")
             assert len(store) == 0
 
-    def test_evicts_once_after_commit(self, tmp_path):
+    def test_evicts_after_the_commit(self, tmp_path):
         tasks = [_task(seed=s) for s in range(5)]
         results = [_result_for(t) for t in tasks]
         row_bytes = len(pickle.dumps(results[0], pickle.HIGHEST_PROTOCOL))
