@@ -28,10 +28,8 @@ This package turns the loose algorithm functions of
   stamped by the submitter and enforced by whichever worker leases the
   row).
 * :mod:`repro.runtime.supervisor` — ``python -m repro.runtime.supervisor``
-  autoscales the worker fleet: spawn on queue depth (optionally weighted
-  by the cost model's predicted seconds via ``--spawn-horizon-s`` —
-  spawn for *work*, not for rows), restart crashed workers behind an
-  exponential backoff with a consecutive-crash cap, retire on idle, exit
+  autoscales the worker fleet: spawn one worker per outstanding task up
+  to a cap, restart crashed workers behind an exponential backoff with a consecutive-crash cap, retire on idle, exit
   when the queue drains.  Submitters opt in with
   ``QueueBackend(autoscale=N)``, or ``Session(autoscale=N)`` /
   ``REPRO_AUTOSCALE=N`` on the queue backend.

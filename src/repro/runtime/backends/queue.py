@@ -47,12 +47,6 @@ if TYPE_CHECKING:
 
 __all__ = ["QueueBackend", "process_lease"]
 
-#: Stat-dict keys every drain loop (worker CLI, chaos worker) reports —
-#: defined next to :func:`process_lease`, whose outcomes they count, so
-#: the implementations can never drift.
-_WORKER_STATS_KEYS = ("computed", "deduped", "failed", "overtime")
-
-
 def _bound_store(queue: TaskQueue,
                 store: Optional["ResultStore"] = None) -> "ResultStore":
     """The store ``queue`` is bound to; ``ValueError`` when it is unbound
@@ -76,8 +70,8 @@ def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
 
     The single implementation of the worker-side protocol — store-dedup
     check, compute, publish, fail on captured error — shared by the
-    inline drain below, the ``repro.runtime.worker`` CLI and the chaos
-    worker, so exactly-once accounting can never diverge between them.
+    inline drain below and :func:`repro.runtime.worker.drain` (which the
+    chaos worker runs too), so exactly-once accounting can never diverge between them.
     ``queue`` must be bound to its store (``TaskQueue(store)``), which
     serves the dedup check and takes the publish: the result and the
     row's turn to ``done`` commit in one transaction
@@ -144,10 +138,8 @@ class QueueBackend(ExecutionBackend):
         Raise ``RuntimeError`` when no task completes for this many
         seconds (``None`` waits forever).  A safety net for benchmarks and
         tests: with ``inline=False`` and every external worker dead, the
-        submitter would otherwise block indefinitely.
-    worker_id:
-        Drain-loop identity of the submitting process (defaults to
-        ``inline-<pid>``); shows up in queue rows it computes.
+        submitter would otherwise block indefinitely.  The submitter's
+        own drain loop leases as ``inline-<pid>``.
     autoscale:
         Close the loop to "as fast as the hardware allows": a positive
         worker count (or ``True`` for the usable-CPU count) makes every
@@ -165,14 +157,7 @@ class QueueBackend(ExecutionBackend):
         ``max(min_budget_s, budget_factor × predicted)`` — generous
         enough that honest variance never trips it, tight enough that a
         pathological task is flagged.  Without either, rows travel
-        unbudgeted.  The *raw* prediction is additionally stamped as the
-        row's ``predicted_s`` so the supervisor can weight queue depth by
-        work, not row count.
-    spawn_horizon_s:
-        Forwarded to the autoscaling supervisor: spawn one worker per
-        this many predicted seconds of queued work (see
-        ``SupervisorPolicy``).  ``None`` keeps depth-proportional
-        scaling.  Only meaningful with ``autoscale``.
+        unbudgeted.
     """
 
     name = "queue"
@@ -181,27 +166,18 @@ class QueueBackend(ExecutionBackend):
     def __init__(self, runner: "BatchRunner", *, lease_s: float = 60.0,
                  poll_s: float = 0.05, inline: bool = True,
                  stall_timeout_s: Optional[float] = None,
-                 worker_id: Optional[str] = None,
                  autoscale: Union[None, bool, int] = None,
                  budget_factor: float = 8.0,
-                 min_budget_s: float = 1.0,
-                 spawn_horizon_s: Optional[float] = None) -> None:
+                 min_budget_s: float = 1.0) -> None:
         super().__init__(runner)
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.inline = bool(inline)
         self.stall_timeout_s = stall_timeout_s
-        self.worker_id = worker_id or f"inline-{os.getpid()}"
+        self.worker_id = f"inline-{os.getpid()}"
         self.autoscale = self._resolve_autoscale(autoscale)
         self.budget_factor = float(budget_factor)
         self.min_budget_s = float(min_budget_s)
-        if spawn_horizon_s is not None and float(spawn_horizon_s) < 0:
-            # Mirror SupervisorPolicy: a typo'd horizon must not silently
-            # fall back to one-fork-per-row scaling.  (0 means "disabled",
-            # matching the CLI flag's convention.)
-            raise ValueError("spawn_horizon_s must be >= 0 (or None)")
-        self.spawn_horizon_s = (float(spawn_horizon_s)
-                                if spawn_horizon_s else None)
 
     @staticmethod
     def _resolve_autoscale(autoscale: Union[None, bool, int]) -> int:
@@ -210,23 +186,20 @@ class QueueBackend(ExecutionBackend):
             return usable_cpus()
         return max(0, int(autoscale or 0))
 
-    def _policy_for(self, task: "BatchTask"
-                    ) -> Tuple[Optional[float], Optional[float]]:
-        """``(budget_s, predicted_s)`` to stamp on this task's queue row.
+    def _policy_for(self, task: "BatchTask") -> Optional[float]:
+        """The ``budget_s`` to stamp on this task's queue row.
 
         The budget is enforced (post-hoc) by whichever worker leases the
-        row; the raw prediction is scaling advice for the supervisor and
-        is stamped even when an explicit ``timeout`` decides the budget.
+        row.
         """
         runner = self.runner
+        if runner.timeout is not None:
+            return float(runner.timeout)
         model = runner.cost_model()
         predicted = model.predict_task(task) if model is not None else None
-        predicted = float(predicted) if predicted is not None else None
-        if runner.timeout is not None:
-            return float(runner.timeout), predicted
         if predicted is None:
-            return None, None
-        return max(self.min_budget_s, self.budget_factor * predicted), predicted
+            return None
+        return max(self.min_budget_s, self.budget_factor * float(predicted))
 
     def submit(self, tasks: Sequence["BatchTask"]
                ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
@@ -244,23 +217,20 @@ class QueueBackend(ExecutionBackend):
         armed: set = set()  # keys *we* queued (ok to cancel on early exit)
         # Budgets travel with the rows: the submitter's policy (explicit
         # timeout, else cost-model prediction) is computed once per key
-        # here and enforced by whichever worker leases the row.  The raw
-        # predictions ride along as the supervisor's scaling signal.
-        policy_by_key: Dict[str, Tuple[Optional[float], Optional[float]]] = {
+        # here and enforced by whichever worker leases the row.
+        budget_by_key: Dict[str, Optional[float]] = {
             key: self._policy_for(tasks[indices[0]])
             for key, indices in by_key.items()}
         supervisor = None
         try:
             armed = set(queue.enqueue(
                 [tasks[indices[0]] for indices in by_key.values()],
-                budgets=[policy[0] for policy in policy_by_key.values()],
-                predictions=[policy[1] for policy in policy_by_key.values()]))
+                budgets=list(budget_by_key.values())))
             if self.autoscale > 0:
                 from repro.runtime.supervisor import spawn_supervisor
                 supervisor = spawn_supervisor(store.path,
                                               max_workers=self.autoscale,
-                                              lease_s=self.lease_s,
-                                              spawn_horizon_s=self.spawn_horizon_s)
+                                              lease_s=self.lease_s)
             last_progress = time.monotonic()
             cursor = 0
             reconcile = True  # the first poll, and every poll after an idle one
@@ -332,9 +302,7 @@ class QueueBackend(ExecutionBackend):
                     if vanished:
                         armed.update(queue.enqueue(
                             [tasks[unresolved[key][0]] for key in vanished],
-                            budgets=[policy_by_key[key][0] for key in vanished],
-                            predictions=[policy_by_key[key][1]
-                                         for key in vanished]))
+                            budgets=[budget_by_key[key] for key in vanished]))
                         progressed = True
 
                 # Drain one task ourselves (possibly someone else's — the
@@ -371,8 +339,7 @@ class QueueBackend(ExecutionBackend):
                         from repro.runtime.supervisor import spawn_supervisor
                         supervisor = spawn_supervisor(
                             store.path, max_workers=self.autoscale,
-                            lease_s=self.lease_s,
-                            spawn_horizon_s=self.spawn_horizon_s)
+                            lease_s=self.lease_s)
                 if (self.stall_timeout_s is not None
                         and time.monotonic() - last_progress > self.stall_timeout_s):
                     raise RuntimeError(

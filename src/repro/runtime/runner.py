@@ -83,6 +83,11 @@ _DTYPE_TAGS: Dict[np.dtype, bytes] = {}
 #: stored before it is yielded.
 _GROUP_COMMIT_S = 0.1
 
+#: The store-fitted cost model is refitted (lazily, on its next use)
+#: after this many results are written through the runner's store
+#: handle, so predictions track the runs the store just absorbed.
+_REFIT_EVERY = 200
+
 
 def _hash_array(h, arr: np.ndarray) -> None:
     """Feed an array's content (dtype, shape, bytes) into a hash."""
@@ -275,14 +280,6 @@ class BatchRunner:
         warm keys are served from it (streamed first by
         :meth:`run_iter`) across process restarts.  Failure sentinels are
         never persisted.
-    cost_model:
-        ``"auto"`` (default) lazily fits a
-        :class:`~repro.store.cost_model.CostModel` from the store's
-        recorded wall times on first use (no-op without a store or with an
-        empty one); pass an explicit model, or ``None`` to disable
-        cost-based ordering and budgeting.  The lazy fit happens once per
-        runner; call :meth:`refit_cost_model` to absorb newly recorded
-        runs.
     chunk_size:
         Tasks per pool submission; ``None`` picks ``ceil(len/4·workers)``
         capped at 16.  Not used when ``timeout`` is set (wave dispatch is
@@ -299,12 +296,6 @@ class BatchRunner:
     backend_options:
         Extra constructor kwargs for a *named* backend (e.g.
         ``{"inline": False, "lease_s": 10.0}`` for ``"queue"``).
-    refit_every:
-        Auto-refit cadence of an ``"auto"`` cost model: after this many
-        results are written through the attached store handle, the model
-        is lazily refitted so predictions track the runs the store just
-        absorbed.  ``None`` disables auto-refitting (the manual
-        :meth:`refit_cost_model` always works).
     """
 
     def __init__(
@@ -314,16 +305,12 @@ class BatchRunner:
         timeout: Optional[float] = None,
         cache: bool = True,
         store: Union[None, str, Path, ResultStore] = None,
-        cost_model: Union[None, str, CostModel] = "auto",
         chunk_size: Optional[int] = None,
         backend: Union[None, str, ExecutionBackend] = None,
         backend_options: Optional[Dict[str, object]] = None,
-        refit_every: Optional[int] = 200,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if refit_every is not None and refit_every < 1:
-            raise ValueError("refit_every must be >= 1 (or None to disable)")
         self.max_workers = max_workers if max_workers is not None else usable_cpus()
         self.timeout = timeout
         self.cache_enabled = cache
@@ -331,11 +318,8 @@ class BatchRunner:
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store: Optional[ResultStore] = store
-        self._cost_model: Union[None, str, CostModel] = cost_model
-        #: Whether the cost model is runner-managed ("auto") as opposed to
-        #: caller-provided/disabled; only the former is auto-refitted.
-        self._cost_model_auto = isinstance(cost_model, str)
-        self.refit_every = refit_every
+        self._cost_model: Optional[CostModel] = None
+        self._fit_due = True  # fit (again) on the next cost_model() call
         self._next_refit_at = self._refit_threshold()
         # Fork where available, so registry state (including dynamically
         # registered algorithms) reaches the workers.
@@ -490,37 +474,26 @@ class BatchRunner:
     # cost model
     # ------------------------------------------------------------------
     def cost_model(self) -> Optional[CostModel]:
-        """The runner's cost model, fitting it lazily in ``"auto"`` mode.
+        """The runner's cost model, fitted lazily from the store.
 
-        Returns ``None`` when disabled, or when auto-fitting finds no
+        Returns ``None`` without a store, or when the store holds no
         recorded runs to learn from (e.g. a cold store on first use).
         """
-        if isinstance(self._cost_model, str):  # "auto" sentinel
+        if self._fit_due:
+            self._fit_due = False
             self._cost_model = None
             if self.store is not None and len(self.store) > 0:
                 self._cost_model = CostModel.fit_from_store(self.store)
         return self._cost_model
 
-    def refit_cost_model(self) -> Optional[CostModel]:
-        """Refit the cost model from the store's current records.
-
-        Switches the runner to store-fitted (``"auto"``) mode, including a
-        runner constructed with an explicit ``cost_model=`` — calling this
-        is the caller's opt-in to store-fitted predictions.
-        """
-        self._cost_model = "auto" if self.store is not None else None
-        self._cost_model_auto = True
-        self._next_refit_at = self._refit_threshold()
-        return self.cost_model()
-
     def _refit_threshold(self) -> Optional[int]:
-        """Store-put count at which the next auto-refit should trigger."""
-        if self.refit_every is None or self.store is None:
+        """Store-put count at which the next refit should trigger."""
+        if self.store is None:
             return None
-        return self.store.stats_counters["puts"] + self.refit_every
+        return self.store.stats_counters["puts"] + _REFIT_EVERY
 
     def _maybe_rearm_cost_model(self) -> None:
-        """Re-arm the ``"auto"`` cost model every ``refit_every`` store puts.
+        """Re-arm the cost model every ``_REFIT_EVERY`` store puts.
 
         The counter watched is the attached store handle's ``puts`` — with
         :func:`repro.runtime.pool.get_runner` sharing one :class:`ResultStore`
@@ -530,11 +503,10 @@ class BatchRunner:
         :meth:`cost_model` call), so a burst of puts costs one refit, not
         one per put.
         """
-        if (self._next_refit_at is None or not self._cost_model_auto
-                or self.store is None):
+        if self._next_refit_at is None:
             return
         if self.store.stats_counters["puts"] >= self._next_refit_at:
-            self._cost_model = "auto"
+            self._fit_due = True
             self._next_refit_at = self._refit_threshold()
 
     def _order_by_cost(self, tasks: Sequence[BatchTask],

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import shlex
 import signal
@@ -56,6 +55,10 @@ __all__ = ["SupervisorPolicy", "Supervisor", "spawn_supervisor", "main"]
 
 logger = logging.getLogger("repro.supervisor")
 
+#: Crash-restart backoff: doubles per consecutive crash, capped at 30 s.
+_BACKOFF_FACTOR = 2.0
+_MAX_BACKOFF_S = 30.0
+
 
 class SupervisorPolicy:
     """Pure scaling/restart decisions — no subprocesses, no sleeps.
@@ -69,47 +72,30 @@ class SupervisorPolicy:
         retired (and, with nothing left to reap, the supervisor exits).
         The hysteresis that keeps a bursty submitter from flapping the
         fleet.
-    restart_backoff_s / backoff_factor / max_backoff_s:
+    restart_backoff_s:
         After the *k*-th consecutive crash, spawning is suspended for
-        ``min(max_backoff_s, restart_backoff_s · backoff_factor^(k-1))``
-        seconds.
+        ``min(30, restart_backoff_s · 2^(k-1))`` seconds.
     restart_cap:
         Consecutive crashes after which the policy stops restarting
         entirely (:attr:`exhausted`) — a worker that dies every time it
         starts will keep dying; forking it forever helps nobody.  A clean
         (rc 0) exit proves the fleet can make progress and resets the
         counter.
-    spawn_horizon_s:
-        Cost-weighted scaling: spawn one worker per this many *predicted
-        seconds* of queued work (the cost-model ``predicted_s`` the
-        submitter stamped on each row), instead of one per outstanding
-        row.  A 50-row grid of 20ms tasks is one worker's next second of
-        work, not 50 forks.  ``None`` (default) keeps depth-proportional
-        scaling; rows without a prediction count ``spawn_horizon_s``
-        each, i.e. unknown work still earns a worker of its own.
     clock:
         Time source (``time.monotonic`` unless overridden); tests inject
         a :class:`~repro.testing.clock.FakeClock`.
     """
 
     def __init__(self, *, max_workers: int, idle_grace_s: float = 1.0,
-                 restart_backoff_s: float = 0.5, backoff_factor: float = 2.0,
-                 max_backoff_s: float = 30.0, restart_cap: int = 5,
-                 spawn_horizon_s: Optional[float] = None,
+                 restart_backoff_s: float = 0.5, restart_cap: int = 5,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if restart_cap < 1:
             raise ValueError("restart_cap must be >= 1")
-        if spawn_horizon_s is not None and spawn_horizon_s <= 0:
-            raise ValueError("spawn_horizon_s must be > 0 (or None)")
-        self.spawn_horizon_s = (float(spawn_horizon_s)
-                                if spawn_horizon_s is not None else None)
         self.max_workers = int(max_workers)
         self.idle_grace_s = float(idle_grace_s)
         self.restart_backoff_s = float(restart_backoff_s)
-        self.backoff_factor = float(backoff_factor)
-        self.max_backoff_s = float(max_backoff_s)
         self.restart_cap = int(restart_cap)
         self._clock = clock
         #: Consecutive crashes since the fleet last proved it can make
@@ -123,8 +109,7 @@ class SupervisorPolicy:
     # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
-    def scale(self, *, queued: int, leased: int, live: int,
-              queued_work_s: Optional[float] = None) -> int:
+    def scale(self, *, queued: int, leased: int, live: int) -> int:
         """The worker-count delta for this tick.
 
         Positive: spawn that many workers (depth demands them, crash
@@ -133,24 +118,12 @@ class SupervisorPolicy:
         includes the case of more live workers than outstanding tasks
         while work remains: busy workers are never culled mid-task, they
         retire themselves (or idle out) when the queue empties.
-
-        ``queued_work_s`` (the predicted seconds sitting in ``queued``
-        rows, from :meth:`TaskQueue.queued_work_seconds`) activates
-        cost-weighted scaling when ``spawn_horizon_s`` is set: the fleet
-        target becomes ``ceil(queued_work_s / spawn_horizon_s)`` workers
-        for the queued work plus one per leased row — never more than
-        depth-proportional scaling would spawn, never less than one
-        while work is outstanding.
         """
         now = self._clock()
         outstanding = queued + leased
         if outstanding > 0:
             self._idle_since = None
             desired = min(self.max_workers, outstanding)
-            if self.spawn_horizon_s is not None and queued_work_s is not None:
-                weighted = (math.ceil(queued_work_s / self.spawn_horizon_s)
-                            + leased)
-                desired = min(desired, max(1, weighted))
             if live >= desired or self.exhausted or now < self._backoff_until:
                 return 0
             return desired - live
@@ -175,9 +148,9 @@ class SupervisorPolicy:
             return "retired"
         self.crashes += 1
         self.total_crashes += 1
-        delay = min(self.max_backoff_s,
+        delay = min(_MAX_BACKOFF_S,
                     self.restart_backoff_s
-                    * self.backoff_factor ** (self.crashes - 1))
+                    * _BACKOFF_FACTOR ** (self.crashes - 1))
         self._backoff_until = self._clock() + delay
         return "crashed"
 
@@ -225,19 +198,12 @@ class Supervisor:
         the spawned workers (kept identical so expiry judgements agree).
     poll_s:
         Supervisor tick interval.
-    spawn_horizon_s:
-        Cost-weighted scaling (forwarded to the default policy): spawn
-        one worker per this many predicted seconds of queued work
-        instead of one per row.  ``None`` keeps depth-proportional
-        scaling.
     worker_module:
         The ``python -m`` module spawned as a worker
         (``repro.runtime.worker``; tests substitute
         ``repro.testing.chaos``).
     worker_args:
         Extra CLI args appended to every worker command line.
-    worker_env:
-        Extra environment variables for workers (e.g. ``REPRO_CHAOS_*``).
     worker_idle_exit / worker_poll_s:
         Forwarded to workers; ``worker_idle_exit`` should exceed
         ``idle_grace_s`` so the supervisor, not the worker, decides
@@ -257,10 +223,8 @@ class Supervisor:
                  lease_s: float = 60.0, poll_s: float = 0.2,
                  idle_grace_s: float = 1.0, restart_backoff_s: float = 0.5,
                  restart_cap: int = 5,
-                 spawn_horizon_s: Optional[float] = None,
                  worker_module: str = "repro.runtime.worker",
                  worker_args: Sequence[str] = (),
-                 worker_env: Optional[Dict[str, str]] = None,
                  worker_idle_exit: float = 10.0,
                  worker_poll_s: float = 0.05,
                  sleep: Callable[[float], None] = time.sleep) -> None:
@@ -272,14 +236,12 @@ class Supervisor:
             policy = SupervisorPolicy(max_workers=max_workers,
                                       idle_grace_s=idle_grace_s,
                                       restart_backoff_s=restart_backoff_s,
-                                      restart_cap=restart_cap,
-                                      spawn_horizon_s=spawn_horizon_s)
+                                      restart_cap=restart_cap)
         self.policy = policy
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.worker_module = worker_module
         self.worker_args = list(worker_args)
-        self.worker_env = dict(worker_env or {})
         self.worker_idle_exit = float(worker_idle_exit)
         self.worker_poll_s = float(worker_poll_s)
         self._sleep = sleep
@@ -322,12 +284,6 @@ class Supervisor:
                             f"backoff {self.policy.backoff_remaining:.2f}s")
                 counts = queue.counts()
                 outstanding = counts["queued"] + counts["leased"]
-                queued_work_s = None
-                if self.policy.spawn_horizon_s is not None:
-                    # Unknown-prediction rows count a full horizon each:
-                    # unpredicted work still earns its own worker.
-                    _, queued_work_s = queue.queued_work_seconds(
-                        default_s=self.policy.spawn_horizon_s)
                 self.policy.note_progress(counts["done"])
                 if outstanding == 0 and not workers:
                     self.summary["drained"] = True
@@ -351,8 +307,7 @@ class Supervisor:
                     return dict(self.summary)
                 delta = self.policy.scale(queued=counts["queued"],
                                           leased=counts["leased"],
-                                          live=len(workers),
-                                          queued_work_s=queued_work_s)
+                                          live=len(workers))
                 if delta > 0:
                     for _ in range(delta):
                         seq += 1
@@ -402,11 +357,10 @@ class Supervisor:
                "--poll-s", str(self.worker_poll_s),
                "--idle-exit", str(self.worker_idle_exit),
                *self.worker_args]
-        env = child_env()
-        env.update(self.worker_env)
         # Workers print a one-line drain summary on exit; that belongs to
         # them, not to the supervisor's (or the F5 table's) stdout.
-        return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+        return subprocess.Popen(cmd, env=child_env(),
+                                stdout=subprocess.DEVNULL)
 
 
 def child_env() -> Dict[str, str]:
@@ -428,9 +382,7 @@ def child_env() -> Dict[str, str]:
 
 
 def spawn_supervisor(store_path: Union[str, Path], *, max_workers: int,
-                     lease_s: float = 60.0,
-                     spawn_horizon_s: Optional[float] = None,
-                     extra_args: Sequence[str] = ()) -> subprocess.Popen:
+                     lease_s: float = 60.0) -> subprocess.Popen:
     """Start ``python -m repro.runtime.supervisor`` as a subprocess.
 
     The submitter-facing entry point behind
@@ -442,9 +394,6 @@ def spawn_supervisor(store_path: Union[str, Path], *, max_workers: int,
     cmd = [sys.executable, "-m", "repro.runtime.supervisor",
            "--store", str(store_path), "--max-workers", str(max_workers),
            "--lease-s", str(lease_s)]
-    if spawn_horizon_s is not None:
-        cmd += ["--spawn-horizon-s", str(spawn_horizon_s)]
-    cmd += list(extra_args)
     return subprocess.Popen(cmd, env=child_env(), stdout=subprocess.DEVNULL)
 
 
@@ -470,10 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--restart-cap", type=int, default=5,
                         help="consecutive crashes before giving up "
                              "(default: 5)")
-    parser.add_argument("--spawn-horizon-s", type=float, default=0.0,
-                        help="cost-weighted scaling: spawn one worker per "
-                             "this many predicted seconds of queued work "
-                             "(0 disables: one worker per outstanding row)")
     parser.add_argument("--worker-module", default="repro.runtime.worker",
                         help="python -m module to spawn as workers")
     parser.add_argument("--worker-args", default="", metavar="ARGS",
@@ -502,8 +447,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         poll_s=args.poll_s, idle_grace_s=args.idle_grace_s,
         restart_backoff_s=args.restart_backoff_s,
         restart_cap=args.restart_cap,
-        spawn_horizon_s=(args.spawn_horizon_s
-                         if args.spawn_horizon_s > 0 else None),
         worker_module=args.worker_module,
         worker_args=shlex.split(args.worker_args),
         worker_idle_exit=args.worker_idle_exit,

@@ -3,7 +3,7 @@
 ::
 
     python -m repro.runtime.worker --store PATH [--worker-id ID]
-        [--lease-s S] [--poll-s S] [--idle-exit S] [--max-tasks N]
+        [--lease-s S] [--poll-s S] [--idle-exit S]
 
 A worker is the distributed half of the ``"queue"`` execution backend:
 it opens the shared store file, leases tasks from the ``task_queue``
@@ -27,8 +27,8 @@ surfaced in ``result.meta["budget_s"]`` / ``meta["over_budget"]`` and
 the overrun counted in the drain stats.  There is deliberately no
 ``--timeout`` flag to keep in sync across a fleet.
 
-Exit conditions: ``--max-tasks`` processed, or nothing claimable for
-``--idle-exit`` seconds (pass ``--idle-exit 0`` to exit on the first idle
+A worker exits once nothing has been claimable for ``--idle-exit``
+seconds (pass ``--idle-exit 0`` to exit on the first idle
 poll; the default keeps draining long enough for a submitter that is
 still enqueueing).  A terminating signal simply kills the process — the
 lease on any in-flight task expires and another worker picks it up;
@@ -41,13 +41,12 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from repro.runtime.backends.queue import (_WORKER_STATS_KEYS, _bound_store,
-                                          process_lease)
+from repro.runtime.backends.queue import _bound_store, process_lease
 from repro.store import ResultStore, TaskQueue
 
-__all__ = ["main", "drain"]
+__all__ = ["main", "drain", "run"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,14 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--idle-exit", type=float, default=10.0,
                         help="exit after this many seconds with nothing "
                              "claimable (default: 10)")
-    parser.add_argument("--max-tasks", type=int, default=None,
-                        help="exit after processing this many leases")
     return parser
 
 
 def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
-          poll_s: float = 0.05, idle_exit: Optional[float] = 10.0,
-          max_tasks: Optional[int] = None) -> dict:
+          poll_s: float = 0.05, idle_exit: Optional[float] = 10.0) -> dict:
     """The worker loop (importable for in-process tests).
 
     ``queue`` must be bound to ``store`` (``TaskQueue(store)``), so that
@@ -87,7 +83,7 @@ def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
     every submitter sharing the queue).
     """
     _bound_store(queue, store)
-    stats = dict.fromkeys(_WORKER_STATS_KEYS, 0)
+    stats = dict.fromkeys(("computed", "deduped", "failed", "overtime"), 0)
     idle_since = time.monotonic()
     while True:
         queue.reclaim_expired()
@@ -105,19 +101,23 @@ def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
         if outcome == "computed" and payload.meta.get("over_budget"):
             stats["overtime"] += 1
         idle_since = time.monotonic()
-        total = stats["computed"] + stats["deduped"] + stats["failed"]
-        if max_tasks is not None and total >= max_tasks:
-            return stats
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    return run(_build_parser().parse_args(argv))
+
+
+def run(args: argparse.Namespace,
+        open_queue: Callable[..., TaskQueue] = TaskQueue) -> int:
+    """Drain the store named by parsed worker ``args`` and print the
+    drain summary.  ``open_queue(store, lease_s=...)`` builds the bound
+    queue; the chaos worker passes a fault-injecting one."""
     worker_id = args.worker_id or f"worker-{os.getpid()}"
     store = ResultStore(args.store)
-    queue = TaskQueue(store, lease_s=args.lease_s)
+    queue = open_queue(store, lease_s=args.lease_s)
     try:
         stats = drain(store, queue, worker_id, poll_s=args.poll_s,
-                      idle_exit=args.idle_exit, max_tasks=args.max_tasks)
+                      idle_exit=args.idle_exit)
     finally:
         queue.close()
         store.close()

@@ -105,24 +105,30 @@ def is_contention(exc: sqlite3.Error) -> bool:
     return _error_code(exc) in (_SQLITE_BUSY, _SQLITE_LOCKED, _SQLITE_PROTOCOL)
 
 
-def open_retrying(open_fn: Callable[[], _T]) -> _T:
-    """Call ``open_fn``, retrying it after contention for up to
-    :data:`BUSY_TIMEOUT_S`.
+def open_retrying(open_fn: Callable[[], _T], path: Path) -> _T:
+    """Call ``open_fn`` on the file at ``path``, retrying it after
+    contention for up to :data:`BUSY_TIMEOUT_S`.
 
     Connections opening one fresh file at the same moment race on its
     journal mode and WAL index: SQLite then fails a statement with
     "database is locked" or "locking protocol" at once, without waiting.
     The file is fine and a later try succeeds.  Once the deadline has
     passed — a statement that waited out the busy timeout on a held
-    write lock has used it up — the error reaches the caller.
-    ``open_fn`` must close its connection before it raises.
+    write lock has used it up — the error reaches the caller.  Any other
+    SQLite error means ``path`` cannot be used at all (a directory,
+    non-SQLite bytes, a damaged database) and is raised as a
+    ``ValueError`` naming it.  ``open_fn`` must close its connection
+    before it raises.
     """
     deadline = time.monotonic() + BUSY_TIMEOUT_S
     while True:
         try:
             return open_fn()
-        except sqlite3.OperationalError as exc:
-            if not is_contention(exc) or time.monotonic() >= deadline:
+        except sqlite3.Error as exc:
+            if not is_contention(exc):
+                raise ValueError(
+                    f"cannot open {path} as a store file: {exc}") from exc
+            if time.monotonic() >= deadline:
                 raise
         time.sleep(0.005)
 
@@ -204,7 +210,7 @@ class ResultStore:
             "gets": 0, "hits": 0, "puts": 0, "evictions": 0, "rebuilds": 0,
             "version_purged": 0}
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._conn = open_retrying(self._open_or_rebuild)
+        self._conn = open_retrying(self._open_or_rebuild, self.path)
 
     # ------------------------------------------------------------------
     # connection lifecycle

@@ -113,10 +113,10 @@ __all__ = ["TaskQueue", "LeasedTask", "QueueRow", "QUEUE_SCHEMA_VERSION"]
 
 #: Bump when the ``task_queue`` layout changes; queues stamped with another
 #: version are rebuilt empty on open.  Version 2 added the
-#: per-task ``budget_s`` column; version 3 added ``predicted_s`` (the raw
-#: cost-model runtime prediction, feeding cost-weighted supervisor
-#: scaling); version 4 added the ``seq`` change stamp.
-QUEUE_SCHEMA_VERSION = 4
+#: per-task ``budget_s`` column; version 3 added a cost-model runtime
+#: prediction column, which version 5 dropped again; version 4 added the
+#: ``seq`` change stamp.
+QUEUE_SCHEMA_VERSION = 5
 
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this (matches result_store._MAX_SQL_PARAMS).
@@ -136,7 +136,6 @@ _SCHEMA_STATEMENTS = (
     excluded_worker TEXT,
     error           TEXT,
     budget_s        REAL,
-    predicted_s     REAL,
     enqueued_at     REAL NOT NULL,
     updated_at      REAL NOT NULL,
     seq             INTEGER NOT NULL DEFAULT 0
@@ -155,12 +154,12 @@ _SCHEMA_STATEMENTS = (
 #: the queue.
 _EXPECTED_COLUMNS = frozenset({
     "key", "task_payload", "status", "owner", "lease_expires_at", "attempts",
-    "compute_count", "excluded_worker", "error", "budget_s", "predicted_s",
-    "enqueued_at", "updated_at", "seq"})
+    "compute_count", "excluded_worker", "error", "budget_s", "enqueued_at",
+    "updated_at", "seq"})
 
 #: The :class:`QueueRow` fields, in order.
 _ROW_COLUMNS = ("key, status, owner, attempts, compute_count,"
-                " excluded_worker, error, budget_s, predicted_s")
+                " excluded_worker, error, budget_s")
 
 #: The stamp of the transaction in progress: one past the last committed
 #: change.  Every row a transaction touches gets the same stamp, and
@@ -220,7 +219,6 @@ class QueueRow:
     excluded_worker: Optional[str]
     error: Optional[str]
     budget_s: Optional[float] = None
-    predicted_s: Optional[float] = None
 
 
 class TaskQueue:
@@ -269,11 +267,11 @@ class TaskQueue:
         self.store: Optional[ResultStore] = None
         if isinstance(path, ResultStore):
             self.store, self.path, self._conn = path, path.path, path._conn
-            open_retrying(self._ensure_schema)
+            open_retrying(self._ensure_schema, self.path)
         else:
             self.path = Path(path)
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._conn = open_retrying(self._open)
+            self._conn = open_retrying(self._open, self.path)
 
     def _open(self) -> sqlite3.Connection:
         self._conn = connect(self.path)
@@ -377,7 +375,6 @@ class TaskQueue:
     # ------------------------------------------------------------------
     def enqueue(self, tasks: Sequence["BatchTask"], *,
                 budgets: Optional[Sequence[Optional[float]]] = None,
-                predictions: Optional[Sequence[Optional[float]]] = None,
                 now: Optional[float] = None) -> List[str]:
         """Add tasks to the queue, deduplicating by cache key.
 
@@ -392,19 +389,13 @@ class TaskQueue:
         Omitting ``budgets`` entirely leaves a re-armed failed row's
         existing budget in place (the budget describes the task, not the
         attempt — same rule as :meth:`requeue`); passing ``budgets``
-        overwrites it, ``None`` entries included.  ``predictions``
-        aligns the cost model's *raw* predicted runtime with ``tasks``
-        (seconds, ``None`` for unknown) — pure scaling advice for the
-        supervisor (:meth:`queued_work_seconds`), never enforced — and
-        follows the same overwrite rule.
+        overwrites it, ``None`` entries included.
         Returns the keys this call armed (became ``queued``); keys some
         other submitter already owns are *not* in the list, which is what
         lets a submitter later cancel only its own unclaimed work.
         """
         if budgets is not None and len(budgets) != len(tasks):
             raise ValueError("budgets must align 1:1 with tasks")
-        if predictions is not None and len(predictions) != len(tasks):
-            raise ValueError("predictions must align 1:1 with tasks")
         now = self._clock() if now is None else now
         armed: List[str] = []
         with self._write():
@@ -412,15 +403,13 @@ class TaskQueue:
                 key = task.cache_key()
                 budget = budgets[pos] if budgets is not None else None
                 budget = float(budget) if budget is not None else None
-                predicted = predictions[pos] if predictions is not None else None
-                predicted = float(predicted) if predicted is not None else None
                 payload = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
                 cur = self._conn.execute(
                     "INSERT OR IGNORE INTO task_queue"
-                    " (key, task_payload, status, budget_s, predicted_s,"
+                    " (key, task_payload, status, budget_s,"
                     "  enqueued_at, updated_at, seq)"
-                    f" VALUES (?, ?, 'queued', ?, ?, ?, ?, {_NEXT_SEQ})",
-                    (key, payload, budget, predicted, now, now))
+                    f" VALUES (?, ?, 'queued', ?, ?, ?, {_NEXT_SEQ})",
+                    (key, payload, budget, now, now))
                 if cur.rowcount:
                     armed.append(key)
                     continue
@@ -429,11 +418,9 @@ class TaskQueue:
                     " owner = NULL, lease_expires_at = NULL, error = NULL,"
                     " excluded_worker = NULL,"
                     " budget_s = CASE WHEN ? THEN ? ELSE budget_s END,"
-                    " predicted_s = CASE WHEN ? THEN ? ELSE predicted_s END,"
                     f" updated_at = ?, seq = {_NEXT_SEQ}"
                     " WHERE key = ? AND status = 'failed'",
-                    (1 if budgets is not None else 0, budget,
-                     1 if predictions is not None else 0, predicted, now, key))
+                    (1 if budgets is not None else 0, budget, now, key))
                 if cur.rowcount:
                     armed.append(key)
             if armed:
@@ -694,21 +681,6 @@ class TaskQueue:
                 "SELECT status, COUNT(*) FROM task_queue GROUP BY status"):
             counts[status] = int(count)
         return counts
-
-    def queued_work_seconds(self, *, default_s: float = 0.0) -> Tuple[int, float]:
-        """``(queued rows, estimated seconds of queued work)``.
-
-        Sums the cost-model ``predicted_s`` stamped on ``queued`` rows;
-        rows without a prediction count as ``default_s`` each.  This is
-        the supervisor's cost-weighted scaling signal: spawn workers for
-        *work*, not for rows — ten milliseconds-sized tasks are one
-        worker's next second, not ten forks.
-        """
-        row = self._conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(COALESCE(predicted_s, ?)), 0)"
-            " FROM task_queue WHERE status = 'queued'",
-            (float(default_s),)).fetchone()
-        return int(row[0]), float(row[1])
 
     def outstanding(self) -> int:
         """Rows still in flight (``queued`` or ``leased``)."""

@@ -13,12 +13,12 @@ that control plane:
   lease expiry and scaling decisions are tested by *advancing a number*,
   never by sleeping through wall-clock time;
 * :mod:`repro.testing.chaos` — a drop-in replacement for the
-  ``repro.runtime.worker`` CLI (``python -m repro.testing.chaos``) whose
-  :class:`~repro.testing.chaos.ChaosPlan` injects crashes (between tasks
-  or mid-lease), stalls, slow-downs, and lease refusals on a
-  deterministic schedule, driven by CLI flags or ``REPRO_CHAOS_*``
-  environment variables.  The supervisor's fault-recovery story (F5, the
-  soak test) runs real fleets of these.
+  ``repro.runtime.worker`` CLI (``python -m repro.testing.chaos``): the
+  worker's own drain loop over a queue whose
+  :class:`~repro.testing.chaos.ChaosPlan` injects crashes (between
+  tasks, mid-lease or inside the publish transaction) and stalls on a
+  deterministic schedule, armed by CLI flags.  The supervisor's
+  fault-recovery story (F5, the soak test) runs real fleets of these.
 
 Nothing in here is imported by the production modules — the harness
 depends on the runtime, never the reverse.  :mod:`repro.testing.chaos`

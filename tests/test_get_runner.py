@@ -13,6 +13,7 @@ import pytest
 
 from repro.generators import uniform_instance
 from repro.runtime import BatchRunner, QueueBackend, SerialBackend, pool
+from repro.runtime import runner as runner_module
 from repro.runtime.pool import get_runner
 
 
@@ -71,37 +72,19 @@ class TestKeyedPool:
 
 
 class TestAutoRefit:
+    @pytest.fixture(autouse=True)
+    def _refit_every_two_puts(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "_REFIT_EVERY", 2)
+
     def test_refit_triggers_after_refit_every_puts(self, tmp_path):
-        runner = BatchRunner(max_workers=1, store=tmp_path / "refit.sqlite",
-                             refit_every=2)
+        runner = BatchRunner(max_workers=1, store=tmp_path / "refit.sqlite")
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
         assert runner.cost_model() is None  # cold store: nothing to fit
-        runner.run(["class-aware-greedy"], instances)  # 3 puts > refit_every
+        runner.run(["class-aware-greedy"], instances)  # 3 puts > 2
         model = runner.cost_model()  # re-armed by the put counter
         assert model is not None
         assert model.known_algorithms() == ["class-aware-greedy"]
-
-    def test_no_auto_refit_when_disabled(self, tmp_path):
-        runner = BatchRunner(max_workers=1, store=tmp_path / "norefit.sqlite",
-                             refit_every=None)
-        instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
-                     for s in range(3)]
-        assert runner.cost_model() is None  # resolves "auto" -> None (empty)
-        runner.run(["class-aware-greedy"], instances)
-        assert runner.cost_model() is None  # never re-armed
-        assert runner.refit_cost_model() is not None  # manual override works
-
-    def test_explicit_model_is_never_auto_refitted(self, tmp_path):
-        from repro.store import CostModel
-
-        frozen = CostModel.fit([])
-        runner = BatchRunner(max_workers=1, store=tmp_path / "frozen.sqlite",
-                             cost_model=frozen, refit_every=1)
-        instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
-                     for s in range(2)]
-        runner.run(["class-aware-greedy"], instances)
-        assert runner.cost_model() is frozen  # caller's model is sacred
 
     def test_shared_store_puts_advance_every_tenants_refit(self, tmp_path):
         """With get_runner sharing one ResultStore handle, tenant A's
@@ -109,8 +92,8 @@ class TestAutoRefit:
         from repro.store import ResultStore
 
         store = ResultStore(tmp_path / "shared.sqlite")
-        writer = BatchRunner(max_workers=1, store=store, refit_every=2)
-        reader = BatchRunner(max_workers=1, store=store, refit_every=2)
+        writer = BatchRunner(max_workers=1, store=store)
+        reader = BatchRunner(max_workers=1, store=store)
         assert reader.cost_model() is None
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
@@ -122,7 +105,3 @@ class TestAutoRefit:
         assert model is not None
         assert "class-aware-greedy" in model.known_algorithms()
         store.close()
-
-    def test_invalid_refit_every_rejected(self):
-        with pytest.raises(ValueError, match="refit_every"):
-            BatchRunner(refit_every=0)

@@ -487,7 +487,7 @@ class TestStreaming:
     def test_closing_the_stream_stores_every_yielded_result(self, tmp_path):
         """Cheap results are grouped; closing the generator commits them."""
         path = tmp_path / "grouped.sqlite"
-        runner = BatchRunner(max_workers=1, store=path, cost_model=None)
+        runner = BatchRunner(max_workers=1, store=path)
         tasks = [BatchTask.make("class-aware-greedy",
                                 uniform_instance(12, 3, 3, seed=s, integral=True))
                  for s in range(6)]
@@ -504,7 +504,7 @@ class TestStreaming:
     def test_slow_result_is_stored_before_it_is_yielded(self, tmp_path,
                                                          sleeper_algorithm):
         path = tmp_path / "durable.sqlite"
-        runner = BatchRunner(max_workers=1, store=path, cost_model=None)
+        runner = BatchRunner(max_workers=1, store=path)
         inst = uniform_instance(12, 3, 3, seed=4, integral=True)
         tasks = [BatchTask.make("class-aware-greedy", inst),
                  BatchTask.make(sleeper_algorithm, inst, {"delay": 0.15}),

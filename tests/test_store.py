@@ -11,19 +11,24 @@ from __future__ import annotations
 
 import os
 import pickle
+import re
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.base import AlgorithmResult
 from repro.core.bounds import greedy_upper_bound
 from repro.generators import uniform_instance
 from repro.runtime import BatchRunner, BatchTask
-from repro.store import SCHEMA_VERSION, CostModel, ResultStore
+from repro.store import SCHEMA_VERSION, CostModel, ResultStore, TaskQueue
 from repro.store import result_store
 from repro.store.cli import main as store_cli
 
@@ -513,3 +518,35 @@ class TestConcurrentOpen:
         # Errors the sqlite3 module raises itself carry no result code.
         assert not result_store.is_contention(
             raised(lambda: conn.execute("SELECT 1")))
+
+
+class TestUnusableFile:
+    """A path SQLite cannot use at all fails with a ``ValueError`` that
+    names it; a store still rebuilds a corrupt file, and a queue never
+    touches one (the file's ``results`` may be real computed value)."""
+
+    @pytest.mark.parametrize("opener", [ResultStore, TaskQueue])
+    def test_directory_is_rejected_with_its_path(self, tmp_path, opener):
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        with pytest.raises(ValueError, match=re.escape(str(target))):
+            opener(target)
+        assert target.is_dir()
+
+    @settings(max_examples=40, deadline=None)
+    @given(with_header=st.booleans(), body=st.binary(max_size=4096))
+    def test_arbitrary_bytes(self, with_header, body):
+        data = (b"SQLite format 3\x00" if with_header else b"") + body
+        task = _task()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.sqlite"
+            path.write_bytes(data)
+            try:
+                TaskQueue(path).close()
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                assert path.read_bytes() == data  # neither rebuilt nor deleted
+            with ResultStore(path) as store:
+                assert len(store) == 0
+                store.put(task, _result_for(task))
+                assert store.get(task) is not None

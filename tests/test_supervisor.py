@@ -92,7 +92,7 @@ class TestSupervisorPolicy:
 
     def test_restart_cap_stops_a_crash_loop(self):
         clock = FakeClock()
-        policy = _policy(clock, restart_cap=3, max_backoff_s=1.0)
+        policy = _policy(clock, restart_cap=3)
         for _ in range(3):
             policy.record_exit(9)
             clock.advance(5.0)  # backoff never the limiter here
@@ -135,87 +135,6 @@ class TestSupervisorPolicy:
             SupervisorPolicy(max_workers=0)
         with pytest.raises(ValueError):
             SupervisorPolicy(max_workers=1, restart_cap=0)
-        with pytest.raises(ValueError):
-            SupervisorPolicy(max_workers=1, spawn_horizon_s=0.0)
-
-
-class TestCostWeightedScaling:
-    """Queue depth weighted by cost-model predicted seconds: spawn for
-    *work*, not for rows (the ROADMAP short-grid over-forking follow-up),
-    decided purely on FakeClock + stubbed counts."""
-
-    def test_short_grid_stops_over_forking(self):
-        """Ten queued tasks worth one predicted second total is one
-        worker's next breath, not ten forks."""
-        policy = _policy(FakeClock(), max_workers=4, spawn_horizon_s=5.0)
-        assert policy.scale(queued=10, leased=0, live=0,
-                            queued_work_s=1.0) == 1
-
-    def test_heavy_grid_still_scales_out(self):
-        policy = _policy(FakeClock(), max_workers=4, spawn_horizon_s=5.0)
-        assert policy.scale(queued=10, leased=0, live=0,
-                            queued_work_s=40.0) == 4  # ceil(40/5)=8, capped
-
-    def test_leased_rows_keep_their_workers_in_the_target(self):
-        """In-flight work counts one worker per lease on top of the
-        queued-work quotient."""
-        policy = _policy(FakeClock(), max_workers=4, spawn_horizon_s=5.0)
-        # ceil(12/5)=3 for the queue + 2 for the leases = 5, capped at 4.
-        assert policy.scale(queued=4, leased=2, live=2,
-                            queued_work_s=12.0) == 2
-
-    def test_outstanding_work_always_earns_one_worker(self):
-        """Near-zero predicted work with rows outstanding still spawns a
-        single worker — the queue must drain, however cheap it looks."""
-        policy = _policy(FakeClock(), max_workers=4, spawn_horizon_s=5.0)
-        assert policy.scale(queued=3, leased=0, live=0,
-                            queued_work_s=0.0) == 1
-        assert policy.scale(queued=3, leased=0, live=1,
-                            queued_work_s=0.0) == 0  # one is enough
-
-    def test_disabled_horizon_keeps_depth_proportional_scaling(self):
-        policy = _policy(FakeClock(), max_workers=4)  # no horizon
-        assert policy.scale(queued=10, leased=0, live=0,
-                            queued_work_s=1.0) == 4
-        policy = _policy(FakeClock(), max_workers=4, spawn_horizon_s=5.0)
-        # Horizon set but no work estimate supplied: same depth rule.
-        assert policy.scale(queued=10, leased=0, live=0) == 4
-
-    def test_weighting_never_exceeds_depth_scaling(self):
-        """The weighted target is a *brake*, not an accelerator: two rows
-        never get more than two workers however heavy they look."""
-        policy = _policy(FakeClock(), max_workers=8, spawn_horizon_s=1.0)
-        assert policy.scale(queued=2, leased=0, live=0,
-                            queued_work_s=500.0) == 2
-
-    def test_idle_retirement_is_untouched_by_the_horizon(self):
-        clock = FakeClock()
-        policy = _policy(clock, idle_grace_s=1.0, spawn_horizon_s=5.0)
-        assert policy.scale(queued=0, leased=0, live=2,
-                            queued_work_s=0.0) == 0  # grace starts
-        clock.advance(1.1)
-        assert policy.scale(queued=0, leased=0, live=2,
-                            queued_work_s=0.0) == -2
-
-    def test_queue_backend_rejects_a_negative_horizon(self):
-        runner = BatchRunner(max_workers=1, backend="serial")
-        with pytest.raises(ValueError, match="spawn_horizon_s"):
-            QueueBackend(runner, spawn_horizon_s=-5.0)
-        assert QueueBackend(runner, spawn_horizon_s=0).spawn_horizon_s is None
-
-    def test_supervisor_feeds_the_queues_predicted_work(self, tmp_path):
-        """Mechanism glue: with a horizon configured the supervisor reads
-        `queued_work_seconds` (unknown rows priced at one horizon each),
-        so a cheap 6-row grid spawns one worker, not six."""
-        path = tmp_path / "weighted.sqlite"
-        tasks = _tasks(6, seed0=400)
-        with TaskQueue(path) as queue:
-            queue.enqueue(tasks, predictions=[0.05] * len(tasks))
-            _, work = queue.queued_work_seconds(default_s=5.0)
-            assert work == pytest.approx(0.3)
-        policy = _policy(FakeClock(), max_workers=4, spawn_horizon_s=5.0)
-        assert policy.scale(queued=6, leased=0, live=0,
-                            queued_work_s=work) == 1
 
 
 class TestSubmitterBudgets:
@@ -241,8 +160,8 @@ class TestSubmitterBudgets:
     def test_without_timeout_or_model_rows_travel_unbudgeted(self, tmp_path):
         path = tmp_path / "nobudget.sqlite"
         tasks = _tasks(2)
+        # A cold store: the cost model has no recorded runs to fit.
         runner = BatchRunner(max_workers=1, store=path, backend="queue",
-                             cost_model=None,
                              backend_options={"poll_s": 0.01,
                                               "stall_timeout_s": 60.0})
         batch = runner.run_tasks(tasks)
@@ -278,31 +197,6 @@ class TestSubmitterBudgets:
             for row in queue.rows([t.cache_key() for t in fresh]):
                 expected = max(0.5, 8.0 * predicted[row.key])
                 assert row.budget_s == pytest.approx(expected)
-
-    def test_raw_predictions_ride_along_for_the_supervisor(self, tmp_path):
-        """Even with an explicit timeout deciding the budget, the cost
-        model's raw prediction is stamped as ``predicted_s`` — the
-        supervisor's scaling signal must not be inflated by the safety
-        factor."""
-        path = tmp_path / "predicted.sqlite"
-        warmup = _tasks(6, n=16, seed0=300)
-        warm_runner = BatchRunner(max_workers=1, store=path, backend="serial")
-        warm_runner.run_tasks(warmup)
-
-        fresh = _tasks(2, n=16, seed0=350)
-        runner = BatchRunner(max_workers=1, store=warm_runner.store,
-                             backend="queue", timeout=45.0,
-                             backend_options={"poll_s": 0.01,
-                                              "stall_timeout_s": 60.0})
-        model = runner.cost_model()
-        assert model is not None
-        predicted = {t.cache_key(): model.predict_task(t) for t in fresh}
-        runner.run_tasks(fresh)
-        runner.store.close()
-        with TaskQueue(path) as queue:
-            for row in queue.rows([t.cache_key() for t in fresh]):
-                assert row.budget_s == 45.0  # explicit policy won
-                assert row.predicted_s == pytest.approx(predicted[row.key])
 
     def test_autoscale_resolution(self, monkeypatch):
         """The backend reads only its kwarg; ``REPRO_AUTOSCALE`` is

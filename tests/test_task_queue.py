@@ -780,9 +780,10 @@ class TestSchemaMigration:
         self._assert_rebuilt(path, [done])
 
     @pytest.mark.parametrize("version, later_columns", [
-        (2, ""),                        # budget_s, no predicted_s
+        (2, ""),                        # budget_s, no prediction column
         (3, "predicted_s REAL,"),       # no seq change stamp
-    ], ids=["v2", "v3"])
+        (4, "predicted_s REAL, seq INTEGER NOT NULL DEFAULT 0,"),
+    ], ids=["v2", "v3", "v4"])
     def test_versioned_queue_migrates_to_current(self, tmp_path, version,
                                                  later_columns):
         """A file from an older versioned layout is rebuilt empty, and the
@@ -791,6 +792,8 @@ class TestSchemaMigration:
         queued, done = _task(seed=10), _task(seed=11)
         with ResultStore(path) as store:
             store.put(done, _result_for(done))
+        change_seq = ("INSERT INTO task_queue_meta VALUES ('change_seq', '7');"
+                      if version >= 4 else "")
         conn = sqlite3.connect(str(path))
         conn.executescript(f"""
         CREATE TABLE task_queue (
@@ -812,6 +815,7 @@ class TestSchemaMigration:
                                       value TEXT NOT NULL);
         INSERT INTO task_queue_meta VALUES ('queue_schema_version',
                                             '{version}');
+        {change_seq}
         """)
         conn.executemany(
             "INSERT INTO task_queue (key, task_payload, status, budget_s,"
@@ -825,12 +829,12 @@ class TestSchemaMigration:
         fresh = _task(seed=12)
         with TaskQueue(path) as queue:
             cursor = queue.last_seq()
-            queue.enqueue([fresh], predictions=[0.25])
+            queue.enqueue([fresh], budgets=[0.25])
             assert [r.key for r in queue.changes_since(cursor)[0]] == \
                 [fresh.cache_key()]
         with TaskQueue(path) as queue:  # current now: no second rebuild
             (row,) = queue.rows()
-            assert row.key == fresh.cache_key() and row.predicted_s == 0.25
+            assert row.key == fresh.cache_key() and row.budget_s == 0.25
 
     def test_concurrent_opener_keeps_rows_enqueued_after_the_rebuild(
             self, tmp_path, monkeypatch):
@@ -929,37 +933,3 @@ class TestIndexOrderedLease:
                         "EXPLAIN QUERY PLAN " + sql, params))
                 assert "idx_task_queue_status" in plan, plan
                 assert "TEMP B-TREE" not in plan, plan
-
-
-class TestPredictions:
-    """``predicted_s`` rides the rows as pure scaling advice."""
-
-    def test_predictions_persist_and_feed_queued_work(self, tmp_path):
-        path = tmp_path / "pred.sqlite"
-        tasks = [_task(seed=s) for s in range(3)]
-        with TaskQueue(path) as queue:
-            queue.enqueue(tasks, predictions=[0.5, None, 2.0])
-            rows = {r.key: r for r in queue.rows([t.cache_key()
-                                                  for t in tasks])}
-            assert rows[tasks[0].cache_key()].predicted_s == 0.5
-            assert rows[tasks[1].cache_key()].predicted_s is None
-            assert rows[tasks[2].cache_key()].predicted_s == 2.0
-            count, work = queue.queued_work_seconds(default_s=10.0)
-            assert count == 3
-            assert work == pytest.approx(0.5 + 10.0 + 2.0)
-
-    def test_leased_rows_leave_the_queued_work_estimate(self, tmp_path):
-        path = tmp_path / "pred_lease.sqlite"
-        tasks = [_task(seed=s) for s in range(2)]
-        with TaskQueue(path) as queue:
-            queue.enqueue(tasks, predictions=[1.0, 3.0])
-            leased = queue.lease("w1")
-            assert leased is not None
-            count, work = queue.queued_work_seconds()
-            assert count == 1
-            assert work in (1.0, 3.0)  # whichever row is still queued
-
-    def test_predictions_must_align_with_tasks(self, tmp_path):
-        with TaskQueue(tmp_path / "align.sqlite") as queue:
-            with pytest.raises(ValueError, match="predictions"):
-                queue.enqueue([_task()], predictions=[1.0, 2.0])
