@@ -29,8 +29,8 @@ This package turns the loose algorithm functions of
   row).
 * :mod:`repro.runtime.supervisor` — ``python -m repro.runtime.supervisor``
   autoscales the worker fleet: spawn one worker per outstanding task up
-  to a cap, restart crashed workers behind an exponential backoff with a consecutive-crash cap, retire on idle, exit
-  when the queue drains.  Submitters opt in with
+  to a cap, restart crashed workers behind an exponential backoff with a
+  consecutive-crash cap, retire on idle, exit when the queue drains.  Submitters opt in with
   ``QueueBackend(autoscale=N)``, or ``Session(autoscale=N)`` /
   ``REPRO_AUTOSCALE=N`` on the queue backend.
 * :mod:`repro.runtime.pool` — the keyed runner pool behind

@@ -71,7 +71,8 @@ def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
     The single implementation of the worker-side protocol — store-dedup
     check, compute, publish, fail on captured error — shared by the
     inline drain below and :func:`repro.runtime.worker.drain` (which the
-    chaos worker runs too), so exactly-once accounting can never diverge between them.
+    chaos worker runs too), so exactly-once accounting can never diverge
+    between them.
     ``queue`` must be bound to its store (``TaskQueue(store)``), which
     serves the dedup check and takes the publish: the result and the
     row's turn to ``done`` commit in one transaction
@@ -133,13 +134,13 @@ class QueueBackend(ExecutionBackend):
     poll_s:
         Sleep between polls when no progress was made.
     inline:
-        Whether the submitting process drains the queue too (default).
+        Whether the submitting process drains the queue too (default),
+        leasing as ``inline-<pid>``.
     stall_timeout_s:
         Raise ``RuntimeError`` when no task completes for this many
         seconds (``None`` waits forever).  A safety net for benchmarks and
         tests: with ``inline=False`` and every external worker dead, the
-        submitter would otherwise block indefinitely.  The submitter's
-        own drain loop leases as ``inline-<pid>``.
+        submitter would otherwise block indefinitely.
     autoscale:
         Close the loop to "as fast as the hardware allows": a positive
         worker count (or ``True`` for the usable-CPU count) makes every
