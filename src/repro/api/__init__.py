@@ -4,13 +4,13 @@ Two ideas, one package:
 
 * **Declarative scenarios** (:mod:`repro.api.spec`) — a
   :class:`ScenarioSpec` describes a sweep (generator suite or inline
-  sweep, seeds, algorithm × parameter grid, scale presets, budget
-  policy, output columns) as data: it round-trips to TOML/JSON files
+  sweep, seeds, algorithm × parameter grid, scale presets, per-task
+  time limit, output columns) as data: it round-trips to TOML/JSON files
   under ``scenarios/`` and compiles deterministically to
   :class:`~repro.runtime.BatchTask` lists.
 * **The Session facade** (:mod:`repro.api.session`) — a
   :class:`Session` resolves every stack knob (store, backend,
-  autoscale, budgets, worker counts) from one
+  autoscale, time limit, worker counts) from one
   :class:`SessionConfig` (kwargs > environment > defaults), owns runner
   resolution through the canonical keyed pool, and executes specs:
   ``session.run(spec)``, ``session.stream(spec)``,
@@ -26,7 +26,6 @@ from repro.api.session import ScenarioRun, Session, SessionConfig
 from repro.api.spec import (
     GENERATORS,
     AlgorithmSweep,
-    BudgetPolicy,
     CompiledScenario,
     ReferencePolicy,
     ScalePreset,
@@ -38,7 +37,6 @@ from repro.api.spec import (
 
 __all__ = [
     "AlgorithmSweep",
-    "BudgetPolicy",
     "CompiledScenario",
     "GENERATORS",
     "ReferencePolicy",

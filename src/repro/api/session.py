@@ -19,7 +19,7 @@ keyed pool (:mod:`repro.runtime.pool`) — two sessions whose configs
 build the same runner share it, its cache, and its store handle — and
 hand out dedicated runners (:meth:`Session.build_runner`) for workloads
 whose measurement would be contaminated by sharing (throughput
-benchmarks, scenarios carrying their own budget policy).
+benchmarks).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
 from repro.algorithms.base import AlgorithmResult
 from repro.analysis.tables import ResultTable
 from repro.api.spec import CompiledScenario, ScenarioSpec, TaskInfo, _SIZE_KEYS
-from repro.runtime.runner import BatchRunner
+from repro.runtime.runner import BatchRunner, check_timeout
 
 __all__ = ["SessionConfig", "Session", "ScenarioRun"]
 
@@ -75,6 +75,9 @@ class SessionConfig:
     cache: bool = True
     backend_options: Dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        check_timeout(self.timeout_s, "timeout_s")
+
     @classmethod
     def resolve(cls, **overrides: Any) -> "SessionConfig":
         """Build a config with **kwargs > environment > defaults**.
@@ -99,7 +102,7 @@ class SessionConfig:
             values["backend"] = os.environ.get("REPRO_BACKEND") or None
         if "autoscale" not in values:
             raw = os.environ.get("REPRO_AUTOSCALE", "").strip()
-            if raw and not raw.isdigit():
+            if raw and not (raw.isascii() and raw.isdigit()):
                 raise ValueError(
                     f"REPRO_AUTOSCALE must be a non-negative integer "
                     f"worker count, got {raw!r}")
@@ -161,10 +164,10 @@ class Session:
         """A dedicated (non-pooled) runner for this session's config.
 
         For workloads that must not share state: throughput measurements
-        (their own worker counts, caches off), scenario specs carrying a
-        budget policy, the F3–F5 harnesses with scratch stores.  Keyword
-        overrides win over the config; pass ``store=None`` explicitly to
-        drop the session store, ``store=path`` to substitute one.
+        (their own worker counts, caches off), the F3–F5 harnesses with
+        scratch stores.  Keyword overrides win over the config; pass
+        ``store=None`` explicitly to drop the session store,
+        ``store=path`` to substitute one.
         """
         kwargs = self.config.runner_kwargs()
         if self.config.backend is not None:
@@ -182,29 +185,13 @@ class Session:
     # scenario execution
     # ------------------------------------------------------------------
     def _runner_for(self, spec: ScenarioSpec) -> BatchRunner:
-        if spec.budget is None:
+        """The pooled runner for ``spec``: the session's own, or, for a
+        spec with its own ``timeout_s``, the one a config with that
+        timeout builds (on the same store handle)."""
+        if spec.timeout_s is None:
             return self.runner()
-        # A budget policy is scenario-local latency policy: give the spec
-        # its own runner so the shared pool entry is not reconfigured —
-        # but on the *pooled store handle*, so repeated budgeted runs in a
-        # long-lived process share one SQLite connection (and one put
-        # counter) instead of leaking a fresh handle per run.
-        overrides: Dict[str, Any] = {}
-        if self.config.store_path is not None:
-            from repro.runtime.pool import shared_store
-
-            overrides["store"] = shared_store(self.config.store_path)
-        if spec.budget.timeout_s is not None:
-            overrides["timeout"] = spec.budget.timeout_s
-        if self.config.backend == "queue":
-            options = dict(self.config.runner_kwargs().get(
-                "backend_options", {}))
-            if spec.budget.budget_factor is not None:
-                options["budget_factor"] = spec.budget.budget_factor
-            if spec.budget.min_budget_s is not None:
-                options["min_budget_s"] = spec.budget.min_budget_s
-            overrides["backend_options"] = options
-        return self.build_runner(**overrides)
+        return Session(replace(self.config,
+                               timeout_s=spec.timeout_s)).runner()
 
     def run(self, spec: ScenarioSpec, scale: str = "quick", *,
             check: bool = True) -> "ScenarioRun":
@@ -254,11 +241,8 @@ class Session:
         kwargs = {sweep.name: variant
                   for sweep in spec.algorithms
                   for variant in sweep.variants() if variant}
-        budget_s = (spec.budget.timeout_s
-                    if spec.budget is not None else None)
         start = time.perf_counter()
-        winners = runner.portfolio(instances, names, kwargs=kwargs or None,
-                                   budget_s=budget_s)
+        winners = runner.portfolio(instances, names, kwargs=kwargs or None)
         wall = time.perf_counter() - start
         infos = [TaskInfo(algorithm=result.name, params={}, point_index=i,
                           seed=compiled.points[i][1])

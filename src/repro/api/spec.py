@@ -4,7 +4,7 @@ A :class:`ScenarioSpec` is the serializable description of a sweep: where
 the instances come from (a named generator suite or an inline generator +
 parameter sweep), which seeds to draw, which algorithms to run with which
 parameter grids, how each scale preset trims the grid, the per-task
-budget policy, and which columns the result table shows.  Specs are plain
+time limit, and which columns the result table shows.  Specs are plain
 frozen dataclasses that
 
 * **round-trip to disk** — :func:`load_scenario` reads ``.toml`` /
@@ -44,13 +44,12 @@ from repro.generators import (
     unrelated_instance,
 )
 from repro.generators.suites import SUITES, SuiteSpec, iter_suite
-from repro.runtime.runner import BatchTask
+from repro.runtime.runner import BatchTask, check_timeout
 
 __all__ = [
     "GENERATORS",
     "AlgorithmSweep",
     "ScalePreset",
-    "BudgetPolicy",
     "ReferencePolicy",
     "TaskInfo",
     "CompiledScenario",
@@ -204,38 +203,6 @@ class ScalePreset:
 
 
 @dataclass(frozen=True)
-class BudgetPolicy:
-    """Per-task wall-clock budget policy a scenario travels with.
-
-    Mirrors the queue backend's budget stamping: ``timeout_s`` is an
-    explicit per-task budget; otherwise ``budget_factor`` ×
-    cost-model-predicted seconds, floored at ``min_budget_s``.  A spec
-    with a budget policy runs on a dedicated runner (the shared keyed
-    pool's runners must not inherit one scenario's latency policy).
-    """
-
-    timeout_s: Optional[float] = None
-    budget_factor: Optional[float] = None
-    min_budget_s: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {key: value for key, value in (
-            ("timeout_s", self.timeout_s),
-            ("budget_factor", self.budget_factor),
-            ("min_budget_s", self.min_budget_s)) if value is not None}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "BudgetPolicy":
-        _check_keys(data, dict.fromkeys(
-            ("timeout_s", "budget_factor", "min_budget_s"), "a number"),
-                    "[scenario.budget]")
-        return BudgetPolicy(
-            timeout_s=data.get("timeout_s"),
-            budget_factor=data.get("budget_factor"),
-            min_budget_s=data.get("min_budget_s"))
-
-
-@dataclass(frozen=True)
 class ReferencePolicy:
     """Opt-in reference/ratio columns (exact MILP within ``exact_limit``,
     LP lower bound otherwise — see
@@ -291,7 +258,9 @@ class ScenarioSpec:
     seeding when set (and default to 3 / the suites' shared base seed for
     inline generators).  ``mode`` is ``"grid"`` (every algorithm variant
     on every instance — one row per task) or ``"portfolio"`` (best
-    algorithm per instance — one row per instance).
+    algorithm per instance — one row per instance).  ``timeout_s`` is
+    the per-task time limit the scenario runs under (its file key is
+    ``[scenario.budget] timeout_s``); it replaces the session's own.
     """
 
     name: str
@@ -307,7 +276,7 @@ class ScenarioSpec:
     scales: Dict[str, ScalePreset] = field(
         default_factory=lambda: {"quick": ScalePreset(max_points=4),
                                  "full": ScalePreset()})
-    budget: Optional[BudgetPolicy] = None
+    timeout_s: Optional[float] = None
     reference: Optional[ReferencePolicy] = None
     columns: Tuple[str, ...] = ()
     notes: Tuple[str, ...] = ()
@@ -334,6 +303,9 @@ class ScenarioSpec:
                 raise ValueError(
                     f"scenario {self.name!r}: an inline generator needs a "
                     f"non-empty sweep")
+        check_timeout(self.timeout_s,
+                      f"scenario {self.name!r}: timeout_s in "
+                      f"[scenario.budget]")
         if self.mode not in ("grid", "portfolio"):
             raise ValueError(
                 f"scenario {self.name!r}: mode must be 'grid' or "
@@ -451,8 +423,8 @@ class ScenarioSpec:
             scenario["notes"] = list(self.notes)
         scenario["scales"] = {name: preset.to_dict()
                               for name, preset in self.scales.items()}
-        if self.budget is not None:
-            scenario["budget"] = self.budget.to_dict()
+        if self.timeout_s is not None:
+            scenario["budget"] = {"timeout_s": self.timeout_s}
         if self.reference is not None:
             scenario["reference"] = self.reference.to_dict()
         data: Dict[str, Any] = {
@@ -582,6 +554,8 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         if base_seed is None:
             base_seed = generator.get("base_seed")
     scales_data = scenario.get("scales")
+    budget = scenario.get("budget") or {}
+    _check_keys(budget, {"timeout_s": "a number"}, "[scenario.budget]")
     scales = ({name: ScalePreset.from_dict(preset,
                                            f"[scenario.scales.{name}]")
                for name, preset in scales_data.items()}
@@ -600,8 +574,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         title=scenario.get("title", ""),
         description=scenario.get("description", ""),
         scales=scales,
-        budget=(BudgetPolicy.from_dict(scenario["budget"])
-                if "budget" in scenario else None),
+        timeout_s=budget.get("timeout_s"),
         reference=(ReferencePolicy.from_dict(scenario["reference"])
                    if "reference" in scenario else None),
         columns=_items(scenario.get("columns"), "a string", "columns"),

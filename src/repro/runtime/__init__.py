@@ -15,18 +15,18 @@ This package turns the loose algorithm functions of
   instance.  With ``store=`` it writes through to a persistent
   :class:`repro.store.ResultStore` (restart-surviving cache),
   :meth:`BatchRunner.run_iter` streams results as chunks complete (warm
-  keys first, before any pool work), cold tasks dispatch in
+  keys first, before any pool work), and cold tasks dispatch in
   descending-cost order under a fitted
-  :class:`repro.store.CostModel`, and ``portfolio(budget_s=...)`` skips
-  solvers predicted to blow a latency budget.
+  :class:`repro.store.CostModel`.  The runner's ``timeout`` is the only
+  per-task time limit.
 * :mod:`repro.runtime.backends` — where cold tasks actually run is a
   pluggable :class:`ExecutionBackend` (``backend="serial" | "pool" |
   "queue"``): in-process, chunked process pool, or a distributed SQLite
   work queue drained by ``python -m repro.runtime.worker`` processes
   sharing one store file (leases with expiry, crash requeue with attempt
-  caps, store-mediated exactly-once compute, per-task ``budget_s``
-  stamped by the submitter and enforced by whichever worker leases the
-  row).
+  caps, store-mediated exactly-once compute, the submitter's
+  ``timeout`` stamped on each row as its ``budget_s`` and enforced by
+  whichever worker leases the row).
 * :mod:`repro.runtime.supervisor` — ``python -m repro.runtime.supervisor``
   autoscales the worker fleet: spawn one worker per outstanding task up
   to a cap, restart crashed workers behind an exponential backoff with a

@@ -150,15 +150,10 @@ class QueueBackend(ExecutionBackend):
         knob replaces starting workers by hand.  ``None`` (the default)
         and ``0`` disable autoscaling.  ``REPRO_AUTOSCALE`` reaches this
         parameter only through :class:`repro.api.SessionConfig`.
-    budget_factor / min_budget_s:
-        Policy for the per-task ``budget_s`` stamped on enqueued rows.
-        With the runner's ``timeout`` set, that value is the budget for
-        every task (an explicit latency policy wins).  Otherwise, a
-        fitted cost model predicts each task's runtime and the budget is
-        ``max(min_budget_s, budget_factor × predicted)`` — generous
-        enough that honest variance never trips it, tight enough that a
-        pathological task is flagged.  Without either, rows travel
-        unbudgeted.
+
+    Every enqueued row carries the runner's ``timeout`` as its
+    ``budget_s`` (``None`` without one), enforced by whichever worker
+    leases it.
     """
 
     name = "queue"
@@ -167,9 +162,7 @@ class QueueBackend(ExecutionBackend):
     def __init__(self, runner: "BatchRunner", *, lease_s: float = 60.0,
                  poll_s: float = 0.05, inline: bool = True,
                  stall_timeout_s: Optional[float] = None,
-                 autoscale: Union[None, bool, int] = None,
-                 budget_factor: float = 8.0,
-                 min_budget_s: float = 1.0) -> None:
+                 autoscale: Union[None, bool, int] = None) -> None:
         super().__init__(runner)
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
@@ -177,8 +170,6 @@ class QueueBackend(ExecutionBackend):
         self.stall_timeout_s = stall_timeout_s
         self.worker_id = f"inline-{os.getpid()}"
         self.autoscale = self._resolve_autoscale(autoscale)
-        self.budget_factor = float(budget_factor)
-        self.min_budget_s = float(min_budget_s)
 
     @staticmethod
     def _resolve_autoscale(autoscale: Union[None, bool, int]) -> int:
@@ -186,21 +177,6 @@ class QueueBackend(ExecutionBackend):
             from repro.runtime.runner import usable_cpus
             return usable_cpus()
         return max(0, int(autoscale or 0))
-
-    def _policy_for(self, task: "BatchTask") -> Optional[float]:
-        """The ``budget_s`` to stamp on this task's queue row.
-
-        The budget is enforced (post-hoc) by whichever worker leases the
-        row.
-        """
-        runner = self.runner
-        if runner.timeout is not None:
-            return float(runner.timeout)
-        model = runner.cost_model()
-        predicted = model.predict_task(task) if model is not None else None
-        if predicted is None:
-            return None
-        return max(self.min_budget_s, self.budget_factor * float(predicted))
 
     def submit(self, tasks: Sequence["BatchTask"]
                ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
@@ -216,17 +192,14 @@ class QueueBackend(ExecutionBackend):
         queue = TaskQueue(store, lease_s=self.lease_s)
         unresolved = dict(by_key)  # key -> indices still awaiting a result
         armed: set = set()  # keys *we* queued (ok to cancel on early exit)
-        # Budgets travel with the rows: the submitter's policy (explicit
-        # timeout, else cost-model prediction) is computed once per key
-        # here and enforced by whichever worker leases the row.
-        budget_by_key: Dict[str, Optional[float]] = {
-            key: self._policy_for(tasks[indices[0]])
-            for key, indices in by_key.items()}
+        # The runner's timeout travels with the rows, enforced by
+        # whichever worker leases them.
+        budget = runner.timeout
         supervisor = None
         try:
             armed = set(queue.enqueue(
                 [tasks[indices[0]] for indices in by_key.values()],
-                budgets=list(budget_by_key.values())))
+                budgets=[budget] * len(by_key)))
             if self.autoscale > 0:
                 from repro.runtime.supervisor import spawn_supervisor
                 supervisor = spawn_supervisor(store.path,
@@ -303,7 +276,7 @@ class QueueBackend(ExecutionBackend):
                     if vanished:
                         armed.update(queue.enqueue(
                             [tasks[unresolved[key][0]] for key in vanished],
-                            budgets=[budget_by_key[key] for key in vanished]))
+                            budgets=[budget] * len(vanished)))
                         progressed = True
 
                 # Drain one task ourselves (possibly someone else's — the

@@ -19,24 +19,10 @@ from typing import Dict, Hashable, Optional, Tuple, Union
 from repro.runtime.runner import BatchRunner
 from repro.store import ResultStore
 
-__all__ = ["get_runner", "reset_runner_pool", "shared_store"]
+__all__ = ["get_runner", "reset_runner_pool"]
 
 _RUNNERS: Dict[Tuple[Optional[str], Optional[str], Hashable], BatchRunner] = {}
 _SHARED_STORES: Dict[str, ResultStore] = {}
-
-
-def shared_store(path: Union[str, Path]) -> ResultStore:
-    """One ``ResultStore`` handle per store file, shared by every runner
-    keyed on it (so their put counters — and hence cost-model auto-refits —
-    see each other's writes).  Callers building off-pool runners on the
-    same file (``Session``'s budget-carrying scenarios) reuse this handle
-    instead of opening — and leaking — their own connection."""
-    norm = str(Path(path))
-    store = _SHARED_STORES.get(norm)
-    if store is None:
-        store = ResultStore(norm)
-        _SHARED_STORES[norm] = store
-    return store
 
 
 def _canonical(value: object) -> Hashable:
@@ -52,17 +38,23 @@ def get_runner(store_path: Union[None, str, Path] = None,
                **runner_kwargs: object) -> BatchRunner:
     """The pooled runner for one ``(store file, backend, kwargs)`` key.
 
-    The first call with a key builds the runner (on the shared store
-    handle for ``store_path``, if any); every later call with an equal
-    key returns it.  Any difference — another store file, another
-    backend, another keyword argument — is another key, so a caller is
-    never handed a runner configured for someone else.
+    The first call with a key builds the runner; every later call with
+    an equal key returns it.  Any difference — another store file,
+    another backend, another keyword argument — is another key, so a
+    caller is never handed a runner configured for someone else.  Every
+    runner on one store file gets the same ``ResultStore`` handle, so
+    their put counters (and hence cost-model refits) see each other's
+    writes.
     """
     norm = str(Path(store_path)) if store_path else None
     key = (norm, backend, _canonical(runner_kwargs))
     runner = _RUNNERS.get(key)
     if runner is None:
-        store = shared_store(norm) if norm is not None else None
+        store = None
+        if norm is not None:
+            store = _SHARED_STORES.get(norm)
+            if store is None:
+                store = _SHARED_STORES[norm] = ResultStore(norm)
         runner = BatchRunner(store=store, backend=backend, **runner_kwargs)
         _RUNNERS[key] = runner
     return runner

@@ -25,15 +25,15 @@ and the portfolio mode:
   recomputed: the store is a cache.  Warm keys are bulk-prefetched and
   *streamed immediately*, before any pool work starts, and survive
   process restarts (unlike the in-memory cache);
-* **cost-model-driven scheduling** — when the store has recorded wall
+* **cost-model-driven ordering** — when the store has recorded wall
   times, a fitted :class:`~repro.store.cost_model.CostModel` orders
   cold tasks by descending predicted cost before chunking (cutting pool
-  idle time under heavy MILP/PTAS tasks) and lets
-  :meth:`BatchRunner.portfolio` skip solvers predicted to blow a
-  ``budget_s`` latency budget;
+  idle time under heavy MILP/PTAS tasks).  Ordering is all it does:
+  which tasks run and what their results record never depend on it;
 * **timeout / error capture** — a failing or timed-out task never takes the
   batch down; it yields a sentinel result with ``makespan = inf`` and the
-  failure recorded in ``result.meta`` (``"error"`` / ``"timeout"`` keys);
+  failure recorded in ``result.meta`` (``"error"`` / ``"timeout"`` keys).
+  The runner's ``timeout`` is the only per-task time limit;
 * **portfolio mode** — :meth:`BatchRunner.portfolio` runs every applicable
   registered algorithm on each instance and keeps the best schedule, with
   deterministic ``(makespan, algorithm name)`` tie-breaking.
@@ -49,12 +49,14 @@ queue drained by ``python -m repro.runtime.worker`` processes.
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
+import numbers
 import os
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
                     Union)
@@ -87,6 +89,18 @@ _GROUP_COMMIT_S = 0.1
 #: after this many results are written through the runner's store
 #: handle, so predictions track the runs the store just absorbed.
 _REFIT_EVERY = 200
+
+
+def check_timeout(value: Optional[float], name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is ``None``
+    or a positive, finite number of seconds (``nan`` would disable the
+    limit and a negative one would time out every task)."""
+    if value is None:
+        return
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 < value < math.inf):
+        raise ValueError(f"{name} must be a positive, finite number of "
+                         f"seconds or None, got {value!r}")
 
 
 def _hash_array(h, arr: np.ndarray) -> None:
@@ -259,7 +273,9 @@ class BatchRunner:
         ``backend=None`` a resolved value of 1 runs tasks in-process (no
         pool, no pickling); ``backend="pool"`` forks a pool regardless.
     timeout:
-        Per-task wall-clock budget in seconds.  In pool mode tasks are
+        Per-task wall-clock limit in seconds (positive and finite), or
+        ``None`` for none.  The queue backend stamps it on every row it
+        enqueues as the row's ``budget_s``.  In pool mode tasks are
         dispatched in waves of ``max_workers`` (so every task starts its
         budget when it actually starts running); a task whose result has
         not arrived when its wave's deadline passes yields a timeout
@@ -311,6 +327,7 @@ class BatchRunner:
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
+        check_timeout(timeout, "timeout")
         self.max_workers = max_workers if max_workers is not None else usable_cpus()
         self.timeout = timeout
         self.cache_enabled = cache
@@ -533,7 +550,6 @@ class BatchRunner:
         algorithms: Optional[Sequence[str]] = None,
         *,
         kwargs: Optional[Dict[str, Dict[str, object]]] = None,
-        budget_s: Optional[float] = None,
     ) -> List[AlgorithmResult]:
         """Best schedule per instance across a set of algorithms.
 
@@ -548,38 +564,17 @@ class BatchRunner:
         ``meta.get("error") / meta.get("timeout")`` before serving a
         schedule.  Ties on makespan break by algorithm name, so the
         outcome is deterministic regardless of worker scheduling.
-
-        ``budget_s`` is a per-task latency budget: candidates whose
-        :meth:`cost_model` prediction exceeds it are skipped without
-        running, and each returned result carries the skipped names in
-        ``meta["skipped_by_cost_model"]``.  Unknown-cost candidates are
-        never skipped, and if *every* candidate is predicted over budget
-        the cheapest-predicted one still runs (the portfolio always
-        serves a schedule).  Without a fitted cost model the budget is a
-        no-op.
+        Every candidate runs, whatever the store has recorded; the
+        runner's ``timeout`` is the only limit on a candidate's time.
         """
-        model = self.cost_model() if budget_s is not None else None
         tasks: List[BatchTask] = []
-        spans: List[Tuple[int, int, Tuple[str, ...]]] = []
+        spans: List[Tuple[int, int]] = []
         for instance in instances:
             names = (sorted(algorithms) if algorithms is not None
                      else [spec.name for spec in algorithms_for(instance)])
             if not names:
                 raise ValueError(
                     f"no registered algorithm supports instance {instance.name!r}")
-            skipped: List[str] = []
-            if model is not None:
-                predictions = {name: model.predict(name, instance) for name in names}
-                kept = [name for name in names
-                        if predictions[name] is None or predictions[name] <= budget_s]
-                skipped = [name for name in names if name not in kept]
-                if not kept:
-                    # Nothing fits the budget: degrade gracefully by running
-                    # the cheapest-predicted candidate instead of nothing.
-                    cheapest = min(skipped, key=lambda n: predictions[n])
-                    skipped.remove(cheapest)
-                    kept = [cheapest]
-                names = kept
             lo = len(tasks)
             for name in names:
                 task_kwargs = dict((kwargs or {}).get(name) or {})
@@ -589,22 +584,16 @@ class BatchRunner:
                     # calls stay reproducible (and cache-coherent).
                     task_kwargs["seed"] = int(instance_fingerprint(instance)[:8], 16)
                 tasks.append(BatchTask.make(name, instance, task_kwargs))
-            spans.append((lo, len(tasks), tuple(skipped)))
+            spans.append((lo, len(tasks)))
         batch = self.run_tasks(tasks)
 
         best: List[AlgorithmResult] = []
-        for lo, hi, skipped in spans:
+        for lo, hi in spans:
             candidates = [r for r in batch.results[lo:hi]
                           if not (r.meta.get("error") or r.meta.get("timeout"))]
             if not candidates:
                 candidates = batch.results[lo:hi]
-            winner = min(candidates, key=lambda r: (r.makespan, r.name))
-            if budget_s is not None:
-                # Annotate a *copy*: cached results are shared objects and
-                # must not accumulate call-specific metadata.
-                winner = replace(winner, meta={**winner.meta,
-                                               "skipped_by_cost_model": list(skipped)})
-            best.append(winner)
+            best.append(min(candidates, key=lambda r: (r.makespan, r.name)))
         return best
 
     def map(self, func: Callable, items: Sequence[object]) -> List[object]:

@@ -19,8 +19,8 @@ start them for you — the lease protocol keeps them from stepping on each
 other and ``compute_count`` proves no key is ever computed twice.
 
 Per-task budgets travel **in the queue**, not on the worker: the
-submitter stamps each row with a ``budget_s`` (typically derived from
-the cost model) and whichever worker leases the row enforces it.  The
+submitter stamps each row with a ``budget_s`` (its runner's
+``timeout``) and whichever worker leases the row enforces it.  The
 check is post-hoc — an in-process task cannot be interrupted — so an
 overrunning task's (valid) result is still published, with the budget
 surfaced in ``result.meta["budget_s"]`` / ``meta["over_budget"]`` and

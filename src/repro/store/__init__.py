@@ -10,8 +10,8 @@ This package is the durability and prediction layer under
   ``BatchRunner(store=...)`` it makes the content-hash cache survive
   process restarts: a re-run of yesterday's sweep streams from disk.
 * :class:`CostModel` — log-linear per-algorithm runtime predictors fitted
-  from the wall times the store has recorded, used for descending-cost
-  task ordering and for ``portfolio(..., budget_s=...)`` latency budgets.
+  from the wall times the store has recorded, used only to dispatch
+  cold tasks in descending-cost order.
 * :class:`TaskQueue` — a lease-based work queue in a ``task_queue`` table
   of the *same* SQLite file, turning the store into a distributed work
   plane: ``python -m repro.runtime.worker`` processes lease tasks, publish

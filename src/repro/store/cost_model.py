@@ -8,13 +8,12 @@ and the LP, exponential-tailed for the MILP), so a log-linear model
 
 fitted per ``(algorithm, environment)`` group from the wall times the
 :class:`~repro.store.result_store.ResultStore` has accumulated is enough to
-answer the two questions the runtime layer asks:
-
-* *ordering* — :meth:`CostModel.order_tasks` sorts a task list by
-  descending predicted cost before chunked dispatch, so the heavy MILP/PTAS
-  tasks start first and the cheap tail fills the pool's idle slots;
-* *budgeting* — ``BatchRunner.portfolio(..., budget_s=...)`` skips solvers
-  whose predicted runtime blows a latency budget.
+order work: :meth:`CostModel.order_indices` sorts cold tasks by descending
+predicted cost before dispatch, so the heavy MILP/PTAS tasks start first
+and the cheap tail fills the pool's idle slots.  Ordering is the model's
+only job: a prediction never decides which tasks run, how long they may
+take, or what a result records, so results do not depend on what the
+store happened to hold.
 
 Which features feed the model is declared per algorithm at registration
 time (``register_algorithm(..., cost_features=...)``); the default is
@@ -168,10 +167,6 @@ class CostModel:
         values = [getattr(instance, _RECORD_FEATURES[f]) for f in fit.features]
         return float(np.exp(fit.predict_log(values)))
 
-    def predict_task(self, task: "BatchTask") -> Optional[float]:
-        """Predicted wall seconds for one batch task."""
-        return self.predict(task.algorithm, task.instance)
-
     def order_indices(self, tasks: Sequence["BatchTask"]) -> List[int]:
         """Task indices sorted by descending predicted cost (deterministic).
 
@@ -185,11 +180,7 @@ class CostModel:
         """
         def key(item: Tuple[int, "BatchTask"]) -> Tuple[float, int]:
             index, task = item
-            cost = self.predict_task(task)
+            cost = self.predict(task.algorithm, task.instance)
             return (-cost if cost is not None else float("-inf"), index)
 
         return [index for index, _ in sorted(enumerate(tasks), key=key)]
-
-    def order_tasks(self, tasks: Sequence["BatchTask"]) -> List["BatchTask"]:
-        """Tasks reordered per :meth:`order_indices`."""
-        return [tasks[i] for i in self.order_indices(tasks)]

@@ -50,8 +50,8 @@ Row lifecycle
   a key was actually computed across all workers — the dedup guarantee is
   ``compute_count == 1`` for every key, which the F4 benchmark asserts.
 * **Budgets travel with the work.**  The submitter may stamp each row
-  with a ``budget_s`` wall-clock budget (typically derived from the
-  fitted cost model); whichever worker leases the row enforces it —
+  with a ``budget_s`` wall-clock budget; whichever worker leases the
+  row enforces it —
   post-hoc, since an in-process task cannot be interrupted — surfacing
   ``budget_s`` / ``over_budget`` in the result's ``meta`` and counting
   the overrun in its drain stats.  No per-worker ``--timeout`` flag has

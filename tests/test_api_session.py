@@ -8,23 +8,29 @@ What the facade promises:
 * ``run`` / ``stream`` / ``portfolio`` execute compiled scenarios with
   results aligned to the compile order, failures surfaced, and tables
   honouring the spec's declared columns;
-* ``build_runner`` hands out dedicated runners (budget-carrying specs
-  never reconfigure the shared pool entry).
+* ``build_runner`` hands out dedicated runners; a spec with its own
+  ``timeout_s`` runs on the pooled runner of the config with that
+  timeout, never reconfiguring the session's own pool entry.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from repro.api import (
     AlgorithmSweep,
-    BudgetPolicy,
     ScalePreset,
     ScenarioSpec,
     Session,
     SessionConfig,
 )
-from repro.runtime import QueueBackend, SerialBackend, pool
+from repro.algorithms.base import AlgorithmResult
+from repro.core.bounds import greedy_upper_bound
+from repro.generators import uniform_instance
+from repro.runtime import BatchTask, QueueBackend, SerialBackend, pool
+from repro.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -74,7 +80,7 @@ class TestSessionConfig:
         assert config.backend == "serial"
         assert config.autoscale == 0
 
-    @pytest.mark.parametrize("raw", ["two", "-1"])
+    @pytest.mark.parametrize("raw", ["two", "-1", "²"])
     def test_invalid_autoscale_environment_names_the_variable(
             self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_AUTOSCALE", raw)
@@ -82,6 +88,15 @@ class TestSessionConfig:
             SessionConfig.resolve()
         # An explicit kwarg never reads the variable.
         assert SessionConfig.resolve(autoscale=1).autoscale == 1
+
+    @pytest.mark.parametrize("bad", [0, 0.0, -1.0, math.nan, math.inf])
+    def test_bad_timeout_names_the_field(self, bad):
+        with pytest.raises(ValueError, match="timeout_s"):
+            SessionConfig.resolve(timeout_s=bad)
+        with pytest.raises(ValueError, match="timeout_s"):
+            Session(timeout_s=bad)
+        with pytest.raises(ValueError, match="timeout_s"):
+            Session(SessionConfig(), timeout_s=bad)
 
     def test_autoscale_environment_reaches_the_queue_backend(
             self, monkeypatch):
@@ -131,35 +146,59 @@ class TestRunnerWiring:
         assert runner.max_workers == 1
         assert runner.cache_enabled is False
 
-    def test_budget_spec_gets_a_dedicated_runner(self):
+    def test_timeout_spec_gets_the_pooled_runner_with_its_timeout(self):
         session = Session(backend="serial")
         shared = session.runner()
-        spec = _spec(budget=BudgetPolicy(timeout_s=30.0))
+        spec = _spec(timeout_s=30.0)
+        runner = session._runner_for(spec)
+        assert runner is not shared
+        assert runner is session._runner_for(spec)  # pooled, not rebuilt
+        assert runner is Session(backend="serial", timeout_s=30.0).runner()
+        assert runner.timeout == 30.0
         run = session.run(spec)
         assert len(run) == 4
         assert shared.timeout is None  # the pool entry was not touched
         assert all(r.makespan < float("inf") for r in run.results)
 
     def test_budget_spec_reuses_the_pooled_store_handle(self, tmp_path):
-        """A budget-carrying spec gets its own runner but NOT its own
+        """A spec with a timeout gets another runner but NOT another
         SQLite connection: repeated runs in a long-lived process must not
         leak one store handle per run."""
         session = Session(store_path=str(tmp_path / "budget.sqlite"),
                           backend="serial")
-        spec = _spec(budget=BudgetPolicy(timeout_s=30.0))
-        dedicated = session._runner_for(spec)
-        assert dedicated is not session.runner()
-        assert dedicated.timeout == 30.0
-        assert dedicated.store is session.runner().store
-
+        spec = _spec(timeout_s=30.0)
+        runner = session._runner_for(spec)
+        assert runner is not session.runner()
+        assert runner.timeout == 30.0
+        assert session.runner().timeout is None
+        assert runner.store is session.runner().store
 
     def test_budget_spec_on_queue_keeps_the_config_autoscale(self, tmp_path):
         session = Session(store_path=str(tmp_path / "q.sqlite"),
                           backend="queue", autoscale=2)
-        spec = _spec(budget=BudgetPolicy(budget_factor=4.0))
-        dedicated = session._runner_for(spec)
-        assert dedicated.backend.autoscale == 2
-        assert dedicated.backend.budget_factor == 4.0
+        runner = session._runner_for(_spec(timeout_s=30.0))
+        assert runner.backend.autoscale == 2
+        assert runner.timeout == 30.0
+
+
+    def test_timeout_portfolio_serves_a_cold_stores_winners(self, tmp_path):
+        """A store recording every candidate far over the spec's timeout
+        changes neither which candidates run nor the winners served."""
+        spec = _spec(mode="portfolio", timeout_s=30.0)
+        want = Session(backend="serial").portfolio(spec).results
+        path = tmp_path / "warm.sqlite"
+        with ResultStore(path) as store:
+            inst = uniform_instance(30, 3, 4, seed=99, integral=True)
+            _, schedule = greedy_upper_bound(inst)
+            for sweep in spec.algorithms:
+                store.put(BatchTask.make(sweep.name, inst),
+                          AlgorithmResult.from_schedule(sweep.name, schedule,
+                                                        runtime=1000.0))
+        session = Session(store_path=str(path), backend="serial")
+        got = session.portfolio(spec).results
+        assert [(r.name, r.makespan, sorted(r.meta)) for r in got] == \
+            [(r.name, r.makespan, sorted(r.meta)) for r in want]
+        assert session._runner_for(spec).stats["tasks"] == 4
 
 
 class TestOneConfigurationPath:

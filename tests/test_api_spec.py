@@ -9,7 +9,9 @@ The contracts the satellite checklist pins:
 * two compiles of one spec produce identical ``cache_key()`` task lists;
 * the shipped ``scenarios/*.toml`` files all load;
 * a malformed spec file fails with a ``ValueError`` naming the file,
-  never a ``TypeError`` / ``AttributeError`` from deep inside the loader.
+  never a ``TypeError`` / ``AttributeError`` from deep inside the loader;
+* ``[scenario.budget] timeout_s`` is a positive, finite number or the
+  file fails naming the field.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from hypothesis import strategies as st
 
 from repro.api import (
     AlgorithmSweep,
-    BudgetPolicy,
     ReferencePolicy,
     ScalePreset,
     ScenarioSpec,
@@ -46,7 +47,7 @@ def _demo_spec(**overrides) -> ScenarioSpec:
             AlgorithmSweep.make("lpt-with-setups"),
         ),
         scales={"quick": ScalePreset(max_points=2), "full": ScalePreset()},
-        budget=BudgetPolicy(timeout_s=30.0, budget_factor=4.0),
+        timeout_s=30.0,
         columns=("algorithm", "n", "makespan"),
         notes=("a note",),
     )
@@ -133,10 +134,13 @@ class TestUnknownKeys:
             scenario_from_dict(data)
 
     def test_unknown_budget_key_rejected(self):
-        data = _demo_spec().to_dict()
-        data["scenario"]["budget"]["timeout"] = 3
-        with pytest.raises(ValueError, match="timeout"):
-            scenario_from_dict(data)
+        # timeout_s is the only budget key; the two retired cost-model
+        # budget keys fail like any typo.
+        for key in ("timeout", "budget_factor", "min_budget_s"):
+            data = _demo_spec().to_dict()
+            data["scenario"]["budget"][key] = 3
+            with pytest.raises(ValueError, match=key):
+                scenario_from_dict(data)
 
     def test_file_error_names_the_file(self, tmp_path):
         path = tmp_path / "typo.json"
@@ -144,6 +148,24 @@ class TestUnknownKeys:
         data["scenario"]["moed"] = "grid"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="typo.json"):
+            load_scenario(path)
+
+
+class TestTimeout:
+    """``[scenario.budget] timeout_s`` must be a positive, finite number
+    of seconds: ``nan`` would disable the limit, a negative one would
+    turn every task into a timeout sentinel."""
+
+    @pytest.mark.parametrize("literal", ["0", "0.0", "-5.0", "nan", "inf"])
+    def test_bad_timeout_in_a_toml_file_names_file_and_field(self, tmp_path,
+                                                            literal):
+        text = _demo_spec().to_toml()
+        assert "timeout_s = 30.0" in text
+        path = tmp_path / "bad-timeout.toml"
+        path.write_text(text.replace("timeout_s = 30.0",
+                                     f"timeout_s = {literal}"))
+        with pytest.raises(ValueError,
+                           match=r"bad-timeout\.toml.*timeout_s"):
             load_scenario(path)
 
 
@@ -165,15 +187,15 @@ class TestValidation:
     def test_portfolio_mode_rejects_grids_and_references(self):
         single = (AlgorithmSweep.make("lpt-with-setups"),)
         with pytest.raises(ValueError, match="single variant"):
-            _demo_spec(mode="portfolio", budget=None)
+            _demo_spec(mode="portfolio")
         with pytest.raises(ValueError, match="grid-mode"):
-            _demo_spec(mode="portfolio", algorithms=single, budget=None,
+            _demo_spec(mode="portfolio", algorithms=single,
                        reference=ReferencePolicy())
         # seed_kwarg never reaches portfolio execution (it auto-seeds from
         # instance content) — accepting it would silently drop the
         # declared seeding, so it is rejected too.
         with pytest.raises(ValueError, match="seed_kwarg"):
-            _demo_spec(mode="portfolio", budget=None, algorithms=(
+            _demo_spec(mode="portfolio", algorithms=(
                 AlgorithmSweep.make("randomized-rounding",
                                     seed_kwarg="seed"),))
 

@@ -168,6 +168,14 @@ class TestTimeouts:
         assert result.meta.get("timeout") is True
         assert result.makespan == float("inf")
 
+    @pytest.mark.parametrize("bad", [0, 0.0, -1.0, float("nan"),
+                                     float("inf"), True, "5"])
+    def test_bad_timeout_is_rejected_naming_the_field(self, bad):
+        """``nan`` would silently disable the limit and ``-1.0`` would
+        turn every task into a timeout sentinel: both fail up front."""
+        with pytest.raises(ValueError, match="timeout"):
+            BatchRunner(max_workers=1, timeout=bad)
+
 
 class TestErrorCapture:
     def test_error_becomes_sentinel_result(self, failing_algorithm):

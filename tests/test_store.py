@@ -299,15 +299,14 @@ class TestCostModel:
         assert predicted == pytest.approx(0.25, rel=0.05)
         store.close()
 
-    def test_order_tasks_descends_by_predicted_cost(self, tmp_path):
+    def test_order_indices_descends_by_predicted_cost(self, tmp_path):
         store = self._seeded_store(tmp_path, quadratic=True)
         model = CostModel.fit_from_store(store)
         small, mid, large = (_task(seed=s, n=n)
                              for s, n in ((1, 10), (2, 50), (3, 150)))
         unknown = BatchTask.make("ptas-uniform", small.instance, {"epsilon": 0.5})
-        ordered = model.order_tasks([small, mid, unknown, large])
         # Unknown cost first (could be a giant), then known descending.
-        assert ordered == [unknown, large, mid, small]
+        assert model.order_indices([small, mid, unknown, large]) == [2, 3, 1, 0]
         store.close()
 
     def test_runner_orders_cold_tasks_by_cost(self, tmp_path):
@@ -321,44 +320,6 @@ class TestCostModel:
         runner = BatchRunner(max_workers=1, store=store_path, cache=False)
         ordered = runner._order_by_cost(tasks, list(range(len(tasks))))
         assert ordered == [3, 2, 1, 0]
-
-    def test_portfolio_budget_skips_predicted_blowups(self, tmp_path):
-        """budget_s skips the solver the cost model predicts over budget."""
-        store_path = tmp_path / "budget.sqlite"
-        instances = [uniform_instance(20, 3, 4, seed=s, integral=True)
-                     for s in range(3)]
-        slow_task = [BatchTask.make("ptas-uniform", inst, {"epsilon": 0.25})
-                     for inst in instances]
-        fast_task = [BatchTask.make("class-aware-greedy", inst)
-                     for inst in instances]
-        with ResultStore(store_path) as store:
-            for task in slow_task:
-                store.put(task, _result_for(task, runtime=120.0))  # "2 minutes"
-            for task in fast_task:
-                store.put(task, _result_for(task, runtime=0.001))
-        runner = BatchRunner(max_workers=1, store=store_path)
-        best = runner.portfolio(instances,
-                                algorithms=["ptas-uniform", "class-aware-greedy"],
-                                budget_s=1.0)
-        for result in best:
-            assert result.meta["skipped_by_cost_model"] == ["ptas-uniform"]
-            assert result.name == "class-aware-greedy"
-
-    def test_portfolio_budget_never_serves_nothing(self, tmp_path):
-        """With every candidate over budget, the cheapest still runs."""
-        store_path = tmp_path / "allover.sqlite"
-        instances = [uniform_instance(20, 3, 4, seed=9, integral=True)]
-        with ResultStore(store_path) as store:
-            for name, runtime in (("class-aware-greedy", 50.0),
-                                  ("lpt-with-setups", 80.0)):
-                task = BatchTask.make(name, instances[0])
-                store.put(task, _result_for(task, runtime=runtime))
-        runner = BatchRunner(max_workers=1, store=store_path)
-        best = runner.portfolio(instances,
-                                algorithms=["class-aware-greedy", "lpt-with-setups"],
-                                budget_s=0.001)
-        assert best[0].name == "class-aware-greedy"  # cheapest-predicted ran
-        assert best[0].meta["skipped_by_cost_model"] == ["lpt-with-setups"]
 
 
 class TestStoreCli:

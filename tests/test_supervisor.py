@@ -160,7 +160,6 @@ class TestSubmitterBudgets:
     def test_without_timeout_or_model_rows_travel_unbudgeted(self, tmp_path):
         path = tmp_path / "nobudget.sqlite"
         tasks = _tasks(2)
-        # A cold store: the cost model has no recorded runs to fit.
         runner = BatchRunner(max_workers=1, store=path, backend="queue",
                              backend_options={"poll_s": 0.01,
                                               "stall_timeout_s": 60.0})
@@ -171,32 +170,31 @@ class TestSubmitterBudgets:
             assert [r.budget_s for r in rows] == [None, None]
         assert not any("budget_s" in r.meta for r in batch.results)
 
-    def test_cost_model_predictions_set_padded_budgets(self, tmp_path):
-        """With recorded wall times fitted into a cost model, each row's
-        budget is budget_factor × the task's own prediction (floored at
-        min_budget_s) — per-task, not per-worker."""
+    def test_a_warm_store_leaves_rows_unbudgeted_and_meta_as_serial(
+            self, tmp_path):
+        """A fitted cost model orders work and nothing else: without a
+        timeout, rows travel unbudgeted however much the store has
+        recorded, and results carry the serial backend's meta keys."""
         path = tmp_path / "model.sqlite"
-        warmup = _tasks(6, n=16, seed0=100)
         warm_runner = BatchRunner(max_workers=1, store=path, backend="serial")
-        warm_runner.run_tasks(warmup)
+        warm_runner.run_tasks(_tasks(6, n=16, seed0=100))
 
         fresh = _tasks(2, n=16, seed0=200)
         runner = BatchRunner(max_workers=1, store=warm_runner.store,
                              backend="queue",
                              backend_options={"poll_s": 0.01,
-                                              "stall_timeout_s": 60.0,
-                                              "min_budget_s": 0.5,
-                                              "budget_factor": 8.0})
-        model = runner.cost_model()
-        assert model is not None  # the warmup records fed a fit
-        predicted = {t.cache_key(): model.predict_task(t) for t in fresh}
-        assert all(p is not None for p in predicted.values())
-        runner.run_tasks(fresh)
+                                              "stall_timeout_s": 60.0})
+        assert runner.cost_model() is not None  # the warmup fed a fit
+        queued = runner.run_tasks(fresh)
         runner.store.close()
         with TaskQueue(path) as queue:
-            for row in queue.rows([t.cache_key() for t in fresh]):
-                expected = max(0.5, 8.0 * predicted[row.key])
-                assert row.budget_s == pytest.approx(expected)
+            rows = queue.rows([t.cache_key() for t in fresh])
+            assert [r.budget_s for r in rows] == [None, None]
+        serial = BatchRunner(max_workers=1, store=tmp_path / "serial.sqlite",
+                             backend="serial").run_tasks(fresh)
+        serial_keys = [sorted(r.meta) for r in serial.results]
+        assert [sorted(r.meta) for r in queued.results] == serial_keys
+        assert not any("budget_s" in keys for keys in serial_keys)
 
     def test_autoscale_resolution(self, monkeypatch):
         """The backend reads only its kwarg; ``REPRO_AUTOSCALE`` is
