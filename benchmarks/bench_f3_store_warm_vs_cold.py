@@ -12,6 +12,9 @@ The two acceptance properties of the store layer are asserted here:
 * a warm re-run completes at least 5x faster than the cold run;
 * in the mixed run, ``run_iter`` yields its first (warm) result before
   the process pool finishes its first cold chunk.
+
+It also asserts that a warm pass only reads: it commits no write to the
+store file.
 """
 
 import math
@@ -43,3 +46,8 @@ def test_f3_table(benchmark, scale):
     assert not math.isnan(mixed["first_fresh_s"])
     assert mixed["first_result_s"] < mixed["first_fresh_s"], (
         "run_iter did not stream a warm result before the first cold chunk")
+
+    # A warm pass only reads: no access-time update, no write of any kind.
+    assert cold["store_written"] and mixed["store_written"]
+    assert not warm["store_written"], "the warm pass wrote to the store file"
+    assert warm["payload_bytes_per_row"] == cold["payload_bytes_per_row"] > 0

@@ -6,8 +6,8 @@ resulting table, so running
 
     pytest benchmarks/ --benchmark-only
 
-reproduces the full empirical evaluation recorded in EXPERIMENTS.md (at the
-"quick" scale; pass ``--scale=full`` for the larger sweeps).
+reproduces the full empirical evaluation (README § Testing) at the
+"quick" scale; pass ``--scale=full`` for the larger sweeps.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def run_and_print(experiment_id: str, scale: str):
     """Run one experiment, print its table, persist it, and return it.
 
     The rendered table is also written to ``benchmarks/results/<id>.txt`` so
-    that the numbers quoted in EXPERIMENTS.md can be regenerated and diffed.
+    that the numbers can be regenerated and diffed.
     The shared experiment runner is given a persistent result store under
     ``benchmarks/results/`` (gitignored), so re-running the harness reuses
     every algorithm result computed by earlier invocations — across

@@ -14,7 +14,7 @@ examples) rather than ad-hoc scripting.
   :class:`~repro.api.ScenarioSpec`-plus-post-processing wrapper over the
   :class:`~repro.api.Session` facade.
 * :mod:`repro.analysis.tables` — plain-text/markdown/CSV/JSON table
-  rendering used by the benchmark harness, EXPERIMENTS.md, and the
+  rendering used by the benchmark harness (``benchmarks/``) and the
   ``python -m repro run --export`` CLI.
 """
 

@@ -2,7 +2,7 @@
 
 Every function returns a :class:`repro.analysis.tables.ResultTable`; the
 benchmark harness (``benchmarks/``) times the function and prints the table,
-and EXPERIMENTS.md records the headline numbers.  All experiments are seeded
+and writes it to ``benchmarks/results/``.  All experiments are seeded
 through :mod:`repro.generators.suites`, so re-running them reproduces the
 same rows.
 
@@ -23,13 +23,14 @@ The paper itself contains no empirical evaluation (it is a theory paper);
 the experiments here verify each proven guarantee empirically and
 regenerate the structural content of Figure 1.  ``scale`` trades instance
 count/size against runtime: ``"quick"`` is used by the pytest-benchmark
-harness, ``"full"`` by EXPERIMENTS.md.
+harness, ``"full"`` by ``pytest benchmarks/ --scale=full``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sqlite3
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -641,6 +642,9 @@ def experiment_f3_store_warm_vs_cold(scale: str, session: Session) -> ResultTabl
     * ``mixed`` — the warm grid plus fresh instances; warm results must
       reach the consumer before the pool finishes its first cold chunk.
 
+    ``store_written``: a second connection's ``PRAGMA data_version``
+    moved, i.e. the pass committed a write (a warm pass must not).
+
     The pool is forced on (even on one CPU) so the mixed row measures real
     fork/dispatch latency, and the cost model fitted from the cold pass
     orders the mixed pass's cold tasks by descending predicted cost.
@@ -674,16 +678,22 @@ def experiment_f3_store_warm_vs_cold(scale: str, session: Session) -> ResultTabl
     table = ResultTable(
         title="F3: persistent result store — warm vs cold grid re-runs",
         columns=["mode", "tasks", "warm_served", "wall_s", "first_result_s",
-                 "first_fresh_s", "tasks_per_s", "speedup_vs_cold"],
+                 "first_fresh_s", "tasks_per_s", "speedup_vs_cold",
+                 "store_written", "payload_bytes_per_row"],
     )
     timings: Dict[str, Dict[str, float]] = {}
     try:
         for mode, tasks in (("cold", base_tasks), ("warm", base_tasks),
                             ("mixed", mixed_tasks)):
             runner = fresh_runner()
+            watcher = sqlite3.connect(str(store_path))
             try:
+                version = watcher.execute("PRAGMA data_version").fetchone()
                 timing = _f3_stream(runner, tasks)
+                written = watcher.execute("PRAGMA data_version").fetchone() != version
+                stats = runner.store.stats()
             finally:
+                watcher.close()
                 runner.store.close()
             timings[mode] = timing
             table.add_row(
@@ -692,6 +702,9 @@ def experiment_f3_store_warm_vs_cold(scale: str, session: Session) -> ResultTabl
                 first_fresh_s=timing["first_fresh_s"],
                 tasks_per_s=timing["tasks"] / timing["wall_s"],
                 speedup_vs_cold=timings["cold"]["wall_s"] / timing["wall_s"],
+                store_written=written,
+                payload_bytes_per_row=(stats["total_payload_bytes"]
+                                       // max(1, stats["entries"])),
             )
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)

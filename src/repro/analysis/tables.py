@@ -1,7 +1,7 @@
 """Plain-text result tables.
 
-The benchmark harness prints one :class:`ResultTable` per experiment; the
-same objects back the summaries recorded in EXPERIMENTS.md.
+The benchmark harness prints one :class:`ResultTable` per experiment and
+writes it to ``benchmarks/results/<ID>_<scale>.txt``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
 from repro.algorithms.base import AlgorithmResult
 from repro.analysis.tables import ResultTable
 from repro.api.spec import CompiledScenario, ScenarioSpec, TaskInfo, _SIZE_KEYS
-from repro.runtime.runner import BatchRunner, check_timeout
+from repro.runtime.runner import BatchRunner, check_count, check_timeout
 
 __all__ = ["SessionConfig", "Session", "ScenarioRun"]
 
@@ -77,6 +77,7 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         check_timeout(self.timeout_s, "timeout_s")
+        check_count(self.autoscale, "autoscale")
 
     @classmethod
     def resolve(cls, **overrides: Any) -> "SessionConfig":

@@ -30,7 +30,7 @@ class SuiteSpec:
     Attributes
     ----------
     name:
-        Suite identifier used by benchmarks and EXPERIMENTS.md.
+        Suite identifier used by the experiments and ``benchmarks/``.
     generator:
         Callable ``(seed=..., **params) -> Instance``.
     sweep:

@@ -163,20 +163,19 @@ class QueueBackend(ExecutionBackend):
                  poll_s: float = 0.05, inline: bool = True,
                  stall_timeout_s: Optional[float] = None,
                  autoscale: Union[None, bool, int] = None) -> None:
+        from repro.runtime.runner import (check_count, check_timeout,
+                                          usable_cpus)
         super().__init__(runner)
+        check_timeout(lease_s, "lease_s")
+        check_timeout(poll_s, "poll_s")
+        autoscale = usable_cpus() if autoscale is True else autoscale or 0
+        check_count(autoscale, "autoscale")
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.inline = bool(inline)
         self.stall_timeout_s = stall_timeout_s
         self.worker_id = f"inline-{os.getpid()}"
-        self.autoscale = self._resolve_autoscale(autoscale)
-
-    @staticmethod
-    def _resolve_autoscale(autoscale: Union[None, bool, int]) -> int:
-        if autoscale is True:
-            from repro.runtime.runner import usable_cpus
-            return usable_cpus()
-        return max(0, int(autoscale or 0))
+        self.autoscale = autoscale
 
     def submit(self, tasks: Sequence["BatchTask"]
                ) -> Iterator[Tuple[int, "AlgorithmResult"]]:

@@ -103,6 +103,12 @@ def check_timeout(value: Optional[float], name: str) -> None:
                          f"seconds or None, got {value!r}")
 
 
+def check_count(value: int, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int >= 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def _hash_array(h, arr: np.ndarray) -> None:
     """Feed an array's content (dtype, shape, bytes) into a hash."""
     a = np.ascontiguousarray(arr)
@@ -635,6 +641,11 @@ class BatchRunner:
         if status == "ok":
             result = payload  # type: ignore[assignment]
             result.meta.setdefault("instance", task.instance.name)
+            # A pool worker returns a copy of the instance: share the task's
+            # own, which the store leaves out of the payload.
+            got, own = result.schedule.instance, task.instance
+            if got is not own and instance_fingerprint(got) == instance_fingerprint(own):
+                result.schedule.instance = own
             return result
         message, tb = payload  # type: ignore[misc]
         self.stats["errors"] += 1

@@ -5,10 +5,10 @@ This package is the durability and prediction layer under
 
 * :class:`ResultStore` — a content-addressed, on-disk cache of
   :class:`~repro.algorithms.base.AlgorithmResult` objects (single SQLite
-  file, WAL mode) keyed by ``BatchTask.cache_key()``, with bulk prefetch,
-  LRU-style eviction, and a self-healing open path.  Plugged into
-  ``BatchRunner(store=...)`` it makes the content-hash cache survive
-  process restarts: a re-run of yesterday's sweep streams from disk.
+  file, WAL mode) keyed by ``BatchTask.cache_key()``: bulk prefetch, reads
+  that never write, payloads without the task's own instance, opt-in
+  eviction and a self-healing open.  Plugged into ``BatchRunner(store=)``
+  it makes the content-hash cache survive process restarts.
 * :class:`CostModel` — log-linear per-algorithm runtime predictors fitted
   from the wall times the store has recorded, used only to dispatch
   cold tasks in descending-cost order.

@@ -7,9 +7,9 @@ Usage (the store path defaults to ``$REPRO_RESULT_STORE``)::
     python -m repro.store export [--store PATH] [--output FILE]
 
 ``stats`` aggregates entry counts, payload sizes, and recorded solver
-seconds per algorithm; ``vacuum`` runs the eviction policy and reclaims
-file space; ``export`` dumps run metadata as JSON lines (for offline cost
--model analysis) without unpickling any payload.
+seconds per algorithm; ``vacuum`` reclaims file space (it drops no row);
+``export`` dumps run metadata as JSON lines (for offline cost-model
+analysis) without unpickling any payload.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print aggregate store statistics").add_argument(
         "--json", action="store_true", help="emit machine-readable JSON")
     sub.add_parser("vacuum", parents=[common],
-                   help="evict per policy and reclaim file space")
+                   help="reclaim file space (drops no row)")
     export = sub.add_parser("export", parents=[common],
                             help="dump run metadata as JSON lines")
     export.add_argument("--output", default=None,

@@ -10,16 +10,18 @@ The runner groups its writes (:meth:`ResultStore.put_many`, one
 transaction per group of fresh results whose compute time reaches
 0.1 s, and one for the rest when its stream ends): a crash loses at most
 the held group, under 0.1 s of compute, and since the store is a cache
-those results are only recomputed.
+those results are only recomputed.  Reads never write: a warm hit is one
+SELECT and the unpickling of a payload that leaves out the task's own
+instance (:func:`encode`; the reader holds the task, :func:`decode`).
 
-Alongside the pickled result, each row records run metadata (algorithm
-name, machine-environment tag, instance dimensions, wall time, payload
-size, timestamps).  The metadata serves three purposes:
+Alongside the payload, each row records run metadata (algorithm name,
+machine-environment tag, instance dimensions, wall time, payload size,
+write time).  The metadata serves three purposes:
 
 * inspection — ``python -m repro.store stats`` aggregates it without
   unpickling a single payload;
-* eviction — LRU-style eviction by total payload size (``max_bytes``)
-  and age (``max_age_s``) keeps long-running services bounded;
+* eviction — by total payload size (``max_bytes``, oldest-written rows
+  first) and age (``max_age_s``); both are off unless set;
 * cost modelling — :class:`repro.store.cost_model.CostModel` fits
   per-algorithm runtime predictors from the recorded wall times.
 
@@ -38,6 +40,8 @@ algorithm implementations after an upgrade.  Consequently: **bump
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import pickle
@@ -45,7 +49,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Iterator,
                     Optional, Sequence, Tuple, TypeVar, Union)
 
 from repro._version import __version__ as _REPRO_VERSION
@@ -54,11 +58,11 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
     from repro.algorithms.base import AlgorithmResult
     from repro.runtime.runner import BatchTask
 
-__all__ = ["ResultStore", "StoreRecord", "SCHEMA_VERSION"]
+__all__ = ["ResultStore", "StoreRecord", "SCHEMA_VERSION", "encode", "decode"]
 
 #: Bump when the row layout or the pickle payload contract changes; stores
 #: written under another version are rebuilt empty on open.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this.
@@ -73,6 +77,27 @@ BUSY_TIMEOUT_S = 30.0
 _SQLITE_BUSY, _SQLITE_LOCKED, _SQLITE_PROTOCOL = 5, 6, 15
 
 _T = TypeVar("_T")
+
+#: The persistent id that stands in a payload for the task's own instance.
+_TASK_INSTANCE = "task.instance"
+
+
+def encode(task: "BatchTask", result: "AlgorithmResult") -> bytes:
+    """Pickle ``result`` with ``task.instance`` (matched by identity) as a
+    token; any other instance object in it is pickled whole."""
+    buffer, instance = io.BytesIO(), task.instance
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda obj: _TASK_INSTANCE if obj is instance else None
+    pickler.dump(result)
+    return buffer.getvalue()
+
+
+def decode(task: "BatchTask", payload: bytes) -> "AlgorithmResult":
+    """Unpickle an :func:`encode` payload with ``task.instance`` put back
+    (an unknown token raises ``KeyError``)."""
+    unpickler = pickle.Unpickler(io.BytesIO(payload))
+    unpickler.persistent_load = {_TASK_INSTANCE: task.instance}.__getitem__
+    return unpickler.load()
 
 
 def connect(path: Union[str, Path]) -> sqlite3.Connection:
@@ -149,17 +174,15 @@ CREATE TABLE IF NOT EXISTS results (
     wall_seconds  REAL NOT NULL,
     payload       BLOB NOT NULL,
     payload_bytes INTEGER NOT NULL,
-    created_at    REAL NOT NULL,
-    last_access   REAL NOT NULL
+    created_at    REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_results_algorithm ON results (algorithm);
-CREATE INDEX IF NOT EXISTS idx_results_last_access ON results (last_access);
 """
 _VERSION_SQL = "SELECT value FROM store_meta WHERE key = 'schema_version'"
 _PUT_SQL = ("INSERT OR REPLACE INTO results (key, repro_version, algorithm,"
             " environment, num_jobs, num_machines, num_classes, wall_seconds,"
-            " payload, payload_bytes, created_at, last_access)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)")
+            " payload, payload_bytes, created_at)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)")
 
 
 @dataclass(frozen=True)
@@ -175,7 +198,6 @@ class StoreRecord:
     wall_seconds: float
     payload_bytes: int
     created_at: float
-    last_access: float
 
 
 class ResultStore:
@@ -187,9 +209,9 @@ class ResultStore:
         The SQLite file; parent directories are created.  The conventional
         suffix is ``.sqlite`` (ignored by git under ``benchmarks/results/``).
     max_bytes:
-        Soft cap on the total pickled-payload size.  When an insert pushes
-        the store over the cap, least-recently-*accessed* rows are evicted
-        until it fits again.  ``None`` disables size eviction.
+        Soft cap on the total payload size.  When an insert pushes the
+        store over the cap, the oldest-*written* rows are evicted until it
+        fits again.  ``None`` disables size eviction.
     max_age_s:
         Rows *created* more than this many seconds ago are dropped on every
         eviction sweep.  ``None`` disables age eviction.
@@ -310,48 +332,42 @@ class ResultStore:
 
         Failure sentinels (``meta["error"]`` / ``meta["timeout"]``) are the
         caller's responsibility to filter; the store persists whatever it is
-        given.  ``payload`` is ``result`` already pickled, for a caller
-        that pickles before it takes the write lock.
+        given.  ``payload`` is ``encode(task, result)``, for a caller that
+        encodes before it takes the write lock.
 
         Called inside a write transaction the caller holds open on this
         store's connection — :meth:`TaskQueue.complete` publishing a
-        result, or :meth:`put_many` — ``put`` only INSERTs: the row commits or rolls back with
-        the caller's transaction, and the caller runs :meth:`evict` after
-        its COMMIT.
+        result, or :meth:`put_many` — ``put`` only INSERTs: the row
+        commits or rolls back with the caller's transaction, and the
+        caller runs :meth:`evict` after its COMMIT.
         """
-        key = task.cache_key()
-        if payload is None:
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        now = time.time()
-        inst = task.instance
-        row = (key, _REPRO_VERSION, task.algorithm, inst.environment.value,
-               inst.num_jobs, inst.num_machines, inst.num_classes,
-               float(result.runtime_seconds), payload, len(payload), now, now)
-        if self._conn.in_transaction:
-            # No `with self._conn` here: leaving it would commit the
-            # caller's transaction half-way.
-            self._conn.execute(_PUT_SQL, row)
-            self.stats_counters["puts"] += 1
-            return
-        with self._conn:
+        payload = encode(task, result) if payload is None else payload
+        now, inst = time.time(), task.instance
+        row = (task.cache_key(), _REPRO_VERSION, task.algorithm,
+               inst.environment.value, inst.num_jobs, inst.num_machines,
+               inst.num_classes, float(result.runtime_seconds), payload,
+               len(payload), now)
+        joined = self._conn.in_transaction
+        # Joined, leaving a `with self._conn` would commit the caller's
+        # transaction half-way.
+        with contextlib.nullcontext() if joined else self._conn:
             self._conn.execute(_PUT_SQL, row)
         self.stats_counters["puts"] += 1
-        self.evict(now=now)
+        if not joined:
+            self.evict(now=now)
 
     def put_many(self, items: Iterable[Tuple["BatchTask", "AlgorithmResult"]]
                  ) -> None:
         """Persist ``(task, result)`` pairs in one write transaction.
 
         Each pair goes through :meth:`put`'s in-transaction branch, so
-        rows are built in one place; everything is pickled before the
+        rows are built in one place; everything is encoded before the
         write lock is taken, and :meth:`evict` runs once, after the
         COMMIT.  Inside a transaction the caller already holds on this
         connection, the pairs join it, as :meth:`put` does, and the
         caller evicts.
         """
-        rows = [(task, result,
-                 pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
-                for task, result in items]
+        rows = [(task, result, encode(task, result)) for task, result in items]
         if self._conn.in_transaction:
             for task, result, payload in rows:
                 self.put(task, result, payload=payload)
@@ -367,26 +383,14 @@ class ResultStore:
             raise
         self.evict()
 
-    def get(self, task_or_key: Union["BatchTask", str]) -> Optional["AlgorithmResult"]:
+    def get(self, task: "BatchTask") -> Optional["AlgorithmResult"]:
         """Fetch one result, or ``None`` on a miss (or unreadable payload)."""
-        key = self._as_key(task_or_key)
-        self.stats_counters["gets"] += 1
-        try:
-            row = self._conn.execute(
-                "SELECT payload FROM results WHERE key = ?", (key,)).fetchone()
-        except sqlite3.Error:
-            return None
-        if row is None:
-            return None
-        result = self._unpickle(key, row[0])
-        if result is not None:
-            self.stats_counters["hits"] += 1
-            self._touch([key])
-        return result
+        return self.prefetch([task]).get(task.cache_key())
 
     def contains(self, task_or_key: Union["BatchTask", str]) -> bool:
         """Whether a result is stored under this key (payload not validated)."""
-        key = self._as_key(task_or_key)
+        key = (task_or_key if isinstance(task_or_key, str)
+               else task_or_key.cache_key())
         row = self._conn.execute(
             "SELECT 1 FROM results WHERE key = ?", (key,)).fetchone()
         return row is not None
@@ -395,11 +399,14 @@ class ResultStore:
                  ) -> Dict[str, "AlgorithmResult"]:
         """Bulk-fetch every stored result for ``tasks`` in one pass.
 
-        Returns ``{cache_key: result}`` for the warm subset.  One chunked
-        SELECT replaces ``len(tasks)`` point lookups, which matters when a
-        sweep re-submits a multi-thousand-task grid.
+        Returns ``{cache_key: result}`` for the warm subset, decoded with
+        the first task of each key.  One chunked SELECT replaces
+        ``len(tasks)`` point lookups.
         """
-        keys = [task.cache_key() for task in tasks]
+        by_key: Dict[str, "BatchTask"] = {}
+        for task in tasks:
+            by_key.setdefault(task.cache_key(), task)
+        keys = list(by_key)
         out: Dict[str, "AlgorithmResult"] = {}
         for lo in range(0, len(keys), _MAX_SQL_PARAMS):
             chunk = keys[lo:lo + _MAX_SQL_PARAMS]
@@ -411,38 +418,14 @@ class ResultStore:
             except sqlite3.Error:
                 continue
             for key, payload in rows:
-                result = self._unpickle(key, payload)
-                if result is not None:
-                    out[key] = result
-        self.stats_counters["gets"] += len(keys)
+                try:
+                    out[key] = decode(by_key[key], payload)
+                except Exception:  # a stale pickle: drop the row
+                    with self._conn:
+                        self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
+        self.stats_counters["gets"] += len(tasks)
         self.stats_counters["hits"] += len(out)
-        if out:
-            self._touch(list(out))
         return out
-
-    def _unpickle(self, key: str, payload: bytes) -> Optional["AlgorithmResult"]:
-        """Decode a payload; drop the row (stale pickle) when it fails."""
-        try:
-            return pickle.loads(payload)
-        except Exception:
-            with self._conn:
-                self._conn.execute("DELETE FROM results WHERE key = ?", (key,))
-            return None
-
-    def _touch(self, keys: List[str]) -> None:
-        now = time.time()
-        with self._conn:
-            for lo in range(0, len(keys), _MAX_SQL_PARAMS):
-                chunk = keys[lo:lo + _MAX_SQL_PARAMS]
-                placeholders = ",".join("?" * len(chunk))
-                self._conn.execute(
-                    f"UPDATE results SET last_access = ? WHERE key IN ({placeholders})",
-                    [now, *chunk])
-
-    def _as_key(self, task_or_key: Union["BatchTask", str]) -> str:
-        if isinstance(task_or_key, str):
-            return task_or_key
-        return task_or_key.cache_key()
 
     # ------------------------------------------------------------------
     # eviction / maintenance
@@ -451,7 +434,7 @@ class ResultStore:
         """Apply the age and size policies; return the number of rows dropped.
 
         Age first (expired rows should not count against the size budget),
-        then least-recently-accessed rows until ``max_bytes`` is respected.
+        then the oldest-written rows until ``max_bytes`` is respected.
         Without either policy it returns at once, without a transaction.
         """
         if self.max_age_s is None and self.max_bytes is None:
@@ -469,7 +452,7 @@ class ResultStore:
                 if total > self.max_bytes:
                     for key, size in self._conn.execute(
                             "SELECT key, payload_bytes FROM results"
-                            " ORDER BY last_access ASC, key ASC").fetchall():
+                            " ORDER BY created_at ASC, key ASC").fetchall():
                         self._conn.execute("DELETE FROM results WHERE key = ?",
                                            (key,))
                         dropped += 1
@@ -501,21 +484,13 @@ class ResultStore:
         row = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()
         return int(row[0])
 
-    def records(self, algorithm: Optional[str] = None) -> Iterator[StoreRecord]:
-        """Iterate run metadata (no payloads), optionally for one algorithm.
-
-        This is the cost model's training-set query: deterministic order
-        (key ASC) so repeated fits see identical data.
-        """
-        sql = ("SELECT key, algorithm, environment, num_jobs, num_machines,"
-               " num_classes, wall_seconds, payload_bytes, created_at,"
-               " last_access FROM results")
-        params: tuple = ()
-        if algorithm is not None:
-            sql += " WHERE algorithm = ?"
-            params = (algorithm,)
-        sql += " ORDER BY key ASC"
-        for row in self._conn.execute(sql, params):
+    def records(self) -> Iterator[StoreRecord]:
+        """Iterate run metadata (no payloads) in key order, so repeated
+        cost-model fits see identical data."""
+        for row in self._conn.execute(
+                "SELECT key, algorithm, environment, num_jobs, num_machines,"
+                " num_classes, wall_seconds, payload_bytes, created_at"
+                " FROM results ORDER BY key ASC"):
             yield StoreRecord(*row)
 
     def stats(self) -> Dict[str, object]:
@@ -541,10 +516,10 @@ class ResultStore:
             "session": dict(self.stats_counters),
         }
 
-    def export(self, records: Optional[Iterable[StoreRecord]] = None) -> str:
+    def export(self) -> str:
         """Render run metadata as JSON lines (one record per line)."""
         lines = []
-        for record in (self.records() if records is None else records):
+        for record in self.records():
             lines.append(json.dumps({
                 "key": record.key,
                 "algorithm": record.algorithm,
@@ -555,7 +530,6 @@ class ResultStore:
                 "wall_seconds": record.wall_seconds,
                 "payload_bytes": record.payload_bytes,
                 "created_at": record.created_at,
-                "last_access": record.last_access,
             }, sort_keys=True))
         return "\n".join(lines)
 

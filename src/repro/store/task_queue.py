@@ -103,7 +103,8 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from repro.store.result_store import ResultStore, connect, open_retrying
+from repro.store.result_store import (ResultStore, connect, encode,
+                                      open_retrying)
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
     from repro.algorithms.base import AlgorithmResult
@@ -558,7 +559,7 @@ class TaskQueue:
         now = self._clock() if now is None else now
         if publish is not None:
             task, result = publish
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = encode(task, result)
         with self._write():
             if publish is not None:
                 self.store.put(task, result, payload=payload)

@@ -98,6 +98,15 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="timeout_s"):
             Session(SessionConfig(), timeout_s=bad)
 
+    @pytest.mark.parametrize("bad", [-3, 1.5, math.nan])
+    def test_bad_autoscale_names_the_field(self, bad):
+        """A negative or fractional worker count raises, as a bad
+        ``REPRO_AUTOSCALE`` does, instead of turning autoscaling off."""
+        with pytest.raises(ValueError, match="autoscale"):
+            Session(autoscale=bad, backend="queue")
+        with pytest.raises(ValueError, match="autoscale"):
+            SessionConfig.resolve(autoscale=bad)
+
     def test_autoscale_environment_reaches_the_queue_backend(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_AUTOSCALE", "2")

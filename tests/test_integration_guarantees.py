@@ -1,6 +1,7 @@
 """Cross-module integration tests: every paper guarantee on a shared instance pool.
 
-These tests are the executable form of EXPERIMENTS.md: for each theorem of
+These tests are the executable form of the E-experiments (README §
+Testing, ``benchmarks/bench_e*.py``): for each theorem of
 the paper, the corresponding algorithm is run against the exact optimum on a
 pool of small seeded instances and its proven guarantee is asserted.
 """

@@ -45,6 +45,14 @@ def _result_for(task: BatchTask, runtime: float = 0.01) -> AlgorithmResult:
                                          runtime=runtime)
 
 
+def _row_bytes(tmp_path: Path, task: BatchTask, result: AlgorithmResult) -> int:
+    """The ``payload_bytes`` of ``result``'s row, read back from a store."""
+    with ResultStore(tmp_path / "row-bytes.sqlite") as store:
+        store.put(task, result)
+        (record,) = store.records()
+    return record.payload_bytes
+
+
 class TestStoreBasics:
     def test_put_get_roundtrip(self, tmp_path):
         task = _task()
@@ -116,7 +124,7 @@ class TestPutMany:
     def test_evicts_after_the_commit(self, tmp_path):
         tasks = [_task(seed=s) for s in range(5)]
         results = [_result_for(t) for t in tasks]
-        row_bytes = len(pickle.dumps(results[0], pickle.HIGHEST_PROTOCOL))
+        row_bytes = _row_bytes(tmp_path, tasks[0], results[0])
         with ResultStore(tmp_path / "s.sqlite",
                          max_bytes=2 * row_bytes + 10) as store:
             store.put_many(zip(tasks, results))
@@ -220,20 +228,20 @@ class TestDurability:
 
 
 class TestEviction:
-    def test_max_bytes_evicts_least_recently_accessed(self, tmp_path):
+    def test_max_bytes_evicts_oldest_written_first(self, tmp_path):
         tasks = [_task(seed=s) for s in range(6)]
         results = [_result_for(t) for t in tasks]
-        row_bytes = len(pickle.dumps(results[0], pickle.HIGHEST_PROTOCOL))
+        row_bytes = _row_bytes(tmp_path, tasks[0], results[0])
         store = ResultStore(tmp_path / "s.sqlite", max_bytes=3 * row_bytes + 10)
         for task, result in zip(tasks[:3], results[:3]):
             store.put(task, result)
+            time.sleep(0.02)
         assert len(store) == 3
-        store.get(tasks[0])  # refresh task 0: tasks 1/2 become the LRU rows
-        time.sleep(0.02)
+        store.get(tasks[0])  # a read does not make task 0 any younger
         store.put(tasks[3], results[3])
         assert len(store) == 3
-        assert store.contains(tasks[0]) and store.contains(tasks[3])
-        assert not store.contains(tasks[1])  # least recently accessed, evicted
+        assert not store.contains(tasks[0])  # oldest written, evicted
+        assert all(store.contains(t) for t in tasks[1:4])
         # Total payload stays under the cap no matter how many more puts.
         for task, result in zip(tasks[4:], results[4:]):
             store.put(task, result)
@@ -258,6 +266,110 @@ class TestEviction:
         store.vacuum()
         assert len(store) == 1
         store.close()
+
+
+#: A schema-2 store file: whole-result payloads and an access-time column.
+_SCHEMA_V2 = """
+CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+INSERT INTO store_meta VALUES ('schema_version', '2');
+CREATE TABLE results (
+    key TEXT PRIMARY KEY, repro_version TEXT NOT NULL,
+    algorithm TEXT NOT NULL, environment TEXT NOT NULL,
+    num_jobs INTEGER NOT NULL, num_machines INTEGER NOT NULL,
+    num_classes INTEGER NOT NULL, wall_seconds REAL NOT NULL,
+    payload BLOB NOT NULL, payload_bytes INTEGER NOT NULL,
+    created_at REAL NOT NULL, last_access REAL NOT NULL);
+CREATE INDEX idx_results_last_access ON results (last_access);
+"""
+
+
+class TestPayloadContract:
+    """A payload leaves the task's own instance out; reads never write."""
+
+    def test_roundtrip_puts_the_task_instance_back(self, tmp_path):
+        tasks = [_task(seed=s) for s in range(3)]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put(tasks[0], _result_for(tasks[0]))
+            store.put_many([(t, _result_for(t)) for t in tasks[1:]])
+            fetched = store.get(tasks[0])
+            warm = store.prefetch(tasks)
+        assert fetched.schedule.instance is tasks[0].instance
+        for task in tasks:
+            assert warm[task.cache_key()].schedule.instance is task.instance
+
+    def test_payload_is_smaller_than_a_plain_pickle(self, tmp_path):
+        task = _task()
+        result = _result_for(task)
+        plain = len(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        assert _row_bytes(tmp_path, task, result) < plain / 2
+
+    def test_another_instance_object_is_stored_whole(self, tmp_path):
+        """Only the task's own object is left out: an equal copy is not
+        matched by identity, so it is pickled and read back whole."""
+        import copy
+
+        task = _task()
+        twin = copy.deepcopy(task.instance)
+        _, schedule = greedy_upper_bound(twin)
+        result = AlgorithmResult.from_schedule(task.algorithm, schedule)
+        assert _row_bytes(tmp_path, task, result) >= len(
+            pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put(task, result)
+            fetched = store.get(task)
+        assert fetched.schedule.instance is not task.instance
+        assert (fetched.schedule.instance.processing
+                == task.instance.processing).all()
+        assert fetched.makespan == result.makespan
+
+    def test_warm_reads_write_nothing(self, tmp_path):
+        tasks = [_task(seed=s) for s in range(4)]
+        with ResultStore(tmp_path / "s.sqlite") as store:
+            store.put_many([(t, _result_for(t)) for t in tasks])
+            before = store._conn.total_changes
+            assert len(store.prefetch(tasks)) == 4
+            assert store.get(tasks[0]) is not None
+            assert store._conn.total_changes == before
+            assert not store._conn.in_transaction
+
+    def test_schema_2_file_is_rebuilt_empty(self, tmp_path):
+        path = tmp_path / "v2.sqlite"
+        task = _task()
+        conn = sqlite3.connect(path)
+        conn.executescript(_SCHEMA_V2)
+        payload = pickle.dumps(_result_for(task), pickle.HIGHEST_PROTOCOL)
+        with conn:
+            conn.execute(
+                "INSERT INTO results VALUES (?, ?, ?, 'uniform', 15, 3, 3,"
+                " 0.01, ?, ?, 0.0, 0.0)",
+                (task.cache_key(), result_store._REPRO_VERSION, task.algorithm,
+                 payload, len(payload)))
+        conn.close()
+        with ResultStore(path) as store:
+            assert len(store) == 0
+            assert store.stats_counters["rebuilds"] == 1
+            columns = {row[1] for row in store._conn.execute(
+                "PRAGMA table_info(results)")}
+            assert "last_access" not in columns
+            store.put(task, _result_for(task))
+            assert store.get(task) is not None
+
+    def test_pool_run_stores_payloads_of_serial_size(self, tmp_path):
+        """Pool results come back with a copy of the instance; the runner
+        points them at the task's own, so they store as small as serial."""
+        instances = [uniform_instance(15, 3, 3, seed=s, integral=True)
+                     for s in range(3)]
+        sizes = {}
+        for backend in ("serial", "pool"):
+            path = tmp_path / f"{backend}.sqlite"
+            runner = BatchRunner(max_workers=2, backend=backend, store=path)
+            batch = runner.run(["class-aware-greedy"], instances)
+            assert not batch.failures()
+            sizes[backend] = {r.key: r.payload_bytes
+                              for r in runner.store.records()}
+            runner.store.close()
+        assert len(sizes["pool"]) == 3
+        assert sizes["pool"] == sizes["serial"]
 
 
 class TestCostModel:

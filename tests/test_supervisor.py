@@ -16,6 +16,8 @@ Three layers, matching the design split:
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis.experiments import result_digest
@@ -204,6 +206,14 @@ class TestSubmitterBudgets:
         assert QueueBackend(runner).autoscale == 0
         assert QueueBackend(runner, autoscale=3).autoscale == 3
         assert QueueBackend(runner, autoscale=True).autoscale >= 1
+
+    @pytest.mark.parametrize("option, bad", [
+        ("lease_s", math.nan), ("lease_s", 0.0), ("poll_s", -1.0),
+        ("poll_s", math.inf), ("autoscale", -3), ("autoscale", 1.5)])
+    def test_bad_option_names_the_field(self, option, bad):
+        with pytest.raises(ValueError, match=option):
+            BatchRunner(max_workers=1, backend="queue",
+                        backend_options={option: bad})
 
 
 class TestSupervisorSmoke:

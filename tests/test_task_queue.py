@@ -670,7 +670,7 @@ class TestCrossProcess:
             assert stats["computed"] == 1 and stats["deduped"] == 0
             assert queue.compute_counts([key]) == {key: 1}
             assert len(store) == 1
-            published = store.get(key)
+            published = store.get(task)
         serial = BatchRunner(max_workers=1, backend="serial", cache=False)
         (expected,) = serial.run_tasks([task]).results
         assert published.makespan == expected.makespan
