@@ -1,4 +1,4 @@
-"""F5 — supervised worker fleet: autoscale, crash-restart, per-task budgets.
+"""F5 — supervised worker fleet: autoscale, crash-restart.
 
 Runs one deterministic task grid through the in-process ``SerialBackend``
 and again through a supervisor-managed fleet of **chaos workers**
@@ -16,10 +16,7 @@ The acceptance properties of the supervisor layer are asserted here:
   (``duplicate_computes == 0``);
 * the supervisor log shows the full lifecycle: ≥1 spawn, ≥1
   crash-restart (chaos-injected), ≥1 idle retirement, and a drained
-  exit;
-* **budgets travelled in the queue**: every result carries the
-  submitter-stamped ``budget_s`` in its meta (no worker ``--timeout``
-  flag exists any more), and none of the honest tasks blew it.
+  exit.
 
 On a 1-CPU container the workers interleave rather than parallelise;
 correctness of the supervision protocol, not speedup, is the quantity
@@ -54,8 +51,3 @@ def test_f5_table(benchmark, scale):
     assert supervised["crashed"] >= 1 and supervised["restarts"] >= 1, (
         "the chaos fleet never exercised the crash-restart path")
     assert supervised["retired"] >= 1, "no worker was ever retired idle"
-
-    # Acceptance: the per-task budget travelled with every row and none
-    # of the honest tasks blew it.
-    assert supervised["budgeted"] == supervised["tasks"]
-    assert supervised["over_budget"] == 0

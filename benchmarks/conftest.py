@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one experiment of DESIGN.md's experiment
-index (E1–E9, F1) through :mod:`repro.analysis.experiments` and prints the
+Every benchmark module regenerates one experiment of the registry
+(E1–E9, F1–F5) in :mod:`repro.analysis.experiments` and prints the
 resulting table, so running
 
     pytest benchmarks/ --benchmark-only

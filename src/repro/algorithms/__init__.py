@@ -1,6 +1,6 @@
 """Scheduling algorithms.
 
-Layout (one module or subpackage per paper result; see DESIGN.md):
+Layout (one module or subpackage per paper result):
 
 * :mod:`repro.algorithms.lpt` — Lemma 2.1: LPT with setup placeholders on
   uniformly related machines (4.74-approximation).

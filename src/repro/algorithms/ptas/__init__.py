@@ -14,12 +14,17 @@ The pipeline follows the paper's roadmap (Section 2.1):
    makespan guess.  The paper uses a dynamic program with
    ``(nmK)^{poly(1/ε)}`` states; we keep its group-by-group structure but
    assign big objects within each group by best-fit-decreasing with an
-   exact branch-and-bound escalation on small groups (see DESIGN.md,
-   "Substitutions").
+   exact branch-and-bound escalation on small groups.
 5. :mod:`repro.algorithms.ptas.convert` — the constructive conversion of a
    relaxed schedule into a regular schedule (proof of Lemma 2.8).
 6. :mod:`repro.algorithms.ptas.driver` — the dual-approximation wrapper
    and conversion back to the original instance.
+
+Substitution: step 4 uses exact branch-and-bound on small groups (and
+best-fit-decreasing on larger ones) in place of the paper's dynamic
+program, whose states cannot be enumerated at any useful ``ε``.  Every
+accepted guess still yields a verified relaxed schedule, so soundness
+holds; the DP's completeness is traded for tractability.
 """
 
 from repro.algorithms.ptas.params import PTASParams

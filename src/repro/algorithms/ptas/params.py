@@ -30,8 +30,8 @@ class PTASParams:
     exact_group_search_limit:
         Per speed group, the maximum number of big objects for which the
         exact branch-and-bound assignment is attempted before falling back
-        to best-fit-decreasing (the engineering substitution for the
-        paper's DP; see DESIGN.md).
+        to best-fit-decreasing (the substitution for the paper's DP; see
+        :mod:`repro.algorithms.ptas`).
     exact_machine_limit:
         Same, for the number of machines in the group.
     """

@@ -15,10 +15,9 @@ objects within a group with
 
 The produced object is always a *valid* relaxed schedule (its constraints
 and the space condition are verified); when no relaxed schedule is found
-the guess is rejected.  See DESIGN.md ("Substitutions") for the discussion
-of what this changes: soundness of the accepted guesses is preserved, the
-completeness guarantee of the DP is traded for tractability, and on the
-experiment sizes the exact path is the one actually taken.
+the guess is rejected.  Soundness of the accepted guesses is preserved,
+the completeness guarantee of the DP is traded for tractability, and on
+the experiment sizes the exact path is the one actually taken.
 """
 
 from __future__ import annotations

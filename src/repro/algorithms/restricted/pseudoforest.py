@@ -80,10 +80,6 @@ class SupportRounding:
     kept_machines: Dict[int, List[int]] = field(default_factory=dict)
     dropped_machine: Dict[int, Optional[int]] = field(default_factory=dict)
 
-    def fractional_classes(self) -> List[int]:
-        """Classes that were split across machines by the LP."""
-        return sorted(self.kept_machines.keys())
-
 
 def round_support_graph(x: np.ndarray, *, tol: float = INTEGRALITY_TOL) -> SupportRounding:
     """Compute ``Ẽ`` and the ``i_k⁺ / i_k⁻`` structure from an LP solution ``x``.

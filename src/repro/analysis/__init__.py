@@ -7,10 +7,10 @@ examples) rather than ad-hoc scripting.
 * :mod:`repro.analysis.ratios` — run a set of algorithms on one instance and
   measure makespans against the best available reference (exact MILP optimum
   on small instances, LP lower bound otherwise).
-* :mod:`repro.analysis.experiments` — the experiment registry: one function
-  per experiment id of DESIGN.md (E1–E9, F1–F5) producing a
-  :class:`repro.analysis.tables.ResultTable`; since the :mod:`repro.api`
-  redesign each E-experiment is a thin
+* :mod:`repro.analysis.experiments` — the experiment registry
+  (``EXPERIMENTS``): one function per experiment id (E1–E9, F1–F5)
+  producing a :class:`repro.analysis.tables.ResultTable`; since the
+  :mod:`repro.api` redesign each E-experiment is a thin
   :class:`~repro.api.ScenarioSpec`-plus-post-processing wrapper over the
   :class:`~repro.api.Session` facade.
 * :mod:`repro.analysis.tables` — plain-text/markdown/CSV/JSON table

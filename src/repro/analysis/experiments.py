@@ -1,4 +1,4 @@
-"""The experiment registry (one function per row of DESIGN.md's experiment index).
+"""The experiment registry: one function per experiment id (:data:`EXPERIMENTS`).
 
 Every function returns a :class:`repro.analysis.tables.ResultTable`; the
 benchmark harness (``benchmarks/``) times the function and prints the table,
@@ -848,19 +848,19 @@ def experiment_f4_queue_workers(scale: str, session: Session) -> ResultTable:
 
 
 # ---------------------------------------------------------------------------
-# F5 — supervised worker fleet: autoscaling, crash restarts, budgets
+# F5 — supervised worker fleet: autoscaling, crash restarts
 # ---------------------------------------------------------------------------
 def experiment_f5_supervisor(scale: str, session: Session) -> ResultTable:
-    """Supervised chaos fleet vs serial: equality, exactly-once, budgets.
+    """Supervised chaos fleet vs serial: equality, exactly-once, lifecycle.
 
     Runs one deterministic task grid twice:
 
     * ``serial`` — the in-process :class:`SerialBackend`, the semantic
       reference (built by the session's ``build_runner``);
     * ``supervised`` — tasks enqueued into a fresh store file's
-      ``task_queue`` with a per-task ``budget_s`` stamped on every row,
-      then drained by a :class:`~repro.runtime.supervisor.Supervisor`
-      managing a fleet of **chaos** workers
+      ``task_queue``, then drained by a
+      :class:`~repro.runtime.supervisor.Supervisor` managing a fleet of
+      **chaos** workers
       (``python -m repro.testing.chaos --crash-after 5``, fleet capped at
       2 — CI runs on 1 CPU): every incarnation computes five tasks and
       dies, so the run only finishes if crash-restart actually works, and
@@ -870,10 +870,8 @@ def experiment_f5_supervisor(scale: str, session: Session) -> ResultTable:
     The acceptance properties of the supervisor layer are measured into
     the table (and asserted by ``bench_f5_supervisor``):
     ``digest(supervised) == digest(serial)``, ``duplicate_computes == 0``
-    despite the injected crashes, the supervisor log shows spawns,
-    crash-restarts and an idle retirement, and every result carries the
-    budget its queue row travelled with (``meta["budget_s"]``), none of
-    them blown.
+    despite the injected crashes, and the supervisor log shows spawns,
+    crash-restarts and an idle retirement.
     """
     import shutil
     import tempfile
@@ -885,17 +883,16 @@ def experiment_f5_supervisor(scale: str, session: Session) -> ResultTable:
     quick = scale == "quick"
     num_instances = 4 if quick else 12
     n, m, K = (80, 6, 8) if quick else (200, 12, 16)
-    budget_s = 120.0  # generous: honest work must never trip it
     instances = [uniform_instance(n, m, K, seed=7500 + i, integral=True)
                  for i in range(num_instances)]
     tasks = [BatchTask.make(name, inst, kwargs)
              for inst in instances for name, kwargs in F4_ALGORITHMS]
 
     table = ResultTable(
-        title="F5: supervised worker fleet — autoscale, crash-restart, budgets",
+        title="F5: supervised worker fleet — autoscale, crash-restart",
         columns=["mode", "max_workers", "tasks", "wall_s", "computed",
                  "duplicate_computes", "spawned", "crashed", "restarts",
-                 "retired", "budgeted", "over_budget", "digest12"],
+                 "retired", "digest12"],
     )
 
     serial = session.build_runner(backend="serial", max_workers=1,
@@ -905,14 +902,13 @@ def experiment_f5_supervisor(scale: str, session: Session) -> ResultTable:
     table.add_row(mode="serial", max_workers=0, tasks=len(serial_batch),
                   wall_s=serial_batch.wall_seconds, computed=len(serial_batch),
                   duplicate_computes=0, spawned=0, crashed=0, restarts=0,
-                  retired=0, budgeted=0, over_budget=0,
-                  digest12=serial_digest[:12])
+                  retired=0, digest12=serial_digest[:12])
 
     store_dir = Path(tempfile.mkdtemp(prefix="repro-f5-"))
     store_path = store_dir / "f5_store.sqlite"
     try:
         with TaskQueue(store_path, lease_s=30.0) as queue:
-            queue.enqueue(tasks, budgets=[budget_s] * len(tasks))
+            queue.enqueue(tasks)
         supervisor = Supervisor(
             store_path, max_workers=2, lease_s=30.0, poll_s=0.05,
             idle_grace_s=0.3, restart_backoff_s=0.1, restart_cap=60,
@@ -943,16 +939,13 @@ def experiment_f5_supervisor(scale: str, session: Session) -> ResultTable:
                                    for c in compute_counts.values()),
             spawned=summary["spawned"], crashed=summary["crashed"],
             restarts=summary["restarts"], retired=summary["retired"],
-            budgeted=sum(1 for r in results
-                         if r.meta.get("budget_s") == budget_s),
-            over_budget=sum(1 for r in results if r.meta.get("over_budget")),
             digest12=result_digest(results)[:12])
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
     table.add_note("expected shape: identical digest12 for both modes, "
                    "duplicate_computes = 0 despite injected crashes, "
                    "spawned/crashed/restarts/retired all >= 1 on the "
-                   "supervised row, budgeted = tasks, over_budget = 0")
+                   "supervised row")
     return table
 
 

@@ -293,10 +293,6 @@ class Instance:
         """``M_j``: machines on which ``job`` may run."""
         return np.flatnonzero(np.isfinite(self.processing[:, job]))
 
-    def eligible_machines_for_class(self, klass: int) -> np.ndarray:
-        """Machines on which class ``klass`` may be set up."""
-        return np.flatnonzero(np.isfinite(self.setups[:, klass]))
-
     # ------------------------------------------------------------------
     # structure predicates (used to pick applicable algorithms)
     # ------------------------------------------------------------------
@@ -354,20 +350,6 @@ class Instance:
         if np.any(~np.isfinite(times)):
             return float("inf")
         return float(times.sum())
-
-    def total_work_lower_bound(self) -> float:
-        """Sum of best-machine processing times plus one cheapest setup per class.
-
-        A crude volume quantity used only for sanity checks; see
-        :mod:`repro.core.bounds` for real lower bounds.
-        """
-        best_p = np.min(self.processing, axis=0)
-        best_p = best_p[np.isfinite(best_p)]
-        best_s = np.min(self.setups, axis=0)
-        best_s = best_s[np.isfinite(best_s)]
-        classes = self.classes_present()
-        setup_part = float(np.min(self.setups[:, classes], axis=0).sum()) if classes.size else 0.0
-        return float(best_p.sum()) + setup_part
 
     # ------------------------------------------------------------------
     # validation / serialisation

@@ -64,7 +64,7 @@ def _points(**fixed) -> Callable[[List[Dict[str, object]]], Tuple[Dict[str, obje
 
 
 # ---------------------------------------------------------------------------
-# Suites (referenced from DESIGN.md experiment index)
+# Suites (used by the experiments in repro.analysis.experiments)
 # ---------------------------------------------------------------------------
 
 SUITES: Dict[str, SuiteSpec] = {}

@@ -24,9 +24,9 @@ This package turns the loose algorithm functions of
   "queue"``): in-process, chunked process pool, or a distributed SQLite
   work queue drained by ``python -m repro.runtime.worker`` processes
   sharing one store file (leases with expiry, crash requeue with attempt
-  caps, store-mediated exactly-once compute, the submitter's
-  ``timeout`` stamped on each row as its ``budget_s`` and enforced by
-  whichever worker leases the row).
+  caps, store-mediated exactly-once compute).  A submitter's ``timeout``
+  judges only the tasks its own drain computes; every stored result is
+  what the algorithm returned, whichever backend computed it.
 * :mod:`repro.runtime.supervisor` — ``python -m repro.runtime.supervisor``
   autoscales the worker fleet: spawn one worker per outstanding task up
   to a cap, restart crashed workers behind an exponential backoff with a
@@ -45,7 +45,7 @@ Quickstart
 >>> from repro.runtime import BatchRunner, algorithms_for
 >>> instances = [uniform_instance(40, 4, 5, seed=s) for s in range(8)]
 >>> [spec.name for spec in algorithms_for(instances[0])]  # doctest: +ELLIPSIS
-['class-aware-greedy', ...]
+['best-machine', 'class-aware-greedy', ...]
 >>> runner = BatchRunner()                      # process pool, auto-sized
 >>> batch = runner.run(["lpt-with-setups", "class-aware-greedy"], instances)
 >>> best = runner.portfolio(instances)          # best schedule per instance

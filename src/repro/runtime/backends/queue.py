@@ -84,16 +84,9 @@ def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
     Returns ``("deduped", None, 0.0)`` when the store already held the
     result, ``("computed", result, elapsed)`` on success (the result is
     already published), or ``("failed", message, elapsed)`` for a
-    captured algorithm error (the row is already marked failed).
-
-    A ``budget_s`` riding on the lease (stamped by the submitter, see
-    :meth:`TaskQueue.enqueue`) is enforced here, post-hoc: the budget is
-    surfaced in ``result.meta["budget_s"]`` before the result is
-    published, with ``meta["over_budget"]`` / ``meta["budget_elapsed_s"]``
-    added when the task blew it.  The overrunning result is still
-    published and completed — the work is already done, and a failed row
-    would permanently break the key for every submitter sharing the
-    queue.
+    captured algorithm error (the row is already marked failed).  The
+    result is published as the algorithm returned it; ``elapsed`` lets
+    the inline drain judge its own submitter's ``timeout``.
     """
     store = _bound_store(queue)
     if store.contains(leased.key):
@@ -107,11 +100,6 @@ def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
                               task.kwargs_dict())
     elapsed = time.perf_counter() - t0
     if status == "ok":
-        if leased.budget_s is not None:
-            payload.meta["budget_s"] = leased.budget_s
-            if elapsed > leased.budget_s:
-                payload.meta["over_budget"] = True
-                payload.meta["budget_elapsed_s"] = elapsed
         queue.complete(leased.key, worker_id, computed=True,
                        publish=(task, payload))
         return ("computed", payload, elapsed)
@@ -138,9 +126,10 @@ class QueueBackend(ExecutionBackend):
         leasing as ``inline-<pid>``.
     stall_timeout_s:
         Raise ``RuntimeError`` when no task completes for this many
-        seconds (``None`` waits forever).  A safety net for benchmarks and
-        tests: with ``inline=False`` and every external worker dead, the
-        submitter would otherwise block indefinitely.
+        seconds (positive and finite; ``None`` waits forever).  A safety
+        net for benchmarks and tests: with ``inline=False`` and every
+        external worker dead, the submitter would otherwise block
+        indefinitely.
     autoscale:
         Close the loop to "as fast as the hardware allows": a positive
         worker count (or ``True`` for the usable-CPU count) makes every
@@ -151,9 +140,9 @@ class QueueBackend(ExecutionBackend):
         and ``0`` disable autoscaling.  ``REPRO_AUTOSCALE`` reaches this
         parameter only through :class:`repro.api.SessionConfig`.
 
-    Every enqueued row carries the runner's ``timeout`` as its
-    ``budget_s`` (``None`` without one), enforced by whichever worker
-    leases it.
+    The runner's ``timeout`` stays with this submitter: its inline drain
+    turns an overrun into a timeout sentinel, and a result computed by
+    an external worker is served as computed.
     """
 
     name = "queue"
@@ -168,6 +157,7 @@ class QueueBackend(ExecutionBackend):
         super().__init__(runner)
         check_timeout(lease_s, "lease_s")
         check_timeout(poll_s, "poll_s")
+        check_timeout(stall_timeout_s, "stall_timeout_s")
         autoscale = usable_cpus() if autoscale is True else autoscale or 0
         check_count(autoscale, "autoscale")
         self.lease_s = float(lease_s)
@@ -191,14 +181,10 @@ class QueueBackend(ExecutionBackend):
         queue = TaskQueue(store, lease_s=self.lease_s)
         unresolved = dict(by_key)  # key -> indices still awaiting a result
         armed: set = set()  # keys *we* queued (ok to cancel on early exit)
-        # The runner's timeout travels with the rows, enforced by
-        # whichever worker leases them.
-        budget = runner.timeout
         supervisor = None
         try:
             armed = set(queue.enqueue(
-                [tasks[indices[0]] for indices in by_key.values()],
-                budgets=[budget] * len(by_key)))
+                [tasks[indices[0]] for indices in by_key.values()]))
             if self.autoscale > 0:
                 from repro.runtime.supervisor import spawn_supervisor
                 supervisor = spawn_supervisor(store.path,
@@ -274,8 +260,7 @@ class QueueBackend(ExecutionBackend):
                                 if key not in present]
                     if vanished:
                         armed.update(queue.enqueue(
-                            [tasks[unresolved[key][0]] for key in vanished],
-                            budgets=[budget] * len(vanished)))
+                            [tasks[unresolved[key][0]] for key in vanished]))
                         progressed = True
 
                 # Drain one task ourselves (possibly someone else's — the

@@ -280,20 +280,20 @@ class BatchRunner:
         pool, no pickling); ``backend="pool"`` forks a pool regardless.
     timeout:
         Per-task wall-clock limit in seconds (positive and finite), or
-        ``None`` for none.  The queue backend stamps it on every row it
-        enqueues as the row's ``budget_s``.  In pool mode tasks are
-        dispatched in waves of ``max_workers`` (so every task starts its
-        budget when it actually starts running); a task whose result has
-        not arrived when its wave's deadline passes yields a timeout
-        sentinel, its (presumably stuck) worker processes are terminated,
-        and a fresh pool serves the remaining waves.  In in-process mode
-        the check is necessarily post-hoc (the task runs to completion,
-        then is replaced by the sentinel).
+        ``None`` for none.  It judges only tasks this runner computes: a
+        queue task computed by an external worker is served as computed.
+        In pool mode tasks are dispatched in waves of ``max_workers`` (so
+        every task starts its budget when it actually starts running); a
+        task whose result has not arrived when its wave's deadline passes
+        yields a timeout sentinel, its (presumably stuck) worker processes
+        are terminated, and a fresh pool serves the remaining waves.  In
+        in-process mode the check is necessarily post-hoc (the task runs
+        to completion, then is replaced by the sentinel).
     cache:
         Enable the content-hash result cache.  A cache hit returns the
-        *identical* ``AlgorithmResult`` object that the first run produced
-        (so ``meta["instance"]`` keeps the first-seen instance name; treat
-        results as immutable).  ``cache=False`` also disables the
+        *identical* ``AlgorithmResult`` object that the first run produced,
+        whatever the name of the instance it is asked for (treat results
+        as immutable).  ``cache=False`` also disables the
         persistent store (benchmarks rely on it to measure fresh compute).
     store:
         Optional persistent result store: a
@@ -640,7 +640,6 @@ class BatchRunner:
                   payload: object) -> AlgorithmResult:
         if status == "ok":
             result = payload  # type: ignore[assignment]
-            result.meta.setdefault("instance", task.instance.name)
             # A pool worker returns a copy of the instance: share the task's
             # own, which the store leaves out of the payload.
             got, own = result.schedule.instance, task.instance

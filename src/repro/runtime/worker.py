@@ -18,14 +18,10 @@ file as you have cores — or let ``python -m repro.runtime.supervisor``
 start them for you — the lease protocol keeps them from stepping on each
 other and ``compute_count`` proves no key is ever computed twice.
 
-Per-task budgets travel **in the queue**, not on the worker: the
-submitter stamps each row with a ``budget_s`` (its runner's
-``timeout``) and whichever worker leases the row enforces it.  The
-check is post-hoc — an in-process task cannot be interrupted — so an
-overrunning task's (valid) result is still published, with the budget
-surfaced in ``result.meta["budget_s"]`` / ``meta["over_budget"]`` and
-the overrun counted in the drain stats.  There is deliberately no
-``--timeout`` flag to keep in sync across a fleet.
+A worker has no time limit: it publishes each result as the algorithm
+returned it, whatever ``timeout`` the task's submitter runs with.  A
+submitter's ``timeout`` judges only the tasks its own inline drain
+computes, as the serial backend's does.
 
 A worker exits once nothing has been claimable for ``--idle-exit``
 seconds (pass ``--idle-exit 0`` to exit on the first idle
@@ -76,14 +72,10 @@ def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
     otherwise ``ValueError`` is raised before the first lease.
     Returns drain statistics: ``computed`` (tasks actually run),
     ``deduped`` (leases completed from an already-stored result),
-    ``failed`` (captured algorithm errors), ``overtime`` (tasks that blew
-    the ``budget_s`` their queue row carried — their results are
-    published anyway: the check is post-hoc, the work is already done,
-    and discarding a valid result would permanently fail the key for
-    every submitter sharing the queue).
+    ``failed`` (captured algorithm errors).
     """
     _bound_store(queue, store)
-    stats = dict.fromkeys(("computed", "deduped", "failed", "overtime"), 0)
+    stats = dict.fromkeys(("computed", "deduped", "failed"), 0)
     idle_since = time.monotonic()
     while True:
         queue.reclaim_expired()
@@ -94,12 +86,8 @@ def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
                 return stats
             time.sleep(poll_s)
             continue
-        outcome, payload, _elapsed = process_lease(queue, leased, worker_id)
+        outcome, _payload, _elapsed = process_lease(queue, leased, worker_id)
         stats[outcome] += 1
-        # process_lease is the single budget judge; its meta verdict is
-        # the one the submitter will see, so it is the one counted here.
-        if outcome == "computed" and payload.meta.get("over_budget"):
-            stats["overtime"] += 1
         idle_since = time.monotonic()
 
 
@@ -122,8 +110,7 @@ def run(args: argparse.Namespace,
         queue.close()
         store.close()
     print(f"{worker_id}: computed={stats['computed']} "
-          f"deduped={stats['deduped']} failed={stats['failed']} "
-          f"overtime={stats['overtime']}")
+          f"deduped={stats['deduped']} failed={stats['failed']}")
     return 0
 
 

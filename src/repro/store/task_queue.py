@@ -49,13 +49,9 @@ Row lifecycle
   (``compute_count`` stays put).  ``compute_count`` records how many times
   a key was actually computed across all workers — the dedup guarantee is
   ``compute_count == 1`` for every key, which the F4 benchmark asserts.
-* **Budgets travel with the work.**  The submitter may stamp each row
-  with a ``budget_s`` wall-clock budget; whichever worker leases the
-  row enforces it —
-  post-hoc, since an in-process task cannot be interrupted — surfacing
-  ``budget_s`` / ``over_budget`` in the result's ``meta`` and counting
-  the overrun in its drain stats.  No per-worker ``--timeout`` flag has
-  to be kept in sync across a fleet.
+* **Rows carry no time limit.**  A row holds the task and nothing about
+  who submitted it: a submitter's ``timeout`` judges only its own inline
+  drain, and a worker publishes the result as the algorithm returned it.
 
 Change cursor
 -------------
@@ -113,11 +109,11 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
 __all__ = ["TaskQueue", "LeasedTask", "QueueRow", "QUEUE_SCHEMA_VERSION"]
 
 #: Bump when the ``task_queue`` layout changes; queues stamped with another
-#: version are rebuilt empty on open.  Version 2 added the
-#: per-task ``budget_s`` column; version 3 added a cost-model runtime
-#: prediction column, which version 5 dropped again; version 4 added the
-#: ``seq`` change stamp.
-QUEUE_SCHEMA_VERSION = 5
+#: version are rebuilt empty on open.  Version 2 added a per-task time
+#: limit column, which version 6 dropped again; version 3 added a
+#: cost-model runtime prediction column, which version 5 dropped again;
+#: version 4 added the ``seq`` change stamp.
+QUEUE_SCHEMA_VERSION = 6
 
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this (matches result_store._MAX_SQL_PARAMS).
@@ -136,7 +132,6 @@ _SCHEMA_STATEMENTS = (
     compute_count   INTEGER NOT NULL DEFAULT 0,
     excluded_worker TEXT,
     error           TEXT,
-    budget_s        REAL,
     enqueued_at     REAL NOT NULL,
     updated_at      REAL NOT NULL,
     seq             INTEGER NOT NULL DEFAULT 0
@@ -150,17 +145,17 @@ _SCHEMA_STATEMENTS = (
 )""",
 )
 
-#: The column set the current schema version expects; any drift (missing
-#: ``budget_s`` on a pre-v2 file, columns from some future layout) rebuilds
+#: The column set the current schema version expects; any drift (a column
+#: an older layout had or lacked, columns from some future layout) rebuilds
 #: the queue.
 _EXPECTED_COLUMNS = frozenset({
     "key", "task_payload", "status", "owner", "lease_expires_at", "attempts",
-    "compute_count", "excluded_worker", "error", "budget_s", "enqueued_at",
-    "updated_at", "seq"})
+    "compute_count", "excluded_worker", "error", "enqueued_at", "updated_at",
+    "seq"})
 
 #: The :class:`QueueRow` fields, in order.
 _ROW_COLUMNS = ("key, status, owner, attempts, compute_count,"
-                " excluded_worker, error, budget_s")
+                " excluded_worker, error")
 
 #: The stamp of the transaction in progress: one past the last committed
 #: change.  Every row a transaction touches gets the same stamp, and
@@ -172,7 +167,7 @@ _NEXT_SEQ = ("(SELECT CAST(value AS INTEGER) + 1 FROM task_queue_meta"
 #: ordered walk of ``idx_task_queue_status`` (whose entries end in the
 #: rowid, so ``enqueued_at, rowid`` needs no sort): the head of the
 #: ``queued`` rows, and the oldest expired lease.
-_LEASE_COLUMNS = "key, task_payload, attempts, budget_s, enqueued_at, rowid"
+_LEASE_COLUMNS = "key, task_payload, attempts, enqueued_at, rowid"
 _LEASE_QUEUED_SQL = (
     f"SELECT {_LEASE_COLUMNS} FROM task_queue"
     " WHERE status = 'queued'"
@@ -201,7 +196,6 @@ class LeasedTask:
     key: str
     task_payload: bytes = field(repr=False)
     attempts: int
-    budget_s: Optional[float] = None
 
     @cached_property
     def task(self) -> "BatchTask":
@@ -219,7 +213,6 @@ class QueueRow:
     compute_count: int
     excluded_worker: Optional[str]
     error: Optional[str]
-    budget_s: Optional[float] = None
 
 
 class TaskQueue:
@@ -375,53 +368,37 @@ class TaskQueue:
     # producer side
     # ------------------------------------------------------------------
     def enqueue(self, tasks: Sequence["BatchTask"], *,
-                budgets: Optional[Sequence[Optional[float]]] = None,
                 now: Optional[float] = None) -> List[str]:
         """Add tasks to the queue, deduplicating by cache key.
 
         A key that is already queued, leased, or done is left untouched
-        (someone is on it, or the result is already published — including
-        its budget: the first submitter's policy stands); a key that
+        (someone is on it, or the result is already published); a key that
         previously *failed* is re-armed with a fresh attempt budget — an
         explicit re-submission is the caller's way of saying "try again".
-        ``budgets`` optionally aligns a per-task wall-clock budget (in
-        seconds, ``None`` for unbudgeted) with ``tasks``; the budget is
-        stored on the row and enforced by whichever worker leases it.
-        Omitting ``budgets`` entirely leaves a re-armed failed row's
-        existing budget in place (the budget describes the task, not the
-        attempt — same rule as :meth:`requeue`); passing ``budgets``
-        overwrites it, ``None`` entries included.
         Returns the keys this call armed (became ``queued``); keys some
         other submitter already owns are *not* in the list, which is what
         lets a submitter later cancel only its own unclaimed work.
         """
-        if budgets is not None and len(budgets) != len(tasks):
-            raise ValueError("budgets must align 1:1 with tasks")
         now = self._clock() if now is None else now
         armed: List[str] = []
         with self._write():
-            for pos, task in enumerate(tasks):
+            for task in tasks:
                 key = task.cache_key()
-                budget = budgets[pos] if budgets is not None else None
-                budget = float(budget) if budget is not None else None
                 payload = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
                 cur = self._conn.execute(
                     "INSERT OR IGNORE INTO task_queue"
-                    " (key, task_payload, status, budget_s,"
-                    "  enqueued_at, updated_at, seq)"
-                    f" VALUES (?, ?, 'queued', ?, ?, ?, {_NEXT_SEQ})",
-                    (key, payload, budget, now, now))
+                    " (key, task_payload, status, enqueued_at, updated_at, seq)"
+                    f" VALUES (?, ?, 'queued', ?, ?, {_NEXT_SEQ})",
+                    (key, payload, now, now))
                 if cur.rowcount:
                     armed.append(key)
                     continue
                 cur = self._conn.execute(
                     "UPDATE task_queue SET status = 'queued', attempts = 0,"
                     " owner = NULL, lease_expires_at = NULL, error = NULL,"
-                    " excluded_worker = NULL,"
-                    " budget_s = CASE WHEN ? THEN ? ELSE budget_s END,"
-                    f" updated_at = ?, seq = {_NEXT_SEQ}"
+                    f" excluded_worker = NULL, updated_at = ?, seq = {_NEXT_SEQ}"
                     " WHERE key = ? AND status = 'failed'",
-                    (1 if budgets is not None else 0, budget, now, key))
+                    (now, key))
                 if cur.rowcount:
                     armed.append(key)
             if armed:
@@ -436,9 +413,8 @@ class TaskQueue:
         since vanished from the result store (size/age eviction, or the
         version purge on a ``repro`` upgrade): without it the row would
         block re-submission forever — nothing claimable, nothing stored.
-        Resets the attempt budget (the wall-clock ``budget_s`` is kept —
-        it describes the task, not the attempt); in-flight
-        (``queued``/``leased``) rows are left alone.
+        Resets the attempt budget; in-flight (``queued``/``leased``) rows
+        are left alone.
         """
         now = self._clock() if now is None else now
         changed = 0
@@ -512,7 +488,7 @@ class TaskQueue:
             chosen = self._lease_candidate(params)
             if chosen is None:  # another worker took it since the read
                 return None
-            key, payload, attempts, budget_s, _, _ = chosen
+            key, payload, attempts, _, _ = chosen
             self._conn.execute(
                 "UPDATE task_queue SET status = 'leased', owner = ?,"
                 " lease_expires_at = ?, attempts = ?, updated_at = ?,"
@@ -520,8 +496,7 @@ class TaskQueue:
                 " WHERE key = ?",
                 (worker_id, now + self.lease_s, attempts + 1, now, key))
             self._advance_seq()
-        return LeasedTask(key=key, task_payload=payload,
-                          attempts=attempts + 1, budget_s=budget_s)
+        return LeasedTask(key=key, task_payload=payload, attempts=attempts + 1)
 
     def _lease_candidate(self, params: Dict[str, object]) -> Optional[tuple]:
         """The older of the two lease probes' rows, or ``None``."""
@@ -529,7 +504,7 @@ class TaskQueue:
             self._conn.execute(sql, params).fetchone()
             for sql in (_LEASE_QUEUED_SQL, _LEASE_EXPIRED_SQL))
             if row is not None]
-        return (min(candidates, key=lambda row: (row[4], row[5]))
+        return (min(candidates, key=lambda row: (row[3], row[4]))
                 if candidates else None)
 
     def complete(self, key: str, worker_id: str, *, computed: bool,

@@ -5,9 +5,8 @@ Three layers, matching the design split:
 * ``TestSupervisorPolicy`` — every scaling/restart decision, tested
   purely in-process against a :class:`~repro.testing.FakeClock` and
   stubbed queue counts: zero subprocesses, zero sleeps;
-* ``TestSubmitterBudgets`` — the queue backend's budget-stamping policy
-  (explicit timeout beats cost model beats unbudgeted) observed straight
-  on the queue rows;
+* ``TestSubmitterBudgets`` — the queue backend's options, and the
+  submitter's ``timeout`` staying out of queue rows and stored results;
 * ``TestSupervisorSmoke`` / ``TestSupervisorSoak`` — the real mechanism:
   subprocess fleets over a shared store file, the soak (slow lane) under
   injected crashes and stalls with a fleet capped at 2 (CI runs on one
@@ -24,6 +23,7 @@ from repro.analysis.experiments import result_digest
 from repro.generators import uniform_instance
 from repro.runtime import BatchRunner, BatchTask, Supervisor, SupervisorPolicy
 from repro.runtime.backends.queue import QueueBackend
+from repro.runtime.worker import drain
 from repro.store import ResultStore, TaskQueue
 from repro.testing import FakeClock
 
@@ -140,24 +140,57 @@ class TestSupervisorPolicy:
 
 
 class TestSubmitterBudgets:
-    """The queue backend stamps per-task budgets onto the rows it arms."""
+    """The submitter's ``timeout`` judges its own drain and is written
+    nowhere: not on queue rows, not into stored results."""
 
-    def test_runner_timeout_becomes_every_rows_budget(self, tmp_path):
+    def test_runner_timeout_stays_out_of_stored_meta(self, tmp_path):
         path = tmp_path / "budget.sqlite"
         tasks = _tasks(3)
         runner = BatchRunner(max_workers=1, store=path, backend="queue",
                              timeout=45.0,
                              backend_options={"poll_s": 0.01,
                                               "stall_timeout_s": 60.0})
-        batch = runner.run_tasks(tasks)
+        batch = runner.run_tasks(tasks).raise_for_failures()
         runner.store.close()
-        with TaskQueue(path) as queue:
-            rows = queue.rows([t.cache_key() for t in tasks])
-            assert [r.budget_s for r in rows] == [45.0] * 3
-        # The enforcing worker (the inline drain here) surfaced the
-        # budget into every result's meta on its way into the store.
-        assert all(r.meta["budget_s"] == 45.0 for r in batch.results)
-        assert not any(r.meta.get("over_budget") for r in batch.results)
+        with ResultStore(path) as store:
+            stored = [store.get(task) for task in tasks]
+        for result in stored + batch.results:
+            assert "budget_s" not in result.meta
+
+    def test_stored_meta_is_the_algorithms_whichever_path_computed_it(
+            self, tmp_path):
+        """One task stored by the serial backend, by the queue backend's
+        inline drain under a timeout, and by a worker's drain loop reads
+        back with the meta of a fresh uncached serial run."""
+        (task,) = _tasks(1, algorithm="lpt-with-setups", n=10)
+        fresh = BatchRunner(max_workers=1, backend="serial", cache=False)
+        expected = fresh.run_tasks([task]).results[0].meta
+
+        serial_path = tmp_path / "serial.sqlite"
+        runner = BatchRunner(max_workers=1, store=serial_path,
+                             backend="serial")
+        runner.run_tasks([task]).raise_for_failures()
+        runner.store.close()
+
+        inline_path = tmp_path / "inline.sqlite"
+        runner = BatchRunner(max_workers=1, store=inline_path,
+                             backend="queue", timeout=45.0,
+                             backend_options={"poll_s": 0.01,
+                                              "stall_timeout_s": 60.0})
+        runner.run_tasks([task]).raise_for_failures()
+        runner.store.close()
+
+        worker_path = tmp_path / "worker.sqlite"
+        with ResultStore(worker_path) as store, TaskQueue(store) as queue:
+            queue.enqueue([task])
+            assert drain(store, queue, "w1", idle_exit=0.0,
+                         poll_s=0.01)["computed"] == 1
+
+        for path in (serial_path, inline_path, worker_path):
+            with ResultStore(path) as store:
+                meta = store.get(task).meta
+            assert meta == expected, path.name
+            assert not {"budget_s", "over_budget", "instance"} & set(meta)
 
     def test_without_timeout_or_model_rows_travel_unbudgeted(self, tmp_path):
         path = tmp_path / "nobudget.sqlite"
@@ -167,16 +200,13 @@ class TestSubmitterBudgets:
                                               "stall_timeout_s": 60.0})
         batch = runner.run_tasks(tasks)
         runner.store.close()
-        with TaskQueue(path) as queue:
-            rows = queue.rows([t.cache_key() for t in tasks])
-            assert [r.budget_s for r in rows] == [None, None]
         assert not any("budget_s" in r.meta for r in batch.results)
 
     def test_a_warm_store_leaves_rows_unbudgeted_and_meta_as_serial(
             self, tmp_path):
-        """A fitted cost model orders work and nothing else: without a
-        timeout, rows travel unbudgeted however much the store has
-        recorded, and results carry the serial backend's meta keys."""
+        """A fitted cost model orders work and nothing else: however much
+        the store has recorded, results carry the serial backend's meta
+        keys."""
         path = tmp_path / "model.sqlite"
         warm_runner = BatchRunner(max_workers=1, store=path, backend="serial")
         warm_runner.run_tasks(_tasks(6, n=16, seed0=100))
@@ -189,9 +219,6 @@ class TestSubmitterBudgets:
         assert runner.cost_model() is not None  # the warmup fed a fit
         queued = runner.run_tasks(fresh)
         runner.store.close()
-        with TaskQueue(path) as queue:
-            rows = queue.rows([t.cache_key() for t in fresh])
-            assert [r.budget_s for r in rows] == [None, None]
         serial = BatchRunner(max_workers=1, store=tmp_path / "serial.sqlite",
                              backend="serial").run_tasks(fresh)
         serial_keys = [sorted(r.meta) for r in serial.results]
@@ -209,7 +236,9 @@ class TestSubmitterBudgets:
 
     @pytest.mark.parametrize("option, bad", [
         ("lease_s", math.nan), ("lease_s", 0.0), ("poll_s", -1.0),
-        ("poll_s", math.inf), ("autoscale", -3), ("autoscale", 1.5)])
+        ("poll_s", math.inf), ("autoscale", -3), ("autoscale", 1.5),
+        ("stall_timeout_s", math.nan), ("stall_timeout_s", -1.0),
+        ("stall_timeout_s", 0.0)])
     def test_bad_option_names_the_field(self, option, bad):
         with pytest.raises(ValueError, match=option):
             BatchRunner(max_workers=1, backend="queue",
@@ -223,7 +252,7 @@ class TestSupervisorSmoke:
         path = tmp_path / "smoke.sqlite"
         tasks = _tasks(4)
         with TaskQueue(path, lease_s=30.0) as queue:
-            queue.enqueue(tasks, budgets=[60.0] * len(tasks))
+            queue.enqueue(tasks)
         supervisor = Supervisor(path, max_workers=1, lease_s=30.0,
                                 poll_s=0.05, idle_grace_s=0.2,
                                 worker_idle_exit=2.0, worker_poll_s=0.02)
@@ -237,9 +266,7 @@ class TestSupervisorSmoke:
             assert all(c == 1 for c in counts.values())
         with ResultStore(path) as store:
             for task in tasks:
-                result = store.get(task)
-                assert result is not None
-                assert result.meta["budget_s"] == 60.0
+                assert store.get(task) is not None
 
     def test_crash_loop_gives_up_instead_of_forking_forever(self, tmp_path):
         """Workers that die on arrival (broken module here) trip the
@@ -302,10 +329,9 @@ class TestSupervisorSmoke:
             counts = queue.compute_counts([t.cache_key() for t in tasks])
             assert all(c == 1 for c in counts.values())
             # Nothing was computed inline: every owner is a supervised
-            # worker, and the submitter's budget rode along to it.
+            # worker.
             for row in queue.rows([t.cache_key() for t in tasks]):
                 assert row.owner.startswith("sup-")
-                assert row.budget_s == 60.0
 
 
 @pytest.mark.slow
@@ -313,7 +339,6 @@ class TestSupervisorSoak:
     """Supervisor + 2 chaos workers over a ~40-task grid (slow lane)."""
 
     def test_soak_crashes_and_stalls_never_break_the_invariants(self, tmp_path):
-        budget_s = 120.0
         instances = [uniform_instance(24, 3, 4, seed=9000 + s, integral=True)
                      for s in range(20)]
         tasks = [BatchTask.make(name, inst)
@@ -326,7 +351,7 @@ class TestSupervisorSoak:
 
         path = tmp_path / "soak.sqlite"
         with TaskQueue(path, lease_s=20.0) as queue:
-            queue.enqueue(tasks, budgets=[budget_s] * len(tasks))
+            queue.enqueue(tasks)
         supervisor = Supervisor(
             path, max_workers=2, lease_s=20.0, poll_s=0.05,
             idle_grace_s=0.3, restart_backoff_s=0.1, restart_cap=60,
@@ -351,12 +376,8 @@ class TestSupervisorSoak:
                 sorted({t.cache_key() for t in tasks}))
             assert all(c == 1 for c in counts.values()), counts
 
-        # Byte-identical digests vs the serial reference, and every
-        # row's budget respected (travelled, surfaced, never blown).
+        # Byte-identical digests vs the serial reference.
         with ResultStore(path) as store:
             warm = store.prefetch(tasks)
         results = [warm[t.cache_key()] for t in tasks]
         assert result_digest(results) == result_digest(serial_batch.results)
-        for result in results:
-            assert result.meta["budget_s"] == budget_s
-            assert "over_budget" not in result.meta

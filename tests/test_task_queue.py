@@ -14,9 +14,8 @@ The contracts that matter for N workers sharing one store file:
   completed without computing, so ``compute_count == 1`` for every key no
   matter how many workers drain the queue (verified across real
   subprocesses below; everything passes on a 1-CPU container);
-* budgets travel with the work: the submitter stamps ``budget_s`` on the
-  row, whichever worker leases it enforces it (post-hoc, result still
-  published, overrun surfaced in the result meta);
+* a row carries no time limit: a worker publishes each result as the
+  algorithm returned it;
 * every state transition stamps a commit-ordered change counter, so a
   poller reading ``changes_since`` its last cursor misses nothing;
 * a lease is two ordered index probes, never a sort of the table;
@@ -157,69 +156,6 @@ class TestQueueBasics:
             queue.cancel_queued(keys)
             statuses = {row.key: row.status for row in queue.rows()}
             assert statuses == {leased.key: "leased"}  # queued rows dropped
-
-
-class TestBudgets:
-    """Per-task ``budget_s`` travels on the queue row, not on the worker."""
-
-    def test_budget_travels_from_enqueue_to_lease(self, tmp_path):
-        tasks = [_task(seed=s) for s in range(2)]
-        with TaskQueue(tmp_path / "b.sqlite") as queue:
-            queue.enqueue(tasks, budgets=[2.5, None])
-            by_key = {r.key: r for r in queue.rows()}
-            assert by_key[tasks[0].cache_key()].budget_s == 2.5
-            assert by_key[tasks[1].cache_key()].budget_s is None
-            first = queue.lease("w1")
-            assert first.key == tasks[0].cache_key()
-            assert first.budget_s == 2.5
-            assert queue.lease("w1").budget_s is None
-
-    def test_budgets_must_align_with_tasks(self, tmp_path):
-        with TaskQueue(tmp_path / "b.sqlite") as queue:
-            with pytest.raises(ValueError):
-                queue.enqueue([_task()], budgets=[1.0, 2.0])
-
-    def test_enqueue_rearm_of_failed_row_updates_budget(self, tmp_path):
-        task = _task()
-        with TaskQueue(tmp_path / "b.sqlite") as queue:
-            queue.enqueue([task], budgets=[1.0])
-            leased = queue.lease("w1")
-            queue.fail(leased.key, "w1", "ValueError: nope")
-            assert queue.enqueue([task], budgets=[9.0]) == [leased.key]
-            (row,) = queue.rows([leased.key])
-            assert row.status == "queued" and row.budget_s == 9.0
-
-    def test_budgetless_rearm_of_failed_row_keeps_the_budget(self, tmp_path):
-        """A bare re-submission must not strip the task's budget — the
-        budget describes the task, not the attempt (same rule requeue
-        follows for done rows)."""
-        task = _task()
-        with TaskQueue(tmp_path / "b.sqlite") as queue:
-            queue.enqueue([task], budgets=[7.0])
-            leased = queue.lease("w1")
-            queue.fail(leased.key, "w1", "ValueError: nope")
-            assert queue.enqueue([task]) == [leased.key]  # no budgets kwarg
-            (row,) = queue.rows([leased.key])
-            assert row.status == "queued" and row.budget_s == 7.0
-
-    def test_first_submitters_budget_wins_while_row_is_live(self, tmp_path):
-        task = _task()
-        with TaskQueue(tmp_path / "b.sqlite") as queue:
-            queue.enqueue([task], budgets=[3.0])
-            assert queue.enqueue([task], budgets=[99.0]) == []
-            (row,) = queue.rows([task.cache_key()])
-            assert row.budget_s == 3.0
-
-    def test_requeue_keeps_the_budget(self, tmp_path):
-        """The budget describes the task, not the attempt: a re-armed done
-        row (store-evicted result) is recomputed under the same budget."""
-        task = _task()
-        with TaskQueue(tmp_path / "b.sqlite") as queue:
-            queue.enqueue([task], budgets=[4.0])
-            leased = queue.lease("w1")
-            queue.complete(leased.key, "w1", computed=True)
-            assert queue.requeue([leased.key]) == 1
-            assert queue.lease("w2").budget_s == 4.0
 
 
 class TestFakeClock:
@@ -472,8 +408,7 @@ class TestWorkerDrain:
         with ResultStore(path) as store, TaskQueue(store) as queue:
             queue.enqueue(tasks)
             stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
-            assert stats == {"computed": 3, "deduped": 0, "failed": 0,
-                             "overtime": 0}
+            assert stats == {"computed": 3, "deduped": 0, "failed": 0}
             assert queue.counts()["done"] == 3
             for task in tasks:
                 assert store.get(task) is not None
@@ -508,42 +443,6 @@ class TestWorkerDrain:
                 assert row.status == "failed"
                 assert "queue failure" in row.error
                 assert len(store) == 0  # failures never reach the store
-        finally:
-            unregister_algorithm(name)
-
-    def test_drain_enforces_the_rows_travelling_budget(self, tmp_path):
-        """Budgets ride the queue row, not a worker flag: a task whose
-        ``budget_s`` is blown is still published and completed (post-hoc
-        check — a failed row would permanently break the key for every
-        submitter), counted as overtime, with the budget surfaced in the
-        result meta."""
-        name = "test-queue-sleeper"
-
-        @register_algorithm(name, tags=("test",))
-        def _sleeper(instance: Instance) -> AlgorithmResult:
-            time.sleep(0.05)
-            _, schedule = greedy_upper_bound(instance)
-            return AlgorithmResult.from_schedule(name, schedule)
-
-        try:
-            path = tmp_path / "budget.sqlite"
-            over = _task(algorithm=name, seed=0)
-            within = _task(algorithm=name, seed=1)
-            with ResultStore(path) as store, TaskQueue(store) as queue:
-                queue.enqueue([over, within], budgets=[0.01, 30.0])
-                stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
-                assert stats["overtime"] == 1 and stats["computed"] == 2
-                assert stats["failed"] == 0
-                for task in (over, within):
-                    (row,) = queue.rows([task.cache_key()])
-                    assert row.status == "done"
-                blown = store.get(over)
-                assert blown.meta["budget_s"] == 0.01
-                assert blown.meta["over_budget"] is True
-                assert blown.meta["budget_elapsed_s"] > 0.01
-                fine = store.get(within)
-                assert fine.meta["budget_s"] == 30.0
-                assert "over_budget" not in fine.meta
         finally:
             unregister_algorithm(name)
 
@@ -772,7 +671,7 @@ class TestSchemaMigration:
         with ResultStore(path) as store:
             store.put(done, _result_for(done))
         with TaskQueue(path) as queue:
-            queue.enqueue([queued], budgets=[5.0])
+            queue.enqueue([queued])
         conn = sqlite3.connect(str(path))
         conn.execute("DELETE FROM task_queue_meta")
         conn.commit()
@@ -780,14 +679,17 @@ class TestSchemaMigration:
         self._assert_rebuilt(path, [done])
 
     @pytest.mark.parametrize("version, later_columns", [
-        (2, ""),                        # budget_s, no prediction column
-        (3, "predicted_s REAL,"),       # no seq change stamp
-        (4, "predicted_s REAL, seq INTEGER NOT NULL DEFAULT 0,"),
-    ], ids=["v2", "v3", "v4"])
+        (2, "budget_s REAL,"),          # no prediction column
+        (3, "budget_s REAL, predicted_s REAL,"),  # no seq change stamp
+        (4, "budget_s REAL, predicted_s REAL,"
+            " seq INTEGER NOT NULL DEFAULT 0,"),
+        (5, "budget_s REAL, seq INTEGER NOT NULL DEFAULT 0,"),
+    ], ids=["v2", "v3", "v4", "v5"])
     def test_versioned_queue_migrates_to_current(self, tmp_path, version,
                                                  later_columns):
-        """A file from an older versioned layout is rebuilt empty, and the
-        columns added since are live afterwards."""
+        """A file from an older versioned layout (each has ``budget_s``) is
+        rebuilt empty without that column, and the change cursor is live
+        afterwards."""
         path = tmp_path / f"v{version}.sqlite"
         queued, done = _task(seed=10), _task(seed=11)
         with ResultStore(path) as store:
@@ -806,7 +708,6 @@ class TestSchemaMigration:
             compute_count   INTEGER NOT NULL DEFAULT 0,
             excluded_worker TEXT,
             error           TEXT,
-            budget_s        REAL,
             {later_columns}
             enqueued_at     REAL NOT NULL,
             updated_at      REAL NOT NULL
@@ -829,12 +730,19 @@ class TestSchemaMigration:
         fresh = _task(seed=12)
         with TaskQueue(path) as queue:
             cursor = queue.last_seq()
-            queue.enqueue([fresh], budgets=[0.25])
+            queue.enqueue([fresh])
             assert [r.key for r in queue.changes_since(cursor)[0]] == \
                 [fresh.cache_key()]
         with TaskQueue(path) as queue:  # current now: no second rebuild
             (row,) = queue.rows()
-            assert row.key == fresh.cache_key() and row.budget_s == 0.25
+            assert row.key == fresh.cache_key()
+        conn = sqlite3.connect(str(path))
+        try:
+            columns = {c[1] for c in conn.execute(
+                "PRAGMA table_info(task_queue)")}
+        finally:
+            conn.close()
+        assert "budget_s" not in columns
 
     def test_concurrent_opener_keeps_rows_enqueued_after_the_rebuild(
             self, tmp_path, monkeypatch):
