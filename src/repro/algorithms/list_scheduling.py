@@ -45,14 +45,15 @@ def class_oblivious_list_schedule(instance: Instance) -> AlgorithmResult:
     start = time.perf_counter()
     inst = instance
     schedule = Schedule(inst)
-    proc_loads = np.zeros(inst.num_machines)
+    proc_loads = [0.0] * inst.num_machines
+    columns = inst.processing.T.tolist()
     best_time = np.min(np.where(np.isfinite(inst.processing), inst.processing, np.inf), axis=0)
     order = np.argsort(-best_time)
-    for j in order:
-        times = inst.processing[:, j]
-        candidate = np.where(np.isfinite(times), proc_loads + times, np.inf)
-        i = int(np.argmin(candidate))
-        schedule.assign(int(j), i)
+    for j in order.tolist():
+        # An ineligible machine's ``inf`` time makes its candidate ``inf``.
+        candidate = [l + t for l, t in zip(proc_loads, columns[j])]
+        i = candidate.index(min(candidate))
+        schedule.assign(j, i)
         proc_loads[i] = candidate[i]
     runtime = time.perf_counter() - start
     return AlgorithmResult.from_schedule("class-oblivious-list", schedule, runtime=runtime)

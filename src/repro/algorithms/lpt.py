@@ -66,21 +66,24 @@ def lpt_assign_sizes(sizes: Sequence[float], speeds: Sequence[float]) -> np.ndar
     Returns the machine index chosen for each size (in the order given).
     Sizes are considered in non-increasing order; each is assigned to the
     machine where it would *finish* first, i.e. minimising
-    ``(work_i + size) / v_i``.
+    ``(work_i + size) / v_i``; ties go to the lowest machine index.  The
+    loop runs on Python floats, which is faster than numpy on a handful
+    of machines and does the same IEEE operations.
     """
     sizes_arr = np.asarray(sizes, dtype=float)
     speeds_arr = np.asarray(speeds, dtype=float)
     if np.any(speeds_arr <= 0):
         raise ValueError("speeds must be positive")
-    order = np.argsort(-sizes_arr, kind="stable")
-    work = np.zeros(speeds_arr.shape[0])
-    assignment = np.empty(sizes_arr.shape[0], dtype=int)
-    for j in order:
-        finish = (work + sizes_arr[j]) / speeds_arr
-        i = int(np.argmin(finish))
+    sizes_list, speed = sizes_arr.tolist(), speeds_arr.tolist()
+    work = [0.0] * len(speed)
+    assignment = [0] * len(sizes_list)
+    for j in np.argsort(-sizes_arr, kind="stable").tolist():
+        size = sizes_list[j]
+        finish = [(w + size) / v for w, v in zip(work, speed)]
+        i = finish.index(min(finish))
         assignment[j] = i
-        work[i] += sizes_arr[j]
-    return assignment
+        work[i] += size
+    return np.array(assignment, dtype=int)
 
 
 @register_algorithm(

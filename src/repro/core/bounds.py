@@ -13,6 +13,7 @@ guaranteed to contain ``|Opt|``.  This module provides:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -92,13 +93,16 @@ def greedy_upper_bound(instance: Instance) -> Tuple[float, Schedule]:
     Jobs are grouped by class; classes are considered in decreasing total
     size and each class's jobs are placed one by one on the machine that
     currently finishes them earliest (accounting for a setup if the class is
-    new on that machine).  Always produces a feasible schedule, so its
-    makespan is a valid upper bound on ``|Opt|``.
+    new on that machine); ties go to the lowest machine index.  Always
+    produces a feasible schedule, so its makespan is a valid upper bound on
+    ``|Opt|``.  The placement loop runs on Python floats: an ineligible
+    machine's ``inf`` processing time makes its candidate ``inf``.
     """
     inst = instance
     schedule = Schedule(inst)
-    loads = np.zeros(inst.num_machines)
-    has_setup = np.zeros((inst.num_machines, inst.num_classes), dtype=bool)
+    load = [0.0] * inst.num_machines
+    columns = inst.processing.T.tolist()
+    setup_rows = inst.setups.T.tolist()
 
     class_order = sorted(
         inst.classes_present().tolist(),
@@ -110,16 +114,15 @@ def greedy_upper_bound(instance: Instance) -> Tuple[float, Schedule]:
         # Largest (best-machine) jobs first within the class.
         best_time = np.min(inst.processing[:, jobs], axis=0)
         order = jobs[np.argsort(-np.nan_to_num(best_time, posinf=np.inf))]
-        for j in order:
-            candidate = loads + inst.processing[:, j] + np.where(
-                has_setup[:, k], 0.0, inst.setups[:, k])
-            candidate = np.where(np.isfinite(inst.processing[:, j]), candidate, np.inf)
-            i = int(np.argmin(candidate))
-            if not np.isfinite(candidate[i]):
+        setup_k = setup_rows[k]  # zeroed on each machine the class lands on
+        for j in order.tolist():
+            candidate = [l + p + s for l, p, s in zip(load, columns[j], setup_k)]
+            i = candidate.index(min(candidate))
+            if not math.isfinite(candidate[i]):
                 raise ValueError(f"job {j} has no eligible machine")
             schedule.assign(j, i)
-            loads[i] = candidate[i]
-            has_setup[i, k] = True
+            load[i] = candidate[i]
+            setup_k[i] = 0.0
     return schedule.makespan(), schedule
 
 

@@ -8,7 +8,8 @@ so its load is
 ``L_i = Σ_{j ∈ σ⁻¹(i)} p_ij + Σ_{k ∈ classes(σ⁻¹(i))} s_ik``.
 
 The class below stores the assignment as an integer NumPy array
-(``-1`` = unassigned) and computes loads fully vectorised.
+(``-1`` = unassigned) and computes all loads in one sequential
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -122,29 +123,27 @@ class Schedule:
         return self.processing_load(machine) + self.setup_load(machine)
 
     def machine_loads(self) -> np.ndarray:
-        """Vector of loads ``L_i`` for all machines (vectorised).
+        """Vector of loads ``L_i`` for all machines, in one ``bincount``.
 
-        Unassigned jobs contribute nothing.  Assignments to ineligible
-        machines contribute ``inf``.
+        Each machine's load is summed sequentially from zero: its jobs'
+        processing times in job order, then one setup per class it
+        touches, in class order.  Unassigned jobs contribute nothing.
+        Assignments to ineligible machines contribute ``inf``.
         """
         inst = self.instance
-        m, n = inst.num_machines, inst.num_jobs
-        loads = np.zeros(m)
-        assigned = self.assignment != UNASSIGNED
-        if not np.any(assigned):
-            return loads
-        jobs = np.flatnonzero(assigned)
+        jobs = np.flatnonzero(self.assignment != UNASSIGNED)
+        if jobs.size == 0:
+            return np.zeros(inst.num_machines)
         machines = self.assignment[jobs]
-        ptimes = inst.processing[machines, jobs]
-        np.add.at(loads, machines, ptimes)
         # Setup contribution: one setup per (machine, class) pair in use.
-        classes = inst.job_classes[jobs]
-        pair_ids = machines.astype(np.int64) * inst.num_classes + classes
-        unique_pairs = np.unique(pair_ids)
-        pair_machines = unique_pairs // inst.num_classes
-        pair_classes = unique_pairs % inst.num_classes
-        np.add.at(loads, pair_machines, inst.setups[pair_machines, pair_classes])
-        return loads
+        used = np.zeros(inst.setups.shape, dtype=bool)
+        used[machines, inst.job_classes[jobs]] = True
+        pair_machines, pair_classes = np.nonzero(used)
+        return np.bincount(
+            np.concatenate((machines, pair_machines)),
+            weights=np.concatenate((inst.processing[machines, jobs],
+                                    inst.setups[pair_machines, pair_classes])),
+            minlength=inst.num_machines)
 
     def makespan(self) -> float:
         """The maximum machine load (``inf`` if some job is on an ineligible machine)."""

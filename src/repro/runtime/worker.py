@@ -101,14 +101,13 @@ def run(args: argparse.Namespace,
     drain summary.  ``open_queue(store, lease_s=...)`` builds the bound
     queue; the chaos worker passes a fault-injecting one."""
     worker_id = args.worker_id or f"worker-{os.getpid()}"
-    store = ResultStore(args.store)
-    queue = open_queue(store, lease_s=args.lease_s)
-    try:
-        stats = drain(store, queue, worker_id, poll_s=args.poll_s,
-                      idle_exit=args.idle_exit)
-    finally:
-        queue.close()
-        store.close()
+    with ResultStore(args.store) as store:
+        queue = open_queue(store, lease_s=args.lease_s)
+        try:
+            stats = drain(store, queue, worker_id, poll_s=args.poll_s,
+                          idle_exit=args.idle_exit)
+        finally:
+            queue.close()
     print(f"{worker_id}: computed={stats['computed']} "
           f"deduped={stats['deduped']} failed={stats['failed']}")
     return 0

@@ -250,8 +250,9 @@ class TaskQueue:
     def __init__(self, path: Union[str, Path, ResultStore], *,
                  lease_s: float = 60.0, max_attempts: int = 3,
                  clock: Optional[Callable[[], float]] = None) -> None:
-        if lease_s <= 0:
-            raise ValueError("lease_s must be > 0")
+        # Lazy: repro.runtime.runner imports this package.
+        from repro.runtime.runner import check_timeout
+        check_timeout(lease_s, "lease_s")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.lease_s = float(lease_s)

@@ -44,6 +44,7 @@ from repro.core.instance import Instance
 from repro.generators import uniform_instance
 from repro.runtime import (BatchRunner, BatchTask, register_algorithm,
                            unregister_algorithm)
+from repro.runtime import worker
 from repro.runtime.backends.queue import process_lease
 from repro.runtime.worker import drain
 from repro.store import QUEUE_SCHEMA_VERSION, ResultStore, TaskQueue
@@ -183,6 +184,26 @@ class TestFakeClock:
 
 
 class TestLeaseExpiry:
+    # nan would store a NULL expiry (a crashed worker's row stays leased
+    # forever); inf never expires; a bool or a string is not a duration.
+    BAD_LEASES = [float("nan"), float("inf"), 0.0, -1.0, True, "60"]
+
+    @pytest.mark.parametrize("lease_s", BAD_LEASES, ids=repr)
+    def test_bad_lease_s_is_rejected_by_name(self, tmp_path, lease_s):
+        with pytest.raises(ValueError, match="lease_s"):
+            TaskQueue(tmp_path / "q.sqlite", lease_s=lease_s)
+
+    @pytest.mark.parametrize("lease_s", ["nan", "inf", "-1"])
+    def test_worker_rejects_bad_lease_s_before_leasing(self, tmp_path, lease_s):
+        path = tmp_path / "w.sqlite"
+        with TaskQueue(path) as queue:
+            queue.enqueue([_task()])
+        with pytest.raises(ValueError, match="lease_s"):
+            worker.main(["--store", str(path), "--lease-s", lease_s,
+                         "--idle-exit", "0"])
+        with TaskQueue(path) as queue:
+            assert queue.counts()["queued"] == 1  # nothing was leased
+
     def test_expired_lease_is_reclaimed_with_exclusion(self, tmp_path):
         task = _task()
         with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0) as queue:
