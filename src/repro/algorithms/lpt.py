@@ -67,8 +67,8 @@ def lpt_assign_sizes(sizes: Sequence[float], speeds: Sequence[float]) -> np.ndar
     Sizes are considered in non-increasing order; each is assigned to the
     machine where it would *finish* first, i.e. minimising
     ``(work_i + size) / v_i``; ties go to the lowest machine index.  The
-    loop runs on Python floats, which is faster than numpy on a handful
-    of machines and does the same IEEE operations.
+    loop runs on Python floats with the same IEEE operations as numpy:
+    faster up to a few dozen machines, slower beyond.
     """
     sizes_arr = np.asarray(sizes, dtype=float)
     speeds_arr = np.asarray(speeds, dtype=float)

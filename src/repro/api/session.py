@@ -33,7 +33,8 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
 from repro.algorithms.base import AlgorithmResult
 from repro.analysis.tables import ResultTable
 from repro.api.spec import CompiledScenario, ScenarioSpec, TaskInfo, _SIZE_KEYS
-from repro.runtime.runner import BatchRunner, check_count, check_timeout
+from repro.runtime.runner import BatchRunner
+from repro.store.checks import check_count, check_timeout
 
 __all__ = ["SessionConfig", "Session", "ScenarioRun"]
 

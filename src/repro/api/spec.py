@@ -44,7 +44,8 @@ from repro.generators import (
     unrelated_instance,
 )
 from repro.generators.suites import SUITES, SuiteSpec, iter_suite
-from repro.runtime.runner import BatchTask, check_timeout
+from repro.runtime.runner import BatchTask
+from repro.store.checks import check_timeout
 
 __all__ = [
     "GENERATORS",

@@ -38,6 +38,7 @@ from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.runtime.backends.base import ExecutionBackend, run_one
+from repro.store.checks import check_count, check_timeout
 from repro.store.task_queue import LeasedTask, TaskQueue
 
 if TYPE_CHECKING:
@@ -152,11 +153,10 @@ class QueueBackend(ExecutionBackend):
                  poll_s: float = 0.05, inline: bool = True,
                  stall_timeout_s: Optional[float] = None,
                  autoscale: Union[None, bool, int] = None) -> None:
-        from repro.runtime.runner import (check_count, check_timeout,
-                                          usable_cpus)
+        from repro.runtime.runner import usable_cpus
         super().__init__(runner)
-        check_timeout(lease_s, "lease_s")
-        check_timeout(poll_s, "poll_s")
+        check_timeout(lease_s, "lease_s", none_ok=False)
+        check_timeout(poll_s, "poll_s", none_ok=False)
         check_timeout(stall_timeout_s, "stall_timeout_s")
         autoscale = usable_cpus() if autoscale is True else autoscale or 0
         check_count(autoscale, "autoscale")

@@ -49,9 +49,7 @@ queue drained by ``python -m repro.runtime.worker`` processes.
 from __future__ import annotations
 
 import hashlib
-import math
 import multiprocessing
-import numbers
 import os
 import time
 import weakref
@@ -70,6 +68,7 @@ from repro.runtime.backends import ExecutionBackend, make_backend
 from repro.runtime.backends.base import map_chunk, resolve_chunk_size
 from repro.runtime.registry import algorithms_for, get_algorithm
 from repro.store import CostModel, ResultStore
+from repro.store.checks import check_timeout
 
 __all__ = ["BatchTask", "BatchResult", "BatchRunner", "instance_fingerprint",
            "usable_cpus"]
@@ -89,24 +88,6 @@ _GROUP_COMMIT_S = 0.1
 #: after this many results are written through the runner's store
 #: handle, so predictions track the runs the store just absorbed.
 _REFIT_EVERY = 200
-
-
-def check_timeout(value: Optional[float], name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is ``None``
-    or a positive, finite number of seconds (``nan`` would disable the
-    limit and a negative one would time out every task)."""
-    if value is None:
-        return
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0 < value < math.inf):
-        raise ValueError(f"{name} must be a positive, finite number of "
-                         f"seconds or None, got {value!r}")
-
-
-def check_count(value: int, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int >= 0."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _hash_array(h, arr: np.ndarray) -> None:

@@ -99,6 +99,7 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
+from repro.store.checks import check_timeout
 from repro.store.result_store import (ResultStore, connect, encode,
                                       open_retrying)
 
@@ -250,9 +251,7 @@ class TaskQueue:
     def __init__(self, path: Union[str, Path, ResultStore], *,
                  lease_s: float = 60.0, max_attempts: int = 3,
                  clock: Optional[Callable[[], float]] = None) -> None:
-        # Lazy: repro.runtime.runner imports this package.
-        from repro.runtime.runner import check_timeout
-        check_timeout(lease_s, "lease_s")
+        check_timeout(lease_s, "lease_s", none_ok=False)
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         self.lease_s = float(lease_s)

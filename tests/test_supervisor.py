@@ -238,7 +238,7 @@ class TestSubmitterBudgets:
         ("lease_s", math.nan), ("lease_s", 0.0), ("poll_s", -1.0),
         ("poll_s", math.inf), ("autoscale", -3), ("autoscale", 1.5),
         ("stall_timeout_s", math.nan), ("stall_timeout_s", -1.0),
-        ("stall_timeout_s", 0.0)])
+        ("stall_timeout_s", 0.0), ("lease_s", None), ("poll_s", None)])
     def test_bad_option_names_the_field(self, option, bad):
         with pytest.raises(ValueError, match=option):
             BatchRunner(max_workers=1, backend="queue",

@@ -185,9 +185,10 @@ class TestFakeClock:
 
 class TestLeaseExpiry:
     # nan would store a NULL expiry (a crashed worker's row stays leased
-    # forever); inf never expires; a bool or a string is not a duration.
-    @pytest.mark.parametrize("lease_s", [float("nan"), float("inf"), 0.0, -1.0,
-                                         True, "60"], ids=repr)
+    # forever); inf and None never expire; a bool or a string is not a
+    # duration.
+    @pytest.mark.parametrize("lease_s", [float("nan"), float("inf"), None,
+                                         0.0, -1.0, True, "60"], ids=repr)
     def test_bad_lease_s_is_rejected_by_name(self, tmp_path, lease_s):
         with pytest.raises(ValueError, match="lease_s"):
             TaskQueue(tmp_path / "q.sqlite", lease_s=lease_s)
