@@ -42,7 +42,7 @@ def test_f2_grid_runtime(benchmark, scale, workers):
                  for i in range(count)]
 
     def dispatch():
-        runner = BatchRunner(max_workers=workers, cache=False)
+        runner = BatchRunner(max_workers=workers)
         return runner.run(["lpt-with-setups", "class-aware-greedy"], instances)
 
     batch = benchmark(dispatch)

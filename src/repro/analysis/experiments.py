@@ -456,7 +456,7 @@ def experiment_e9_scalability(scale: str, session: Session) -> ResultTable:
         columns=["n", "m", "K", "lpt_s", "greedy_s", "ptas_eps0.25_s", "lp_lower_bound_s"],
     )
     compiled = E9_SPEC.compile(scale)
-    runner = session.build_runner(max_workers=1, cache=False, store=None,
+    runner = session.build_runner(max_workers=1, store=None,
                                   backend="serial")
     batch = runner.run_tasks(compiled.tasks).raise_for_failures()
     run = _scenario_run_over(compiled, batch)
@@ -546,9 +546,9 @@ F2_ALGORITHMS = (("ptas-uniform", {"epsilon": 0.05}),
 def experiment_f2_batch_throughput(scale: str, session: Session) -> ResultTable:
     """Instances/second of the batch runtime, serial vs parallel dispatch.
 
-    Runs the same ``(algorithm × instance)`` grid twice with the result
-    cache disabled: once on a single in-process worker and once with the
-    auto-sized process pool.  Tasks are interleaved instance-major and
+    Runs the same ``(algorithm × instance)`` grid twice, each time on a
+    fresh store-less runner (so every task is computed): once on a single
+    in-process worker and once with the auto-sized process pool.  Tasks are interleaved instance-major and
     dispatched in small chunks so heavy PTAS tasks spread across workers.
     On a single-CPU host the two modes coincide (the runner degrades to
     in-process execution) and the speedup column stays ≈ 1.
@@ -561,12 +561,11 @@ def experiment_f2_batch_throughput(scale: str, session: Session) -> ResultTable:
     tasks = [BatchTask.make(name, inst, kwargs)
              for inst in instances for name, kwargs in F2_ALGORITHMS]
 
-    serial = session.build_runner(max_workers=1, cache=False, store=None,
+    serial = session.build_runner(max_workers=1, store=None,
                                   backend="serial")
     serial_batch = serial.run_tasks(tasks)
     serial_batch.raise_for_failures()
-    parallel = session.build_runner(cache=False, chunk_size=2, store=None,
-                                    backend=None)
+    parallel = session.build_runner(chunk_size=2, store=None, backend=None)
     parallel_batch = parallel.run_tasks(tasks)
     parallel_batch.raise_for_failures()
 
@@ -792,7 +791,7 @@ def experiment_f4_queue_workers(scale: str, session: Session) -> ResultTable:
     )
 
     serial = session.build_runner(backend="serial", max_workers=1,
-                                  cache=False, store=None)
+                                  store=None)
     serial_batch = serial.run_tasks(tasks).raise_for_failures()
     serial_digest = result_digest(serial_batch.results)
     table.add_row(mode="serial", workers=0, tasks=len(serial_batch),
@@ -896,7 +895,7 @@ def experiment_f5_supervisor(scale: str, session: Session) -> ResultTable:
     )
 
     serial = session.build_runner(backend="serial", max_workers=1,
-                                  cache=False, store=None)
+                                  store=None)
     serial_batch = serial.run_tasks(tasks).raise_for_failures()
     serial_digest = result_digest(serial_batch.results)
     table.add_row(mode="serial", max_workers=0, tasks=len(serial_batch),

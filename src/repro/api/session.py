@@ -40,7 +40,7 @@ __all__ = ["SessionConfig", "Session", "ScenarioRun"]
 
 #: SessionConfig fields accepted as keyword overrides by ``resolve``.
 _CONFIG_FIELDS = ("store_path", "backend", "autoscale", "max_workers",
-                  "timeout_s", "cache", "backend_options")
+                  "timeout_s", "backend_options")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class SessionConfig:
         Queue-backend worker fleet ceiling (``REPRO_AUTOSCALE``, a
         non-negative integer); ``0`` disables autoscaling.  Only
         meaningful with ``backend="queue"``.
-    max_workers / timeout_s / cache:
+    max_workers / timeout_s:
         Forwarded to :class:`BatchRunner` construction.
     backend_options:
         Extra backend constructor kwargs (e.g. chaos/testing knobs such
@@ -73,7 +73,6 @@ class SessionConfig:
     autoscale: int = 0
     max_workers: Optional[int] = None
     timeout_s: Optional[float] = None
-    cache: bool = True
     backend_options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -119,8 +118,6 @@ class SessionConfig:
             kwargs["max_workers"] = self.max_workers
         if self.timeout_s is not None:
             kwargs["timeout"] = self.timeout_s
-        if not self.cache:
-            kwargs["cache"] = False
         options = dict(self.backend_options)
         if self.autoscale and self.backend == "queue":
             options.setdefault("autoscale", self.autoscale)
@@ -166,9 +163,9 @@ class Session:
         """A dedicated (non-pooled) runner for this session's config.
 
         For workloads that must not share state: throughput measurements
-        (their own worker counts, caches off), the F3–F5 harnesses with
-        scratch stores.  Keyword overrides win over the config; pass
-        ``store=None`` explicitly to drop the session store,
+        (their own worker counts, a fresh in-memory cache), the F3–F5
+        harnesses with scratch stores.  Keyword overrides win over the
+        config; pass ``store=None`` explicitly to drop the session store,
         ``store=path`` to substitute one.
         """
         kwargs = self.config.runner_kwargs()

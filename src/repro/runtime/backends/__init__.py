@@ -1,7 +1,8 @@
 """Pluggable execution backends for :class:`repro.runtime.BatchRunner`.
 
 The runner owns orchestration (cache/store lookup, cost ordering,
-streaming merge, finalisation); a backend owns *where cold tasks run*:
+streaming merge, turning outcomes into results); a backend owns *where
+cold tasks run*:
 
 ========  ==================================================================
 name      execution
@@ -21,7 +22,7 @@ execution otherwise.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Type, Union
+from typing import TYPE_CHECKING, Dict, Optional, Type
 
 from repro.runtime.backends.base import ExecutionBackend
 from repro.runtime.backends.pool import PoolBackend
@@ -42,23 +43,14 @@ BACKENDS: Dict[str, Type[ExecutionBackend]] = {
 }
 
 
-def make_backend(spec: Union[None, str, ExecutionBackend],
-                 runner: "BatchRunner",
+def make_backend(spec: Optional[str], runner: "BatchRunner",
                  options: Optional[dict] = None) -> ExecutionBackend:
-    """Resolve a backend spec into a backend bound to ``runner``.
+    """Build the backend named ``spec``, bound to ``runner``, with
+    ``options`` as constructor kwargs.
 
     ``None`` picks :class:`PoolBackend` when the runner has more than one
-    worker and :class:`SerialBackend` otherwise; a registry name builds
-    that class with ``options`` as constructor kwargs; a ready instance is
-    re-bound to ``runner`` and used as-is (``options`` must then be empty —
-    the instance already made its choices).
+    worker and :class:`SerialBackend` otherwise.
     """
-    if isinstance(spec, ExecutionBackend):
-        if options:
-            raise ValueError("backend options cannot be combined with a "
-                             "ready-made backend instance")
-        spec.runner = runner
-        return spec
     if spec is None:
         spec = "pool" if runner.max_workers > 1 else "serial"
     try:

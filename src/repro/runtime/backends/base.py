@@ -3,13 +3,14 @@
 :class:`ExecutionBackend` is the seam between *orchestration* and
 *execution*: :class:`~repro.runtime.runner.BatchRunner` owns everything
 about a batch that is independent of where the work runs (cache and store
-lookup, cost-model ordering, streaming merge, result finalisation and
-stats), and delegates the cold remainder to a backend whose single job is
+lookup, cost-model ordering, streaming merge, turning outcomes into
+results, stats), and delegates the cold remainder to a backend whose
+single job is
 
-    ``submit(tasks) -> iterator of (local_index, result)``
+    ``submit(tasks) -> iterator of (local_index, status, payload, elapsed)``
 
-yielding one :class:`~repro.algorithms.base.AlgorithmResult` per submitted
-task, in whatever order they finish.  Three implementations ship:
+yielding one raw :data:`Outcome` per submitted task, in whatever order
+they finish.  Three implementations ship:
 
 * :class:`~repro.runtime.backends.serial.SerialBackend` — in-process, zero
   pool overhead;
@@ -29,18 +30,21 @@ them in a separate process.
 from __future__ import annotations
 
 import traceback
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.core.instance import Instance
 from repro.runtime.registry import get_algorithm
 
 if TYPE_CHECKING:
-    from repro.algorithms.base import AlgorithmResult
     from repro.runtime.runner import BatchRunner, BatchTask
 
-__all__ = ["ExecutionBackend", "run_one", "run_chunk", "map_chunk",
-           "resolve_chunk_size"]
+__all__ = ["ExecutionBackend", "Outcome", "run_one", "run_chunk",
+           "map_chunk", "resolve_chunk_size"]
+
+#: One task's raw outcome: ``(index into the submitted tasks, status,
+#: payload, elapsed)``.  See :class:`ExecutionBackend`.
+Outcome = Tuple[int, str, object, Optional[float]]
 
 
 # ---------------------------------------------------------------------------
@@ -87,17 +91,26 @@ class ExecutionBackend:
     """Base class / protocol for pluggable cold-task execution.
 
     A backend is constructed bound to its :class:`BatchRunner` and reads
-    execution policy (worker count, timeout, chunk size, mp context) from
-    it, reporting outcomes through the runner's ``_finalise`` /
-    ``_sentinel`` helpers so error/timeout accounting lives in exactly one
-    place regardless of where the work ran.
+    execution policy (worker count, timeout, chunk size, mp context,
+    store) from it.  It never builds results, sentinels or stats: it
+    yields raw outcomes, and the runner alone turns each into a result,
+    so error and timeout accounting lives in one place whichever backend
+    ran the work.
 
     Subclasses implement :meth:`submit`.  The contract:
 
-    * every submitted task yields exactly one ``(local_index, result)``
-      pair, in completion (not submission) order;
-    * failures become sentinel results (``meta["error"]`` /
-      ``meta["timeout"]``), never exceptions;
+    * every submitted task yields exactly one :data:`Outcome`
+      ``(local_index, status, payload, elapsed)``, in completion (not
+      submission) order;
+    * ``status`` is ``"ok"`` (``payload`` is the
+      :class:`~repro.algorithms.base.AlgorithmResult`), ``"error"``
+      (``payload`` is ``(message, traceback text or None)``) or
+      ``"timeout"`` (``payload`` is ``None``); failures are outcomes,
+      never exceptions;
+    * ``elapsed`` is the compute time this process measured, or ``None``
+      when it did not time the task (a result another queue worker
+      published, a pool task whose limit the waves enforce); the runner
+      applies its ``timeout`` to measured times after the fact;
     * closing the returned generator early (consumer ``break``) must
       promptly abandon outstanding work — no hanging on stuck tasks, no
       leaked worker processes, no unclaimed queue rows.
@@ -115,9 +128,8 @@ class ExecutionBackend:
     def __init__(self, runner: "BatchRunner") -> None:
         self.runner = runner
 
-    def submit(self, tasks: Sequence["BatchTask"]
-               ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
-        """Execute ``tasks``, yielding ``(index into tasks, result)``."""
+    def submit(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
+        """Execute ``tasks``, yielding one :data:`Outcome` per task."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -8,12 +8,11 @@ from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 import time
 
-from repro.runtime.backends.base import (ExecutionBackend,
+from repro.runtime.backends.base import (ExecutionBackend, Outcome,
                                          resolve_chunk_size, run_chunk,
                                          run_one)
 
 if TYPE_CHECKING:
-    from repro.algorithms.base import AlgorithmResult
     from repro.runtime.runner import BatchTask
 
 __all__ = ["PoolBackend", "terminate_workers"]
@@ -49,13 +48,15 @@ def _submit_all(pool: ProcessPoolExecutor, fn,
     return futures
 
 
+#: The pool's own status for a task whose worker process died.  It never
+#: leaves the backend: a casualty is retried, and one that dies again in a
+#: pool of its own is yielded as an ``"error"``.
+_DIED = "died"
+
+
 def _died_outcome(exc: BaseException) -> Tuple[str, Tuple[str, None]]:
-    """The ``(status, outcome)`` of a task whose worker process died."""
-    return "error", (f"worker died: {type(exc).__name__}: {exc}", None)
-
-
-def _worker_died(result: "AlgorithmResult") -> bool:
-    return "worker died" in str(result.meta.get("error", ""))
+    """The ``(status, payload)`` of a task whose worker process died."""
+    return _DIED, (f"worker died: {type(exc).__name__}: {exc}", None)
 
 
 def terminate_workers(pool: ProcessPoolExecutor) -> None:
@@ -79,7 +80,7 @@ class PoolBackend(ExecutionBackend):
 
     * without a runner ``timeout``, tasks are grouped into chunks (see
       :func:`resolve_chunk_size`) so per-task pickling amortises, and each
-      chunk's results are yielded as its future completes;
+      chunk's outcomes are yielded as its future completes;
     * with a ``timeout``, tasks are dispatched in *waves* of
       ``max_workers`` single-task futures, so every task starts its budget
       when it actually starts running (see :meth:`_iter_waves`);
@@ -90,31 +91,30 @@ class PoolBackend(ExecutionBackend):
 
     name = "pool"
 
-    def submit(self, tasks: Sequence["BatchTask"]
-               ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
-        """Pool execution, yielding each result as its future completes.
+    def submit(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
+        """Pool execution, yielding each outcome as its future completes.
 
-        Results arrive in arbitrary order; the yielded local indices keep
+        Outcomes arrive in arbitrary order; the yielded local indices keep
         the caller aligned.  Tasks whose worker died (breaking the pool)
         are withheld from the stream, then recovered at the end through
         the collateral-retry path on fresh pools, so a streaming consumer
-        still sees exactly one result per task.
+        still sees exactly one outcome per task.  The pool times no task
+        itself (``elapsed`` is ``None``): with a runner ``timeout``, the
+        waves enforce it.
         """
-        casualties: List[Tuple[int, "AlgorithmResult"]] = []
-        for local_idx, result in self._dispatch(tasks):
-            if _worker_died(result):
-                casualties.append((local_idx, result))
+        casualties: List[int] = []
+        for local_idx, status, payload, elapsed in self._dispatch(tasks):
+            if status == _DIED:
+                casualties.append(local_idx)
             else:
-                yield local_idx, result
+                yield local_idx, status, payload, elapsed
         if casualties:
-            casualties.sort(key=lambda pair: pair[0])
-            recovered = self._retry_collateral(
-                [tasks[i] for i, _ in casualties], [r for _, r in casualties])
-            for (local_idx, _), result in zip(casualties, recovered):
-                yield local_idx, result
+            casualties.sort()
+            recovered = self._retry_collateral([tasks[i] for i in casualties])
+            for local_idx, (status, payload) in zip(casualties, recovered):
+                yield local_idx, status, payload, None
 
-    def _dispatch(self, tasks: Sequence["BatchTask"]
-                  ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
+    def _dispatch(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
         """One pool pass: waves with a runner ``timeout``, else chunks."""
         if self.runner.timeout is not None:
             return self._iter_waves(tasks)
@@ -123,12 +123,11 @@ class PoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # no-timeout mode: chunked dispatch
     # ------------------------------------------------------------------
-    def _iter_chunks(self, tasks: Sequence["BatchTask"]
-                     ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
+    def _iter_chunks(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
         """No-timeout mode: chunks of tasks per future (see
-        :func:`resolve_chunk_size`), each chunk's results yielded as its
-        future completes; a chunk whose worker died yields "worker died"
-        sentinels."""
+        :func:`resolve_chunk_size`), each chunk's outcomes yielded as its
+        future completes; a chunk whose worker died yields ``_DIED``
+        outcomes."""
         runner = self.runner
         chunk = resolve_chunk_size(runner.chunk_size, len(tasks),
                                    runner.max_workers)
@@ -153,9 +152,8 @@ class PoolBackend(ExecutionBackend):
                         outcomes = future.result()
                     except Exception as exc:  # worker died (OOM kill, segfault, …)
                         outcomes = [_died_outcome(exc)] * len(indices)
-                    for local_idx, (status, outcome) in zip(indices, outcomes):
-                        yield local_idx, runner._finalise(tasks[local_idx],
-                                                          status, outcome)
+                    for local_idx, (status, payload) in zip(indices, outcomes):
+                        yield local_idx, status, payload, None
         finally:
             # A consumer that closes the stream early (break / .close())
             # lands here with chunks still in flight; a plain barrier-style
@@ -168,15 +166,14 @@ class PoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # timeout mode: wave dispatch
     # ------------------------------------------------------------------
-    def _iter_waves(self, tasks: Sequence["BatchTask"]
-                    ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
+    def _iter_waves(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
         """Timeout mode: waves of ``max_workers`` single-task futures.
 
         Every task in a wave starts on a worker immediately, so its budget
         is a true per-task wall-clock budget — a queued task never burns its
         budget waiting behind a stuck sibling, and an early completion never
-        extends the deadline of the others.  Results are yielded the moment
-        their future completes (timeout sentinels at wave end); workers of
+        extends the deadline of the others.  Outcomes are yielded the moment
+        their future completes (``"timeout"`` ones at wave end); workers of
         timed-out tasks are terminated (they cannot be cancelled) and a
         fresh pool serves the next wave.
         """
@@ -206,16 +203,13 @@ class PoolBackend(ExecutionBackend):
                     for future in done:
                         idx = future_to_index[future]
                         try:
-                            status, outcome = future.result()
+                            status, payload = future.result()
                         except Exception as exc:  # worker died mid-task
                             pool_broken = True
-                            status, outcome = _died_outcome(exc)
-                        yield idx, runner._finalise(tasks[idx], status, outcome)
-                if pending:  # deadline passed with tasks still running
-                    for future in pending:
-                        idx = future_to_index[future]
-                        runner.stats["timeouts"] += 1
-                        yield idx, runner._sentinel(tasks[idx], timeout=True)
+                            status, payload = _died_outcome(exc)
+                        yield idx, status, payload, None
+                for future in pending:  # deadline passed, still running
+                    yield future_to_index[future], "timeout", None, None
                 if pending or pool_broken:  # pool is stuck or broken: replace it
                     pool.shutdown(wait=False, cancel_futures=True)
                     terminate_workers(pool)
@@ -230,10 +224,9 @@ class PoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # worker-death recovery
     # ------------------------------------------------------------------
-    def _retry_collateral(self, tasks: Sequence["BatchTask"],
-                          results: List["AlgorithmResult"]
-                          ) -> List["AlgorithmResult"]:
-        """Re-run tasks that failed because a *sibling's* worker died.
+    def _retry_collateral(self, tasks: Sequence["BatchTask"]
+                          ) -> List[Tuple[str, object]]:
+        """Re-run tasks whose worker died; their ``(status, payload)`` in order.
 
         A dying worker (OOM kill, native-code crash) breaks the whole
         ``ProcessPoolExecutor``, failing healthy in-flight siblings along
@@ -241,26 +234,18 @@ class PoolBackend(ExecutionBackend):
         fresh pool (cheap, recovers everything when the culprit's death
         was load-induced); any task that dies again is then isolated in
         its own single-task pool so a deterministic culprit cannot keep
-        poisoning the others.  After that it keeps its sentinel.
+        poisoning the others.  A task that dies there too is an
+        ``"error"`` carrying the death.
         """
-        def dead_indices(rs: List["AlgorithmResult"]) -> List[int]:
-            return [i for i, r in enumerate(rs) if _worker_died(r)]
-
-        dead = dead_indices(results)
-        if not dead:
-            return results
-        group = self._execute_pool([tasks[i] for i in dead])
-        self.runner.stats["errors"] -= len(dead)  # superseded by the retry outcomes
-        for idx, result in zip(dead, group):
-            results[idx] = result
-        still_dead = dead_indices(results)
-        self.runner.stats["errors"] -= len(still_dead)
-        for idx in still_dead:
-            results[idx] = self._execute_pool([tasks[idx]])[0]
-        return results
+        outcomes = self._execute_pool(tasks)
+        for i, (status, _) in enumerate(outcomes):
+            if status == _DIED:
+                outcomes[i] = self._execute_pool([tasks[i]])[0]
+        return [("error", payload) if status == _DIED else (status, payload)
+                for status, payload in outcomes]
 
     def _execute_pool(self, tasks: Sequence["BatchTask"]
-                      ) -> List["AlgorithmResult"]:
-        """Collect one pool pass in submission order (collateral-retry path)."""
-        return [result for _, result in sorted(self._dispatch(tasks),
-                                               key=lambda pair: pair[0])]
+                      ) -> List[Tuple[str, object]]:
+        """One pool pass's ``(status, payload)`` pairs in submission order."""
+        return [(status, payload) for _, status, payload, _ in
+                sorted(self._dispatch(tasks), key=lambda outcome: outcome[0])]

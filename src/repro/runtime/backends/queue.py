@@ -37,12 +37,11 @@ import time
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.runtime.backends.base import ExecutionBackend, run_one
+from repro.runtime.backends.base import ExecutionBackend, Outcome, run_one
 from repro.store.checks import check_count, check_timeout
 from repro.store.task_queue import LeasedTask, TaskQueue
 
 if TYPE_CHECKING:
-    from repro.algorithms.base import AlgorithmResult
     from repro.runtime.runner import BatchRunner, BatchTask
     from repro.store import ResultStore
 
@@ -86,8 +85,8 @@ def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
     result, ``("computed", result, elapsed)`` on success (the result is
     already published), or ``("failed", message, elapsed)`` for a
     captured algorithm error (the row is already marked failed).  The
-    result is published as the algorithm returned it; ``elapsed`` lets
-    the inline drain judge its own submitter's ``timeout``.
+    result is published as the algorithm returned it; the inline drain
+    passes ``elapsed`` on, so its runner can judge its own ``timeout``.
     """
     store = _bound_store(queue)
     if store.contains(leased.key):
@@ -142,8 +141,9 @@ class QueueBackend(ExecutionBackend):
         parameter only through :class:`repro.api.SessionConfig`.
 
     The runner's ``timeout`` stays with this submitter: its inline drain
-    turns an overrun into a timeout sentinel, and a result computed by
-    an external worker is served as computed.
+    yields the compute time it measured, which the runner judges, and a
+    result computed by an external worker is yielded untimed
+    (``elapsed`` is ``None``) and served as computed.
     """
 
     name = "queue"
@@ -167,10 +167,8 @@ class QueueBackend(ExecutionBackend):
         self.worker_id = f"inline-{os.getpid()}"
         self.autoscale = autoscale
 
-    def submit(self, tasks: Sequence["BatchTask"]
-               ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
-        runner = self.runner
-        store = runner.store
+    def submit(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
+        store = self.runner.store
         if store is None:
             raise RuntimeError(
                 "the queue backend needs a persistent store: construct the "
@@ -221,10 +219,8 @@ class QueueBackend(ExecutionBackend):
                                         for key in probe])
                         if probe else {})
                 for key in [k for k in probe if k in warm]:
-                    result = runner._finalise(tasks[unresolved[key][0]], "ok",
-                                              warm[key])
                     for idx in unresolved.pop(key):
-                        yield idx, result
+                        yield idx, "ok", warm[key], None
                     progressed = True
 
                 # Keys the queue declared failed (deterministic algorithm
@@ -236,12 +232,10 @@ class QueueBackend(ExecutionBackend):
                     if row.key not in unresolved:
                         continue
                     if row.status == "failed":
-                        task = tasks[unresolved[row.key][0]]
-                        message = row.error or "task failed on a queue worker"
-                        sentinel = runner._finalise(task, "error",
-                                                    (message, None))
+                        error = (row.error or "task failed on a queue worker",
+                                 None)
                         for idx in unresolved.pop(row.key):
-                            yield idx, sentinel
+                            yield idx, "error", error, None
                         progressed = True
                     elif row.status == "done" and not store.contains(row.key):
                         # A worker's result and its 'done' row commit
@@ -269,9 +263,8 @@ class QueueBackend(ExecutionBackend):
                 if self.inline and unresolved:
                     leased = queue.lease(self.worker_id)
                     if leased is not None:
-                        for pair in self._work_off(queue, leased, unresolved,
-                                                   tasks):
-                            yield pair
+                        yield from self._work_off(queue, leased, unresolved,
+                                                  tasks)
                         progressed = True
 
                 reconcile = not progressed
@@ -330,34 +323,29 @@ class QueueBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _work_off(self, queue: TaskQueue, leased: LeasedTask,
                   unresolved: Dict[str, List[int]],
-                  tasks: Sequence["BatchTask"]
-                  ) -> Iterator[Tuple[int, "AlgorithmResult"]]:
-        """Compute one leased task; yield it when it belongs to our batch.
+                  tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
+        """Compute one leased task; yield its outcome when it belongs to
+        our batch.
 
-        Mirrors the serial backend (captured errors, post-hoc timeout
-        sentinels) so a queue-backed runner without external workers is
-        behaviourally a serial runner — with two queue-specific twists:
-        the runner's ``timeout`` is *this submitter's* latency policy, so
-        it never judges a foreign batch's task, and an overrunning task's
-        (valid) result is still published before the local sentinel is
-        yielded — discarding it would permanently fail the key for every
-        submitter sharing the queue, and a warm store hit costs no
-        latency, so serving it later cannot violate anyone's budget.
+        Mirrors the serial backend (captured errors, measured compute
+        time) so a queue-backed runner without external workers is
+        behaviourally a serial runner.  An overrunning task's (valid)
+        result is still published before the runner turns its outcome
+        into a local timeout sentinel: the runner's ``timeout`` is *this
+        submitter's* latency policy, discarding the result would
+        permanently fail the key for every submitter sharing the queue,
+        and a warm store hit costs no latency, so serving it later cannot
+        violate anyone's budget.
         """
-        runner = self.runner
         indices = unresolved.get(leased.key)
         task = tasks[indices[0]] if indices is not None else None
         outcome, payload, elapsed = process_lease(queue, leased,
                                                   self.worker_id, task=task)
         if task is None or outcome == "deduped":
             return  # a dedup hit of ours is served by the next store poll
-        if (outcome == "computed" and runner.timeout is not None
-                and elapsed > runner.timeout):
-            runner.stats["timeouts"] += 1
-            result = runner._sentinel(task, timeout=True)
-        elif outcome == "computed":
-            result = runner._finalise(task, "ok", payload)
-        else:  # "failed": the captured error message travelled back
-            result = runner._finalise(task, "error", (payload, None))
+        if outcome == "failed":  # the captured error message travelled back
+            status, payload = "error", (payload, None)
+        else:
+            status = "ok"
         for idx in unresolved.pop(leased.key):
-            yield idx, result
+            yield idx, status, payload, elapsed

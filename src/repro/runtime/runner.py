@@ -33,7 +33,9 @@ and the portfolio mode:
 * **timeout / error capture** — a failing or timed-out task never takes the
   batch down; it yields a sentinel result with ``makespan = inf`` and the
   failure recorded in ``result.meta`` (``"error"`` / ``"timeout"`` keys).
-  The runner's ``timeout`` is the only per-task time limit;
+  The runner's ``timeout`` is the only per-task time limit, and
+  :meth:`BatchRunner._finalise` is the only place an outcome becomes a
+  result or a sentinel, whichever backend ran the task;
 * **portfolio mode** — :meth:`BatchRunner.portfolio` runs every applicable
   registered algorithm on each instance and keeps the best schedule, with
   deterministic ``(makespan, algorithm name)`` tie-breaking.
@@ -41,9 +43,10 @@ and the portfolio mode:
 Where cold tasks actually *run* is delegated to a pluggable
 :class:`~repro.runtime.backends.ExecutionBackend`
 (``backend="serial" | "pool" | "queue"``): the runner keeps orchestration —
-cache and store lookup, cost ordering, streaming merge, finalisation —
-while the backend owns execution, including the distributed SQLite work
-queue drained by ``python -m repro.runtime.worker`` processes.
+cache and store lookup, cost ordering, streaming merge, finalisation and
+stats — while the backend owns execution, including the distributed
+SQLite work queue drained by ``python -m repro.runtime.worker``
+processes, and yields raw ``(index, status, payload, elapsed)`` outcomes.
 """
 
 from __future__ import annotations
@@ -270,12 +273,6 @@ class BatchRunner:
         are terminated, and a fresh pool serves the remaining waves.  In
         in-process mode the check is necessarily post-hoc (the task runs
         to completion, then is replaced by the sentinel).
-    cache:
-        Enable the content-hash result cache.  A cache hit returns the
-        *identical* ``AlgorithmResult`` object that the first run produced,
-        whatever the name of the instance it is asked for (treat results
-        as immutable).  ``cache=False`` also disables the
-        persistent store (benchmarks rely on it to measure fresh compute).
     store:
         Optional persistent result store: a
         :class:`~repro.store.result_store.ResultStore`, or a path that one
@@ -290,15 +287,19 @@ class BatchRunner:
     backend:
         Where cold tasks execute: a name from
         :data:`repro.runtime.backends.BACKENDS` (``"serial"``, ``"pool"``,
-        ``"queue"``), a ready :class:`ExecutionBackend` instance, or
-        ``None`` for a process pool iff ``max_workers`` resolves above 1
-        and in-process execution otherwise.  The
+        ``"queue"``), or ``None`` for a process pool iff ``max_workers``
+        resolves above 1 and in-process execution otherwise.  The
         queue backend additionally needs a ``store`` (the queue lives in
         the store file) and is drained by this process and/or external
         ``python -m repro.runtime.worker`` processes.
     backend_options:
-        Extra constructor kwargs for a *named* backend (e.g.
+        Extra constructor kwargs for the backend (e.g.
         ``{"inline": False, "lease_s": 10.0}`` for ``"queue"``).
+
+    Every task goes through the content-hash result cache: a cache hit
+    returns the *identical* ``AlgorithmResult`` object that the first run
+    produced, whatever the name of the instance it is asked for (treat
+    results as immutable).
     """
 
     def __init__(
@@ -306,10 +307,9 @@ class BatchRunner:
         *,
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        cache: bool = True,
         store: Union[None, str, Path, ResultStore] = None,
         chunk_size: Optional[int] = None,
-        backend: Union[None, str, ExecutionBackend] = None,
+        backend: Optional[str] = None,
         backend_options: Optional[Dict[str, object]] = None,
     ) -> None:
         if max_workers is not None and max_workers < 1:
@@ -317,7 +317,6 @@ class BatchRunner:
         check_timeout(timeout, "timeout")
         self.max_workers = max_workers if max_workers is not None else usable_cpus()
         self.timeout = timeout
-        self.cache_enabled = cache
         self.chunk_size = chunk_size
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
@@ -400,16 +399,12 @@ class BatchRunner:
         or raises.
         """
         tasks = list(tasks)
-        keys: List[Optional[str]] = [None] * len(tasks)
-        pending: List[int] = []
+        keys: List[str] = []
         cold: List[int] = []
         for idx, task in enumerate(tasks):
             self.stats["tasks"] += 1
-            if not self.cache_enabled:
-                pending.append(idx)
-                continue
             key = task.cache_key()
-            keys[idx] = key
+            keys.append(key)
             hit = self._cache.get(key)
             if hit is not None:
                 self.stats["cache_hits"] += 1
@@ -417,7 +412,9 @@ class BatchRunner:
             else:
                 cold.append(idx)
 
+        pending = cold
         if self.store is not None and cold:
+            pending = []
             warm = self.store.prefetch([tasks[i] for i in cold])
             for idx in cold:
                 hit = warm.get(keys[idx])
@@ -427,8 +424,6 @@ class BatchRunner:
                     yield idx, hit
                 else:
                     pending.append(idx)
-        else:
-            pending.extend(cold)
 
         if not pending:
             return
@@ -446,10 +441,11 @@ class BatchRunner:
         group_s = 0.0
         resumed = time.perf_counter()
         try:
-            for local_idx, result in self.backend.submit(ordered_tasks):
+            for local_idx, status, payload, elapsed in self.backend.submit(
+                    ordered_tasks):
                 idx = ordered[local_idx]
-                ok = not (result.meta.get("error") or result.meta.get("timeout"))
-                if ok and self.cache_enabled and keys[idx] is not None:
+                result = self._finalise(tasks[idx], status, payload, elapsed)
+                if not (result.meta.get("error") or result.meta.get("timeout")):
                     self._cache[keys[idx]] = result
                     if group is None:
                         self._maybe_rearm_cost_model()
@@ -615,11 +611,18 @@ class BatchRunner:
         self._cache.clear()
 
     # ------------------------------------------------------------------
-    # result shaping (shared with every backend)
+    # result shaping: the one place an outcome becomes a result
     # ------------------------------------------------------------------
-    def _finalise(self, task: BatchTask, status: str,
-                  payload: object) -> AlgorithmResult:
-        if status == "ok":
+    def _finalise(self, task: BatchTask, status: str, payload: object,
+                  elapsed: Optional[float]) -> AlgorithmResult:
+        """The result of one backend outcome (see :class:`ExecutionBackend`).
+
+        An ``"ok"`` outcome that this process timed (``elapsed`` is not
+        ``None``) past the runner's ``timeout`` becomes a timeout sentinel
+        after the fact: an in-process task cannot be interrupted.
+        """
+        if status == "ok" and (self.timeout is None or elapsed is None
+                               or elapsed <= self.timeout):
             result = payload  # type: ignore[assignment]
             # A pool worker returns a copy of the instance: share the task's
             # own, which the store leaves out of the payload.
@@ -627,9 +630,12 @@ class BatchRunner:
             if got is not own and instance_fingerprint(got) == instance_fingerprint(own):
                 result.schedule.instance = own
             return result
-        message, tb = payload  # type: ignore[misc]
-        self.stats["errors"] += 1
-        return self._sentinel(task, error=message, traceback_text=tb)
+        if status == "error":
+            self.stats["errors"] += 1
+            message, tb = payload  # type: ignore[misc]
+            return self._sentinel(task, error=message, traceback_text=tb)
+        self.stats["timeouts"] += 1
+        return self._sentinel(task, timeout=True)
 
     def _sentinel(self, task: BatchTask, *, error: Optional[str] = None,
                   traceback_text: Optional[str] = None,

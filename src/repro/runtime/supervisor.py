@@ -49,6 +49,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.store.checks import check_timeout
 from repro.store.task_queue import TaskQueue
 
 __all__ = ["SupervisorPolicy", "Supervisor", "spawn_supervisor", "main"]
@@ -71,10 +72,11 @@ class SupervisorPolicy:
         How long the queue must stay empty before idle workers are
         retired (and, with nothing left to reap, the supervisor exits).
         The hysteresis that keeps a bursty submitter from flapping the
-        fleet.
+        fleet.  Finite and ``>= 0``; ``0`` retires on the next idle tick.
     restart_backoff_s:
         After the *k*-th consecutive crash, spawning is suspended for
-        ``min(30, restart_backoff_s · 2^(k-1))`` seconds.
+        ``min(30, restart_backoff_s · 2^(k-1))`` seconds.  Finite and
+        ``>= 0``; ``0`` restarts without backoff.
     restart_cap:
         Consecutive crashes after which the policy stops restarting
         entirely (:attr:`exhausted`) — a worker that dies every time it
@@ -93,6 +95,10 @@ class SupervisorPolicy:
             raise ValueError("max_workers must be >= 1")
         if restart_cap < 1:
             raise ValueError("restart_cap must be >= 1")
+        check_timeout(idle_grace_s, "idle_grace_s", none_ok=False,
+                      zero_ok=True)
+        check_timeout(restart_backoff_s, "restart_backoff_s", none_ok=False,
+                      zero_ok=True)
         self.max_workers = int(max_workers)
         self.idle_grace_s = float(idle_grace_s)
         self.restart_backoff_s = float(restart_backoff_s)
@@ -197,7 +203,8 @@ class Supervisor:
         Lease duration, both for this process's reclaim sweeps and for
         the spawned workers (kept identical so expiry judgements agree).
     poll_s:
-        Supervisor tick interval.
+        Supervisor tick interval (finite and ``>= 0``; ``0`` ticks
+        without sleeping).
     worker_module:
         The ``python -m`` module spawned as a worker
         (``repro.runtime.worker``; tests substitute
@@ -205,7 +212,9 @@ class Supervisor:
     worker_args:
         Extra CLI args appended to every worker command line.
     worker_idle_exit / worker_poll_s:
-        Forwarded to workers; ``worker_idle_exit`` should exceed
+        Forwarded to workers, and checked here as the workers check them:
+        ``worker_idle_exit`` finite and ``>= 0``, ``worker_poll_s``
+        positive and finite.  ``worker_idle_exit`` should exceed
         ``idle_grace_s`` so the supervisor, not the worker, decides
         retirement (either way is safe — a self-exited worker is reaped
         as retired).
@@ -228,6 +237,11 @@ class Supervisor:
                  worker_idle_exit: float = 10.0,
                  worker_poll_s: float = 0.05,
                  sleep: Callable[[float], None] = time.sleep) -> None:
+        check_timeout(lease_s, "lease_s", none_ok=False)
+        check_timeout(poll_s, "poll_s", none_ok=False, zero_ok=True)
+        check_timeout(worker_idle_exit, "worker_idle_exit", none_ok=False,
+                      zero_ok=True)
+        check_timeout(worker_poll_s, "worker_poll_s", none_ok=False)
         self.store_path = Path(store_path)
         if policy is None:
             if max_workers is None:
@@ -437,11 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
-                        format="%(asctime)s %(name)s: %(message)s")
-    # SIGTERM (an abandoning submitter, an orchestrator teardown) must run
-    # the cleanup path — Python's default handler would orphan the fleet.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     supervisor = Supervisor(
         args.store, max_workers=args.max_workers, lease_s=args.lease_s,
         poll_s=args.poll_s, idle_grace_s=args.idle_grace_s,
@@ -451,6 +460,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         worker_args=shlex.split(args.worker_args),
         worker_idle_exit=args.worker_idle_exit,
         worker_poll_s=args.worker_poll_s)
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                        format="%(asctime)s %(name)s: %(message)s")
+    # SIGTERM (an abandoning submitter, an orchestrator teardown) must run
+    # the cleanup path — Python's default handler would orphan the fleet.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     summary = supervisor.run()
     print(f"supervisor: spawned={summary['spawned']} "
           f"crashed={summary['crashed']} restarts={summary['restarts']} "

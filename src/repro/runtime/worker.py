@@ -41,6 +41,7 @@ from typing import Callable, List, Optional
 
 from repro.runtime.backends.queue import _bound_store, process_lease
 from repro.store import ResultStore, TaskQueue
+from repro.store.checks import check_timeout
 
 __all__ = ["main", "drain", "run"]
 
@@ -99,7 +100,10 @@ def run(args: argparse.Namespace,
         open_queue: Callable[..., TaskQueue] = TaskQueue) -> int:
     """Drain the store named by parsed worker ``args`` and print the
     drain summary.  ``open_queue(store, lease_s=...)`` builds the bound
-    queue; the chaos worker passes a fault-injecting one."""
+    queue; the chaos worker passes a fault-injecting one.  A bad duration
+    flag raises ``ValueError`` naming it before anything is leased."""
+    check_timeout(args.poll_s, "--poll-s", none_ok=False)
+    check_timeout(args.idle_exit, "--idle-exit", none_ok=False, zero_ok=True)
     worker_id = args.worker_id or f"worker-{os.getpid()}"
     with ResultStore(args.store) as store:
         queue = open_queue(store, lease_s=args.lease_s)

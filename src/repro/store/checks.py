@@ -5,14 +5,17 @@ import numbers
 from typing import Optional
 
 
-def check_timeout(value: Optional[float], name: str, *, none_ok: bool = True) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a positive, finite
-    number of seconds (not ``nan``), or ``None`` (no limit) where ``none_ok``."""
+def check_timeout(value: Optional[float], name: str, *, none_ok: bool = True,
+                  zero_ok: bool = False) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a positive (or,
+    where ``zero_ok``, zero), finite number of seconds (not ``nan``), or
+    ``None`` (no limit) where ``none_ok``."""
     if value is None and none_ok:
         return
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0 < value < math.inf):
-        raise ValueError(f"{name} must be a positive, finite number of seconds"
+            or not (0 <= value if zero_ok else 0 < value) or value == math.inf):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a {sign}, finite number of seconds"
                          f"{' or None' if none_ok else ''}, got {value!r}")
 
 

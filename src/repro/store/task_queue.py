@@ -164,23 +164,15 @@ _ROW_COLUMNS = ("key, status, owner, attempts, compute_count,"
 _NEXT_SEQ = ("(SELECT CAST(value AS INTEGER) + 1 FROM task_queue_meta"
              " WHERE key = 'change_seq')")
 
-#: The two ``LIMIT 1`` probes behind :meth:`TaskQueue.lease`, each an
-#: ordered walk of ``idx_task_queue_status`` (whose entries end in the
-#: rowid, so ``enqueued_at, rowid`` needs no sort): the head of the
-#: ``queued`` rows, and the oldest expired lease.
-_LEASE_COLUMNS = "key, task_payload, attempts, enqueued_at, rowid"
-_LEASE_QUEUED_SQL = (
-    f"SELECT {_LEASE_COLUMNS} FROM task_queue"
+#: The ``LIMIT 1`` probe behind :meth:`TaskQueue.lease`: the head of the
+#: claimable ``queued`` rows, an ordered walk of ``idx_task_queue_status``
+#: (whose entries end in the rowid, so ``enqueued_at, rowid`` needs no
+#: sort).
+_LEASE_SQL = (
+    "SELECT key, task_payload, attempts FROM task_queue"
     " WHERE status = 'queued'"
     "   AND (excluded_worker IS NULL OR excluded_worker != :worker"
     "        OR updated_at <= :grace_before)"
-    "   AND attempts < :max_attempts"
-    " ORDER BY enqueued_at ASC, rowid ASC LIMIT 1")
-_LEASE_EXPIRED_SQL = (
-    f"SELECT {_LEASE_COLUMNS} FROM task_queue"
-    " WHERE status = 'leased' AND lease_expires_at <= :now"
-    "   AND owner != :worker"
-    "   AND (excluded_worker IS NULL OR excluded_worker != :worker)"
     "   AND attempts < :max_attempts"
     " ORDER BY enqueued_at ASC, rowid ASC LIMIT 1")
 
@@ -459,36 +451,34 @@ class TaskQueue:
               now: Optional[float] = None) -> Optional[LeasedTask]:
         """Atomically claim one task, or ``None`` when nothing is claimable.
 
-        Claimable rows are ``queued`` rows plus ``leased`` rows whose lease
-        has expired (their worker is presumed dead), excluding rows whose
+        Claimable rows are ``queued`` rows, excluding rows whose
         ``excluded_worker`` is *this* worker — a task that just killed us
-        should be someone else's second try — and rows whose expired lease
-        this worker itself holds (re-leasing one's own abandoned task
-        would dodge the exclusion that :meth:`reclaim_expired` records).
-        The exclusion is a *grace period*, not a ban: once a requeued row
-        has sat unclaimed for a full ``lease_s`` (no other worker wanted
-        it), the excluded worker may take it after all — otherwise a
-        single-worker fleet would starve its own casualty forever while
-        attempt budget remains.  Oldest-enqueued first, insertion order as
-        the deterministic tie-break: two ``LIMIT 1`` index probes (the
-        ``queued`` head, the oldest expired lease), of which the older
-        wins, so a lease costs the same on a ten-row and a ten-thousand-row
-        table.  ``BEGIN IMMEDIATE`` takes the write lock up front so two
-        workers can never claim the same row.  The probes first run as a
-        plain read, and the lock is taken only once they find a row, so an
-        idle drain loop polls without write-lock traffic.
+        should be someone else's second try.  An expired lease becomes
+        claimable only through :meth:`reclaim_expired`, which every drain
+        loop calls before it leases, and which alone decides the exclusion
+        and the attempt cap.  The exclusion is a *grace period*, not a
+        ban: once a requeued row has sat unclaimed for a full ``lease_s``
+        (no other worker wanted it), the excluded worker may take it after
+        all — otherwise a single-worker fleet would starve its own
+        casualty forever while attempt budget remains.  Oldest-enqueued
+        first (a reclaimed row keeps its place), insertion order as the
+        deterministic tie-break: one ``LIMIT 1`` index probe, so a lease
+        costs the same on a ten-row and a ten-thousand-row table.
+        ``BEGIN IMMEDIATE`` takes the write lock up front so two workers
+        can never claim the same row.  The probe first runs as a plain
+        read, and the lock is taken only once it finds a row, so an idle
+        drain loop polls without write-lock traffic.
         """
         now = self._clock() if now is None else now
-        params = {"now": now, "worker": worker_id,
-                  "grace_before": now - self.lease_s,
+        params = {"worker": worker_id, "grace_before": now - self.lease_s,
                   "max_attempts": self.max_attempts}
-        if self._lease_candidate(params) is None:
+        if self._conn.execute(_LEASE_SQL, params).fetchone() is None:
             return None
         with self._write():
-            chosen = self._lease_candidate(params)
+            chosen = self._conn.execute(_LEASE_SQL, params).fetchone()
             if chosen is None:  # another worker took it since the read
                 return None
-            key, payload, attempts, _, _ = chosen
+            key, payload, attempts = chosen
             self._conn.execute(
                 "UPDATE task_queue SET status = 'leased', owner = ?,"
                 " lease_expires_at = ?, attempts = ?, updated_at = ?,"
@@ -497,15 +487,6 @@ class TaskQueue:
                 (worker_id, now + self.lease_s, attempts + 1, now, key))
             self._advance_seq()
         return LeasedTask(key=key, task_payload=payload, attempts=attempts + 1)
-
-    def _lease_candidate(self, params: Dict[str, object]) -> Optional[tuple]:
-        """The older of the two lease probes' rows, or ``None``."""
-        candidates = [row for row in (
-            self._conn.execute(sql, params).fetchone()
-            for sql in (_LEASE_QUEUED_SQL, _LEASE_EXPIRED_SQL))
-            if row is not None]
-        return (min(candidates, key=lambda row: (row[3], row[4]))
-                if candidates else None)
 
     def complete(self, key: str, worker_id: str, *, computed: bool,
                  publish: Optional[Tuple["BatchTask", "AlgorithmResult"]] = None,

@@ -57,6 +57,7 @@ from typing import List, Optional
 
 from repro.runtime import worker
 from repro.store import LeasedTask, ResultStore, TaskQueue
+from repro.store.checks import check_timeout
 
 __all__ = ["ChaosPlan", "ChaosQueue", "main"]
 
@@ -74,6 +75,7 @@ class ChaosPlan:
     stall_s: float = 0.0
 
     def __post_init__(self) -> None:
+        check_timeout(self.stall_s, "stall_s", none_ok=False, zero_ok=True)
         if self.crash_mid_task and self.crash_in_publish:
             raise ValueError("crash_mid_task and crash_in_publish are two "
                              "places to die; arm one of them")

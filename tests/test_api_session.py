@@ -62,7 +62,6 @@ class TestSessionConfig:
         assert config.store_path is None
         assert config.backend is None
         assert config.autoscale == 0
-        assert config.cache is True
 
     def test_environment_layer(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "env.sqlite"))
@@ -120,6 +119,12 @@ class TestSessionConfig:
         with pytest.raises(TypeError, match="bakend"):
             Session(bakend="serial")
 
+    def test_the_cache_is_not_an_option(self):
+        with pytest.raises(TypeError, match="cache"):
+            Session(cache=False)
+        with pytest.raises(TypeError, match="cache"):
+            SessionConfig(cache=False)
+
     def test_session_adopts_config_with_overrides(self):
         config = SessionConfig.resolve(backend="serial")
         session = Session(config, max_workers=1)
@@ -150,10 +155,10 @@ class TestRunnerWiring:
     def test_build_runner_overrides_win(self, tmp_path):
         session = Session(store_path=str(tmp_path / "s.sqlite"),
                           backend="serial")
-        runner = session.build_runner(store=None, max_workers=1, cache=False)
+        runner = session.build_runner(store=None, max_workers=1, timeout=2.0)
         assert runner.store is None
         assert runner.max_workers == 1
-        assert runner.cache_enabled is False
+        assert runner.timeout == 2.0
 
     def test_timeout_spec_gets_the_pooled_runner_with_its_timeout(self):
         session = Session(backend="serial")
@@ -227,11 +232,10 @@ class TestOneConfigurationPath:
                                                               tmp_path):
         path = str(tmp_path / "p.sqlite")
         plain = Session(store_path=path, backend="serial").runner()
-        tuned = Session(store_path=path, backend="serial", timeout_s=1.0,
-                        cache=False).runner()
+        tuned = Session(store_path=path, backend="serial",
+                        timeout_s=1.0).runner()
         assert tuned is not plain
         assert tuned.timeout == 1.0
-        assert tuned.cache_enabled is False
         assert tuned.store is plain.store  # one handle per store file
 
     def test_storeless_runner_never_gains_a_store(self, tmp_path):

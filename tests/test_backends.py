@@ -30,7 +30,6 @@ from repro.runtime import (
     register_algorithm,
     unregister_algorithm,
 )
-from repro.runtime.backends import make_backend
 
 BACKEND_NAMES = ("serial", "pool", "queue")
 
@@ -94,8 +93,8 @@ class TestBackendConformance:
     def test_results_match_serial_reference(self, backend, tmp_path):
         instances = [uniform_instance(15, 3, 3, seed=s, integral=True)
                      for s in range(4)]
-        reference = BatchRunner(max_workers=1, backend="serial",
-                                cache=False).run(FAST_GRID, instances)
+        reference = BatchRunner(max_workers=1, backend="serial").run(
+            FAST_GRID, instances)
         batch = make_runner(backend, tmp_path).run(FAST_GRID, instances)
         assert not batch.failures()
         assert [r.makespan for r in batch.results] == \
@@ -139,7 +138,7 @@ class TestBackendConformance:
                                            sleeper_algorithm):
         inst_fast = uniform_instance(12, 3, 3, seed=0, integral=True)
         inst_slow = uniform_instance(12, 3, 3, seed=1, integral=True)
-        runner = make_runner(backend, tmp_path, cache=False)
+        runner = make_runner(backend, tmp_path)
         # Fast task first so every backend yields something before the
         # sleeper starts (serial/queue execute in submission order).
         tasks = [BatchTask.make("class-aware-greedy", inst_fast),
@@ -160,6 +159,17 @@ class TestBackendConformance:
         assert runner.stats["tasks"] == 4
         assert runner.stats["errors"] == 2
 
+    def test_a_repeated_failing_task_counts_an_error_per_task(
+            self, backend, tmp_path, failing_algorithm):
+        """Errors count tasks, not computes: the queue computes a key
+        once, whatever number of tasks in the batch share it."""
+        inst = uniform_instance(10, 2, 2, seed=0, integral=True)
+        task = BatchTask.make(failing_algorithm, inst)
+        runner = make_runner(backend, tmp_path)
+        batch = runner.run_tasks([task, task])
+        assert len(batch.failures()) == 2
+        assert runner.stats["errors"] == 2
+
 
 class TestQueueBackendSpecifics:
     def test_queue_backend_requires_store(self):
@@ -173,7 +183,7 @@ class TestQueueBackendSpecifics:
         from repro.store.task_queue import TaskQueue
 
         store_path = tmp_path / "cancel.sqlite"
-        runner = make_runner("queue", tmp_path, store=store_path, cache=False)
+        runner = make_runner("queue", tmp_path, store=store_path)
         inst = uniform_instance(12, 3, 3, seed=0, integral=True)
         tasks = [BatchTask.make("class-aware-greedy", inst),
                  BatchTask.make(sleeper_algorithm, inst, {"delay": 0.2}),
@@ -366,14 +376,8 @@ class TestBackendSelection:
         assert runner.backend.lease_s == 7.5
         assert runner.backend.inline is False
 
-    def test_instance_spec_is_rebound(self):
-        runner_a = BatchRunner(max_workers=1)
-        backend = SerialBackend(runner_a)
-        runner_b = BatchRunner(max_workers=1, backend=backend)
-        assert runner_b.backend is backend
-        assert backend.runner is runner_b
-
-    def test_instance_spec_rejects_options(self):
+    def test_backend_instance_is_rejected(self):
+        """``backend=`` takes a registry name or ``None``, not an instance."""
         runner = BatchRunner(max_workers=1)
-        with pytest.raises(ValueError, match="cannot be combined"):
-            make_backend(SerialBackend(runner), runner, {"poll_s": 1.0})
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            BatchRunner(max_workers=1, backend=SerialBackend(runner))

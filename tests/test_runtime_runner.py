@@ -105,9 +105,9 @@ class TestDispatchModes:
     def test_single_worker_matches_pool(self):
         instances = [uniform_instance(15, 3, 3, seed=s, integral=True)
                      for s in range(4)]
-        serial = BatchRunner(max_workers=1, cache=False).run(FAST_GRID, instances)
-        pooled = BatchRunner(max_workers=2, backend="pool",
-                             cache=False).run(FAST_GRID, instances)
+        serial = BatchRunner(max_workers=1).run(FAST_GRID, instances)
+        pooled = BatchRunner(max_workers=2, backend="pool").run(FAST_GRID,
+                                                                instances)
         assert [t.algorithm for t in serial.tasks] == [t.algorithm for t in pooled.tasks]
         assert [r.makespan for r in serial.results] == [r.makespan for r in pooled.results]
         assert not serial.failures() and not pooled.failures()
@@ -115,10 +115,10 @@ class TestDispatchModes:
     def test_chunked_dispatch_preserves_task_order(self):
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool",
                              chunk_size=2)
         batch = runner.run(FAST_GRID, instances)
-        reference = BatchRunner(max_workers=1, cache=False).run(FAST_GRID, instances)
+        reference = BatchRunner(max_workers=1).run(FAST_GRID, instances)
         assert [r.makespan for r in batch.results] == [r.makespan
                                                        for r in reference.results]
 
@@ -201,7 +201,7 @@ class TestErrorCapture:
         # and only the culprits count as errors.
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool",
                              chunk_size=1, timeout=timeout)
         batch = runner.run([dying_algorithm, "class-aware-greedy"], instances)
         died = batch.by_algorithm(dying_algorithm)
@@ -215,6 +215,33 @@ class TestErrorCapture:
 
     def test_worker_death_is_captured_in_wave_mode(self, dying_algorithm):
         self._check_worker_death(dying_algorithm, timeout=60.0)
+
+    def test_an_error_that_reads_like_a_worker_death_runs_once(self,
+                                                                tmp_path):
+        """Only a dead worker process is a death: an algorithm's own
+        exception is its error, whatever its text says, and is not
+        retried.  Each run appends a line to a file."""
+        name = "test-died-in-text"
+        log = tmp_path / "runs.log"
+
+        @register_algorithm(name, tags=("test",))
+        def _raiser(instance: Instance, *, log: str) -> AlgorithmResult:
+            with open(log, "a") as fh:
+                fh.write("run\n")
+            raise RuntimeError("worker died of boredom")
+
+        try:
+            runner = BatchRunner(max_workers=2, backend="pool")
+            result = runner.run_one(
+                name, uniform_instance(10, 2, 2, seed=0, integral=True),
+                log=str(log))
+        finally:
+            unregister_algorithm(name)
+        assert log.read_text().splitlines() == ["run"]
+        assert result.meta["error"] == "RuntimeError: worker died of boredom"
+        assert "_raiser" in result.meta["traceback"]
+        assert result.makespan == float("inf")
+        assert runner.stats["errors"] == 1
 
     def test_unknown_algorithm_is_captured_not_raised(self):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
@@ -252,12 +279,9 @@ class TestCache:
         assert a is not b
         assert runner.stats["cache_hits"] == 0
 
-    def test_cache_disabled(self):
-        inst = uniform_instance(15, 3, 3, seed=1, integral=True)
-        runner = BatchRunner(max_workers=1, cache=False)
-        a = runner.run_one("class-aware-greedy", inst)
-        b = runner.run_one("class-aware-greedy", inst)
-        assert a is not b
+    def test_the_cache_has_no_off_switch(self):
+        with pytest.raises(TypeError, match="cache"):
+            BatchRunner(max_workers=1, cache=False)
 
     def test_failures_are_not_cached(self, failing_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
@@ -300,7 +324,7 @@ class TestPortfolio:
         inst = uniform_instance(10, 1, 3, seed=4, integral=True)
         names = sorted(["lpt-with-setups", "class-aware-greedy", "best-machine"])
         winners = {
-            BatchRunner(max_workers=1, cache=False).portfolio(
+            BatchRunner(max_workers=1).portfolio(
                 [inst], algorithms=names)[0].name
             for _ in range(3)
         }
@@ -336,13 +360,13 @@ class TestStreaming:
                      for s in range(4)]
         tasks = [BatchTask.make(name, inst)
                  for inst in instances for name in FAST_GRID]
-        runner = BatchRunner(max_workers=1, cache=False)
+        runner = BatchRunner(max_workers=1)
         streamed: dict = {}
         for idx, result in runner.run_iter(tasks):
             assert idx not in streamed, "run_iter yielded an index twice"
             streamed[idx] = result
         assert sorted(streamed) == list(range(len(tasks)))
-        reference = BatchRunner(max_workers=1, cache=False).run_tasks(tasks)
+        reference = BatchRunner(max_workers=1).run_tasks(tasks)
         assert [streamed[i].makespan for i in range(len(tasks))] == \
             [r.makespan for r in reference.results]
 
@@ -391,7 +415,7 @@ class TestStreaming:
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
         tasks = [BatchTask.make("class-aware-greedy", inst) for inst in instances]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool",
                              chunk_size=2)
         pairs = list(runner.run_iter(tasks))
         assert sorted(idx for idx, _ in pairs) == list(range(5))
@@ -403,7 +427,7 @@ class TestStreaming:
         tasks = [BatchTask.make(name, inst)
                  for inst in instances
                  for name in (dying_algorithm, "class-aware-greedy")]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool",
                              chunk_size=1)
         pairs = dict(runner.run_iter(tasks))
         assert sorted(pairs) == list(range(len(tasks)))
@@ -434,7 +458,7 @@ class TestStreaming:
         tasks = [BatchTask.make("class-aware-greedy",
                                 uniform_instance(12, 3, 3, seed=s, integral=True))
                  for s in range(4)]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool",
                              chunk_size=1, timeout=timeout)
         indices = [idx for idx, result in runner.run_iter(tasks)
                    if np.isfinite(result.makespan)]
@@ -468,7 +492,7 @@ class TestStreaming:
         tasks = [BatchTask.make(dying_algorithm, inst),
                  BatchTask.make("class-aware-greedy", inst),
                  BatchTask.make("lpt-with-setups", inst)]
-        runner = BatchRunner(max_workers=2, backend="pool", cache=False,
+        runner = BatchRunner(max_workers=2, backend="pool",
                              chunk_size=1)
         pairs = dict(runner.run_iter(tasks))
         assert sorted(pairs) == [0, 1, 2]
@@ -481,7 +505,7 @@ class TestStreaming:
         """Breaking out of run_iter abandons in-flight pool work promptly."""
         inst_fast = uniform_instance(12, 3, 3, seed=0, integral=True)
         inst_slow = uniform_instance(12, 3, 3, seed=1, integral=True)
-        runner = BatchRunner(max_workers=1, backend="pool", cache=False,
+        runner = BatchRunner(max_workers=1, backend="pool",
                              chunk_size=1)
         tasks = [BatchTask.make("class-aware-greedy", inst_fast),
                  BatchTask.make(sleeper_algorithm, inst_slow, {"delay": 5.0})]

@@ -429,7 +429,7 @@ class TestCostModel:
         with ResultStore(store_path) as store:
             for task, n in zip(tasks, sizes):
                 store.put(task, _result_for(task, runtime=(n / 50.0) ** 2))
-        runner = BatchRunner(max_workers=1, store=store_path, cache=False)
+        runner = BatchRunner(max_workers=1, store=store_path)
         ordered = runner._order_by_cost(tasks, list(range(len(tasks))))
         assert ordered == [3, 2, 1, 0]
 

@@ -138,6 +138,58 @@ class TestSupervisorPolicy:
         with pytest.raises(ValueError):
             SupervisorPolicy(max_workers=1, restart_cap=0)
 
+    # A nan backoff waits the 30 s maximum after the first crash, since
+    # min(30, nan) is 30; a nan grace never retires an idle fleet.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0,
+                                     None, True], ids=repr)
+    @pytest.mark.parametrize("field", ["idle_grace_s", "restart_backoff_s"])
+    def test_bad_durations_are_rejected_naming_the_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            _policy(FakeClock(), **{field: bad})
+
+    def test_zero_durations_mean_no_wait(self):
+        clock = FakeClock()
+        policy = _policy(clock, idle_grace_s=0.0, restart_backoff_s=0.0)
+        assert policy.record_exit(9) == "crashed"
+        assert policy.scale(queued=2, leased=0, live=0) == 2  # no backoff
+        assert policy.scale(queued=0, leased=0, live=2) == 0  # idle from now
+        assert policy.scale(queued=0, leased=0, live=2) == -2  # no grace
+
+
+class TestSupervisorArguments:
+    @pytest.mark.parametrize("field, bad", [
+        ("lease_s", 0.0), ("lease_s", float("nan")),
+        ("poll_s", -1.0), ("poll_s", float("nan")), ("poll_s", float("inf")),
+        ("worker_poll_s", 0.0), ("worker_poll_s", float("nan")),
+        ("worker_idle_exit", -1.0), ("worker_idle_exit", float("nan")),
+        ("worker_idle_exit", float("inf")),
+        ("idle_grace_s", float("nan")), ("restart_backoff_s", -1.0),
+    ], ids=repr)
+    def test_bad_durations_are_rejected_naming_the_field(self, tmp_path,
+                                                         field, bad):
+        with pytest.raises(ValueError, match=field):
+            Supervisor(tmp_path / "s.sqlite", max_workers=1, **{field: bad})
+
+    def test_zero_poll_and_idle_exit_are_valid(self, tmp_path):
+        supervisor = Supervisor(tmp_path / "s.sqlite", max_workers=1,
+                                poll_s=0.0, worker_idle_exit=0.0)
+        assert supervisor.poll_s == 0.0 and supervisor.worker_idle_exit == 0.0
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--poll-s", "poll_s"), ("--idle-grace-s", "idle_grace_s"),
+        ("--restart-backoff-s", "restart_backoff_s"),
+        ("--worker-idle-exit", "worker_idle_exit"),
+        ("--worker-poll-s", "worker_poll_s"),
+    ])
+    def test_cli_rejects_a_bad_duration_before_supervising(self, tmp_path,
+                                                           flag, field):
+        from repro.runtime import supervisor
+
+        path = tmp_path / "cli.sqlite"
+        with pytest.raises(ValueError, match=field):
+            supervisor.main(["--store", str(path), flag, "nan"])
+        assert not path.exists()  # no queue was opened
+
 
 class TestSubmitterBudgets:
     """The submitter's ``timeout`` judges its own drain and is written
@@ -163,7 +215,7 @@ class TestSubmitterBudgets:
         inline drain under a timeout, and by a worker's drain loop reads
         back with the meta of a fresh uncached serial run."""
         (task,) = _tasks(1, algorithm="lpt-with-setups", n=10)
-        fresh = BatchRunner(max_workers=1, backend="serial", cache=False)
+        fresh = BatchRunner(max_workers=1, backend="serial")
         expected = fresh.run_tasks([task]).results[0].meta
 
         serial_path = tmp_path / "serial.sqlite"
@@ -346,7 +398,7 @@ class TestSupervisorSoak:
                  for name in ("class-aware-greedy", "lpt-with-setups")]
         assert len(tasks) == 40
 
-        serial = BatchRunner(max_workers=1, backend="serial", cache=False)
+        serial = BatchRunner(max_workers=1, backend="serial")
         serial_batch = serial.run_tasks(tasks).raise_for_failures()
 
         path = tmp_path / "soak.sqlite"

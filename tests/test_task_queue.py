@@ -49,8 +49,9 @@ from repro.runtime.backends.queue import process_lease
 from repro.runtime.worker import drain
 from repro.store import QUEUE_SCHEMA_VERSION, ResultStore, TaskQueue
 from repro.store import result_store
-from repro.store.task_queue import _LEASE_EXPIRED_SQL, _LEASE_QUEUED_SQL
+from repro.store.task_queue import _LEASE_SQL
 from repro.testing import FakeClock
+from repro.testing import chaos
 
 
 def _task(seed: int = 0, algorithm: str = "class-aware-greedy") -> BatchTask:
@@ -204,6 +205,48 @@ class TestLeaseExpiry:
         with TaskQueue(path) as queue:
             assert queue.counts()["queued"] == 1  # nothing was leased
 
+    # --idle-exit nan never exits, and --poll-s -1 dies in time.sleep
+    # after the first idle poll with an error that names no flag.
+    @pytest.mark.parametrize("flag, value", [
+        ("--poll-s", "-1"), ("--poll-s", "0"), ("--poll-s", "nan"),
+        ("--idle-exit", "nan"), ("--idle-exit", "-1"), ("--idle-exit", "inf"),
+    ])
+    @pytest.mark.parametrize("main", [worker.main, chaos.main],
+                             ids=["worker", "chaos"])
+    def test_worker_rejects_bad_durations_before_leasing(self, tmp_path,
+                                                         main, flag, value):
+        path = tmp_path / "w.sqlite"
+        with TaskQueue(path) as queue:
+            queue.enqueue([_task()])
+        argv = ["--store", str(path), flag, value]
+        if flag != "--idle-exit":
+            argv += ["--idle-exit", "0"]
+        with pytest.raises(ValueError, match=flag):
+            main(argv)
+        with TaskQueue(path) as queue:
+            assert queue.counts()["queued"] == 1  # nothing was leased
+
+    # Unchecked, a bad stall dies in time.sleep holding the first lease.
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_chaos_worker_rejects_a_bad_stall_before_leasing(self, tmp_path,
+                                                              value):
+        path = tmp_path / "w.sqlite"
+        with TaskQueue(path) as queue:
+            queue.enqueue([_task()])
+        with pytest.raises(ValueError, match="stall_s"):
+            chaos.main(["--store", str(path), "--stall-s", value,
+                        "--idle-exit", "0"])
+        with TaskQueue(path) as queue:
+            assert queue.counts()["queued"] == 1  # nothing was leased
+
+    def test_idle_exit_zero_exits_on_the_first_idle_poll(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "w.sqlite"
+        with TaskQueue(path) as queue:
+            queue.enqueue([_task()])
+        assert worker.main(["--store", str(path), "--idle-exit", "0"]) == 0
+        assert "computed=1" in capsys.readouterr().out
+
     def test_expired_lease_is_reclaimed_with_exclusion(self, tmp_path):
         task = _task()
         with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0) as queue:
@@ -238,16 +281,6 @@ class TestLeaseExpiry:
             retaken = queue.lease("w1", now=121.5)  # 10s unclaimed: eligible
             assert retaken is not None and retaken.attempts == 2
 
-    def test_own_expired_lease_is_not_directly_reclaimable(self, tmp_path):
-        task = _task()
-        with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0) as queue:
-            queue.enqueue([task], now=100.0)
-            queue.lease("w1", now=100.0)
-            # Without an intervening reclaim sweep, the expired lease is
-            # claimable by w2 (crash takeover) but not by w1 itself.
-            assert queue.lease("w1", now=111.0) is None
-            assert queue.lease("w2", now=111.0) is not None
-
     def test_attempt_cap_fails_the_task(self, tmp_path):
         task = _task()
         with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0,
@@ -255,6 +288,7 @@ class TestLeaseExpiry:
             queue.enqueue([task], now=100.0)
             now = 100.0
             for worker in ("w1", "w2"):  # two attempts, two crashes
+                queue.reclaim_expired(now=now)  # as every drain loop does
                 leased = queue.lease(worker, now=now)
                 assert leased is not None
                 now += 11.0
@@ -591,7 +625,7 @@ class TestCrossProcess:
             assert queue.compute_counts([key]) == {key: 1}
             assert len(store) == 1
             published = store.get(task)
-        serial = BatchRunner(max_workers=1, backend="serial", cache=False)
+        serial = BatchRunner(max_workers=1, backend="serial")
         (expected,) = serial.run_tasks([task]).results
         assert published.makespan == expected.makespan
 
@@ -845,20 +879,20 @@ class TestIndexOrderedLease:
             queue.enqueue([old], now=100.0)
             assert queue.lease("w1", now=100.0).key == old.cache_key()
             queue.enqueue([fresh], now=105.0)
-            # At 111 w1's lease on the older task has expired; w2 takes
-            # that over before the younger queued head.
+            # At 111 w1's lease on the older task has expired; reclaimed,
+            # it keeps its place ahead of the younger queued head, and w2
+            # takes it over first.
+            queue.reclaim_expired(now=111.0)
             taken = queue.lease("w2", now=111.0)
             assert taken.key == old.cache_key() and taken.attempts == 2
             assert queue.lease("w2", now=111.0).key == fresh.cache_key()
 
     def test_lease_probes_walk_the_index_without_sorting(self, tmp_path):
-        params = {"now": 0.0, "worker": "w", "grace_before": 0.0,
-                  "max_attempts": 3}
+        params = {"worker": "w", "grace_before": 0.0, "max_attempts": 3}
         with TaskQueue(tmp_path / "plan.sqlite") as queue:
             queue.enqueue([_task(seed=s) for s in range(20)])
-            for sql in (_LEASE_QUEUED_SQL, _LEASE_EXPIRED_SQL):
-                plan = " | ".join(
-                    row[-1] for row in queue._conn.execute(
-                        "EXPLAIN QUERY PLAN " + sql, params))
-                assert "idx_task_queue_status" in plan, plan
-                assert "TEMP B-TREE" not in plan, plan
+            plan = " | ".join(
+                row[-1] for row in queue._conn.execute(
+                    "EXPLAIN QUERY PLAN " + _LEASE_SQL, params))
+            assert "idx_task_queue_status" in plan, plan
+            assert "TEMP B-TREE" not in plan, plan
