@@ -86,13 +86,6 @@ class GroupStructure:
         members = self.instance.jobs_of_class(k)
         return [int(j) for j in members if self.job_is_fringe[j]]
 
-    def is_core_machine(self, i: int, k: int) -> bool:
-        """Whether machine ``i`` is a core machine of class ``k``."""
-        assert self.instance.setup_sizes is not None and self.instance.speeds is not None
-        s_k = float(self.instance.setup_sizes[k])
-        tv = self.guess * float(self.instance.speeds[i])
-        return s_k <= tv < s_k / self.params.gamma
-
     def is_fringe_machine(self, i: int, k: int) -> bool:
         """Whether machine ``i`` is a fringe (faster than core) machine of class ``k``."""
         assert self.instance.setup_sizes is not None and self.instance.speeds is not None

@@ -104,9 +104,10 @@ class ExecutionBackend:
       submission) order;
     * ``status`` is ``"ok"`` (``payload`` is the
       :class:`~repro.algorithms.base.AlgorithmResult`), ``"error"``
-      (``payload`` is ``(message, traceback text or None)``) or
-      ``"timeout"`` (``payload`` is ``None``); failures are outcomes,
-      never exceptions;
+      (``payload`` is ``(message, traceback text or None)``; the
+      traceback is ``None`` only for a queue row an external worker
+      failed, which stores the message alone) or ``"timeout"``
+      (``payload`` is ``None``); failures are outcomes, never exceptions;
     * ``elapsed`` is the compute time this process measured, or ``None``
       when it did not time the task (a result another queue worker
       published, a pool task whose limit the waves enforce); the runner

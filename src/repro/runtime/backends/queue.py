@@ -43,24 +43,8 @@ from repro.store.task_queue import LeasedTask, TaskQueue
 
 if TYPE_CHECKING:
     from repro.runtime.runner import BatchRunner, BatchTask
-    from repro.store import ResultStore
 
 __all__ = ["QueueBackend", "process_lease"]
-
-def _bound_store(queue: TaskQueue,
-                store: Optional["ResultStore"] = None) -> "ResultStore":
-    """The store ``queue`` is bound to; ``ValueError`` when it is unbound
-    or, given ``store``, bound to another one.
-
-    Drain loops call this before they lease: an unbound queue cannot
-    publish, and finding that out after computing would leave the row
-    leased until its lease expires.
-    """
-    if queue.store is None or (store is not None and queue.store is not store):
-        raise ValueError(
-            "a drain loop needs its queue bound to its store: "
-            "open it as TaskQueue(store), not TaskQueue(path)")
-    return queue.store
 
 
 def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
@@ -73,23 +57,21 @@ def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
     inline drain below and :func:`repro.runtime.worker.drain` (which the
     chaos worker runs too), so exactly-once accounting can never diverge
     between them.
-    ``queue`` must be bound to its store (``TaskQueue(store)``), which
-    serves the dedup check and takes the publish: the result and the
-    row's turn to ``done`` commit in one transaction
+    The queue's store serves the dedup check and takes the publish: the
+    result and the row's turn to ``done`` commit in one transaction
     (:meth:`TaskQueue.complete` with ``publish``), so a crash leaves
-    either both or neither.  An unbound queue raises ``ValueError``
-    before anything is computed.  ``task`` is the caller's own copy of
-    the leased task, which spares decoding the leased payload.
+    either both or neither.  ``task`` is the caller's own copy of the
+    leased task, which spares decoding the leased payload.
 
     Returns ``("deduped", None, 0.0)`` when the store already held the
     result, ``("computed", result, elapsed)`` on success (the result is
-    already published), or ``("failed", message, elapsed)`` for a
-    captured algorithm error (the row is already marked failed).  The
-    result is published as the algorithm returned it; the inline drain
-    passes ``elapsed`` on, so its runner can judge its own ``timeout``.
+    already published), or ``("failed", (message, traceback), elapsed)``
+    for a captured algorithm error (the row is already marked failed,
+    with the message).  The result is published as the algorithm
+    returned it; the inline drain passes ``elapsed`` on, so its runner
+    can judge its own ``timeout``.
     """
-    store = _bound_store(queue)
-    if store.contains(leased.key):
+    if queue.store.contains(leased.key):
         # Store-mediated dedup: someone already published this key
         # (another worker, or a previous run) — never compute twice.
         queue.complete(leased.key, worker_id, computed=False)
@@ -103,9 +85,9 @@ def process_lease(queue: TaskQueue, leased: LeasedTask, worker_id: str, *,
         queue.complete(leased.key, worker_id, computed=True,
                        publish=(task, payload))
         return ("computed", payload, elapsed)
-    message, _tb = payload
+    message, _traceback = payload
     queue.fail(leased.key, worker_id, message)
-    return ("failed", message, elapsed)
+    return ("failed", payload, elapsed)
 
 
 class QueueBackend(ExecutionBackend):
@@ -343,9 +325,6 @@ class QueueBackend(ExecutionBackend):
                                                   self.worker_id, task=task)
         if task is None or outcome == "deduped":
             return  # a dedup hit of ours is served by the next store poll
-        if outcome == "failed":  # the captured error message travelled back
-            status, payload = "error", (payload, None)
-        else:
-            status = "ok"
+        status = "error" if outcome == "failed" else "ok"
         for idx in unresolved.pop(leased.key):
             yield idx, status, payload, elapsed

@@ -39,8 +39,8 @@ import sys
 import time
 from typing import Callable, List, Optional
 
-from repro.runtime.backends.queue import _bound_store, process_lease
-from repro.store import ResultStore, TaskQueue
+from repro.runtime.backends.queue import process_lease
+from repro.store import TaskQueue
 from repro.store.checks import check_timeout
 
 __all__ = ["main", "drain", "run"]
@@ -64,18 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def drain(store: ResultStore, queue: TaskQueue, worker_id: str, *,
+def drain(queue: TaskQueue, worker_id: str, *,
           poll_s: float = 0.05, idle_exit: Optional[float] = 10.0) -> dict:
     """The worker loop (importable for in-process tests).
 
-    ``queue`` must be bound to ``store`` (``TaskQueue(store)``), so that
-    each result publishes in one transaction with its ``done`` row;
-    otherwise ``ValueError`` is raised before the first lease.
-    Returns drain statistics: ``computed`` (tasks actually run),
-    ``deduped`` (leases completed from an already-stored result),
-    ``failed`` (captured algorithm errors).
+    Each result publishes through ``queue``'s store, in one transaction
+    with its ``done`` row.  Returns drain statistics: ``computed`` (tasks
+    actually run), ``deduped`` (leases completed from an already-stored
+    result), ``failed`` (captured algorithm errors).
     """
-    _bound_store(queue, store)
     stats = dict.fromkeys(("computed", "deduped", "failed"), 0)
     idle_since = time.monotonic()
     while True:
@@ -99,19 +96,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 def run(args: argparse.Namespace,
         open_queue: Callable[..., TaskQueue] = TaskQueue) -> int:
     """Drain the store named by parsed worker ``args`` and print the
-    drain summary.  ``open_queue(store, lease_s=...)`` builds the bound
-    queue; the chaos worker passes a fault-injecting one.  A bad duration
+    drain summary.  ``open_queue(path, lease_s=...)`` opens the queue;
+    the chaos worker passes a fault-injecting one.  A bad duration
     flag raises ``ValueError`` naming it before anything is leased."""
     check_timeout(args.poll_s, "--poll-s", none_ok=False)
     check_timeout(args.idle_exit, "--idle-exit", none_ok=False, zero_ok=True)
     worker_id = args.worker_id or f"worker-{os.getpid()}"
-    with ResultStore(args.store) as store:
-        queue = open_queue(store, lease_s=args.lease_s)
-        try:
-            stats = drain(store, queue, worker_id, poll_s=args.poll_s,
-                          idle_exit=args.idle_exit)
-        finally:
-            queue.close()
+    with open_queue(args.store, lease_s=args.lease_s) as queue:
+        stats = drain(queue, worker_id, poll_s=args.poll_s,
+                      idle_exit=args.idle_exit)
     print(f"{worker_id}: computed={stats['computed']} "
           f"deduped={stats['deduped']} failed={stats['failed']}")
     return 0

@@ -7,16 +7,19 @@ This package is the durability and prediction layer under
   :class:`~repro.algorithms.base.AlgorithmResult` objects (single SQLite
   file, WAL mode) keyed by ``BatchTask.cache_key()``: bulk prefetch, reads
   that never write, payloads without the task's own instance, opt-in
-  eviction and a self-healing open.  Plugged into ``BatchRunner(store=)``
-  it makes the content-hash cache survive process restarts.
+  eviction and a self-healing open.  It owns the whole file's layout,
+  the queue's table included, under one :data:`SCHEMA_VERSION`.  Plugged
+  into ``BatchRunner(store=)`` it makes the content-hash cache survive
+  process restarts.
 * :class:`CostModel` — log-linear per-algorithm runtime predictors fitted
   from the wall times the store has recorded, used only to dispatch
   cold tasks in descending-cost order.
-* :class:`TaskQueue` — a lease-based work queue in a ``task_queue`` table
-  of the *same* SQLite file, turning the store into a distributed work
-  plane: ``python -m repro.runtime.worker`` processes lease tasks, publish
-  results through the store, and ``compute_count`` proves exactly-once
-  compute per key (see :mod:`repro.store.task_queue`).
+* :class:`TaskQueue` — a lease-based work queue in the ``task_queue``
+  table of the *same* SQLite file, run on a store's connection (one it is
+  handed, or one it opens by path), turning the store into a distributed
+  work plane: ``python -m repro.runtime.worker`` processes lease tasks,
+  publish results through the store, and ``compute_count`` proves
+  exactly-once compute per key (see :mod:`repro.store.task_queue`).
 * ``python -m repro.store stats|vacuum|export`` — offline inspection of a
   store file without touching any payload.
 
@@ -37,8 +40,7 @@ Quickstart
 
 from repro.store.cost_model import DEFAULT_COST_FEATURES, CostModel
 from repro.store.result_store import SCHEMA_VERSION, ResultStore, StoreRecord
-from repro.store.task_queue import (QUEUE_SCHEMA_VERSION, LeasedTask,
-                                    QueueRow, TaskQueue)
+from repro.store.task_queue import LeasedTask, QueueRow, TaskQueue
 
 __all__ = [
     "ResultStore",
@@ -46,7 +48,6 @@ __all__ = [
     "CostModel",
     "DEFAULT_COST_FEATURES",
     "SCHEMA_VERSION",
-    "QUEUE_SCHEMA_VERSION",
     "TaskQueue",
     "LeasedTask",
     "QueueRow",

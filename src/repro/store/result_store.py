@@ -25,9 +25,12 @@ write time).  The metadata serves three purposes:
 * cost modelling — :class:`repro.store.cost_model.CostModel` fits
   per-algorithm runtime predictors from the recorded wall times.
 
-The store is self-healing: a corrupted file or an old on-disk schema is
-rebuilt empty rather than crashing the runner (losing a cache is cheap;
-refusing to serve is not).  A file that is merely *busy* — another
+The store owns the layout of the whole file, including the
+:class:`~repro.store.task_queue.TaskQueue` table, under one stamp
+(:data:`SCHEMA_VERSION`).  It is self-healing: a corrupted file or an
+old on-disk schema is rebuilt empty, queue rows and all, rather than
+crashing the runner (losing a cache is cheap; refusing to serve is
+not).  A file that is merely *busy* — another
 connection holds the write lock, or is setting up the WAL index — is not
 damaged and is never rebuilt: that error reaches the caller, and the rows
 stay.  Rows are also stamped with the package
@@ -60,9 +63,10 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
 
 __all__ = ["ResultStore", "StoreRecord", "SCHEMA_VERSION", "encode", "decode"]
 
-#: Bump when the row layout or the pickle payload contract changes; stores
-#: written under another version are rebuilt empty on open.
-SCHEMA_VERSION = 3
+#: Bump when the layout of either table (``results``, ``task_queue``) or
+#: the pickle payload contract changes; files written under another
+#: version are rebuilt empty on open.  Version 4 moved the task queue in.
+SCHEMA_VERSION = 4
 
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this.
@@ -101,7 +105,7 @@ def decode(task: "BatchTask", payload: bytes) -> "AlgorithmResult":
 
 
 def connect(path: Union[str, Path]) -> sqlite3.Connection:
-    """A WAL-mode connection to the store file (the store's and the queue's).
+    """A WAL-mode connection to the store file.
 
     Open through :func:`open_retrying`: switching a fresh file to WAL
     fails at once — SQLite's busy handler could deadlock there — while
@@ -128,6 +132,27 @@ def is_contention(exc: sqlite3.Error) -> bool:
     """Whether ``exc`` is a lock, busy or locking-protocol error: the file
     is in use, not corrupt."""
     return _error_code(exc) in (_SQLITE_BUSY, _SQLITE_LOCKED, _SQLITE_PROTOCOL)
+
+
+@contextlib.contextmanager
+def write_transaction(conn: sqlite3.Connection) -> Iterator[None]:
+    """One ``BEGIN IMMEDIATE … COMMIT`` on ``conn``; rolled back if the
+    body raises.
+
+    Not ``with conn``: Python's sqlite3 autocommits DDL outside an
+    explicit transaction, and the write lock is taken up front so a
+    read-then-write body cannot lose a race to another writer.  A failed
+    COMMIT may already have ended the transaction, so ROLLBACK only runs
+    while one is open — otherwise its own error would hide the cause.
+    """
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield
+        conn.execute("COMMIT")
+    except BaseException:
+        if conn.in_transaction:
+            conn.execute("ROLLBACK")
+        raise
 
 
 def open_retrying(open_fn: Callable[[], _T], path: Path) -> _T:
@@ -158,12 +183,17 @@ def open_retrying(open_fn: Callable[[], _T], path: Path) -> _T:
         time.sleep(0.005)
 
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS store_meta (
+#: The layout of the whole store file, ``results`` and ``task_queue``
+#: alike, stamped :data:`SCHEMA_VERSION`.  Individual statements, so the
+#: build runs inside its ``BEGIN IMMEDIATE`` (``executescript`` would
+#: COMMIT first).  ``change_seq`` is the queue's change counter
+#: (:mod:`repro.store.task_queue`).
+_SCHEMA = (
+    """CREATE TABLE store_meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS results (
+)""",
+    """CREATE TABLE results (
     key           TEXT PRIMARY KEY,
     repro_version TEXT NOT NULL,
     algorithm     TEXT NOT NULL,
@@ -175,14 +205,43 @@ CREATE TABLE IF NOT EXISTS results (
     payload       BLOB NOT NULL,
     payload_bytes INTEGER NOT NULL,
     created_at    REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_results_algorithm ON results (algorithm);
-"""
-_VERSION_SQL = "SELECT value FROM store_meta WHERE key = 'schema_version'"
+)""",
+    "CREATE INDEX idx_results_algorithm ON results (algorithm)",
+    """CREATE TABLE task_queue (
+    key             TEXT PRIMARY KEY,
+    task_payload    BLOB NOT NULL,
+    status          TEXT NOT NULL DEFAULT 'queued',
+    owner           TEXT,
+    lease_expires_at REAL,
+    attempts        INTEGER NOT NULL DEFAULT 0,
+    compute_count   INTEGER NOT NULL DEFAULT 0,
+    excluded_worker TEXT,
+    error           TEXT,
+    enqueued_at     REAL NOT NULL,
+    updated_at      REAL NOT NULL,
+    seq             INTEGER NOT NULL DEFAULT 0
+)""",
+    "CREATE INDEX idx_task_queue_status ON task_queue (status, enqueued_at)",
+    "CREATE INDEX idx_task_queue_seq ON task_queue (seq)",
+    "INSERT INTO store_meta (key, value)"
+    f" VALUES ('schema_version', '{SCHEMA_VERSION}'), ('change_seq', '0')",
+)
 _PUT_SQL = ("INSERT OR REPLACE INTO results (key, repro_version, algorithm,"
             " environment, num_jobs, num_machines, num_classes, wall_seconds,"
             " payload, payload_bytes, created_at)"
             " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)")
+
+
+def _read_stamp(conn: sqlite3.Connection) -> Optional[str]:
+    """The file's ``schema_version`` stamp; ``None`` for a file without
+    one (fresh, or from before the stamp)."""
+    if conn.execute("SELECT 1 FROM sqlite_master"
+                    " WHERE type = 'table' AND name = 'store_meta'"
+                    ).fetchone() is None:
+        return None
+    row = conn.execute("SELECT value FROM store_meta"
+                       " WHERE key = 'schema_version'").fetchone()
+    return None if row is None else str(row[0])
 
 
 @dataclass(frozen=True)
@@ -238,38 +297,31 @@ class ResultStore:
     # connection lifecycle
     # ------------------------------------------------------------------
     def _open_or_rebuild(self) -> sqlite3.Connection:
-        """Open the store, rebuilding it empty when unreadable or outdated.
+        """Open the store, building a fresh file and rebuilding a stale
+        or unreadable one empty.
 
-        A store is a cache: any corruption (truncated file, non-SQLite
-        bytes, missing tables or columns) or a schema-version mismatch
-        makes the file disposable, never an error for the caller.  A
-        busy file is not disposable: lock and locking-protocol errors
-        propagate (:func:`open_retrying` retries them) and the file is
-        left alone — unlinking it would drop every row of a store that
-        another process is merely writing to.
+        A store is a cache: another schema version makes the file's rows
+        disposable, never an error for the caller.  The stamp is read
+        before anything is created, so an old layout's tables never meet
+        the current DDL, and a stale file is rebuilt in place
+        (:meth:`_build`).  Only an unreadable file (truncated, non-SQLite
+        bytes, missing columns) is unlinked and started over.  A busy
+        file is neither: lock and locking-protocol errors propagate
+        (:func:`open_retrying` retries them) and the file is left alone —
+        unlinking it would drop every row of a store that another process
+        is merely writing to.
         """
         conn: Optional[sqlite3.Connection] = None
         try:
             conn = connect(self.path)
-            conn.executescript(_SCHEMA)
-            row = conn.execute(_VERSION_SQL).fetchone()
-            if row is None:
-                # OR IGNORE: a concurrent opener of the same fresh file may
-                # stamp it first, which is no reason to rebuild.
-                with conn:
-                    conn.execute(
-                        "INSERT OR IGNORE INTO store_meta (key, value)"
-                        " VALUES ('schema_version', ?)", (str(SCHEMA_VERSION),))
-                row = conn.execute(_VERSION_SQL).fetchone()
-            if int(row[0]) == SCHEMA_VERSION:
-                # The purge doubles as a column-level sanity probe: a file
-                # whose meta claims the right version but whose table lost
-                # (or never had) the expected columns raises here and falls
-                # through to the rebuild.
-                self._purge_other_versions(conn)
-                return conn
-            conn.close()
-        except (sqlite3.Error, ValueError) as exc:
+            if _read_stamp(conn) != str(SCHEMA_VERSION):
+                self._build(conn)
+            # The purge doubles as a column-level sanity probe: a file
+            # whose stamp is current but whose table lost (or never had)
+            # the expected columns raises here and is started over.
+            self._purge_other_versions(conn)
+            return conn
+        except sqlite3.Error as exc:
             # Close before unlinking: a still-open handle would leak (and on
             # Windows block the unlink, making the rebuild re-open the same
             # corrupt file and fail the constructor).
@@ -278,18 +330,34 @@ class ResultStore:
                     conn.close()
                 except sqlite3.Error:
                     pass
-            if isinstance(exc, sqlite3.Error) and is_contention(exc):
+            if is_contention(exc):
                 raise
-        # Unreadable or wrong version: start over.
+        # Unreadable: start over.
         self.stats_counters["rebuilds"] += 1
         self._remove_files()
         conn = connect(self.path)
-        conn.executescript(_SCHEMA)
-        conn.execute(
-            "INSERT INTO store_meta (key, value) VALUES ('schema_version', ?)",
-            (str(SCHEMA_VERSION),))
-        conn.commit()
+        self._build(conn)
         return conn
+
+    def _build(self, conn: sqlite3.Connection) -> None:
+        """Create the schema in one ``BEGIN IMMEDIATE … COMMIT``, dropping
+        whatever tables a stale file holds first.
+
+        The stamp is read again under the write lock: a concurrent opener
+        may have built the file, and written to it, since the first read.
+        """
+        stale = []
+        with write_transaction(conn):
+            if _read_stamp(conn) != str(SCHEMA_VERSION):
+                stale = [name for (name,) in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                    " AND name NOT LIKE 'sqlite_%'").fetchall()]
+                for name in stale:
+                    conn.execute(f'DROP TABLE "{name}"')
+                for statement in _SCHEMA:
+                    conn.execute(statement)
+        if stale:
+            self.stats_counters["rebuilds"] += 1
 
     def _purge_other_versions(self, conn: sqlite3.Connection) -> None:
         """Drop rows written by a different package version.
@@ -372,15 +440,9 @@ class ResultStore:
             for task, result, payload in rows:
                 self.put(task, result, payload=payload)
             return
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+        with write_transaction(self._conn):
             for task, result, payload in rows:
                 self.put(task, result, payload=payload)
-            self._conn.execute("COMMIT")
-        except BaseException:
-            if self._conn.in_transaction:
-                self._conn.execute("ROLLBACK")
-            raise
         self.evict()
 
     def get(self, task: "BatchTask") -> Optional["AlgorithmResult"]:

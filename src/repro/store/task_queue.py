@@ -1,6 +1,6 @@
 r"""Distributed work queue over the result-store SQLite file.
 
-:class:`TaskQueue` adds a ``task_queue`` table to the same SQLite file a
+:class:`TaskQueue` works the ``task_queue`` table of the SQLite file a
 :class:`~repro.store.result_store.ResultStore` lives in, turning the store
 file into a complete *work plane*: any number of runner and worker
 processes open the same path, lease tasks from the queue, and publish
@@ -23,11 +23,11 @@ Row lifecycle
                   +--- (requeue) ---+
                         attempts > max_attempts --> failed
 
-* **Publish is atomic.**  A drain loop's queue is *bound* to its
-  :class:`~repro.store.result_store.ResultStore` (``TaskQueue(store)``)
-  and shares the store's connection, so :meth:`TaskQueue.complete` with
-  ``publish`` runs the ``results`` INSERT, the ``done`` UPDATE and the
-  change-counter advance in one ``BEGIN IMMEDIATE … COMMIT``.  A worker
+* **Publish is atomic.**  Every queue runs on a
+  :class:`~repro.store.result_store.ResultStore`'s connection, so
+  :meth:`TaskQueue.complete` with ``publish`` runs the ``results``
+  INSERT, the ``done`` UPDATE and the change-counter advance in one
+  ``BEGIN IMMEDIATE … COMMIT``.  A worker
   that dies before COMMIT leaves neither a result nor a ``done`` row:
   the row stays ``leased`` and its lease expires like any crash's.
 * **Leases expire.**  A worker that crashes (OOM kill, segfault, power
@@ -58,101 +58,46 @@ Change cursor
 
 Every state transition — enqueue, lease, complete, fail, reclaim,
 requeue — stamps the rows it touches with ``seq``, a change counter kept
-in ``task_queue_meta`` and advanced *inside* the write transaction.
-SQLite serialises writers, so stamps are commit-ordered: once a reader
-has seen stamp ``s``, every change it has not seen yet carries a stamp
-above ``s``.  :meth:`TaskQueue.changes_since` hands a poller exactly
+in the ``change_seq`` row of ``store_meta`` and advanced *inside* the
+write transaction.  SQLite serialises writers, so stamps are
+commit-ordered: once a reader has seen stamp ``s``, every change it has
+not seen yet carries a stamp above ``s``.  :meth:`TaskQueue.changes_since` hands a poller exactly
 those rows, so a submitter waiting on N keys reads what moved since its
 last poll instead of re-probing all N.  The wall-clock ``updated_at``
 cannot serve as that cursor: a worker stamps ``now`` *before* it commits,
 so a row committed just after a poll can carry a time the poller has
 already passed.  Rows deleted by :meth:`TaskQueue.cancel_queued` leave
 no stamp behind; a poller that must notice them reconciles against
-:meth:`TaskQueue.rows` now and then.  The counter lives in the meta
-table rather than being ``MAX(seq) + 1`` for the same reason: a deleted
+:meth:`TaskQueue.rows` now and then.  The counter lives in a meta row
+rather than being ``MAX(seq) + 1`` for the same reason: a deleted
 row must not hand its stamp to the next change.
 
-Schema versioning
------------------
+Schema
+------
 
-The table layout is stamped into a ``task_queue_meta`` row
-(:data:`QUEUE_SCHEMA_VERSION`).  Opening a file whose queue has another
-version (or whose columns drifted) **rebuilds the queue empty**, as
-:class:`~repro.store.ResultStore` does on its own schema mismatch.  The
-``results`` table — real computed value — is never touched, so a batch
-re-run after the rebuild is served from the store and computes nothing.
-Queue rows are only coordination state; the workers they referred to
-belong to the old layout.  The rebuild re-checks the stamp under the
-write lock, so a second process opening the same old file concurrently
-does not drop rows the first one has already enqueued.
+The ``task_queue`` table is part of the store's schema: its layout is
+created, stamped and rebuilt by :class:`~repro.store.ResultStore`.
 """
 
 from __future__ import annotations
 
 import pickle
-import sqlite3
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.store.checks import check_timeout
-from repro.store.result_store import (ResultStore, connect, encode,
-                                      open_retrying)
+from repro.store.result_store import (_MAX_SQL_PARAMS, ResultStore, encode,
+                                      write_transaction)
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the package cheap
     from repro.algorithms.base import AlgorithmResult
     from repro.runtime.runner import BatchTask
 
-__all__ = ["TaskQueue", "LeasedTask", "QueueRow", "QUEUE_SCHEMA_VERSION"]
-
-#: Bump when the ``task_queue`` layout changes; queues stamped with another
-#: version are rebuilt empty on open.  Version 2 added a per-task time
-#: limit column, which version 6 dropped again; version 3 added a
-#: cost-model runtime prediction column, which version 5 dropped again;
-#: version 4 added the ``seq`` change stamp.
-QUEUE_SCHEMA_VERSION = 6
-
-#: SQLite caps host parameters per statement (999 on older builds); bulk
-#: SELECTs are chunked below this (matches result_store._MAX_SQL_PARAMS).
-_MAX_SQL_PARAMS = 500
-
-#: Kept as individual statements so the rebuild can run them inside its
-#: ``BEGIN IMMEDIATE`` (``executescript`` would issue an implicit COMMIT).
-_SCHEMA_STATEMENTS = (
-    """CREATE TABLE IF NOT EXISTS task_queue (
-    key             TEXT PRIMARY KEY,
-    task_payload    BLOB NOT NULL,
-    status          TEXT NOT NULL DEFAULT 'queued',
-    owner           TEXT,
-    lease_expires_at REAL,
-    attempts        INTEGER NOT NULL DEFAULT 0,
-    compute_count   INTEGER NOT NULL DEFAULT 0,
-    excluded_worker TEXT,
-    error           TEXT,
-    enqueued_at     REAL NOT NULL,
-    updated_at      REAL NOT NULL,
-    seq             INTEGER NOT NULL DEFAULT 0
-)""",
-    """CREATE INDEX IF NOT EXISTS idx_task_queue_status
-    ON task_queue (status, enqueued_at)""",
-    """CREATE INDEX IF NOT EXISTS idx_task_queue_seq ON task_queue (seq)""",
-    """CREATE TABLE IF NOT EXISTS task_queue_meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-)""",
-)
-
-#: The column set the current schema version expects; any drift (a column
-#: an older layout had or lacked, columns from some future layout) rebuilds
-#: the queue.
-_EXPECTED_COLUMNS = frozenset({
-    "key", "task_payload", "status", "owner", "lease_expires_at", "attempts",
-    "compute_count", "excluded_worker", "error", "enqueued_at", "updated_at",
-    "seq"})
+__all__ = ["TaskQueue", "LeasedTask", "QueueRow"]
 
 #: The :class:`QueueRow` fields, in order.
 _ROW_COLUMNS = ("key, status, owner, attempts, compute_count,"
@@ -161,7 +106,7 @@ _ROW_COLUMNS = ("key, status, owner, attempts, compute_count,"
 #: The stamp of the transaction in progress: one past the last committed
 #: change.  Every row a transaction touches gets the same stamp, and
 #: :meth:`TaskQueue._advance_seq` moves the counter once, before COMMIT.
-_NEXT_SEQ = ("(SELECT CAST(value AS INTEGER) + 1 FROM task_queue_meta"
+_NEXT_SEQ = ("(SELECT CAST(value AS INTEGER) + 1 FROM store_meta"
              " WHERE key = 'change_seq')")
 
 #: The ``LIMIT 1`` probe behind :meth:`TaskQueue.lease`: the head of the
@@ -214,13 +159,11 @@ class TaskQueue:
     Parameters
     ----------
     path:
-        The store file (the same path a :class:`ResultStore` opens), or
-        an open :class:`ResultStore`.  The ``task_queue`` table is created
-        on first use.  Given a store, the queue is *bound*: it runs on
-        the store's connection and never closes it, and only a bound
-        queue can :meth:`complete` a row and publish its result in one
-        transaction.  Drain loops use bound queues; the supervisor and
-        inspection open the path.
+        An open :class:`ResultStore`, whose connection the queue shares
+        and leaves open, or the store file's path, for which the queue
+        opens a :class:`ResultStore` of its own and closes it in
+        :meth:`close`.  Either way :meth:`complete` can publish a result
+        in the transaction that marks its row ``done``.
     lease_s:
         How long a lease lasts before the task is considered abandoned and
         becomes reclaimable.  Must comfortably exceed the longest expected
@@ -249,105 +192,27 @@ class TaskQueue:
         self.lease_s = float(lease_s)
         self.max_attempts = int(max_attempts)
         self._clock: Callable[[], float] = clock if clock is not None else time.time
-        #: The store this queue is bound to (``None``: opened by path).
-        self.store: Optional[ResultStore] = None
-        if isinstance(path, ResultStore):
-            self.store, self.path, self._conn = path, path.path, path._conn
-            open_retrying(self._ensure_schema, self.path)
-        else:
-            self.path = Path(path)
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._conn = open_retrying(self._open, self.path)
-
-    def _open(self) -> sqlite3.Connection:
-        self._conn = connect(self.path)
-        try:
-            self._ensure_schema()
-        except BaseException:
-            self._conn.close()
-            raise
-        return self._conn
-
-    @contextmanager
-    def _write(self) -> Iterator[None]:
-        """One ``BEGIN IMMEDIATE … COMMIT``; rolled back if the body raises.
-
-        Not ``with self._conn``: Python's sqlite3 autocommits DDL outside
-        an explicit transaction, and the write lock is taken up front so
-        a read-then-write body cannot lose a race to another writer.  A
-        failed COMMIT may already have ended the transaction, so ROLLBACK
-        only runs while one is open — otherwise its own error would hide
-        the cause.
-        """
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
-            yield
-            self._conn.execute("COMMIT")
-        except BaseException:
-            if self._conn.in_transaction:
-                self._conn.execute("ROLLBACK")
-            raise
-
-    # ------------------------------------------------------------------
-    # schema lifecycle
-    # ------------------------------------------------------------------
-    def _ensure_schema(self) -> None:
-        """Create the queue tables, rebuilding them empty on a mismatch.
-
-        The store's ``results`` table shares this file and is *never*
-        touched here: queue rows are disposable coordination state,
-        computed results are not.
-        """
-        if self._schema_current():
-            return
-        with self._write():
-            # Re-check under the write lock: a concurrent opener may have
-            # rebuilt the queue, and enqueued into it, since the probe.
-            if not self._schema_current():
-                self._conn.execute("DROP TABLE IF EXISTS task_queue")
-                for statement in _SCHEMA_STATEMENTS:
-                    self._conn.execute(statement)
-                self._stamp_version()
-
-    def _schema_current(self) -> bool:
-        columns = {row[1] for row in
-                   self._conn.execute("PRAGMA table_info(task_queue)")}
-        return (columns == _EXPECTED_COLUMNS
-                and self._stored_version() == QUEUE_SCHEMA_VERSION)
-
-    def _stored_version(self) -> Optional[int]:
-        try:
-            row = self._conn.execute(
-                "SELECT value FROM task_queue_meta"
-                " WHERE key = 'queue_schema_version'").fetchone()
-            return int(row[0]) if row is not None else None
-        except (sqlite3.Error, ValueError):
-            return None  # pre-versioning file (or mangled meta): rebuild
-
-    def _stamp_version(self) -> None:
-        """Stamp the layout version and start the change counter."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO task_queue_meta (key, value)"
-            " VALUES ('queue_schema_version', ?)", (str(QUEUE_SCHEMA_VERSION),))
-        self._conn.execute(
-            "INSERT OR IGNORE INTO task_queue_meta (key, value)"
-            " VALUES ('change_seq', '0')")
+        #: Whether :meth:`close` closes :attr:`store` (opened by path).
+        self._owns_store = not isinstance(path, ResultStore)
+        #: The store whose connection this queue runs on.
+        self.store = ResultStore(path) if self._owns_store else path
+        self.path, self._conn = self.store.path, self.store._conn
 
     def _advance_seq(self) -> None:
         """Commit the stamp :data:`_NEXT_SEQ` handed out; call once per
         write transaction that changed rows, before it commits."""
         self._conn.execute(
-            "UPDATE task_queue_meta SET value = CAST(value AS INTEGER) + 1"
+            "UPDATE store_meta SET value = CAST(value AS INTEGER) + 1"
             " WHERE key = 'change_seq'")
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the underlying connection (idempotent).  A bound queue
-        leaves its store's connection open: the store owns it."""
-        if self._conn is not None and self.store is None:
-            self._conn.close()
+        """Close the store this queue opened by path (idempotent); a
+        store passed in stays open: its caller owns it."""
+        if self._owns_store:
+            self.store.close()
         self._conn = None  # type: ignore[assignment]
 
     def __enter__(self) -> "TaskQueue":
@@ -373,7 +238,7 @@ class TaskQueue:
         """
         now = self._clock() if now is None else now
         armed: List[str] = []
-        with self._write():
+        with write_transaction(self._conn):
             for task in tasks:
                 key = task.cache_key()
                 payload = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
@@ -410,7 +275,7 @@ class TaskQueue:
         """
         now = self._clock() if now is None else now
         changed = 0
-        with self._write():
+        with write_transaction(self._conn):
             for lo in range(0, len(keys), _MAX_SQL_PARAMS):
                 chunk = list(keys[lo:lo + _MAX_SQL_PARAMS])
                 placeholders = ",".join("?" * len(chunk))
@@ -434,7 +299,7 @@ class TaskQueue:
         finished rows are left alone.
         """
         dropped = 0
-        with self._write():
+        with write_transaction(self._conn):
             for lo in range(0, len(keys), _MAX_SQL_PARAMS):
                 chunk = list(keys[lo:lo + _MAX_SQL_PARAMS])
                 placeholders = ",".join("?" * len(chunk))
@@ -474,7 +339,7 @@ class TaskQueue:
                   "max_attempts": self.max_attempts}
         if self._conn.execute(_LEASE_SQL, params).fetchone() is None:
             return None
-        with self._write():
+        with write_transaction(self._conn):
             chosen = self._conn.execute(_LEASE_SQL, params).fetchone()
             if chosen is None:  # another worker took it since the read
                 return None
@@ -498,25 +363,18 @@ class TaskQueue:
         transaction: the ``results`` INSERT (:meth:`ResultStore.put`),
         the ``done`` UPDATE and the change-counter advance commit
         together or not at all, and the store's eviction sweep runs after
-        the COMMIT.  Only a queue bound to its store can do that; an
-        unbound queue raises ``ValueError`` before it touches the file —
-        its own connection would wait forever on the write lock the
-        store's connection holds.
+        the COMMIT.
 
         Deliberately not owner-checked: results are content-addressed, so
         a worker finishing after its lease expired (and after a second
         worker re-leased the row) still reports a correct outcome —
         last-writer-wins on identical content is harmless.
         """
-        if publish is not None and self.store is None:
-            raise ValueError(
-                "publishing a result needs a queue bound to its store: "
-                "open it as TaskQueue(store), not TaskQueue(path)")
         now = self._clock() if now is None else now
         if publish is not None:
             task, result = publish
             payload = encode(task, result)
-        with self._write():
+        with write_transaction(self._conn):
             if publish is not None:
                 self.store.put(task, result, payload=payload)
             cur = self._conn.execute(
@@ -541,7 +399,7 @@ class TaskQueue:
         :meth:`reclaim_expired` instead, which does retry.
         """
         now = self._clock() if now is None else now
-        with self._write():
+        with write_transaction(self._conn):
             cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'failed', owner = ?,"
                 " lease_expires_at = NULL, error = ?, updated_at = ?,"
@@ -566,7 +424,7 @@ class TaskQueue:
                 " AND lease_expires_at <= ? LIMIT 1", (now,)).fetchone() is None:
             return 0
         changed = 0
-        with self._write():
+        with write_transaction(self._conn):
             cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'failed', excluded_worker = owner,"
                 " owner = NULL, lease_expires_at = NULL, updated_at = ?,"
@@ -612,7 +470,7 @@ class TaskQueue:
         """The stamp of the latest committed change: a cursor from which
         :meth:`changes_since` reports every later change."""
         (value,) = self._conn.execute(
-            "SELECT value FROM task_queue_meta WHERE key = 'change_seq'"
+            "SELECT value FROM store_meta WHERE key = 'change_seq'"
         ).fetchone()
         return int(value)
 

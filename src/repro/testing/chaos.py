@@ -53,7 +53,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from pathlib import Path
+from typing import List, Optional, Union
 
 from repro.runtime import worker
 from repro.store import LeasedTask, ResultStore, TaskQueue
@@ -82,12 +83,12 @@ class ChaosPlan:
 
 
 class ChaosQueue(TaskQueue):
-    """A queue bound to ``store`` that fires ``plan``'s faults as the
-    drain loop leases and settles rows."""
+    """A queue that fires ``plan``'s faults as the drain loop leases and
+    settles rows."""
 
-    def __init__(self, store: ResultStore, *, plan: ChaosPlan,
-                 **kwargs: object) -> None:
-        super().__init__(store, **kwargs)
+    def __init__(self, path: Union[str, Path, ResultStore], *,
+                 plan: ChaosPlan, **kwargs: object) -> None:
+        super().__init__(path, **kwargs)
         self.plan = plan
         self._settled = 0
         self._stalled = False

@@ -134,6 +134,17 @@ class TestBackendConformance:
         assert np.isfinite(ok.makespan)
         assert runner.stats["errors"] == 1
 
+    def test_error_keeps_the_traceback_of_the_raising_function(
+            self, backend, tmp_path, failing_algorithm):
+        """The queue's inline drain computes in this process, as serial
+        does: its failure carries the traceback, not just the message."""
+        inst = uniform_instance(10, 2, 2, seed=0, integral=True)
+        result = make_runner(backend, tmp_path).run_one(failing_algorithm,
+                                                        inst)
+        traceback_text = result.meta["traceback"]
+        assert "in _failer" in traceback_text, traceback_text
+        assert "ValueError: synthetic backend failure" in traceback_text
+
     def test_early_close_abandons_promptly(self, backend, tmp_path,
                                            sleeper_algorithm):
         inst_fast = uniform_instance(12, 3, 3, seed=0, integral=True)
@@ -294,7 +305,6 @@ class TestQueueBackendSpecifics:
         import threading
 
         from repro.runtime.worker import drain
-        from repro.store import ResultStore
         from repro.store.task_queue import TaskQueue
 
         store_path = tmp_path / "vanish.sqlite"
@@ -327,9 +337,8 @@ class TestQueueBackendSpecifics:
                 while time.monotonic() < deadline and not queue.rows([key]):
                     time.sleep(0.01)
                 assert queue.rows([key]), "the vanished row was not re-enqueued"
-            with ResultStore(store_path) as store, \
-                    TaskQueue(store) as queue:
-                drain(store, queue, "helper", idle_exit=1.0, poll_s=0.01)
+            with TaskQueue(store_path) as queue:
+                drain(queue, "helper", idle_exit=1.0, poll_s=0.01)
         finally:
             consumer.join(timeout=30)
         assert not consumer.is_alive(), "the submitter hung on the lost row"

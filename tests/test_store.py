@@ -372,6 +372,124 @@ class TestPayloadContract:
         assert sizes["pool"] == sizes["serial"]
 
 
+#: A results-only store file as schema version 3 wrote it.
+_SCHEMA_V3 = """
+CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+INSERT INTO store_meta VALUES ('schema_version', '3');
+CREATE TABLE results (
+    key TEXT PRIMARY KEY, repro_version TEXT NOT NULL,
+    algorithm TEXT NOT NULL, environment TEXT NOT NULL,
+    num_jobs INTEGER NOT NULL, num_machines INTEGER NOT NULL,
+    num_classes INTEGER NOT NULL, wall_seconds REAL NOT NULL,
+    payload BLOB NOT NULL, payload_bytes INTEGER NOT NULL,
+    created_at REAL NOT NULL);
+CREATE INDEX idx_results_algorithm ON results (algorithm);
+"""
+
+#: The task queue that shared a version-3 file, in its own layout 6 with
+#: its own stamp and change counter in ``task_queue_meta``.
+_QUEUE_V6 = """
+CREATE TABLE task_queue (
+    key TEXT PRIMARY KEY, task_payload BLOB NOT NULL,
+    status TEXT NOT NULL DEFAULT 'queued', owner TEXT,
+    lease_expires_at REAL, attempts INTEGER NOT NULL DEFAULT 0,
+    compute_count INTEGER NOT NULL DEFAULT 0, excluded_worker TEXT,
+    error TEXT, enqueued_at REAL NOT NULL, updated_at REAL NOT NULL,
+    seq INTEGER NOT NULL DEFAULT 0);
+CREATE INDEX idx_task_queue_status ON task_queue (status, enqueued_at);
+CREATE INDEX idx_task_queue_seq ON task_queue (seq);
+CREATE TABLE task_queue_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+INSERT INTO task_queue_meta VALUES ('queue_schema_version', '6'),
+                                   ('change_seq', '7');
+"""
+
+
+def _write_v3_file(path: Path, *, with_queue: bool) -> None:
+    """A version-3 file holding one result and, ``with_queue``, a v6
+    queue holding one ``queued`` row."""
+    task = _task(seed=99)
+    payload = pickle.dumps(_result_for(task), pickle.HIGHEST_PROTOCOL)
+    conn = sqlite3.connect(str(path))
+    conn.executescript(_SCHEMA_V3 + (_QUEUE_V6 if with_queue else ""))
+    with conn:
+        conn.execute(
+            "INSERT INTO results VALUES (?, ?, ?, 'uniform', 15, 3, 3,"
+            " 0.01, ?, ?, 0.0)",
+            (task.cache_key(), result_store._REPRO_VERSION, task.algorithm,
+             payload, len(payload)))
+        if with_queue:
+            conn.execute(
+                "INSERT INTO task_queue (key, task_payload, enqueued_at,"
+                " updated_at, seq) VALUES (?, ?, 0.0, 0.0, 7)",
+                (task.cache_key(), pickle.dumps(task)))
+    conn.close()
+
+
+def _tables(store: ResultStore) -> set:
+    return {name for (name,) in store._conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table'")}
+
+
+def _meta(store: ResultStore) -> list:
+    return store._conn.execute(
+        "SELECT key, value FROM store_meta ORDER BY key").fetchall()
+
+
+class TestOneSchema:
+    """The store owns the whole file's layout, the task queue's table
+    included, under one version stamp."""
+
+    def test_fresh_file_holds_one_stamp_and_the_change_counter(self,
+                                                              tmp_path):
+        with ResultStore(tmp_path / "fresh.sqlite") as store:
+            assert store.stats_counters["rebuilds"] == 0
+            assert _tables(store) == {"store_meta", "results", "task_queue"}
+            assert _meta(store) == [("change_seq", "0"),
+                                    ("schema_version", str(SCHEMA_VERSION))]
+            assert SCHEMA_VERSION == 4
+
+    @pytest.mark.parametrize("with_queue", [False, True],
+                             ids=["results-only", "with-v6-queue"])
+    def test_version_3_file_opens_as_an_empty_current_file(self, tmp_path,
+                                                           with_queue):
+        path = tmp_path / "v3.sqlite"
+        _write_v3_file(path, with_queue=with_queue)
+        with ResultStore(path) as store, TaskQueue(store) as queue:
+            assert store.stats_counters["rebuilds"] == 1
+            assert len(store) == 0 and queue.rows() == []
+            assert _tables(store) == {"store_meta", "results", "task_queue"}
+            assert _meta(store) == [("change_seq", "0"),
+                                    ("schema_version", str(SCHEMA_VERSION))]
+            task = _task()
+            queue.enqueue([task])
+            leased = queue.lease("w1")
+            queue.complete(leased.key, "w1", computed=True,
+                           publish=(task, _result_for(task)))
+            assert queue.last_seq() == 3  # enqueue, lease, complete
+        with ResultStore(path) as reopened:  # current now: no second rebuild
+            assert reopened.stats_counters["rebuilds"] == 0
+            assert reopened.get(task) is not None
+
+    def test_a_stale_file_is_rebuilt_in_place(self, tmp_path):
+        """A connection that held the stale file open sees the rebuilt
+        one: an unlinked file would leave it reading a deleted copy."""
+        path = tmp_path / "v3.sqlite"
+        _write_v3_file(path, with_queue=True)
+        other = sqlite3.connect(str(path))
+        try:
+            assert other.execute("SELECT COUNT(*) FROM results").fetchone() \
+                == (1,)
+            with ResultStore(path) as store:
+                assert store.stats_counters["rebuilds"] == 1
+            assert other.execute(
+                "SELECT value FROM store_meta WHERE key = 'schema_version'"
+            ).fetchone() == (str(SCHEMA_VERSION),)
+            assert other.execute("SELECT COUNT(*) FROM results").fetchone() \
+                == (0,)
+        finally:
+            other.close()
+
+
 class TestCostModel:
     def _seeded_store(self, tmp_path, *, sizes=(10, 20, 40, 80), quadratic=False):
         """A store with synthetic runtimes growing in n (optionally ~n^2)."""
@@ -555,6 +673,33 @@ class TestConcurrentOpen:
             with ResultStore(tmp_path / f"fresh-{r}.sqlite") as store:
                 assert len(store) == procs  # nobody's row was dropped
 
+    def test_concurrent_opener_keeps_rows_written_after_the_rebuild(
+            self, tmp_path, monkeypatch):
+        """Two processes open the same stale file: the one whose first
+        read of the stamp saw the old version must read it again under
+        the write lock, not drop the results and queue rows the other
+        wrote after its rebuild."""
+        path = tmp_path / "race.sqlite"
+        _write_v3_file(path, with_queue=True)
+        task, queued = _task(seed=1), _task(seed=2)
+        with ResultStore(path) as first, TaskQueue(first) as queue:
+            assert first.stats_counters["rebuilds"] == 1
+            first.put(task, _result_for(task))
+            queue.enqueue([queued])
+        reads = []
+        read_stamp = result_store._read_stamp
+
+        def stale_first_read(conn):
+            reads.append(conn)
+            return "3" if len(reads) == 1 else read_stamp(conn)
+
+        monkeypatch.setattr(result_store, "_read_stamp", stale_first_read)
+        with ResultStore(path) as second, TaskQueue(second) as queue:
+            assert second.stats_counters["rebuilds"] == 0
+            assert second.get(task) is not None
+            assert [r.key for r in queue.rows()] == [queued.cache_key()]
+        assert len(reads) == 2
+
     def test_contention_is_told_from_corruption(self, tmp_path):
         def raised(fn):
             try:
@@ -595,8 +740,8 @@ class TestConcurrentOpen:
 
 class TestUnusableFile:
     """A path SQLite cannot use at all fails with a ``ValueError`` that
-    names it; a store still rebuilds a corrupt file, and a queue never
-    touches one (the file's ``results`` may be real computed value)."""
+    names it; a corrupt file is rebuilt, whether a store or a queue
+    (which opens a store) opens it."""
 
     @pytest.mark.parametrize("opener", [ResultStore, TaskQueue])
     def test_directory_is_rejected_with_its_path(self, tmp_path, opener):

@@ -233,9 +233,9 @@ class TestSubmitterBudgets:
         runner.store.close()
 
         worker_path = tmp_path / "worker.sqlite"
-        with ResultStore(worker_path) as store, TaskQueue(store) as queue:
+        with TaskQueue(worker_path) as queue:
             queue.enqueue([task])
-            assert drain(store, queue, "w1", idle_exit=0.0,
+            assert drain(queue, "w1", idle_exit=0.0,
                          poll_s=0.01)["computed"] == 1
 
         for path in (serial_path, inline_path, worker_path):

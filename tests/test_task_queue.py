@@ -6,7 +6,7 @@ The contracts that matter for N workers sharing one store file:
 * a crashed worker's lease expires, the task requeues with the dead
   worker excluded, and a task that keeps killing workers stops retrying
   after ``max_attempts``;
-* publish is atomic: a drain loop's queue is bound to its store, and the
+* publish is atomic: every queue runs on a store's connection, and the
   result INSERT, the row's turn to ``done`` and the change-counter advance
   commit in one transaction, or roll back together;
 * an idle poll takes no write lock: reclaim and lease read first;
@@ -18,9 +18,10 @@ The contracts that matter for N workers sharing one store file:
   algorithm returned it;
 * every state transition stamps a commit-ordered change counter, so a
   poller reading ``changes_since`` its last cursor misses nothing;
-* a lease is two ordered index probes, never a sort of the table;
-* an outdated on-disk queue schema self-heals on open, preserving store
-  results and re-arming in-flight work.
+* a lease is two ordered index probes, never a sort of the table.
+
+The queue's on-disk layout belongs to the store's schema and is tested
+with it, in ``tests/test_store.py``.
 
 Faults are injected with ``repro.testing`` (chaos workers, FakeClock) —
 no ``time.sleep``-based assertions: lease expiry is driven by advancing
@@ -30,7 +31,6 @@ an injected clock or passing explicit ``now`` values.
 from __future__ import annotations
 
 import os
-import pickle
 import sqlite3
 import subprocess
 import sys
@@ -47,7 +47,7 @@ from repro.runtime import (BatchRunner, BatchTask, register_algorithm,
 from repro.runtime import worker
 from repro.runtime.backends.queue import process_lease
 from repro.runtime.worker import drain
-from repro.store import QUEUE_SCHEMA_VERSION, ResultStore, TaskQueue
+from repro.store import ResultStore, TaskQueue
 from repro.store import result_store
 from repro.store.task_queue import _LEASE_SQL
 from repro.testing import FakeClock
@@ -308,8 +308,8 @@ def _hold_write_lock(path) -> sqlite3.Connection:
 
 
 class TestAtomicPublish:
-    """``complete(..., publish=(task, result))`` on a bound queue: the
-    result and the ``done`` row commit together or not at all."""
+    """``complete(..., publish=(task, result))``: the result and the
+    ``done`` row commit together or not at all."""
 
     def test_publish_is_one_write_transaction(self, tmp_path):
         path = tmp_path / "publish.sqlite"
@@ -360,38 +360,25 @@ class TestAtomicPublish:
             assert queue.rows([key])[0].status == "done"
             assert queue.last_seq() == seq + 1
 
-    def test_unbound_queue_refuses_to_publish(self, tmp_path):
-        path = tmp_path / "unbound.sqlite"
+    def test_queue_opened_by_path_publishes_and_closes_its_store(
+            self, tmp_path):
+        path = tmp_path / "by-path.sqlite"
         task = _task()
-        with ResultStore(path) as store, TaskQueue(path) as queue:
+        with TaskQueue(path) as queue:
             queue.enqueue([task])
             leased = queue.lease("w1")
-            t0 = time.monotonic()
-            with pytest.raises(ValueError, match="bound to its store"):
-                queue.complete(leased.key, "w1", computed=True,
-                               publish=(task, _result_for(task)))
-            assert time.monotonic() - t0 < 1.0
-            assert len(store) == 0
-            assert queue.rows([leased.key])[0].status == "leased"
-
-    def test_drain_loops_refuse_an_unbound_queue_before_leasing(self,
-                                                                tmp_path):
-        path = tmp_path / "unbound.sqlite"
-        task = _task()
-        with ResultStore(path) as store, TaskQueue(path) as queue, \
-                ResultStore(tmp_path / "other.sqlite") as other:
-            queue.enqueue([task])
-            with pytest.raises(ValueError, match="bound to its store"):
-                drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
-            with TaskQueue(other) as elsewhere:
-                with pytest.raises(ValueError, match="bound to its store"):
-                    drain(store, elsewhere, "w1", idle_exit=0.0, poll_s=0.01)
-            assert queue.rows([task.cache_key()])[0].status == "queued"
-            leased = queue.lease("w1")
-            with pytest.raises(ValueError, match="bound to its store"):
-                process_lease(queue, leased, "w1", task=task)
-            assert len(store) == 0
-            assert queue.rows([leased.key])[0].compute_count == 0
+            statements = []
+            queue.store._conn.set_trace_callback(statements.append)
+            queue.complete(leased.key, "w1", computed=True,
+                           publish=(task, _result_for(task)))
+            begins = [sql for sql in statements if sql.startswith("BEGIN")]
+            assert begins == ["BEGIN IMMEDIATE"], statements
+            store = queue.store
+        assert store._conn is None  # closed with the queue that opened it
+        with ResultStore(path) as reopened, TaskQueue(reopened) as queue:
+            assert reopened.get(task) is not None
+            (row,) = queue.rows([task.cache_key()])
+            assert row.status == "done" and row.compute_count == 1
 
     def test_process_lease_decodes_no_payload_it_was_handed(self, tmp_path):
         path = tmp_path / "own.sqlite"
@@ -462,7 +449,7 @@ class TestWorkerDrain:
         tasks = [_task(seed=s) for s in range(3)]
         with ResultStore(path) as store, TaskQueue(store) as queue:
             queue.enqueue(tasks)
-            stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
+            stats = drain(queue, "w1", idle_exit=0.0, poll_s=0.01)
             assert stats == {"computed": 3, "deduped": 0, "failed": 0}
             assert queue.counts()["done"] == 3
             for task in tasks:
@@ -474,7 +461,7 @@ class TestWorkerDrain:
         with ResultStore(path) as store, TaskQueue(store) as queue:
             store.put(tasks[0], _result_for(tasks[0]))  # already published
             queue.enqueue(tasks)
-            stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
+            stats = drain(queue, "w1", idle_exit=0.0, poll_s=0.01)
             assert stats["deduped"] == 1 and stats["computed"] == 1
             counts = queue.compute_counts([t.cache_key() for t in tasks])
             assert counts[tasks[0].cache_key()] == 0  # never recomputed
@@ -492,7 +479,7 @@ class TestWorkerDrain:
             task = _task(algorithm=name)
             with ResultStore(path) as store, TaskQueue(store) as queue:
                 queue.enqueue([task])
-                stats = drain(store, queue, "w1", idle_exit=0.0, poll_s=0.01)
+                stats = drain(queue, "w1", idle_exit=0.0, poll_s=0.01)
                 assert stats["failed"] == 1
                 (row,) = queue.rows([task.cache_key()])
                 assert row.status == "failed"
@@ -619,7 +606,7 @@ class TestCrossProcess:
             assert row.status == "leased" and row.owner == "crashy-worker"
             assert row.compute_count == 0
             assert queue.reclaim_expired(now=time.time() + 31.0) == 1
-            stats = drain(store, queue, "healthy-worker", idle_exit=0.0,
+            stats = drain(queue, "healthy-worker", idle_exit=0.0,
                           poll_s=0.01)
             assert stats["computed"] == 1 and stats["deduped"] == 0
             assert queue.compute_counts([key]) == {key: 1}
@@ -628,199 +615,6 @@ class TestCrossProcess:
         serial = BatchRunner(max_workers=1, backend="serial")
         (expected,) = serial.run_tasks([task]).results
         assert published.makespan == expected.makespan
-
-
-def _results_rows(path) -> list:
-    """Every ``results`` row, payload included, straight from SQLite."""
-    conn = sqlite3.connect(str(path))
-    try:
-        return conn.execute("SELECT * FROM results ORDER BY key").fetchall()
-    finally:
-        conn.close()
-
-
-def _stamped_version(path) -> str:
-    conn = sqlite3.connect(str(path))
-    try:
-        return conn.execute(
-            "SELECT value FROM task_queue_meta"
-            " WHERE key = 'queue_schema_version'").fetchone()[0]
-    finally:
-        conn.close()
-
-
-class TestSchemaMigration:
-    """Opening a queue of another layout rebuilds it empty; the stored
-    results — the real computed value — are never touched."""
-
-    #: The v1 layout: no ``budget_s`` column, no ``task_queue_meta``.
-    V1_SCHEMA = """
-    CREATE TABLE task_queue (
-        key             TEXT PRIMARY KEY,
-        task_payload    BLOB NOT NULL,
-        status          TEXT NOT NULL DEFAULT 'queued',
-        owner           TEXT,
-        lease_expires_at REAL,
-        attempts        INTEGER NOT NULL DEFAULT 0,
-        compute_count   INTEGER NOT NULL DEFAULT 0,
-        excluded_worker TEXT,
-        error           TEXT,
-        enqueued_at     REAL NOT NULL,
-        updated_at      REAL NOT NULL
-    );
-    CREATE INDEX idx_task_queue_status ON task_queue (status, enqueued_at);
-    """
-
-    def _make_v1_file(self, path, queued, done, leased):
-        """A store file whose queue uses the v1 schema: one stored
-        result for ``done``, plus rows in the given states."""
-        with ResultStore(path) as store:
-            store.put(done, _result_for(done))
-        conn = sqlite3.connect(str(path))
-        conn.executescript(self.V1_SCHEMA)
-        conn.executemany(
-            "INSERT INTO task_queue (key, task_payload, status, attempts,"
-            " compute_count, owner, lease_expires_at, enqueued_at, updated_at)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, 100.0, 100.0)",
-            [(queued.cache_key(), pickle.dumps(queued), "queued", 0, 0,
-              None, None),
-             (done.cache_key(), pickle.dumps(done), "done", 1, 1,
-              "old-worker", None),
-             (leased.cache_key(), pickle.dumps(leased), "leased", 1, 0,
-              "dead-worker", 12345.0)])
-        conn.commit()
-        conn.close()
-
-    def _assert_rebuilt(self, path, stored):
-        """Open ``path``: the queue comes back empty and stamped current,
-        ``results`` is byte-identical, and re-running the ``stored`` tasks
-        is served from the store with zero computes."""
-        before = _results_rows(path)
-        assert len(before) == len(stored)
-        with TaskQueue(path) as queue:
-            assert queue.rows() == []
-        assert _stamped_version(path) == str(QUEUE_SCHEMA_VERSION)
-        assert _results_rows(path) == before
-
-        runner = BatchRunner(max_workers=1, store=path, backend="queue",
-                             backend_options={"stall_timeout_s": 30.0})
-        batch = runner.run_tasks(stored).raise_for_failures()
-        runner.store.close()
-        assert runner.stats["store_hits"] == len(stored)
-        assert [r.makespan for r in batch.results] == \
-            [_result_for(t).makespan for t in stored]
-        with TaskQueue(path) as queue:
-            assert queue.rows() == []  # nothing was enqueued, let alone run
-
-    def test_pre_budget_queue_migrates_preserving_store_and_work(self, tmp_path):
-        path = tmp_path / "old.sqlite"
-        queued, done, leased = _task(seed=0), _task(seed=1), _task(seed=2)
-        self._make_v1_file(path, queued, done, leased)
-        self._assert_rebuilt(path, [done])
-
-    def test_unversioned_meta_table_triggers_migration(self, tmp_path):
-        """A current-columns table without a version stamp is rebuilt too
-        (covers files written by hypothetical intermediate builds)."""
-        path = tmp_path / "stampless.sqlite"
-        done, queued = _task(seed=3), _task(seed=4)
-        with ResultStore(path) as store:
-            store.put(done, _result_for(done))
-        with TaskQueue(path) as queue:
-            queue.enqueue([queued])
-        conn = sqlite3.connect(str(path))
-        conn.execute("DELETE FROM task_queue_meta")
-        conn.commit()
-        conn.close()
-        self._assert_rebuilt(path, [done])
-
-    @pytest.mark.parametrize("version, later_columns", [
-        (2, "budget_s REAL,"),          # no prediction column
-        (3, "budget_s REAL, predicted_s REAL,"),  # no seq change stamp
-        (4, "budget_s REAL, predicted_s REAL,"
-            " seq INTEGER NOT NULL DEFAULT 0,"),
-        (5, "budget_s REAL, seq INTEGER NOT NULL DEFAULT 0,"),
-    ], ids=["v2", "v3", "v4", "v5"])
-    def test_versioned_queue_migrates_to_current(self, tmp_path, version,
-                                                 later_columns):
-        """A file from an older versioned layout (each has ``budget_s``) is
-        rebuilt empty without that column, and the change cursor is live
-        afterwards."""
-        path = tmp_path / f"v{version}.sqlite"
-        queued, done = _task(seed=10), _task(seed=11)
-        with ResultStore(path) as store:
-            store.put(done, _result_for(done))
-        change_seq = ("INSERT INTO task_queue_meta VALUES ('change_seq', '7');"
-                      if version >= 4 else "")
-        conn = sqlite3.connect(str(path))
-        conn.executescript(f"""
-        CREATE TABLE task_queue (
-            key             TEXT PRIMARY KEY,
-            task_payload    BLOB NOT NULL,
-            status          TEXT NOT NULL DEFAULT 'queued',
-            owner           TEXT,
-            lease_expires_at REAL,
-            attempts        INTEGER NOT NULL DEFAULT 0,
-            compute_count   INTEGER NOT NULL DEFAULT 0,
-            excluded_worker TEXT,
-            error           TEXT,
-            {later_columns}
-            enqueued_at     REAL NOT NULL,
-            updated_at      REAL NOT NULL
-        );
-        CREATE TABLE task_queue_meta (key TEXT PRIMARY KEY,
-                                      value TEXT NOT NULL);
-        INSERT INTO task_queue_meta VALUES ('queue_schema_version',
-                                            '{version}');
-        {change_seq}
-        """)
-        conn.executemany(
-            "INSERT INTO task_queue (key, task_payload, status, budget_s,"
-            " compute_count, enqueued_at, updated_at)"
-            " VALUES (?, ?, ?, ?, ?, 100.0, 100.0)",
-            [(queued.cache_key(), pickle.dumps(queued), "queued", 9.0, 0),
-             (done.cache_key(), pickle.dumps(done), "done", None, 1)])
-        conn.commit()
-        conn.close()
-        self._assert_rebuilt(path, [done])
-        fresh = _task(seed=12)
-        with TaskQueue(path) as queue:
-            cursor = queue.last_seq()
-            queue.enqueue([fresh])
-            assert [r.key for r in queue.changes_since(cursor)[0]] == \
-                [fresh.cache_key()]
-        with TaskQueue(path) as queue:  # current now: no second rebuild
-            (row,) = queue.rows()
-            assert row.key == fresh.cache_key()
-        conn = sqlite3.connect(str(path))
-        try:
-            columns = {c[1] for c in conn.execute(
-                "PRAGMA table_info(task_queue)")}
-        finally:
-            conn.close()
-        assert "budget_s" not in columns
-
-    def test_concurrent_opener_keeps_rows_enqueued_after_the_rebuild(
-            self, tmp_path, monkeypatch):
-        """Two processes open the same old file: the one whose probe saw
-        the old layout must re-check under the write lock, not drop the
-        rows the other enqueued after its rebuild."""
-        path = tmp_path / "race.sqlite"
-        self._make_v1_file(path, _task(seed=20), _task(seed=21),
-                                _task(seed=22))
-        fresh = _task(seed=23)
-        with TaskQueue(path) as first:
-            first.enqueue([fresh])
-        probes = []
-        current = TaskQueue._schema_current
-
-        def stale_first_probe(queue):
-            probes.append(queue)
-            return False if len(probes) == 1 else current(queue)
-
-        monkeypatch.setattr(TaskQueue, "_schema_current", stale_first_probe)
-        with TaskQueue(path) as second:
-            assert [r.key for r in second.rows()] == [fresh.cache_key()]
-        assert len(probes) == 2
 
 
 class TestChangeCursor:
