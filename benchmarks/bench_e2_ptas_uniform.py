@@ -16,6 +16,8 @@ def test_e2_table(benchmark, scale):
     # Smallest epsilon should not be worse than the largest one.
     assert ratios[-1] <= ratios[0] + 1e-9
     assert epsilons[0] > epsilons[-1]
+    for matches, instances in zip(table.column("ptas_eq_lpt"), table.column("instances")):
+        assert 0 <= matches <= instances
 
 
 @pytest.mark.benchmark(group="e2-ptas")

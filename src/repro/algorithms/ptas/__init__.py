@@ -13,24 +13,25 @@ The pipeline follows the paper's roadmap (Section 2.1):
 4. :mod:`repro.algorithms.ptas.search` — finding a relaxed schedule for a
    makespan guess.  The paper uses a dynamic program with
    ``(nmK)^{poly(1/ε)}`` states; we keep its group-by-group structure but
-   assign big objects within each group by best-fit-decreasing with an
-   exact branch-and-bound escalation on small groups.
+   place the objects of each group with two greedy decreasing-size
+   packings, balanced first and tight second.
 5. :mod:`repro.algorithms.ptas.convert` — the constructive conversion of a
    relaxed schedule into a regular schedule (proof of Lemma 2.8).
 6. :mod:`repro.algorithms.ptas.driver` — the dual-approximation wrapper
    and conversion back to the original instance.
 
-Substitution: step 4 uses exact branch-and-bound on small groups (and
-best-fit-decreasing on larger ones) in place of the paper's dynamic
-program, whose states cannot be enumerated at any useful ``ε``.  Every
-accepted guess still yields a verified relaxed schedule, so soundness
-holds; the DP's completeness is traded for tractability.
+Substitution: step 4 uses two greedy packings in place of the paper's
+dynamic program, whose states cannot be enumerated at any useful ``ε``.
+The search is sound but not complete: every accepted guess yields a
+verified relaxed schedule, so the ``(1+O(ε))·T`` bound of an accepted
+guess ``T`` holds, but a guess may be rejected although a relaxed
+schedule of that makespan exists, where the DP would have found it.
 """
 
 from repro.algorithms.ptas.params import PTASParams
 from repro.algorithms.ptas.simplify import SimplifiedInstance, simplify_instance
 from repro.algorithms.ptas.groups import GroupStructure, compute_groups
-from repro.algorithms.ptas.relaxed import RelaxedSchedule, relax_schedule, verify_relaxed_schedule
+from repro.algorithms.ptas.relaxed import RelaxedSchedule, relax_schedule
 from repro.algorithms.ptas.search import search_relaxed_schedule
 from repro.algorithms.ptas.convert import convert_relaxed_to_schedule
 from repro.algorithms.ptas.driver import ptas_decision, ptas_uniform
@@ -43,7 +44,6 @@ __all__ = [
     "compute_groups",
     "RelaxedSchedule",
     "relax_schedule",
-    "verify_relaxed_schedule",
     "search_relaxed_schedule",
     "convert_relaxed_to_schedule",
     "ptas_decision",

@@ -40,7 +40,7 @@ def ptas_decision(instance: Instance, guess: float,
     if simplified is None:
         return None
     groups = compute_groups(simplified.instance, simplified.inflated_guess, params)
-    relaxed = search_relaxed_schedule(groups, params)
+    relaxed = search_relaxed_schedule(groups)
     if relaxed is None:
         return None
     simplified_schedule = convert_relaxed_to_schedule(relaxed)
@@ -73,7 +73,7 @@ def ptas_uniform(instance: Instance, *, epsilon: float = 0.25,
         ``PTASParams(epsilon).total_guarantee`` times the binary-search
         precision).
     precision:
-        Binary-search precision; defaults to ``ε``.
+        Binary-search precision; defaults to ``max(0.01, ε/5)``.
     params:
         Full :class:`PTASParams` override (takes precedence over
         ``epsilon``).

@@ -14,31 +14,22 @@ that range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["PTASParams"]
 
 
 @dataclass(frozen=True)
 class PTASParams:
-    """Accuracy and budget parameters of the PTAS.
+    """The accuracy parameter of the PTAS and the thresholds derived from it.
 
     Attributes
     ----------
     epsilon:
         The accuracy parameter ``ε ∈ (0, 1/2]``.
-    exact_group_search_limit:
-        Per speed group, the maximum number of big objects for which the
-        exact branch-and-bound assignment is attempted before falling back
-        to best-fit-decreasing (the substitution for the paper's DP; see
-        :mod:`repro.algorithms.ptas`).
-    exact_machine_limit:
-        Same, for the number of machines in the group.
     """
 
     epsilon: float = 0.25
-    exact_group_search_limit: int = 14
-    exact_machine_limit: int = 10
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= 0.5):

@@ -24,15 +24,15 @@ schedule of makespan ``T`` can be converted into a schedule of makespan
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set
 
 import numpy as np
 
 from repro.algorithms.ptas.groups import GroupStructure
 from repro.core.schedule import Schedule, UNASSIGNED
 
-__all__ = ["RelaxedSchedule", "relax_schedule", "verify_relaxed_schedule"]
+__all__ = ["RelaxedSchedule", "relax_schedule"]
 
 
 @dataclass
@@ -203,7 +203,3 @@ def relax_schedule(schedule: Schedule, groups: GroupStructure) -> RelaxedSchedul
             assignment[j] = i
     return RelaxedSchedule(groups=groups, assignment=assignment)
 
-
-def verify_relaxed_schedule(relaxed: RelaxedSchedule) -> List[str]:
-    """Convenience wrapper returning :meth:`RelaxedSchedule.violations`."""
-    return relaxed.violations()

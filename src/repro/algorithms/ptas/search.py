@@ -7,29 +7,28 @@ keeps the DP's *structure* — groups are processed from slowest to fastest,
 within a group the objects considered are exactly the DP's objects (fringe
 jobs with that native group, core-job bundles of classes with that core
 group), leftover work is pushed up as fractional load — but assigns the
-objects within a group with
+objects within a group with a greedy decreasing-size packing, run twice:
 
-* an exact branch-and-bound when the group has few objects and machines
-  (``PTASParams.exact_group_search_limit`` / ``exact_machine_limit``), or
-* best-fit-decreasing otherwise.
+* *balanced* — each object goes to the fitting machine with the lowest
+  relative load afterwards (keeps the final makespan low), then
+* *tight* — each object goes to the fitting machine with the least
+  capacity left afterwards (packs harder when balanced spreads too thin).
 
-The produced object is always a *valid* relaxed schedule (its constraints
-and the space condition are verified); when no relaxed schedule is found
-the guess is rejected.  Soundness of the accepted guesses is preserved,
-the completeness guarantee of the DP is traded for tractability, and on
-the experiment sizes the exact path is the one actually taken.
+The first packing whose relaxed schedule is *valid* (its constraints and
+the space condition are verified) is returned; when neither is, the guess
+is rejected.  The search is therefore sound — every accepted guess comes
+with a verified relaxed schedule — but not complete: unlike the DP it may
+reject a guess for which a relaxed schedule exists.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.ptas.groups import GroupStructure
-from repro.algorithms.ptas.params import PTASParams
 from repro.algorithms.ptas.relaxed import RelaxedSchedule
 from repro.core.schedule import UNASSIGNED
 
@@ -85,17 +84,16 @@ def _machine_score(mode: str, load_after: float, cap: float) -> float:
 
 def _assign_core_bundle(obj: _GroupObject, machines: List[int], loads: np.ndarray,
                         capacity: np.ndarray, setup_done: Dict[Tuple[int, int], bool],
-                        assignment: np.ndarray, sizes: np.ndarray,
-                        mode: str = "balanced") -> List[int]:
-    """Greedy placement of a core-class bundle; returns the jobs left fractional.
+                        assignment: np.ndarray, sizes: np.ndarray, mode: str) -> None:
+    """Greedy placement of a core-class bundle.
 
     Jobs of the bundle are considered largest first; each goes to the
     fitting machine (within the group) with the best score for ``mode``,
-    paying the class setup on machines not yet set up.
+    paying the class setup on machines not yet set up.  A job that fits
+    nowhere stays fractional.
     """
     k = obj.klass
     assert k is not None
-    leftovers: List[int] = []
     for j in sorted(obj.jobs, key=lambda jj: -sizes[jj]):
         best_machine, best_score = -1, np.inf
         for i in machines:
@@ -108,13 +106,11 @@ def _assign_core_bundle(obj: _GroupObject, machines: List[int], loads: np.ndarra
                 best_score = score
                 best_machine = i
         if best_machine < 0:
-            leftovers.append(j)
             continue
         setup_cost = 0.0 if setup_done.get((best_machine, k), False) else obj.setup
         loads[best_machine] += sizes[j] + setup_cost
         setup_done[(best_machine, k)] = True
         assignment[j] = best_machine
-    return leftovers
 
 
 def _greedy_group(objects: List[_GroupObject], machines: List[int], loads: np.ndarray,
@@ -142,94 +138,9 @@ def _greedy_group(objects: List[_GroupObject], machines: List[int], loads: np.nd
                                 mode=mode)
 
 
-def _exact_group(objects: List[_GroupObject], machines: List[int], loads: np.ndarray,
-                 capacity: np.ndarray, setup_done: Dict[Tuple[int, int], bool],
-                 assignment: np.ndarray, sizes: np.ndarray, budget: int) -> bool:
-    """Branch-and-bound maximising the total size placed integrally in the group.
-
-    Fringe jobs branch over "machine or fractional"; core bundles are placed
-    greedily inside each branch (their jobs are small relative to the group's
-    machines by Remark 2.7, so greedy placement is near-lossless).  Returns
-    ``True`` when the exact path was used, ``False`` when the budget was
-    blown and the caller should fall back to best-fit.
-    """
-    fringe = [o for o in objects if o.kind == "fringe"]
-    cores = [o for o in objects if o.kind == "core"]
-    if len(fringe) > budget or len(machines) == 0:
-        return False
-
-    best_assignment: Optional[np.ndarray] = None
-    best_loads: Optional[np.ndarray] = None
-    best_setup: Optional[Dict[Tuple[int, int], bool]] = None
-    best_placed = -1.0
-    nodes_explored = 0
-    node_limit = 200_000
-
-    order = sorted(range(len(fringe)), key=lambda idx: -fringe[idx].total_size)
-
-    def recurse(pos: int, cur_loads: np.ndarray, cur_assignment: np.ndarray,
-                placed: float, remaining: float) -> None:
-        nonlocal best_placed, best_assignment, best_loads, best_setup, nodes_explored
-        nodes_explored += 1
-        if nodes_explored > node_limit:
-            return
-        if placed + remaining <= best_placed + 1e-12:
-            return  # cannot beat the incumbent
-        if pos == len(order):
-            # Place core bundles greedily on top of this fringe placement.
-            trial_loads = cur_loads.copy()
-            trial_assignment = cur_assignment.copy()
-            trial_setup = dict(setup_done)
-            core_placed = 0.0
-            for obj in cores:
-                left = _assign_core_bundle(obj, machines, trial_loads, capacity,
-                                           trial_setup, trial_assignment, sizes)
-                core_placed += obj.total_size - float(sizes[left].sum()) if left else obj.total_size
-            total = placed + core_placed
-            if total > best_placed + 1e-12:
-                best_placed = total
-                best_assignment = trial_assignment
-                best_loads = trial_loads
-                best_setup = trial_setup
-            return
-        obj = fringe[order[pos]]
-        j = obj.jobs[0]
-        # Try each machine (sorted by remaining capacity, tightest fit first).
-        options = sorted(machines, key=lambda i: capacity[i] - cur_loads[i])
-        tried_loads: Set[float] = set()
-        for i in options:
-            slack = capacity[i] - (cur_loads[i] + obj.total_size)
-            if slack < -1e-9:
-                continue
-            key = round(cur_loads[i], 9)
-            if key in tried_loads:
-                continue  # symmetric machines: skip duplicates
-            tried_loads.add(key)
-            cur_loads[i] += obj.total_size
-            cur_assignment[j] = i
-            recurse(pos + 1, cur_loads, cur_assignment, placed + obj.total_size,
-                    remaining - obj.total_size)
-            cur_loads[i] -= obj.total_size
-            cur_assignment[j] = UNASSIGNED
-        # Or leave it fractional.
-        recurse(pos + 1, cur_loads, cur_assignment, placed, remaining - obj.total_size)
-
-    total_fringe = sum(o.total_size for o in fringe)
-    recurse(0, loads.copy(), assignment.copy(), 0.0,
-            total_fringe + sum(o.total_size for o in cores))
-    if best_assignment is None:
-        return False
-    assignment[:] = best_assignment
-    loads[:] = best_loads
-    setup_done.clear()
-    setup_done.update(best_setup or {})
-    return True
-
-
-def _run_strategy(groups: GroupStructure, params: PTASParams, all_groups: List[int],
-                  sizes: np.ndarray, capacity: np.ndarray,
-                  strategy: str) -> RelaxedSchedule:
-    """Build one candidate relaxed schedule with the given assignment strategy."""
+def _run_strategy(groups: GroupStructure, all_groups: List[int], sizes: np.ndarray,
+                  capacity: np.ndarray, mode: str) -> RelaxedSchedule:
+    """Build one candidate relaxed schedule with the greedy packing ``mode``."""
     inst = groups.instance
     loads = np.zeros(inst.num_machines)
     assignment = np.full(inst.num_jobs, UNASSIGNED, dtype=int)
@@ -241,33 +152,20 @@ def _run_strategy(groups: GroupStructure, params: PTASParams, all_groups: List[i
         machines = groups.machines_in_group(g)
         if not machines:
             continue  # everything native to this group must go fractional
-        if strategy == "exact":
-            used_exact = False
-            if len(objects) <= params.exact_group_search_limit and \
-                    len(machines) <= params.exact_machine_limit:
-                used_exact = _exact_group(objects, machines, loads, capacity, setup_done,
-                                          assignment, sizes, params.exact_group_search_limit)
-            if not used_exact:
-                _greedy_group(objects, machines, loads, capacity, setup_done, assignment,
-                              sizes, mode="tight")
-        else:
-            _greedy_group(objects, machines, loads, capacity, setup_done, assignment,
-                          sizes, mode=strategy)
+        _greedy_group(objects, machines, loads, capacity, setup_done, assignment, sizes, mode)
     return RelaxedSchedule(groups=groups, assignment=assignment)
 
 
-def search_relaxed_schedule(groups: GroupStructure,
-                            params: Optional[PTASParams] = None) -> Optional[RelaxedSchedule]:
+def search_relaxed_schedule(groups: GroupStructure) -> Optional[RelaxedSchedule]:
     """Search for a relaxed schedule of makespan ``groups.guess``.
 
-    Three strategies are attempted in order — balanced greedy (best schedule
-    quality), tight greedy (best packing), exact branch-and-bound on the big
-    objects of each group (best acceptance power on small groups) — and the
-    first strategy producing a *valid* relaxed schedule wins.  Returns
-    ``None`` when all fail (the guess is then rejected by the
-    dual-approximation driver).
+    Balanced greedy is tried first (the lower final makespan), then tight
+    greedy (the harder packing); the first one whose relaxed schedule is
+    valid is returned.  Returns ``None`` when both fail; the
+    dual-approximation driver then rejects the guess.  A returned schedule
+    is always valid, but ``None`` does not prove that no relaxed schedule
+    of this makespan exists.
     """
-    params = params or groups.params
     inst = groups.instance
     assert inst.speeds is not None and inst.job_sizes is not None
     sizes = inst.job_sizes.astype(float)
@@ -280,8 +178,8 @@ def search_relaxed_schedule(groups: GroupStructure,
            for j in np.flatnonzero(~groups.job_is_fringe)]
     )) if inst.num_jobs else sorted(set(g for pair in groups.machine_groups for g in pair))
 
-    for strategy in ("balanced", "tight", "exact"):
-        relaxed = _run_strategy(groups, params, all_groups, sizes, capacity, strategy)
+    for mode in ("balanced", "tight"):
+        relaxed = _run_strategy(groups, all_groups, sizes, capacity, mode)
         if relaxed.is_valid():
             return relaxed
     return None

@@ -135,7 +135,7 @@ def experiment_e2_ptas(scale: str, session: Session) -> ResultTable:
     table = ResultTable(
         title="E2: PTAS on uniform machines (Section 2.1) — ratio vs epsilon",
         columns=["epsilon", "instances", "mean_ratio", "max_ratio", "mean_runtime_s",
-                 "lpt_mean_ratio"],
+                 "lpt_mean_ratio", "ptas_eq_lpt"],
     )
     run = session.run(spec, scale=scale)
     refs = [reference_makespan(inst, exact_limit=500)
@@ -153,9 +153,13 @@ def experiment_e2_ptas(scale: str, session: Session) -> ResultTable:
             mean_ratio=float(np.mean(ratios)), max_ratio=float(np.max(ratios)),
             mean_runtime_s=float(np.mean(runtimes)),
             lpt_mean_ratio=float(np.mean(lpt_ratios)),
+            ptas_eq_lpt=sum(res.makespan == lpt.makespan
+                            for res, lpt in zip(ptas_results, lpt_results)),
         )
     table.add_note("expected shape: mean_ratio decreases toward 1 as epsilon shrinks "
                    "and beats the LPT baseline; runtime grows as epsilon shrinks")
+    table.add_note("ptas_eq_lpt: instances on which ptas-uniform's makespan equals "
+                   "lpt-with-setups'")
     return table
 
 

@@ -257,6 +257,28 @@ class TestRelaxedSchedules:
         tiny_groups = compute_groups(simp.instance, guess * 1e-3, params)
         assert search_relaxed_schedule(tiny_groups) is None
 
+    def test_search_falls_back_to_tight_packing(self, monkeypatch):
+        """Balanced greedy breaks the space condition here; the tight packing's schedule is returned."""
+        import repro.algorithms.ptas.search as search_module
+
+        inst = uniform_instance(8, 3, 3, seed=1, integral=True)
+        params = PTASParams(epsilon=0.1)
+        simp = simplify_instance(inst, makespan_bounds(inst).lower, params)
+        groups = compute_groups(simp.instance, simp.inflated_guess, params)
+        built = {}
+        run_strategy = search_module._run_strategy
+
+        def recording_run_strategy(*args):
+            built[args[-1]] = run_strategy(*args)
+            return built[args[-1]]
+
+        monkeypatch.setattr(search_module, "_run_strategy", recording_run_strategy)
+        relaxed = search_relaxed_schedule(groups)
+        assert list(built) == ["balanced", "tight"]
+        assert not built["balanced"].is_valid()
+        assert relaxed is built["tight"]
+        assert relaxed.is_valid()
+
     def test_convert_covers_all_jobs(self):
         simp, groups = self._setup()
         relaxed = search_relaxed_schedule(groups)

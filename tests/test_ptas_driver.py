@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import lpt_uniform_with_setups, milp_optimal
+from repro.algorithms import brute_force_optimal, lpt_uniform_with_setups, milp_optimal
 from repro.algorithms.ptas import PTASParams, ptas_decision, ptas_uniform
 from repro.generators import identical_instance, uniform_instance
 
@@ -32,6 +32,26 @@ class TestPtasDecision:
             schedule = ptas_decision(inst, opt.makespan, params)
             assert schedule is not None
             assert schedule.makespan() <= params.total_guarantee * opt.makespan * (1 + 1e-6)
+
+    @given(n=st.integers(1, 8), m=st.integers(1, 3), k=st.integers(1, 3),
+           seed=st.integers(0, 10_000), fraction=st.floats(0.3, 1.0),
+           eps=st.sampled_from([0.5, 0.25, 0.1]))
+    @settings(max_examples=40, deadline=None)
+    def test_accepted_guess_below_opt_within_guarantee(self, n, m, k, seed, fraction, eps):
+        """Dual approximation: an accepted ``T`` (here ``T <= Opt``) yields makespan <= (1+O(ε))·T.
+
+        Acceptance is not asserted: the greedy relaxed-schedule search is
+        sound but not complete, so it may reject even ``T = Opt``.
+        """
+        inst = uniform_instance(n, m, k, seed=seed, integral=True)
+        guess = fraction * brute_force_optimal(inst).makespan
+        params = PTASParams(epsilon=eps)
+        schedule = ptas_decision(inst, guess, params)
+        if schedule is None:
+            return
+        assert schedule.is_complete
+        assert schedule.validate() == []
+        assert schedule.makespan() <= params.total_guarantee * guess * (1 + 1e-9)
 
 
 class TestPtasUniform:
