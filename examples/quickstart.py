@@ -17,6 +17,7 @@ from repro import (
     ptas_uniform,
     uniform_instance,
 )
+from repro.analysis import ReferenceBound
 from repro.api import ScalePreset
 
 
@@ -62,7 +63,7 @@ def main() -> None:
         "ptas_eps_0.1": lambda inst: ptas_uniform(inst, epsilon=0.1),
         "class_aware_greedy": class_aware_list_schedule,
         "class_oblivious_greedy": class_oblivious_list_schedule,
-    })
+    }, reference=ReferenceBound(optimum.makespan, optimum.meta["solve_status"]))
     for name, stats in report.items():
         if name == "_reference":
             continue

@@ -18,7 +18,8 @@ examples) rather than ad-hoc scripting.
   ``python -m repro run --export`` CLI.
 """
 
-from repro.analysis.ratios import ReferenceBound, compare_algorithms, reference_makespan
+from repro.analysis.ratios import (ReferenceBound, compare_algorithms, reference_makespan,
+                                   reference_makespans)
 from repro.analysis.tables import ResultTable
 from repro.analysis.experiments import (
     EXPERIMENTS,
@@ -39,6 +40,7 @@ from repro.analysis.experiments import (
 __all__ = [
     "ReferenceBound",
     "reference_makespan",
+    "reference_makespans",
     "compare_algorithms",
     "ResultTable",
     "EXPERIMENTS",

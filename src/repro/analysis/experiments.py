@@ -8,11 +8,13 @@ same rows.
 
 Since the :mod:`repro.api` redesign the E-experiments are *thin wrappers*:
 each declares its sweep as a :class:`~repro.api.ScenarioSpec` (suite +
-algorithm grid + scale presets), executes it through the
-:class:`~repro.api.Session` it is handed, and keeps only the post-processing that
-turns aligned results into its published table (reference solves, ratio
-columns).  Non-algorithm sweep steps (the E4 hardness construction, the E8
-dual-search probes, the F1 structure analysis) go through ``Session.map``.
+algorithm grid + scale presets + reference policy), executes it through
+the :class:`~repro.api.Session` it is handed, and keeps only the
+post-processing that turns aligned results into its published table (ratio
+columns); reference MILPs are ``milp-optimal`` tasks the session runs and
+stores like any other.  Non-algorithm sweep steps (the E4 hardness
+construction, the E8 dual-search probes, the F1 structure analysis) go
+through ``Session.map``.
 The F-benchmarks that *measure the stack itself* (F2 throughput, F3 store,
 F4 queue, F5 supervisor) keep their bespoke harnesses but construct every
 runner via the session's :meth:`~repro.api.Session.build_runner`, so one
@@ -32,6 +34,7 @@ import math
 import os
 import sqlite3
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -40,9 +43,9 @@ import numpy as np
 from repro.algorithms.lpt import LPT_GUARANTEE
 from repro.algorithms.ptas import PTASParams, compute_groups, simplify_instance
 from repro.algorithms.unrelated import theoretical_ratio_bound
-from repro.analysis.ratios import reference_makespan
 from repro.analysis.tables import ResultTable
-from repro.api import AlgorithmSweep, ScalePreset, ScenarioSpec, Session
+from repro.api import (AlgorithmSweep, ReferencePolicy, ScalePreset,
+                       ScenarioSpec, Session)
 from repro.core.bounds import greedy_upper_bound, lp_lower_bound, makespan_bounds
 from repro.core.dual import dual_approximation_search
 from repro.core.instance import Instance
@@ -98,12 +101,12 @@ def experiment_e1_lpt(scale: str, session: Session) -> ResultTable:
         columns=["n", "m", "K", "setup_regime", "reference", "lpt_ratio",
                  "plain_lpt_ratio", "guarantee"],
     )
-    run = session.run(E1_SPEC, scale=scale)
+    run = session.run(replace(E1_SPEC, reference=ReferencePolicy(
+        exact_limit=700 if quick else 2000)), scale=scale)
     lpt_results = run.by_algorithm("lpt-with-setups")
     plain_results = run.by_algorithm("lpt-class-oblivious")
-    for (params, seed, inst), lpt, plain in zip(run.points, lpt_results,
-                                                plain_results):
-        ref = reference_makespan(inst, exact_limit=700 if quick else 2000)
+    for (params, seed, inst), lpt, plain, ref in zip(
+            run.points, lpt_results, plain_results, run.references):
         table.add_row(
             n=inst.num_jobs, m=inst.num_machines, K=inst.num_classes,
             setup_regime=params.get("setup_regime", "comparable"),
@@ -131,6 +134,7 @@ def experiment_e2_ptas(scale: str, session: Session) -> ResultTable:
                     AlgorithmSweep.make("ptas-uniform",
                                         {"epsilon": epsilons})),
         scales={"quick": ScalePreset(max_points=4), "full": ScalePreset()},
+        reference=ReferencePolicy(exact_limit=500),
     )
     table = ResultTable(
         title="E2: PTAS on uniform machines (Section 2.1) — ratio vs epsilon",
@@ -138,15 +142,13 @@ def experiment_e2_ptas(scale: str, session: Session) -> ResultTable:
                  "lpt_mean_ratio", "ptas_eq_lpt"],
     )
     run = session.run(spec, scale=scale)
-    refs = [reference_makespan(inst, exact_limit=500)
-            for _params, _seed, inst in run.points]
     # The LPT baseline is epsilon-independent; the shared cache means the
     # grid costs one LPT run per instance regardless of len(epsilons).
     lpt_results = run.by_algorithm("lpt-with-setups")
     for eps in epsilons:
         ptas_results = run.by_algorithm("ptas-uniform", epsilon=eps)
-        ratios = [res.ratio_to(ref.value) for res, ref in zip(ptas_results, refs)]
-        lpt_ratios = [res.ratio_to(ref.value) for res, ref in zip(lpt_results, refs)]
+        ratios = [res.ratio_to(ref.value) for res, ref in zip(ptas_results, run.references)]
+        lpt_ratios = [res.ratio_to(ref.value) for res, ref in zip(lpt_results, run.references)]
         runtimes = [res.runtime_seconds for res in ptas_results]
         table.add_row(
             epsilon=eps, instances=len(run.points),
@@ -177,6 +179,7 @@ def experiment_e3_randomized_rounding(scale: str, session: Session) -> ResultTab
                                         seed_kwarg="seed"),
                     AlgorithmSweep.make("class-aware-greedy")),
         scales={"quick": ScalePreset(max_points=4), "full": ScalePreset()},
+        reference=ReferencePolicy(exact_limit=500 if quick else 1200),
     )
     table = ResultTable(
         title="E3: randomized LP rounding on unrelated machines (Theorem 3.3)",
@@ -186,10 +189,8 @@ def experiment_e3_randomized_rounding(scale: str, session: Session) -> ResultTab
     run = session.run(spec, scale=scale)
     rounding_results = run.by_algorithm("randomized-rounding")
     greedy_results = run.by_algorithm("class-aware-greedy")
-    for (params, seed, inst), rounding, greedy in zip(run.points,
-                                                      rounding_results,
-                                                      greedy_results):
-        ref = reference_makespan(inst, exact_limit=500 if quick else 1200)
+    for (params, seed, inst), rounding, greedy, ref in zip(
+            run.points, rounding_results, greedy_results, run.references):
         table.add_row(
             n=inst.num_jobs, m=inst.num_machines, K=inst.num_classes,
             correlation=params.get("correlation", "uncorrelated"),
@@ -267,12 +268,12 @@ def experiment_e5_class_uniform_restrictions(scale: str,
         title="E5: restricted assignment with class-uniform restrictions (Theorem 3.10)",
         columns=["n", "m", "K", "reference", "ratio", "guarantee", "greedy_ratio"],
     )
-    run = session.run(E5_SPEC, scale=scale)
+    run = session.run(replace(E5_SPEC, reference=ReferencePolicy(
+        exact_limit=500 if quick else 1500)), scale=scale)
     approx_results = run.by_algorithm("class-uniform-restrictions-2approx")
     greedy_results = run.by_algorithm("class-aware-greedy")
-    for (params, seed, inst), result, greedy in zip(run.points, approx_results,
-                                                    greedy_results):
-        ref = reference_makespan(inst, exact_limit=500 if quick else 1500)
+    for (params, seed, inst), result, greedy, ref in zip(
+            run.points, approx_results, greedy_results, run.references):
         table.add_row(
             n=inst.num_jobs, m=inst.num_machines, K=inst.num_classes, reference=ref.kind,
             ratio=result.ratio_to(ref.value), guarantee=2.0,
@@ -300,12 +301,12 @@ def experiment_e6_class_uniform_ptimes(scale: str, session: Session) -> ResultTa
         title="E6: unrelated machines with class-uniform processing times (Theorem 3.11)",
         columns=["n", "m", "K", "reference", "ratio", "guarantee", "rounding_ratio"],
     )
-    run = session.run(E6_SPEC, scale=scale)
+    run = session.run(replace(E6_SPEC, reference=ReferencePolicy(
+        exact_limit=500 if quick else 1500)), scale=scale)
     approx_results = run.by_algorithm("class-uniform-ptimes-3approx")
     rounding_results = run.by_algorithm("randomized-rounding")
-    for (params, seed, inst), result, rounding in zip(run.points, approx_results,
-                                                      rounding_results):
-        ref = reference_makespan(inst, exact_limit=500 if quick else 1500)
+    for (params, seed, inst), result, rounding, ref in zip(
+            run.points, approx_results, rounding_results, run.references):
         table.add_row(
             n=inst.num_jobs, m=inst.num_machines, K=inst.num_classes, reference=ref.kind,
             ratio=result.ratio_to(ref.value), guarantee=3.0,
@@ -328,6 +329,7 @@ E7_UNIFORM_SPEC = ScenarioSpec(
                 AlgorithmSweep.make("lpt-with-setups"),
                 AlgorithmSweep.make("best-machine")),
     scales={"quick": ScalePreset(max_points=3), "full": ScalePreset()},
+    reference=ReferencePolicy(exact_limit=600),
 )
 
 E7_UNRELATED_SPEC = ScenarioSpec(
@@ -337,6 +339,7 @@ E7_UNRELATED_SPEC = ScenarioSpec(
                 AlgorithmSweep.make("class-aware-greedy"),
                 AlgorithmSweep.make("best-machine")),
     scales={"quick": ScalePreset(max_points=2), "full": ScalePreset()},
+    reference=ReferencePolicy(exact_limit=600),
 )
 
 
@@ -352,8 +355,8 @@ def experiment_e7_baselines(scale: str, session: Session) -> ResultTable:
     aware = uniform_run.by_algorithm("class-aware-greedy")
     lpt = uniform_run.by_algorithm("lpt-with-setups")
     best = uniform_run.by_algorithm("best-machine")
-    for idx, (params, seed, inst) in enumerate(uniform_run.points):
-        ref = reference_makespan(inst, exact_limit=600)
+    for idx, ((params, seed, inst), ref) in enumerate(
+            zip(uniform_run.points, uniform_run.references)):
         table.add_row(
             environment="uniform", setup_regime=params.get("setup_regime"),
             reference=ref.kind,
@@ -367,8 +370,8 @@ def experiment_e7_baselines(scale: str, session: Session) -> ResultTable:
     oblivious = unrelated_run.by_algorithm("class-oblivious-list")
     aware = unrelated_run.by_algorithm("class-aware-greedy")
     best = unrelated_run.by_algorithm("best-machine")
-    for idx, (params, seed, inst) in enumerate(unrelated_run.points):
-        ref = reference_makespan(inst, exact_limit=600)
+    for idx, ((params, seed, inst), ref) in enumerate(
+            zip(unrelated_run.points, unrelated_run.references)):
         setup_range = params.get("setup_range", (1.0, 100.0))
         regime = "dominant" if setup_range[0] >= 50 else "small"
         table.add_row(

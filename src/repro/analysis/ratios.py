@@ -6,11 +6,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.algorithms.base import AlgorithmResult
-from repro.algorithms.exact import milp_optimal
 from repro.core.bounds import lower_bound, lp_lower_bound
 from repro.core.instance import Instance
+from repro.runtime.runner import BatchRunner, BatchTask
 
-__all__ = ["ReferenceBound", "reference_makespan", "compare_algorithms"]
+__all__ = ["ReferenceBound", "reference_makespan", "reference_makespans", "compare_algorithms"]
 
 
 @dataclass(frozen=True)
@@ -38,27 +38,37 @@ class ReferenceBound:
     kind: str
 
 
-def reference_makespan(instance: Instance, *, exact_limit: int = 600,
-                       time_limit: float = 60.0) -> ReferenceBound:
-    """Pick the strongest affordable reference for an instance.
+def reference_makespans(runner: BatchRunner, instances: Sequence[Instance], *,
+                        exact_limit: int = 600) -> List[ReferenceBound]:
+    """The strongest affordable reference for each instance.
 
-    The exact MILP is used when the number of assignment variables
-    ``n·m + K·m`` does not exceed ``exact_limit``; otherwise the LP lower
-    bound; the combinatorial bound is a last resort (it needs no solver).
+    Instances with ``(n + K)·m ≤ exact_limit`` become one batch of default
+    ``milp-optimal`` tasks on ``runner``, so their solves are cached and stored
+    like any other.  A failed or timed-out solve, or a larger instance, falls
+    back to the LP lower bound, then to the combinatorial bound.
     """
-    size = instance.num_jobs * instance.num_machines + instance.num_classes * instance.num_machines
-    if size <= exact_limit:
-        try:
-            opt = milp_optimal(instance, time_limit=time_limit)
-            kind = ("incumbent" if opt.meta.get("solve_status") == "incumbent"
-                    else "optimal")
-            return ReferenceBound(value=opt.makespan, kind=kind)
-        except RuntimeError:
-            pass
-    try:
-        return ReferenceBound(value=lp_lower_bound(instance), kind="lp")
-    except Exception:
-        return ReferenceBound(value=lower_bound(instance), kind="combinatorial")
+    exact = [i for i, inst in enumerate(instances)
+             if (inst.num_jobs + inst.num_classes) * inst.num_machines <= exact_limit]
+    batch = runner.run_tasks([BatchTask.make("milp-optimal", instances[i]) for i in exact])
+    solved = dict(zip(exact, batch.results))
+    refs = []
+    for i, inst in enumerate(instances):
+        opt = solved.get(i)
+        if opt is not None and not (opt.meta.get("error") or opt.meta.get("timeout")):
+            kind = "incumbent" if opt.meta.get("solve_status") == "incumbent" else "optimal"
+            refs.append(ReferenceBound(value=opt.makespan, kind=kind))
+        else:
+            try:
+                refs.append(ReferenceBound(value=lp_lower_bound(inst), kind="lp"))
+            except Exception:
+                refs.append(ReferenceBound(value=lower_bound(inst), kind="combinatorial"))
+    return refs
+
+
+def reference_makespan(instance: Instance, *, exact_limit: int = 600) -> ReferenceBound:
+    """:func:`reference_makespans` for one instance, solved in-process."""
+    return reference_makespans(BatchRunner(max_workers=1), [instance],
+                               exact_limit=exact_limit)[0]
 
 
 def compare_algorithms(

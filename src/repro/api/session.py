@@ -253,12 +253,11 @@ class Session:
     def _references(self, spec: ScenarioSpec, compiled: CompiledScenario):
         if spec.reference is None:
             return None
-        from repro.analysis.ratios import reference_makespan
+        from repro.analysis.ratios import reference_makespans
 
-        return [reference_makespan(inst,
-                                   exact_limit=spec.reference.exact_limit,
-                                   time_limit=spec.reference.time_limit)
-                for _params, _seed, inst in compiled.points]
+        return reference_makespans(
+            self.runner(), [inst for _params, _seed, inst in compiled.points],
+            exact_limit=spec.reference.exact_limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Session({self.config})"

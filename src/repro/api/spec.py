@@ -45,7 +45,7 @@ from repro.generators import (
 )
 from repro.generators.suites import SUITES, SuiteSpec, iter_suite
 from repro.runtime.runner import BatchTask
-from repro.store.checks import check_timeout
+from repro.store.checks import check_count, check_timeout
 
 __all__ = [
     "GENERATORS",
@@ -205,23 +205,23 @@ class ScalePreset:
 
 @dataclass(frozen=True)
 class ReferencePolicy:
-    """Opt-in reference/ratio columns (exact MILP within ``exact_limit``,
-    LP lower bound otherwise — see
-    :func:`repro.analysis.ratios.reference_makespan`)."""
+    """Opt-in reference/ratio columns: each point's reference is a stored
+    ``milp-optimal`` result where ``(n + K)·m ≤ exact_limit``, its LP lower
+    bound otherwise — see :func:`repro.analysis.ratios.reference_makespans`."""
 
     exact_limit: int = 600
-    time_limit: float = 60.0
+
+    def __post_init__(self) -> None:
+        check_count(self.exact_limit, "exact_limit in [scenario.reference]")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"exact_limit": self.exact_limit, "time_limit": self.time_limit}
+        return {"exact_limit": self.exact_limit}
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ReferencePolicy":
-        _check_keys(data, {"exact_limit": "an integer",
-                           "time_limit": "a number"}, "[scenario.reference]")
-        policy = ReferencePolicy(**{key: value for key, value in data.items()
-                                    if value is not None})
-        return replace(policy, time_limit=float(policy.time_limit))
+        _check_keys(data, {"exact_limit": "an integer"}, "[scenario.reference]")
+        return ReferencePolicy(**{key: value for key, value in data.items()
+                                  if value is not None})
 
 
 @dataclass(frozen=True)

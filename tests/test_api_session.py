@@ -322,12 +322,42 @@ class TestScenarioExecution:
             suite="e2_ptas_uniform",
             algorithms=(AlgorithmSweep.make("lpt-with-setups"),),
             scales={"quick": ScalePreset(max_points=1)},
-            reference=ReferencePolicy(exact_limit=500, time_limit=20.0),
+            reference=ReferencePolicy(exact_limit=500),
         )
         run = Session(backend="serial").run(spec)
         table = run.table()
         assert "ratio" in table.columns and "reference" in table.columns
         assert all(row["ratio"] >= 1.0 - 1e-9 for row in table.rows)
+
+    def test_references_are_stored_milp_tasks(self, tmp_path, monkeypatch):
+        """A re-run on the same store reads its references back: it solves
+        no MILP."""
+        from repro.api import ReferencePolicy
+        from repro.lp.model import Model
+
+        spec = _spec(suite="e2_ptas_uniform",
+                     scales={"quick": ScalePreset(max_points=1)},
+                     reference=ReferencePolicy(exact_limit=500))
+        store_path = str(tmp_path / "refs.sqlite")
+        first = Session(store_path=store_path, backend="serial").run(spec)
+        assert [ref.kind for ref in first.references] == ["optimal"]
+        pool.reset_runner_pool()
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a stored reference was solved again")
+
+        monkeypatch.setattr(Model, "_solve_mip", no_solve)
+        second = Session(store_path=store_path, backend="serial").run(spec)
+        assert second.references == first.references
+
+    def test_a_timed_out_reference_falls_back_to_the_lp_bound(self):
+        from repro.analysis.ratios import reference_makespans
+        from repro.runtime import BatchRunner
+
+        inst = uniform_instance(10, 3, 3, seed=1, integral=True)
+        runner = BatchRunner(max_workers=1, timeout=1e-6)
+        (ref,) = reference_makespans(runner, [inst])
+        assert ref.kind == "lp"
 
     def test_failures_raise_by_default(self):
         spec = ScenarioSpec(

@@ -169,6 +169,30 @@ class TestTimeout:
             load_scenario(path)
 
 
+class TestReferencePolicy:
+    """``exact_limit`` must be a non-negative integer: a negative one
+    would silently turn every reference into the LP bound."""
+
+    @pytest.mark.parametrize("value", [-5, True, 1.5])
+    def test_bad_exact_limit_names_the_field(self, tmp_path, value):
+        with pytest.raises(ValueError, match="exact_limit"):
+            ReferencePolicy(exact_limit=value)
+        data = _demo_spec(reference=ReferencePolicy()).to_dict()
+        data["scenario"]["reference"]["exact_limit"] = value
+        path = tmp_path / "bad-reference.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError,
+                           match=r"bad-reference\.json.*exact_limit"):
+            load_scenario(path)
+
+    def test_time_limit_is_an_unknown_key(self):
+        # The reference MILP runs at milp-optimal's own time limit.
+        data = _demo_spec(reference=ReferencePolicy()).to_dict()
+        data["scenario"]["reference"]["time_limit"] = 60.0
+        with pytest.raises(ValueError, match="time_limit"):
+            scenario_from_dict(data)
+
+
 class TestValidation:
     def test_exactly_one_instance_source(self):
         with pytest.raises(ValueError, match="exactly one"):
