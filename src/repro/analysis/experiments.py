@@ -31,7 +31,6 @@ harness, ``"full"`` by ``pytest benchmarks/ --scale=full``.
 from __future__ import annotations
 
 import math
-import os
 import sqlite3
 import time
 from dataclasses import replace
@@ -555,8 +554,9 @@ def experiment_f2_batch_throughput(scale: str, session: Session) -> ResultTable:
 
     Runs the same ``(algorithm × instance)`` grid twice, each time on a
     fresh store-less runner (so every task is computed): once on a single
-    in-process worker and once with the auto-sized process pool.  Tasks are interleaved instance-major and
-    dispatched in small chunks so heavy PTAS tasks spread across workers.
+    in-process worker and once with the auto-sized process pool.  Tasks
+    are interleaved instance-major, so every auto-sized chunk mixes heavy
+    PTAS tasks with cheap ones and the heavy work spreads across workers.
     On a single-CPU host the two modes coincide (the runner degrades to
     in-process execution) and the speedup column stays ≈ 1.
     """
@@ -572,7 +572,7 @@ def experiment_f2_batch_throughput(scale: str, session: Session) -> ResultTable:
                                   backend="serial")
     serial_batch = serial.run_tasks(tasks)
     serial_batch.raise_for_failures()
-    parallel = session.build_runner(chunk_size=2, store=None, backend=None)
+    parallel = session.build_runner(store=None, backend=None)
     parallel_batch = parallel.run_tasks(tasks)
     parallel_batch.raise_for_failures()
 
@@ -652,10 +652,11 @@ def experiment_f3_store_warm_vs_cold(scale: str, session: Session) -> ResultTabl
     moved, i.e. the pass committed a write (a warm pass must not).
 
     The pool is forced on (even on one CPU) so the mixed row measures real
-    fork/dispatch latency, and the cost model fitted from the cold pass
-    orders the mixed pass's cold tasks by descending predicted cost.
-    Runners come from the session's ``build_runner`` on a scratch store
-    (fresh in-memory cache per pass, shared disk store).
+    fork/dispatch latency; it sizes its chunks from the batch (the mixed
+    pass's few cold tasks go one per chunk).  The cost model fitted from
+    the cold pass orders the mixed pass's cold tasks by descending
+    predicted cost.  Runners come from the session's ``build_runner`` on a
+    scratch store (fresh in-memory cache per pass, shared disk store).
     """
     import shutil
     import tempfile
@@ -678,8 +679,7 @@ def experiment_f3_store_warm_vs_cold(scale: str, session: Session) -> ResultTabl
     store_path = store_dir / "f3_store.sqlite"
 
     def fresh_runner() -> BatchRunner:
-        return session.build_runner(store=str(store_path), backend="pool",
-                                    chunk_size=2)
+        return session.build_runner(store=str(store_path), backend="pool")
 
     table = ResultTable(
         title="F3: persistent result store — warm vs cold grid re-runs",
@@ -781,6 +781,7 @@ def experiment_f4_queue_workers(scale: str, session: Session) -> ResultTable:
     import sys
     import tempfile
 
+    from repro.runtime.supervisor import child_env
     from repro.store.task_queue import TaskQueue
 
     quick = scale == "quick"
@@ -809,9 +810,6 @@ def experiment_f4_queue_workers(scale: str, session: Session) -> ResultTable:
 
     store_dir = Path(tempfile.mkdtemp(prefix="repro-f4-"))
     store_path = store_dir / "f4_store.sqlite"
-    env = dict(os.environ)
-    src_dir = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     workers = []
     try:
         for i in range(2):
@@ -819,7 +817,8 @@ def experiment_f4_queue_workers(scale: str, session: Session) -> ResultTable:
                 [sys.executable, "-m", "repro.runtime.worker",
                  "--store", str(store_path), "--worker-id", f"f4-worker-{i}",
                  "--idle-exit", "20", "--poll-s", "0.02"],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
+                env=child_env(), stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL))
         coordinator = session.build_runner(
             store=str(store_path), backend="queue", max_workers=1,
             backend_options={"inline": False, "poll_s": 0.02,

@@ -8,6 +8,8 @@ matrices directly from numpy eligibility masks and hand them to
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -156,13 +158,25 @@ class Model:
         options: Dict[str, object] = {"mip_rel_gap": mip_rel_gap}
         if time_limit is not None:
             options["time_limit"] = time_limit
-        result = optimize.milp(
-            self.c,
-            constraints=constraints or None,
-            integrality=integrality,
-            bounds=optimize.Bounds(self.lower, self.upper),
-            options=options,
-        )
+        # HiGHS's MIP solver writes debug lines straight to fd 1, past
+        # ``disp=False`` and ``sys.stdout``: point fd 1 at the null device
+        # for the solve only.
+        sys.stdout.flush()
+        saved_stdout = os.dup(1)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        try:
+            result = optimize.milp(
+                self.c,
+                constraints=constraints or None,
+                integrality=integrality,
+                bounds=optimize.Bounds(self.lower, self.upper),
+                options=options,
+            )
+        finally:
+            os.dup2(saved_stdout, 1)
+            os.close(saved_stdout)
         if result.status == 0:
             status = SolutionStatus.OPTIMAL
         elif result.status == 2:

@@ -8,7 +8,7 @@ cold tasks run*:
 name      execution
 ========  ==================================================================
 serial    in-process, one task at a time (zero pool overhead)
-pool      chunked ``concurrent.futures`` process pool, wave-based timeouts
+pool      chunked ``concurrent.futures`` process pool, per-task timeouts
 queue     distributed SQLite work queue shared with ``repro.runtime.worker``
           processes (requires a persistent store)
 ========  ==================================================================

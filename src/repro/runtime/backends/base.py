@@ -15,7 +15,7 @@ they finish.  Three implementations ship:
 * :class:`~repro.runtime.backends.serial.SerialBackend` — in-process, zero
   pool overhead;
 * :class:`~repro.runtime.backends.pool.PoolBackend` — chunked
-  ``concurrent.futures`` process pool with wave-based timeouts and
+  ``concurrent.futures`` process pool with per-task timeouts and
   worker-death recovery;
 * :class:`~repro.runtime.backends.queue.QueueBackend` — a distributed
   SQLite work queue drained by any number of worker processes
@@ -30,8 +30,8 @@ them in a separate process.
 from __future__ import annotations
 
 import traceback
-from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.instance import Instance
 from repro.runtime.registry import get_algorithm
@@ -40,7 +40,7 @@ if TYPE_CHECKING:
     from repro.runtime.runner import BatchRunner, BatchTask
 
 __all__ = ["ExecutionBackend", "Outcome", "run_one", "run_chunk",
-           "map_chunk", "resolve_chunk_size"]
+           "tasks_per_chunk"]
 
 #: One task's raw outcome: ``(index into the submitted tasks, status,
 #: payload, elapsed)``.  See :class:`ExecutionBackend`.
@@ -72,30 +72,21 @@ def run_chunk(payload: List[Tuple[str, Instance, Dict[str, object]]]
             for algorithm, instance, kwargs in payload]
 
 
-def map_chunk(func: Callable, items: List[object]) -> List[object]:
-    """Apply ``func`` to a chunk of items (``BatchRunner.map``'s worker)."""
-    return [func(item) for item in items]
-
-
-def resolve_chunk_size(chunk_size, num_tasks: int, max_workers: int) -> int:
-    """Tasks per pool submission: explicit, else ``ceil(len/4·workers)``
-    capped at 16 (big enough to amortise pickling, small enough to spread
-    heavy tasks across workers)."""
-    if chunk_size is not None:
-        return max(1, int(chunk_size))
-    spread = max(1, -(-num_tasks // (4 * max_workers)))
-    return min(16, spread)
+def tasks_per_chunk(num_tasks: int, max_workers: int) -> int:
+    """Tasks per pool submission: ``ceil(len/4·workers)`` capped at 16 (big
+    enough to amortise pickling, small enough to spread heavy tasks across
+    workers)."""
+    return min(16, max(1, -(-num_tasks // (4 * max_workers))))
 
 
 class ExecutionBackend:
     """Base class / protocol for pluggable cold-task execution.
 
     A backend is constructed bound to its :class:`BatchRunner` and reads
-    execution policy (worker count, timeout, chunk size, mp context,
-    store) from it.  It never builds results, sentinels or stats: it
-    yields raw outcomes, and the runner alone turns each into a result,
-    so error and timeout accounting lives in one place whichever backend
-    ran the work.
+    execution policy (worker count, timeout, mp context, store) from it.
+    It never builds results, sentinels or stats: it yields raw outcomes,
+    and the runner alone turns each into a result, so error and timeout
+    accounting lives in one place whichever backend ran the work.
 
     Subclasses implement :meth:`submit`.  The contract:
 
@@ -110,7 +101,7 @@ class ExecutionBackend:
       (``payload`` is ``None``); failures are outcomes, never exceptions;
     * ``elapsed`` is the compute time this process measured, or ``None``
       when it did not time the task (a result another queue worker
-      published, a pool task whose limit the waves enforce); the runner
+      published, a pool task whose limit its deadline enforces); the runner
       applies its ``timeout`` to measured times after the fact;
     * closing the returned generator early (consumer ``break``) must
       promptly abandon outstanding work — no hanging on stuck tasks, no

@@ -1,26 +1,26 @@
-"""Process-pool execution backend (chunked dispatch, waves, crash recovery)."""
+"""Process-pool execution backend (chunked dispatch, timeouts, crash recovery)."""
 
 from __future__ import annotations
 
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
+import math
 import time
 
 from repro.runtime.backends.base import (ExecutionBackend, Outcome,
-                                         resolve_chunk_size, run_chunk,
-                                         run_one)
+                                         tasks_per_chunk, run_chunk)
 
 if TYPE_CHECKING:
     from repro.runtime.runner import BatchTask
 
-__all__ = ["PoolBackend", "terminate_workers"]
+__all__ = ["PoolBackend"]
 
 
-def _submit_all(pool: ProcessPoolExecutor, fn,
-                calls: Sequence[tuple]) -> List[Future]:
-    """``pool.submit(fn, *args)`` for each ``args`` in ``calls``.
+def _submit_all(pool: ProcessPoolExecutor,
+                payloads: Sequence[list]) -> List[Future]:
+    """``pool.submit(run_chunk, payload)`` for each of ``payloads``.
 
     A worker can die while a batch is still being submitted.  ``submit``
     then raises, or — before CPython 3.12, whose manager thread fails the
@@ -30,9 +30,9 @@ def _submit_all(pool: ProcessPoolExecutor, fn,
     tasks go through the same casualty path as the in-flight ones.
     """
     futures: List[Future] = []
-    for args in calls:
+    for payload in payloads:
         try:
-            futures.append(pool.submit(fn, *args))
+            futures.append(pool.submit(run_chunk, payload))
         except BrokenProcessPool as exc:
             failed: Future = Future()
             failed.set_exception(exc)
@@ -54,18 +54,28 @@ def _submit_all(pool: ProcessPoolExecutor, fn,
 _DIED = "died"
 
 
-def _died_outcome(exc: BaseException) -> Tuple[str, Tuple[str, None]]:
-    """The ``(status, payload)`` of a task whose worker process died."""
-    return _DIED, (f"worker died: {type(exc).__name__}: {exc}", None)
+def _settled(future: Future, chunk: range) -> Iterator[Outcome]:
+    """The outcomes of a settled chunk future: ``_DIED`` if its worker died."""
+    try:
+        pairs = future.result()
+    except Exception as exc:  # worker died (OOM kill, segfault, …)
+        death = f"worker died: {type(exc).__name__}: {exc}"
+        pairs = [(_DIED, (death, None))] * len(chunk)
+    for idx, (status, payload) in zip(chunk, pairs):
+        yield idx, status, payload, None
 
 
-def terminate_workers(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool's worker processes (used after a timeout).
+def _close_pool(pool: ProcessPoolExecutor) -> None:
+    """Stop a pool now: kill its workers, then join its manager thread.
 
-    ``cancel_futures`` cannot stop a *running* task, so an abandoned pool
-    would otherwise leak a stuck worker per timed-out batch.  Reaches into
-    the executor's worker table; guarded so a CPython-internals change
-    degrades to the old leak instead of an error.
+    ``shutdown`` cannot stop a *running* task, so the workers are
+    terminated first, while the executor still lists them (``shutdown``
+    drops that table).  The manager thread then fails every unfinished
+    future with ``BrokenProcessPool`` and exits, so on return every
+    future of the pool is settled and no thread or worker of it is left
+    for interpreter exit to wait on.  Reaching into the worker table is
+    guarded: a CPython-internals change degrades to a shutdown that waits
+    for the running tasks.
     """
     processes = getattr(pool, "_processes", None) or {}
     for process in list(processes.values()):
@@ -73,17 +83,19 @@ def terminate_workers(pool: ProcessPoolExecutor) -> None:
             process.terminate()
         except Exception:
             pass
+    pool.shutdown(wait=True)
 
 
 class PoolBackend(ExecutionBackend):
     """Chunked ``concurrent.futures`` process-pool execution.
 
-    * without a runner ``timeout``, tasks are grouped into chunks (see
-      :func:`resolve_chunk_size`) so per-task pickling amortises, and each
-      chunk's outcomes are yielded as its future completes;
-    * with a ``timeout``, tasks are dispatched in *waves* of
-      ``max_workers`` single-task futures, so every task starts its budget
-      when it actually starts running (see :meth:`_iter_waves`);
+    * tasks are grouped into chunks (see :func:`tasks_per_chunk`) so
+      per-task pickling amortises, and each chunk's outcomes are yielded
+      as its future completes;
+    * with a runner ``timeout``, each chunk is one task and at most
+      ``max_workers`` are in flight, so a task starts running when it is
+      submitted and its deadline runs from then: a queued task never
+      burns its budget behind a stuck sibling (see :meth:`_dispatch`);
     * a dying worker (OOM kill, native-code crash) breaks the whole pool;
       its casualties are recovered through :meth:`_retry_collateral` on
       fresh pools so one culprit cannot fail healthy siblings.
@@ -95,12 +107,13 @@ class PoolBackend(ExecutionBackend):
         """Pool execution, yielding each outcome as its future completes.
 
         Outcomes arrive in arbitrary order; the yielded local indices keep
-        the caller aligned.  Tasks whose worker died (breaking the pool)
-        are withheld from the stream, then recovered at the end through
-        the collateral-retry path on fresh pools, so a streaming consumer
-        still sees exactly one outcome per task.  The pool times no task
+        the caller aligned.  Tasks whose worker died (breaking the pool),
+        or that a replaced pool still held, are withheld from the stream,
+        then recovered at the end through the collateral-retry path on
+        fresh pools, so a streaming consumer still sees exactly one
+        outcome per task.  The pool times no task
         itself (``elapsed`` is ``None``): with a runner ``timeout``, the
-        waves enforce it.
+        dispatch loop's deadlines enforce it.
         """
         casualties: List[int] = []
         for local_idx, status, payload, elapsed in self._dispatch(tasks):
@@ -114,112 +127,64 @@ class PoolBackend(ExecutionBackend):
             for local_idx, (status, payload) in zip(casualties, recovered):
                 yield local_idx, status, payload, None
 
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.runner.max_workers,
+                                   mp_context=self.runner._mp_context)
+
     def _dispatch(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
-        """One pool pass: waves with a runner ``timeout``, else chunks."""
-        if self.runner.timeout is not None:
-            return self._iter_waves(tasks)
-        return self._iter_chunks(tasks)
+        """One pool pass, yielding each chunk's outcomes as it completes.
 
-    # ------------------------------------------------------------------
-    # no-timeout mode: chunked dispatch
-    # ------------------------------------------------------------------
-    def _iter_chunks(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
-        """No-timeout mode: chunks of tasks per future (see
-        :func:`resolve_chunk_size`), each chunk's outcomes yielded as its
-        future completes; a chunk whose worker died yields ``_DIED``
-        outcomes."""
-        runner = self.runner
-        chunk = resolve_chunk_size(runner.chunk_size, len(tasks),
-                                   runner.max_workers)
-        chunk_indices = [list(range(lo, min(lo + chunk, len(tasks))))
-                         for lo in range(0, len(tasks), chunk)]
-        pool = ProcessPoolExecutor(max_workers=runner.max_workers,
-                                   mp_context=runner._mp_context)
-        try:
-            payloads = [[(tasks[i].algorithm, tasks[i].instance,
-                          tasks[i].kwargs_dict()) for i in indices]
-                        for indices in chunk_indices]
-            future_to_indices = dict(zip(
-                _submit_all(pool, run_chunk,
-                            [(payload,) for payload in payloads]),
-                chunk_indices))
-            waiting = set(future_to_indices)
-            while waiting:
-                done, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-                for future in done:
-                    indices = future_to_indices[future]
-                    try:
-                        outcomes = future.result()
-                    except Exception as exc:  # worker died (OOM kill, segfault, …)
-                        outcomes = [_died_outcome(exc)] * len(indices)
-                    for local_idx, (status, payload) in zip(indices, outcomes):
-                        yield local_idx, status, payload, None
-        finally:
-            # A consumer that closes the stream early (break / .close())
-            # lands here with chunks still in flight; a plain barrier-style
-            # shutdown would block for the whole remaining batch.  Cancel
-            # what never started and terminate what did — abandoning the
-            # work is the point of breaking out.
-            pool.shutdown(wait=False, cancel_futures=True)
-            terminate_workers(pool)
-
-    # ------------------------------------------------------------------
-    # timeout mode: wave dispatch
-    # ------------------------------------------------------------------
-    def _iter_waves(self, tasks: Sequence["BatchTask"]) -> Iterator[Outcome]:
-        """Timeout mode: waves of ``max_workers`` single-task futures.
-
-        Every task in a wave starts on a worker immediately, so its budget
-        is a true per-task wall-clock budget — a queued task never burns its
-        budget waiting behind a stuck sibling, and an early completion never
-        extends the deadline of the others.  Outcomes are yielded the moment
-        their future completes (``"timeout"`` ones at wave end); workers of
-        timed-out tasks are terminated (they cannot be cancelled) and a
-        fresh pool serves the next wave.
+        Without a runner ``timeout`` every chunk is submitted at once.
+        With one, chunks hold one task each and at most ``max_workers``
+        are in flight; each task's deadline runs from its own submission.
+        A task past its deadline yields ``"timeout"`` and its (presumably
+        stuck) pool is replaced, as is one a worker death broke.  Tasks
+        the replaced pool still held yield ``_DIED``, for
+        :meth:`_retry_collateral` to re-run.
         """
-        runner = self.runner
-        cursor = 0
-        pool = ProcessPoolExecutor(max_workers=runner.max_workers,
-                                   mp_context=runner._mp_context)
+        timeout = self.runner.timeout
+        size = (1 if timeout is not None else
+                tasks_per_chunk(len(tasks), self.runner.max_workers))
+        chunks = [range(lo, min(lo + size, len(tasks)))
+                  for lo in range(0, len(tasks), size)]
+        cap = len(chunks) if timeout is None else self.runner.max_workers
+        in_flight: Dict[Future, Tuple[range, float]] = {}
+        pool = self._new_pool()
         try:
-            while cursor < len(tasks):
-                wave = list(range(cursor,
-                                  min(cursor + runner.max_workers, len(tasks))))
-                cursor = wave[-1] + 1
-                future_to_index = dict(zip(
-                    _submit_all(pool, run_one,
-                                [(tasks[idx].algorithm, tasks[idx].instance,
-                                  tasks[idx].kwargs_dict()) for idx in wave]),
-                    wave))
-                deadline = time.monotonic() + runner.timeout
-                pending = set(future_to_index)
-                pool_broken = False
-                while pending:
-                    window = deadline - time.monotonic()
-                    if window <= 0:
-                        break
-                    done, pending = wait(pending, timeout=window,
-                                         return_when=FIRST_COMPLETED)
-                    for future in done:
-                        idx = future_to_index[future]
-                        try:
-                            status, payload = future.result()
-                        except Exception as exc:  # worker died mid-task
-                            pool_broken = True
-                            status, payload = _died_outcome(exc)
-                        yield idx, status, payload, None
-                for future in pending:  # deadline passed, still running
-                    yield future_to_index[future], "timeout", None, None
-                if pending or pool_broken:  # pool is stuck or broken: replace it
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    terminate_workers(pool)
-                    pool = ProcessPoolExecutor(max_workers=runner.max_workers,
-                                               mp_context=runner._mp_context)
+            while chunks or in_flight:
+                sent = chunks[:cap - len(in_flight)]
+                del chunks[:len(sent)]
+                deadline = (time.monotonic() + timeout if timeout is not None
+                            else math.inf)
+                payloads = [[(tasks[i].algorithm, tasks[i].instance,
+                              tasks[i].kwargs_dict()) for i in chunk]
+                            for chunk in sent]
+                for future, chunk in zip(_submit_all(pool, payloads), sent):
+                    in_flight[future] = (chunk, deadline)
+                first = min(deadline for _, deadline in in_flight.values())
+                window = (None if first == math.inf
+                          else max(0.0, first - time.monotonic()))
+                done, _ = wait(in_flight, timeout=window,
+                               return_when=FIRST_COMPLETED)
+                died = any(future.exception() is not None for future in done)
+                for future in done:
+                    yield from _settled(future, in_flight.pop(future)[0])
+                now = time.monotonic()
+                expired = [future for future, (_, deadline) in in_flight.items()
+                           if deadline <= now]
+                if not (expired or died):
+                    continue
+                _close_pool(pool)  # settles every future still in flight
+                pool = self._new_pool()
+                for future in expired:
+                    yield in_flight.pop(future)[0][0], "timeout", None, None
+                for future, (chunk, _) in in_flight.items():
+                    yield from _settled(future, chunk)
+                in_flight.clear()
         finally:
-            # Also reached when the consumer closes the stream mid-wave;
-            # terminate so an abandoned wave cannot leak running workers.
-            pool.shutdown(wait=False, cancel_futures=True)
-            terminate_workers(pool)
+            # Also reached when the consumer closes the stream early: the
+            # work still in flight is abandoned, not waited for.
+            _close_pool(pool)
 
     # ------------------------------------------------------------------
     # worker-death recovery
@@ -230,12 +195,12 @@ class PoolBackend(ExecutionBackend):
 
         A dying worker (OOM kill, native-code crash) breaks the whole
         ``ProcessPoolExecutor``, failing healthy in-flight siblings along
-        with the culprit.  Casualties are first retried together on one
-        fresh pool (cheap, recovers everything when the culprit's death
-        was load-induced); any task that dies again is then isolated in
-        its own single-task pool so a deterministic culprit cannot keep
-        poisoning the others.  A task that dies there too is an
-        ``"error"`` carrying the death.
+        with the culprit; a timeout kills its siblings the same way.
+        Casualties are first retried together on one fresh pool (cheap,
+        recovers everything when the culprit's death was load-induced);
+        any task that dies again is then isolated in its own single-task
+        pool so a deterministic culprit cannot keep poisoning the others.
+        A task that dies there too is an ``"error"`` carrying the death.
         """
         outcomes = self._execute_pool(tasks)
         for i, (status, _) in enumerate(outcomes):

@@ -68,7 +68,7 @@ from repro.algorithms.base import AlgorithmResult
 from repro.core.instance import Instance
 from repro.core.schedule import Schedule
 from repro.runtime.backends import ExecutionBackend, make_backend
-from repro.runtime.backends.base import map_chunk, resolve_chunk_size
+from repro.runtime.backends.base import tasks_per_chunk
 from repro.runtime.registry import algorithms_for, get_algorithm
 from repro.store import CostModel, ResultStore
 from repro.store.checks import check_timeout
@@ -266,13 +266,14 @@ class BatchRunner:
         Per-task wall-clock limit in seconds (positive and finite), or
         ``None`` for none.  It judges only tasks this runner computes: a
         queue task computed by an external worker is served as computed.
-        In pool mode tasks are dispatched in waves of ``max_workers`` (so
-        every task starts its budget when it actually starts running); a
-        task whose result has not arrived when its wave's deadline passes
-        yields a timeout sentinel, its (presumably stuck) worker processes
-        are terminated, and a fresh pool serves the remaining waves.  In
-        in-process mode the check is necessarily post-hoc (the task runs
-        to completion, then is replaced by the sentinel).
+        In pool mode at most ``max_workers`` tasks are in flight, one per
+        future, and each task's budget runs from its own submission, so it
+        starts when the task starts running; a task whose result has not
+        arrived by then yields a timeout sentinel, its (presumably stuck)
+        pool's workers are terminated, and a fresh pool serves the rest,
+        re-running the tasks the old one still held.  In in-process mode
+        the check is necessarily post-hoc (the task runs to completion,
+        then is replaced by the sentinel).
     store:
         Optional persistent result store: a
         :class:`~repro.store.result_store.ResultStore`, or a path that one
@@ -280,10 +281,6 @@ class BatchRunner:
         warm keys are served from it (streamed first by
         :meth:`run_iter`) across process restarts.  Failure sentinels are
         never persisted.
-    chunk_size:
-        Tasks per pool submission; ``None`` picks ``ceil(len/4·workers)``
-        capped at 16.  Not used when ``timeout`` is set (wave dispatch is
-        per-task).
     backend:
         Where cold tasks execute: a name from
         :data:`repro.runtime.backends.BACKENDS` (``"serial"``, ``"pool"``,
@@ -308,7 +305,6 @@ class BatchRunner:
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
         store: Union[None, str, Path, ResultStore] = None,
-        chunk_size: Optional[int] = None,
         backend: Optional[str] = None,
         backend_options: Optional[Dict[str, object]] = None,
     ) -> None:
@@ -317,7 +313,6 @@ class BatchRunner:
         check_timeout(timeout, "timeout")
         self.max_workers = max_workers if max_workers is not None else usable_cpus()
         self.timeout = timeout
-        self.chunk_size = chunk_size
         if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self.store: Optional[ResultStore] = store
@@ -599,12 +594,10 @@ class BatchRunner:
         if not isinstance(self.backend, PoolBackend) or len(items) == 1:
             # A single item gains nothing from a pool; skip fork + pickling.
             return [func(item) for item in items]
-        chunk = resolve_chunk_size(self.chunk_size, len(items), self.max_workers)
-        chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
         with ProcessPoolExecutor(max_workers=self.max_workers,
                                  mp_context=self._mp_context) as pool:
-            parts = list(pool.map(map_chunk, [func] * len(chunks), chunks))
-        return [value for part in parts for value in part]
+            return list(pool.map(func, items, chunksize=tasks_per_chunk(
+                len(items), self.max_workers)))
 
     def clear_cache(self) -> None:
         """Drop every in-memory cached result (the persistent store is kept)."""

@@ -75,7 +75,6 @@ def make_runner(backend: str, tmp_path, **kwargs) -> BatchRunner:
     """
     if backend == "pool":
         kwargs.setdefault("max_workers", 2)
-        kwargs.setdefault("chunk_size", 1)
         return BatchRunner(backend="pool", **kwargs)
     if backend == "queue":
         kwargs.setdefault("max_workers", 1)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import optimize, sparse
 
+from repro.algorithms import milp_optimal
+from repro.generators import uniform_instance
 from repro.lp import Model, SolutionStatus, SolverError
 
 
@@ -136,3 +138,17 @@ class TestModelMIP:
         monkeypatch.setattr(optimize, "milp", stopped_milp)
         with pytest.raises(SolverError, match=limit):
             self._two_binaries().solve(as_mip=True, time_limit=1.0)
+
+    def test_mip_solve_prints_nothing_to_stdout(self, capfd):
+        """HiGHS's MIP solver writes debug lines straight to fd 1 on this
+        instance (E2 quick's second point); the solve keeps them off
+        stdout, returns the same optimum, and gives fd 1 back."""
+        instance = uniform_instance(16, 4, 4, seed=20191415, integral=True,
+                                    speed_spread=4.0,
+                                    setup_regime="comparable")
+        result = milp_optimal(instance)
+        out, _ = capfd.readouterr()
+        assert out == ""
+        assert result.makespan == 113.0
+        print("fd 1 restored")
+        assert capfd.readouterr().out == "fd 1 restored\n"

@@ -8,6 +8,7 @@ degrade to in-process execution).
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import time
 
 import numpy as np
@@ -115,8 +116,7 @@ class TestDispatchModes:
     def test_chunked_dispatch_preserves_task_order(self):
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
-        runner = BatchRunner(max_workers=2, backend="pool",
-                             chunk_size=2)
+        runner = BatchRunner(max_workers=2, backend="pool")
         batch = runner.run(FAST_GRID, instances)
         reference = BatchRunner(max_workers=1).run(FAST_GRID, instances)
         assert [r.makespan for r in batch.results] == [r.makespan
@@ -135,6 +135,9 @@ class TestTimeouts:
         assert result.meta.get("timeout") is True
         assert result.makespan == float("inf")
         assert runner.stats["timeouts"] == 1
+        # The stuck worker was killed, not left running for interpreter
+        # exit to wait on.
+        assert multiprocessing.active_children() == []
 
     def test_timeout_does_not_poison_fast_tasks(self, sleeper_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
@@ -149,8 +152,8 @@ class TestTimeouts:
         assert batch.failures() == [slow]
 
     def test_queued_task_not_charged_for_stuck_sibling(self, sleeper_algorithm):
-        # One worker: the second task is queued behind the stuck one; wave
-        # dispatch must give it a fresh budget on a fresh worker.
+        # One worker: the second task is queued behind the stuck one; it
+        # must get a fresh budget on a fresh worker.
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
         runner = BatchRunner(max_workers=1, backend="pool", timeout=0.4)
         batch = runner.run_tasks([
@@ -160,6 +163,28 @@ class TestTimeouts:
         stuck, queued = batch.results
         assert stuck.meta.get("timeout") is True
         assert not queued.meta.get("timeout") and np.isfinite(queued.makespan)
+
+    def test_stuck_task_does_not_hold_back_its_siblings(self,
+                                                        sleeper_algorithm):
+        """Each task's deadline runs from its own submission: while one
+        worker sits on a stuck task, the other streams the short ones,
+        and the stuck task's timeout kills no healthy sibling."""
+        tasks = [BatchTask.make(sleeper_algorithm,
+                                uniform_instance(10, 2, 2, seed=s,
+                                                 integral=True),
+                                {"delay": 3.0 if s == 0 else 0.1})
+                 for s in range(9)]
+        runner = BatchRunner(max_workers=2, backend="pool", timeout=1.5)
+        order = list(runner.run_iter(tasks))
+        by_idx = dict(order)
+        assert sorted(by_idx) == list(range(9))
+        assert by_idx[0].meta.get("timeout") is True
+        for idx in range(1, 9):
+            assert not by_idx[idx].meta.get("timeout")
+            assert "error" not in by_idx[idx].meta
+            assert np.isfinite(by_idx[idx].makespan)
+        sentinel_at = [idx for idx, _ in order].index(0)
+        assert sentinel_at >= 4, [idx for idx, _ in order]
 
     def test_serial_timeout_is_post_hoc(self, sleeper_algorithm):
         inst = uniform_instance(10, 2, 2, seed=0, integral=True)
@@ -201,8 +226,7 @@ class TestErrorCapture:
         # and only the culprits count as errors.
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(3)]
-        runner = BatchRunner(max_workers=2, backend="pool",
-                             chunk_size=1, timeout=timeout)
+        runner = BatchRunner(max_workers=2, backend="pool", timeout=timeout)
         batch = runner.run([dying_algorithm, "class-aware-greedy"], instances)
         died = batch.by_algorithm(dying_algorithm)
         ok = batch.by_algorithm("class-aware-greedy")
@@ -213,7 +237,7 @@ class TestErrorCapture:
     def test_worker_death_is_captured_and_siblings_recover(self, dying_algorithm):
         self._check_worker_death(dying_algorithm, timeout=None)
 
-    def test_worker_death_is_captured_in_wave_mode(self, dying_algorithm):
+    def test_worker_death_is_captured_with_a_timeout(self, dying_algorithm):
         self._check_worker_death(dying_algorithm, timeout=60.0)
 
     def test_an_error_that_reads_like_a_worker_death_runs_once(self,
@@ -415,8 +439,7 @@ class TestStreaming:
         instances = [uniform_instance(12, 3, 3, seed=s, integral=True)
                      for s in range(5)]
         tasks = [BatchTask.make("class-aware-greedy", inst) for inst in instances]
-        runner = BatchRunner(max_workers=2, backend="pool",
-                             chunk_size=2)
+        runner = BatchRunner(max_workers=2, backend="pool")
         pairs = list(runner.run_iter(tasks))
         assert sorted(idx for idx, _ in pairs) == list(range(5))
         assert all(np.isfinite(r.makespan) for _, r in pairs)
@@ -427,8 +450,7 @@ class TestStreaming:
         tasks = [BatchTask.make(name, inst)
                  for inst in instances
                  for name in (dying_algorithm, "class-aware-greedy")]
-        runner = BatchRunner(max_workers=2, backend="pool",
-                             chunk_size=1)
+        runner = BatchRunner(max_workers=2, backend="pool")
         pairs = dict(runner.run_iter(tasks))
         assert sorted(pairs) == list(range(len(tasks)))
         for idx, task in enumerate(tasks):
@@ -458,8 +480,7 @@ class TestStreaming:
         tasks = [BatchTask.make("class-aware-greedy",
                                 uniform_instance(12, 3, 3, seed=s, integral=True))
                  for s in range(4)]
-        runner = BatchRunner(max_workers=2, backend="pool",
-                             chunk_size=1, timeout=timeout)
+        runner = BatchRunner(max_workers=2, backend="pool", timeout=timeout)
         indices = [idx for idx, result in runner.run_iter(tasks)
                    if np.isfinite(result.makespan)]
         assert sorted(indices) == list(range(len(tasks)))
@@ -492,8 +513,7 @@ class TestStreaming:
         tasks = [BatchTask.make(dying_algorithm, inst),
                  BatchTask.make("class-aware-greedy", inst),
                  BatchTask.make("lpt-with-setups", inst)]
-        runner = BatchRunner(max_workers=2, backend="pool",
-                             chunk_size=1)
+        runner = BatchRunner(max_workers=2, backend="pool")
         pairs = dict(runner.run_iter(tasks))
         assert sorted(pairs) == [0, 1, 2]
         assert "worker died" in str(pairs[0].meta.get("error"))
@@ -505,8 +525,7 @@ class TestStreaming:
         """Breaking out of run_iter abandons in-flight pool work promptly."""
         inst_fast = uniform_instance(12, 3, 3, seed=0, integral=True)
         inst_slow = uniform_instance(12, 3, 3, seed=1, integral=True)
-        runner = BatchRunner(max_workers=1, backend="pool",
-                             chunk_size=1)
+        runner = BatchRunner(max_workers=1, backend="pool")
         tasks = [BatchTask.make("class-aware-greedy", inst_fast),
                  BatchTask.make(sleeper_algorithm, inst_slow, {"delay": 5.0})]
         t0 = time.perf_counter()
