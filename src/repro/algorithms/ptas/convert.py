@@ -31,10 +31,9 @@ on the fastest machines.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.algorithms.ptas.groups import GroupStructure
 from repro.algorithms.ptas.relaxed import RelaxedSchedule
@@ -58,35 +57,31 @@ def convert_relaxed_to_schedule(relaxed: RelaxedSchedule) -> Schedule:
     inst = groups.instance
     assert inst.job_sizes is not None and inst.setup_sizes is not None and inst.speeds is not None
     sizes = inst.job_sizes.astype(float)
-    setups = inst.setup_sizes.astype(float)
+    setups = inst.setup_sizes.tolist()
+    classes = inst.job_classes.tolist()
     eps = groups.params.epsilon
     guess = relaxed.guess
+    capacity = (guess * inst.speeds.astype(float)).tolist()
 
-    schedule = Schedule(inst)
-    # Track the "fill load" used by the greedy procedure: job sizes plus the
-    # setups of core classes (the relaxed-load convention).
-    fill_load = relaxed.relaxed_loads().copy()
-    for j in relaxed.integral_jobs():
-        schedule.assign(int(j), int(relaxed.assignment[j]))
+    # Integral jobs keep their machines.  Track the "fill load" used by the
+    # greedy procedure: job sizes plus the setups of core classes (the
+    # relaxed-load convention).
+    assignment = relaxed.assignment.tolist()
+    fill_load = relaxed.relaxed_loads().tolist()
 
     # Group the fractional jobs by the group they become available in.
-    fractional = [int(j) for j in relaxed.fractional_jobs()]
     frac_by_group: Dict[int, List[int]] = {}
-    for j in fractional:
-        if groups.job_is_fringe[j]:
-            g = int(groups.job_native_group[j])
-        else:
-            g = int(groups.class_core_group[inst.job_class(j)])
-        frac_by_group.setdefault(g, []).append(j)
+    for j in relaxed.fractional_jobs().tolist():
+        frac_by_group.setdefault(groups.job_group[j], []).append(j)
 
     machine_groups_present = groups.groups_with_machines()
     if not machine_groups_present:
         # No machines at all — nothing to do (degenerate instance).
-        return schedule
+        return Schedule(inst, assignment)
     g_min, g_max = machine_groups_present[0], machine_groups_present[-1]
 
     postponed_f1: List[Tuple[int, List[int]]] = []   # (class, jobs) parked next to a fringe job
-    sequence: List[_SequenceItem] = []
+    sequence: Deque[_SequenceItem] = deque()
 
     def release_jobs(jobs: List[int]) -> None:
         """Partition newly available fractional jobs into F1 / F2 / F3 and extend the sequence."""
@@ -96,7 +91,7 @@ def convert_relaxed_to_schedule(relaxed: RelaxedSchedule) -> Schedule:
             if groups.job_is_fringe[j]:
                 fringe_items.append(_SequenceItem(jobs=[j], total_size=float(sizes[j])))
             else:
-                core_by_class.setdefault(inst.job_class(j), []).append(j)
+                core_by_class.setdefault(classes[j], []).append(j)
         containers: List[_SequenceItem] = []
         core_f3: List[_SequenceItem] = []
         for k, members in core_by_class.items():
@@ -108,7 +103,7 @@ def convert_relaxed_to_schedule(relaxed: RelaxedSchedule) -> Schedule:
                 postponed_f1.append((k, list(members)))
             else:
                 containers.append(_SequenceItem(
-                    jobs=list(members), total_size=total + float(setups[k]), klass=k))
+                    jobs=list(members), total_size=total + setups[k], klass=k))
         # Sequence order: containers and fringe jobs in any order, core F3
         # jobs sorted by class at the end (so consecutive jobs of a class
         # land on the same machine and share their setup).
@@ -116,6 +111,11 @@ def convert_relaxed_to_schedule(relaxed: RelaxedSchedule) -> Schedule:
         sequence.extend(containers)
         sequence.extend(fringe_items)
         sequence.extend(core_f3)
+
+    def place(item: _SequenceItem, i: int) -> None:
+        for j in item.jobs:
+            assignment[j] = i
+        fill_load[i] += item.total_size
 
     for g in range(g_min, g_max + 1):
         if g == g_min:
@@ -137,51 +137,37 @@ def convert_relaxed_to_schedule(relaxed: RelaxedSchedule) -> Schedule:
         # keeps the measured makespan low for practically-sized ε.
         group_machines = groups.machines_only_in_group(g)
         while sequence:
-            open_machines = [i for i in group_machines
-                             if fill_load[i] < guess * float(inst.speeds[i])]
+            open_machines = [i for i in group_machines if fill_load[i] < capacity[i]]
             if not open_machines:
                 break
-            i = min(open_machines,
-                    key=lambda mi: fill_load[mi] / (guess * float(inst.speeds[mi])))
-            item = sequence.pop(0)
-            for j in item.jobs:
-                schedule.assign(j, i)
-            fill_load[i] += item.total_size
+            place(sequence.popleft(),
+                  min(open_machines, key=lambda mi: fill_load[mi] / capacity[mi]))
 
     # Fractional jobs of the two fastest groups should not exist (space
     # condition) — but release anything not yet handled so the schedule is
     # complete even when the caller ignored a violated space condition.
-    leftover_groups = [gg for gg in frac_by_group
-                       if gg > g_max - 2 or (g_min == g_max and gg > g_max - 2)]
-    leftover_jobs = [j for gg in leftover_groups for j in frac_by_group[gg]
-                     if schedule.machine_of(j) == UNASSIGNED]
+    leftover_jobs = [j for gg, jobs in frac_by_group.items() if gg > g_max - 2
+                     for j in jobs if assignment[j] == UNASSIGNED]
     if leftover_jobs:
         release_jobs(leftover_jobs)
 
     # Defensive: drain any residue onto the fastest machines (round robin by
     # least fill load relative to speed).
+    speeds = inst.speeds.tolist()
     while sequence:
-        item = sequence.pop(0)
-        i = int(np.argmin(fill_load / inst.speeds))
-        for j in item.jobs:
-            schedule.assign(j, i)
-        fill_load[i] += item.total_size
+        place(sequence.popleft(),
+              min(range(inst.num_machines), key=lambda mi: fill_load[mi] / speeds[mi]))
 
     # Place the postponed F1 core jobs next to a fringe job of their class.
     for k, members in postponed_f1:
-        fringe = groups.fringe_jobs_of_class(k)
-        target = None
-        for j in fringe:
-            machine = schedule.machine_of(j)
-            if machine != UNASSIGNED:
-                target = machine
-                break
+        target = next((assignment[j] for j in groups.fringe_jobs_of_class(k)
+                       if assignment[j] != UNASSIGNED), None)
         if target is None:
             # No fringe job placed (should not happen): fall back to the
             # machine with the most remaining capacity.
-            target = int(np.argmax(guess * inst.speeds - fill_load))
+            target = max(range(inst.num_machines), key=lambda mi: capacity[mi] - fill_load[mi])
         for j in members:
-            schedule.assign(j, int(target))
+            assignment[j] = target
         fill_load[target] += float(sizes[members].sum())
 
-    return schedule
+    return Schedule(inst, assignment)

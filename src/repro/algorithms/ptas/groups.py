@@ -25,6 +25,7 @@ the interval of speeds for which its fringe jobs are big.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -56,6 +57,25 @@ class GroupStructure:
     job_is_fringe: np.ndarray
     min_group: int
     max_group: int
+    #: Per job, the group whose machines may hold it integrally: its native
+    #: group if it is a fringe job, its class's core group otherwise.
+    job_group: List[int] = field(init=False, repr=False, compare=False)
+    _core_jobs: List[List[int]] = field(init=False, repr=False, compare=False)
+    _fringe_jobs: List[List[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        inst = self.instance
+        fringe = self.job_is_fringe.tolist()
+        native = self.job_native_group.tolist()
+        core_group = self.class_core_group.tolist()
+        classes = inst.job_classes.tolist()
+        self.job_group = [native[j] if fringe[j] else core_group[classes[j]]
+                          for j in range(inst.num_jobs)]
+        self._core_jobs, self._fringe_jobs = [], []
+        for k in range(inst.num_classes):
+            members = inst.jobs_of_class(k).tolist()
+            self._core_jobs.append([j for j in members if not fringe[j]])
+            self._fringe_jobs.append([j for j in members if fringe[j]])
 
     # ------------------------------------------------------------------
     def group_bounds(self, g: int) -> Tuple[float, float]:
@@ -78,13 +98,11 @@ class GroupStructure:
 
     def core_jobs_of_class(self, k: int) -> List[int]:
         """``J̄_k``: core jobs of class ``k``."""
-        members = self.instance.jobs_of_class(k)
-        return [int(j) for j in members if not self.job_is_fringe[j]]
+        return list(self._core_jobs[k])
 
     def fringe_jobs_of_class(self, k: int) -> List[int]:
         """``J̃_k``: fringe jobs of class ``k``."""
-        members = self.instance.jobs_of_class(k)
-        return [int(j) for j in members if self.job_is_fringe[j]]
+        return list(self._fringe_jobs[k])
 
     def is_fringe_machine(self, i: int, k: int) -> bool:
         """Whether machine ``i`` is a fringe (faster than core) machine of class ``k``."""
@@ -148,7 +166,7 @@ def compute_groups(instance: Instance, guess: float,
     # g ∈ {floor(x), floor(x) + 1} (one value collapses at the boundary).
     machine_groups: List[Tuple[int, int]] = []
     log_inv_gamma = math.log(1.0 / gamma)
-    for v in speeds:
+    for v in speeds.tolist():
         x = math.log(max(v / v_min, 1.0)) / log_inv_gamma
         candidates = sorted({
             g for g in (math.floor(x) - 1, math.floor(x), math.floor(x) + 1, math.floor(x) + 2)
@@ -165,7 +183,9 @@ def compute_groups(instance: Instance, guess: float,
     # Native group of a job j: the smallest group containing *all* speeds for
     # which p_j is big.  p_j is big for speeds in [p_j/T, p_j/(εT)], so the
     # containment conditions are p_j >= v̌_g·T and p_j/(εT) < v̂_g, i.e.
-    # p_j < ε·v̂_g·T.
+    # p_j < ε·v̂_g·T.  Sizes repeat (placeholders, integral sizes): each
+    # distinct one is placed once.
+    @functools.lru_cache(maxsize=None)
     def native_group(p: float) -> int:
         x = math.log(max(p / (eps * v_min * guess), 1e-300)) / log_inv_gamma
         g = math.floor(x) - 2
@@ -188,9 +208,9 @@ def compute_groups(instance: Instance, guess: float,
             g += 1
         raise RuntimeError(f"could not determine core group of setup size {s}")
 
-    job_native = np.array([native_group(float(p)) for p in inst.job_sizes], dtype=int) \
+    job_native = np.array([native_group(p) for p in inst.job_sizes.tolist()], dtype=int) \
         if inst.num_jobs else np.zeros(0, dtype=int)
-    class_core = np.array([core_group(float(s)) for s in inst.setup_sizes], dtype=int) \
+    class_core = np.array([core_group(s) for s in inst.setup_sizes.tolist()], dtype=int) \
         if inst.num_classes else np.zeros(0, dtype=int)
 
     # Core/fringe jobs: fringe iff p >= s_k / δ.

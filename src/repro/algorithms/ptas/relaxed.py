@@ -70,44 +70,47 @@ class RelaxedSchedule:
         return np.flatnonzero(self.assignment != UNASSIGNED)
 
     # ------------------------------------------------------------------
-    def relaxed_loads(self) -> np.ndarray:
-        """``L'_i`` for every machine (sizes, not processing times; fringe setups ignored)."""
+    def _loads(self) -> List[float]:
+        """``L'_i`` for every machine, summed job by job, then setup by setup."""
         inst = self.instance
         assert inst.job_sizes is not None and inst.setup_sizes is not None
-        loads = np.zeros(inst.num_machines)
+        sizes = inst.job_sizes.tolist()
+        setups = inst.setup_sizes.tolist()
+        classes = inst.job_classes.tolist()
+        fringe = self.groups.job_is_fringe.tolist()
+        loads = [0.0] * inst.num_machines
         core_classes_on: List[Set[int]] = [set() for _ in range(inst.num_machines)]
-        for j in self.integral_jobs():
-            i = int(self.assignment[j])
-            loads[i] += float(inst.job_sizes[j])
-            if not self.groups.job_is_fringe[j]:
-                core_classes_on[i].add(inst.job_class(int(j)))
+        for j, i in enumerate(self.assignment.tolist()):
+            if i == UNASSIGNED:
+                continue
+            loads[i] += sizes[j]
+            if not fringe[j]:
+                core_classes_on[i].add(classes[j])
         for i in range(inst.num_machines):
             for k in core_classes_on[i]:
-                loads[i] += float(inst.setup_sizes[k])
+                loads[i] += setups[k]
         return loads
 
-    def free_space(self) -> np.ndarray:
-        """``A_i = max{0, T·v_i − L'_i}`` for every machine."""
-        inst = self.instance
-        assert inst.speeds is not None
-        return np.maximum(0.0, self.guess * inst.speeds - self.relaxed_loads())
+    def _free_space(self, loads: List[float]) -> List[float]:
+        assert self.instance.speeds is not None
+        return [max(0.0, cap - load)
+                for cap, load in zip((self.guess * self.instance.speeds).tolist(), loads)]
 
     def fractional_group_load(self) -> Dict[int, float]:
         """``W_g`` for every group ``g`` with fractional jobs (missing keys mean 0)."""
         inst = self.instance
         assert inst.job_sizes is not None and inst.setup_sizes is not None
-        frac = set(int(j) for j in self.fractional_jobs())
+        sizes = inst.job_sizes.tolist()
+        target = self.groups.job_group
+        # A set, iterated in its own order: the sums below keep that order.
+        frac = set(self.fractional_jobs().tolist())
         w: Dict[int, float] = {}
-        classes_counted: Set[int] = set()
         for j in frac:
-            if self.groups.job_is_fringe[j]:
-                g = int(self.groups.job_native_group[j])
-            else:
-                g = int(self.groups.class_core_group[self.instance.job_class(j)])
-            w[g] = w.get(g, 0.0) + float(inst.job_sizes[j])
+            g = target[j]
+            w[g] = w.get(g, 0.0) + sizes[j]
         # One setup per class that (1) has core group g, (2) has no fringe
         # job, (3) has a fractional core job.
-        for k in (int(c) for c in inst.classes_present()):
+        for k in inst.classes_present().tolist():
             if self.groups.fringe_jobs_of_class(k):
                 continue
             core = self.groups.core_jobs_of_class(k)
@@ -117,10 +120,8 @@ class RelaxedSchedule:
             w[g] = w.get(g, 0.0) + float(inst.setup_sizes[k])
         return w
 
-    def reduced_accumulated_loads(self) -> Dict[int, float]:
-        """``R_g`` for every group from the slowest to ``G`` (the space-condition recursion)."""
-        w = self.fractional_group_load()
-        free = self.free_space()
+    def _reduced_accumulated_loads(self, w: Dict[int, float],
+                                   free: List[float]) -> Dict[int, float]:
         groups_with_machines = self.groups.groups_with_machines()
         if not groups_with_machines:
             return {}
@@ -135,6 +136,19 @@ class RelaxedSchedule:
             prev = value
         return r
 
+    def relaxed_loads(self) -> np.ndarray:
+        """``L'_i`` for every machine (sizes, not processing times; fringe setups ignored)."""
+        return np.array(self._loads())
+
+    def free_space(self) -> np.ndarray:
+        """``A_i = max{0, T·v_i − L'_i}`` for every machine."""
+        return np.array(self._free_space(self._loads()))
+
+    def reduced_accumulated_loads(self) -> Dict[int, float]:
+        """``R_g`` for every group from the slowest to ``G`` (the space-condition recursion)."""
+        return self._reduced_accumulated_loads(self.fractional_group_load(),
+                                               self._free_space(self._loads()))
+
     # ------------------------------------------------------------------
     def violations(self) -> List[str]:
         """All ways in which this object fails to be a relaxed schedule of makespan ``T``."""
@@ -142,30 +156,28 @@ class RelaxedSchedule:
         inst = self.instance
         assert inst.speeds is not None
         groups = self.groups
-        for j in self.integral_jobs():
-            i = int(self.assignment[j])
+        for j, i in enumerate(self.assignment.tolist()):
+            if i == UNASSIGNED:
+                continue
             if not (0 <= i < inst.num_machines):
                 problems.append(f"job {j} assigned to invalid machine {i}")
                 continue
             machine_group_pair = groups.machine_groups[i]
-            if groups.job_is_fringe[j]:
-                target = int(groups.job_native_group[j])
-            else:
-                target = int(groups.class_core_group[inst.job_class(int(j))])
+            target = groups.job_group[j]
             if target not in machine_group_pair:
                 problems.append(
                     f"job {j} (target group {target}) sits on machine {i} "
                     f"of groups {machine_group_pair}")
-        loads = self.relaxed_loads()
-        capacity = self.guess * inst.speeds
-        tol = 1e-9 * max(1.0, float(capacity.max()))
+        loads = self._loads()
+        capacity = (self.guess * inst.speeds).tolist()
+        tol = 1e-9 * max(1.0, max(capacity))
         for i in range(inst.num_machines):
             if loads[i] > capacity[i] + tol:
                 problems.append(
                     f"machine {i}: relaxed load {loads[i]:.6g} exceeds T·v_i = {capacity[i]:.6g}")
         # Space condition.
         w = self.fractional_group_load()
-        r = self.reduced_accumulated_loads()
+        r = self._reduced_accumulated_loads(w, self._free_space(loads))
         g_max = max(self.groups.groups_with_machines(), default=0)
         tol_w = 1e-9 * max(1.0, sum(w.values()) if w else 1.0)
         if w.get(g_max, 0.0) > tol_w:
@@ -190,16 +202,8 @@ def relax_schedule(schedule: Schedule, groups: GroupStructure) -> RelaxedSchedul
     """
     inst = groups.instance
     assignment = np.full(inst.num_jobs, UNASSIGNED, dtype=int)
-    for j in range(inst.num_jobs):
-        i = schedule.machine_of(j)
-        if i == UNASSIGNED:
-            continue
-        pair = groups.machine_groups[i]
-        if groups.job_is_fringe[j]:
-            target = int(groups.job_native_group[j])
-        else:
-            target = int(groups.class_core_group[inst.job_class(j)])
-        if target in pair:
+    for j, i in enumerate(schedule.assignment.tolist()):
+        if i != UNASSIGNED and groups.job_group[j] in groups.machine_groups[i]:
             assignment[j] = i
     return RelaxedSchedule(groups=groups, assignment=assignment)
 

@@ -23,8 +23,9 @@ reject a guess for which a relaxed schedule exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -82,9 +83,9 @@ def _machine_score(mode: str, load_after: float, cap: float) -> float:
     return cap - load_after
 
 
-def _assign_core_bundle(obj: _GroupObject, machines: List[int], loads: np.ndarray,
-                        capacity: np.ndarray, setup_done: Dict[Tuple[int, int], bool],
-                        assignment: np.ndarray, sizes: np.ndarray, mode: str) -> None:
+def _assign_core_bundle(obj: _GroupObject, machines: List[int], loads: List[float],
+                        capacity: List[float], setup_done: Set[Tuple[int, int]],
+                        assignment: List[int], sizes: List[float], mode: str) -> None:
     """Greedy placement of a core-class bundle.
 
     Jobs of the bundle are considered largest first; each goes to the
@@ -95,9 +96,9 @@ def _assign_core_bundle(obj: _GroupObject, machines: List[int], loads: np.ndarra
     k = obj.klass
     assert k is not None
     for j in sorted(obj.jobs, key=lambda jj: -sizes[jj]):
-        best_machine, best_score = -1, np.inf
+        best_machine, best_score = -1, math.inf
         for i in machines:
-            setup_cost = 0.0 if setup_done.get((i, k), False) else obj.setup
+            setup_cost = 0.0 if (i, k) in setup_done else obj.setup
             new_load = loads[i] + sizes[j] + setup_cost
             if capacity[i] - new_load < -1e-9:
                 continue
@@ -107,20 +108,20 @@ def _assign_core_bundle(obj: _GroupObject, machines: List[int], loads: np.ndarra
                 best_machine = i
         if best_machine < 0:
             continue
-        setup_cost = 0.0 if setup_done.get((best_machine, k), False) else obj.setup
+        setup_cost = 0.0 if (best_machine, k) in setup_done else obj.setup
         loads[best_machine] += sizes[j] + setup_cost
-        setup_done[(best_machine, k)] = True
+        setup_done.add((best_machine, k))
         assignment[j] = best_machine
 
 
-def _greedy_group(objects: List[_GroupObject], machines: List[int], loads: np.ndarray,
-                  capacity: np.ndarray, setup_done: Dict[Tuple[int, int], bool],
-                  assignment: np.ndarray, sizes: np.ndarray, mode: str) -> None:
+def _greedy_group(objects: List[_GroupObject], machines: List[int], loads: List[float],
+                  capacity: List[float], setup_done: Set[Tuple[int, int]],
+                  assignment: List[int], sizes: List[float], mode: str) -> None:
     """Greedy (decreasing-size) assignment of a group's objects."""
     for obj in objects:
         if obj.kind == "fringe":
             j = obj.jobs[0]
-            best_machine, best_score = -1, np.inf
+            best_machine, best_score = -1, math.inf
             for i in machines:
                 new_load = loads[i] + obj.total_size
                 if capacity[i] - new_load < -1e-9:
@@ -138,22 +139,21 @@ def _greedy_group(objects: List[_GroupObject], machines: List[int], loads: np.nd
                                 mode=mode)
 
 
-def _run_strategy(groups: GroupStructure, all_groups: List[int], sizes: np.ndarray,
-                  capacity: np.ndarray, mode: str) -> RelaxedSchedule:
-    """Build one candidate relaxed schedule with the greedy packing ``mode``."""
+def _run_strategy(groups: GroupStructure,
+                  placements: List[Tuple[List[int], List[_GroupObject]]],
+                  sizes: List[float], capacity: List[float], mode: str) -> RelaxedSchedule:
+    """Build one candidate relaxed schedule with the greedy packing ``mode``.
+
+    ``placements`` lists, slowest group first, each group's machines and
+    the objects native to it.
+    """
     inst = groups.instance
-    loads = np.zeros(inst.num_machines)
-    assignment = np.full(inst.num_jobs, UNASSIGNED, dtype=int)
-    setup_done: Dict[Tuple[int, int], bool] = {}
-    for g in all_groups:
-        objects = _group_objects(groups, g)
-        if not objects:
-            continue
-        machines = groups.machines_in_group(g)
-        if not machines:
-            continue  # everything native to this group must go fractional
+    loads = [0.0] * inst.num_machines
+    assignment = [UNASSIGNED] * inst.num_jobs
+    setup_done: Set[Tuple[int, int]] = set()
+    for machines, objects in placements:
         _greedy_group(objects, machines, loads, capacity, setup_done, assignment, sizes, mode)
-    return RelaxedSchedule(groups=groups, assignment=assignment)
+    return RelaxedSchedule(groups=groups, assignment=np.array(assignment, dtype=int))
 
 
 def search_relaxed_schedule(groups: GroupStructure) -> Optional[RelaxedSchedule]:
@@ -168,18 +168,19 @@ def search_relaxed_schedule(groups: GroupStructure) -> Optional[RelaxedSchedule]
     """
     inst = groups.instance
     assert inst.speeds is not None and inst.job_sizes is not None
-    sizes = inst.job_sizes.astype(float)
-    capacity = groups.guess * inst.speeds.astype(float)
+    sizes = inst.job_sizes.tolist()
+    capacity = (groups.guess * inst.speeds.astype(float)).tolist()
 
-    all_groups = sorted(set(
-        [g for pair in groups.machine_groups for g in pair]
-        + [int(g) for g in groups.job_native_group[groups.job_is_fringe]]
-        + [int(groups.class_core_group[inst.job_class(int(j))])
-           for j in np.flatnonzero(~groups.job_is_fringe)]
-    )) if inst.num_jobs else sorted(set(g for pair in groups.machine_groups for g in pair))
+    # Everything native to a group without machines stays fractional.
+    placements = []
+    for g in sorted({g for pair in groups.machine_groups for g in pair}.union(groups.job_group)):
+        objects = _group_objects(groups, g)
+        machines = groups.machines_in_group(g)
+        if objects and machines:
+            placements.append((machines, objects))
 
     for mode in ("balanced", "tight"):
-        relaxed = _run_strategy(groups, all_groups, sizes, capacity, mode)
+        relaxed = _run_strategy(groups, placements, sizes, capacity, mode)
         if relaxed.is_valid():
             return relaxed
     return None

@@ -19,6 +19,7 @@ schedule for ``I`` of makespan at most ``(1+ε)`` times larger
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -88,30 +89,29 @@ class SimplifiedInstance:
         smaller than rounded ones and original speeds are faster).
         """
         original = self.original
-        result = Schedule(original)
-        simplified = self.instance
+        assert original.job_sizes is not None
+        sizes = original.job_sizes.tolist()
+        kept = self.kept_machines.tolist()
+        machine_of = schedule.assignment.tolist()
+        assignment = [UNASSIGNED] * original.num_jobs
         eps = self.params.epsilon
 
-        for sim_j in range(simplified.num_jobs):
-            machine = schedule.machine_of(sim_j)
-            if machine == UNASSIGNED:
-                continue
-            orig_j = int(self.job_map[sim_j])
-            if orig_j >= 0:
-                result.assign(orig_j, int(self.kept_machines[machine]))
+        for machine, orig_j in zip(machine_of, self.job_map.tolist()):
+            if machine != UNASSIGNED and orig_j >= 0:
+                assignment[orig_j] = kept[machine]
 
         # Distribute the replaced small jobs class by class.
-        assert original.setup_sizes is not None and original.job_sizes is not None
+        assert original.setup_sizes is not None
         for k, originals in self.replaced_jobs.items():
             placeholders = self.placeholder_jobs.get(k, [])
             capacity_per_machine: Dict[int, float] = {}
             order: List[int] = []
             unit = eps * float(original.setup_sizes[k])
             for p_idx in placeholders:
-                machine = schedule.machine_of(p_idx)
+                machine = machine_of[p_idx]
                 if machine == UNASSIGNED:
                     continue
-                orig_machine = int(self.kept_machines[machine])
+                orig_machine = kept[machine]
                 if orig_machine not in capacity_per_machine:
                     capacity_per_machine[orig_machine] = 0.0
                     order.append(orig_machine)
@@ -122,18 +122,17 @@ class SimplifiedInstance:
                 assert original.speeds is not None
                 order = [int(np.argmax(original.speeds))]
                 capacity_per_machine[order[0]] = float("inf")
-            queue = sorted(originals, key=lambda j: -float(original.job_sizes[j]))
+            queue = sorted(originals, key=lambda j: -sizes[j])
             cursor = 0
             for machine in order:
                 remaining = capacity_per_machine[machine]
                 while cursor < len(queue) and remaining > 1e-12:
-                    j = queue[cursor]
-                    result.assign(j, machine)
-                    remaining -= float(original.job_sizes[j])
+                    assignment[queue[cursor]] = machine
+                    remaining -= sizes[queue[cursor]]
                     cursor += 1
-            while cursor < len(queue):
-                result.assign(queue[cursor], order[-1])
-                cursor += 1
+            for j in queue[cursor:]:
+                assignment[j] = order[-1]
+        return Schedule(original, assignment)
         return result
 
 
@@ -178,37 +177,39 @@ def simplify_instance(instance: Instance, guess: float,
         return None
 
     # ---- Step I2: per-class placeholders for tiny jobs. ------------------
+    sizes = job_sizes.tolist()
+    setups = setup_sizes.tolist()
+    classes = inst.job_classes.tolist()
     new_sizes: List[float] = []
     new_classes: List[int] = []
     job_map: List[int] = []
     placeholder_jobs: Dict[int, List[int]] = {}
     replaced_jobs: Dict[int, List[int]] = {}
     for j in range(n):
-        k = inst.job_class(j)
-        if job_sizes[j] > eps * setup_sizes[k]:
+        k = classes[j]
+        if sizes[j] > eps * setups[k]:
             job_map.append(j)
-            new_sizes.append(float(job_sizes[j]))
+            new_sizes.append(sizes[j])
             new_classes.append(k)
     for k in range(num_classes):
-        members = inst.jobs_of_class(k)
-        small = [int(j) for j in members if job_sizes[j] <= eps * setup_sizes[k]]
+        small = [j for j in inst.jobs_of_class(k).tolist() if sizes[j] <= eps * setups[k]]
         if not small:
             continue
         replaced_jobs[k] = small
         total = float(job_sizes[small].sum())
-        unit = eps * float(setup_sizes[k])
+        unit = eps * setups[k]
         count = max(1, int(math.ceil(total / unit - 1e-12)))
-        placeholder_jobs[k] = []
-        for _ in range(count):
-            placeholder_jobs[k].append(len(new_sizes))
-            job_map.append(-1)
-            new_sizes.append(unit)
-            new_classes.append(k)
+        placeholder_jobs[k] = list(range(len(new_sizes), len(new_sizes) + count))
+        job_map.extend([-1] * count)
+        new_sizes.extend([unit] * count)
+        new_classes.extend([k] * count)
 
-    # ---- Step I3: rounding. ---------------------------------------------
-    rounded_sizes = np.array([arithmetic_grid_round(s, eps) for s in new_sizes], dtype=float) \
+    # ---- Step I3: rounding (sizes repeat, so each distinct one once). -----
+    grid_round = functools.lru_cache(maxsize=None)(
+        functools.partial(arithmetic_grid_round, epsilon=eps))
+    rounded_sizes = np.array([grid_round(s) for s in new_sizes], dtype=float) \
         if new_sizes else np.zeros(0)
-    rounded_setups = np.array([arithmetic_grid_round(s, eps) for s in setup_sizes], dtype=float)
+    rounded_setups = np.array([grid_round(s) for s in setups], dtype=float)
     rounded_speeds = np.array([geometric_round(v, eps, v_min) for v in kept_speeds], dtype=float)
 
     simplified = Instance.uniform(

@@ -36,7 +36,7 @@ from repro.algorithms.restricted.pseudoforest import SupportRounding, round_supp
 from repro.core.bounds import makespan_bounds
 from repro.core.dual import dual_approximation_search
 from repro.core.instance import Instance
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, UNASSIGNED
 from repro.runtime.registry import register_algorithm
 
 __all__ = [
@@ -78,9 +78,10 @@ def greedy_fill_classes(
     proofs of Theorems 3.10 and 3.11.
     """
     inst = instance
-    schedule = Schedule(inst)
+    processing = inst.processing.tolist()
+    assignment = [UNASSIGNED] * inst.num_jobs
     for k, machine_slots in slots.items():
-        jobs = [int(j) for j in inst.jobs_of_class(k)]
+        jobs = inst.jobs_of_class(k).tolist()
         if not jobs:
             continue
         if not machine_slots:
@@ -92,15 +93,14 @@ def greedy_fill_classes(
             remaining = float(reserved)
             while cursor < len(jobs) and remaining > 1e-12:
                 j = jobs[cursor]
-                schedule.assign(j, int(i))
-                remaining -= float(inst.processing[int(i), j])
+                assignment[j] = int(i)
+                remaining -= processing[int(i)][j]
                 cursor += 1
         # Whatever is left goes to the final machine (i_k^+).
         last_machine = int(machine_slots[-1][0])
-        while cursor < len(jobs):
-            schedule.assign(jobs[cursor], last_machine)
-            cursor += 1
-    return schedule
+        for j in jobs[cursor:]:
+            assignment[j] = last_machine
+    return Schedule(inst, assignment)
 
 
 def class_uniform_restrictions_decision(instance: Instance, guess: float) -> Optional[Schedule]:

@@ -47,10 +47,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 
+from repro.algorithms.restricted.pseudoforest import Graph, _add_edge, _components, _find_cycle
 from repro.core.instance import Instance
 from repro.lp.model import Model
 from repro.lp.solution import SolutionStatus
@@ -348,15 +348,15 @@ class RelaxedRAFlow:
         at least one edge; of the two directions, the one moving less flow
         is taken.
         """
-        support = nx.Graph()
-        support.add_edges_from((("class", c), ("machine", i))
-                               for c, f in enumerate(flow) for i in f)
+        support: Graph = {}
+        for c, f in enumerate(flow):
+            for i in f:
+                _add_edge(support, ("class", c), ("machine", i), 1.0)
         # A forest has one edge fewer than nodes per component; counting
-        # components (and the flow's edges) is far cheaper than a find_cycle
-        # that finds none.
-        while sum(map(len, flow)) > (support.number_of_nodes()
-                                     - nx.number_connected_components(support)):
-            cycle = nx.find_cycle(support)
+        # components (and the flow's edges) is far cheaper than a cycle
+        # search that finds none.
+        while sum(map(len, flow)) > len(support) - len(_components(support)):
+            cycle = _find_cycle(support)
             # Consecutive edges share a node, so alternate ones gain and lose.
             edges = [(u[1], v[1]) if u[0] == "class" else (v[1], u[1]) for u, v in cycle]
             even, odd = edges[0::2], edges[1::2]
@@ -369,4 +369,5 @@ class RelaxedRAFlow:
                 flow[c][i] -= delta
                 if flow[c][i] <= 0.0:
                     del flow[c][i]
-                    support.remove_edge(("class", c), ("machine", i))
+                    del support[("class", c)][("machine", i)]
+                    del support[("machine", i)][("class", c)]

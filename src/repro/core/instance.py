@@ -277,9 +277,24 @@ class Instance:
         return int(self.job_classes[job])
 
     def jobs_of_class(self, klass: int) -> np.ndarray:
-        """Indices of the jobs belonging to class ``klass``."""
-        check_index("class", klass, self.num_classes)
-        return np.flatnonzero(self.job_classes == klass)
+        """Indices of the jobs belonging to class ``klass`` (a read-only array).
+
+        Memoised per class on first use, which is sound because the instance
+        is frozen: the dual-approximation algorithms ask for the same
+        classes on every guess.  The memo is not part of the instance's
+        state (see :meth:`__getstate__`), its equality or its fingerprint.
+        """
+        k = check_index("class", klass, self.num_classes)
+        index = self.__dict__.get("_class_index")
+        if index is None:
+            index = {}
+            object.__setattr__(self, "_class_index", index)
+        members = index.get(k)
+        if members is None:
+            members = np.flatnonzero(self.job_classes == k)
+            members.flags.writeable = False
+            index[k] = members
+        return members
 
     def classes_present(self) -> np.ndarray:
         """Classes that actually contain at least one job."""
@@ -508,6 +523,11 @@ class Instance:
         )
         inst.validate()
         return inst, jobs
+
+    def __getstate__(self) -> Dict[str, object]:
+        """The fields only: the :meth:`jobs_of_class` memo is never pickled."""
+        return {key: value for key, value in self.__dict__.items()
+                if key != "_class_index"}
 
     def __repr__(self) -> str:
         return (f"Instance({self.name!r}, env={self.environment.value}, "

@@ -168,6 +168,13 @@ class Schedule:
         """
         problems: List[str] = []
         n = self.instance.num_jobs
+        # The common case, a valid schedule, is checked in one vectorised pass.
+        jobs = np.flatnonzero(self.assignment != UNASSIGNED)
+        machines = self.assignment[jobs]
+        if ((jobs.size == n or not require_complete)
+                and ((machines >= 0) & (machines < self.instance.num_machines)).all()
+                and np.isfinite(self.instance.processing[machines, jobs]).all()):
+            return problems
         for j in range(n):
             i = int(self.assignment[j])
             if i == UNASSIGNED:

@@ -1,6 +1,10 @@
 """Tests for the Section 3.3 constant-factor algorithms (Theorems 3.10, 3.11)."""
 
-import networkx as nx
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -47,6 +51,23 @@ def _flow_threshold(inst: Instance) -> float:
             break
         lo, hi = (lo, mid) if flow.solve(mid).feasible else (mid, hi)
     return hi
+
+
+def _is_forest(edges) -> bool:
+    """Whether the undirected ``edges`` close no cycle (union-find)."""
+    root = {}
+
+    def find(node):
+        while root.setdefault(node, node) != node:
+            node = root[node]
+        return node
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        root[ru] = rv
+    return True
 
 
 def _scaled(inst: Instance, factor: float) -> Instance:
@@ -128,10 +149,8 @@ class TestRelaxedRAFlow:
                 load = (relax.x * (p + alpha * setups)).sum(axis=1)
                 # The flow may leave 1e-9 of the total supply (≤ m·T) unshipped.
                 assert np.all(load <= guess * (1 + 1e-9 * (inst.num_machines + 1)))
-                graph = nx.Graph()
-                graph.add_edges_from((("machine", i), ("class", k))
-                                     for i, k in zip(*np.nonzero(relax.x)))
-                assert nx.is_forest(graph)
+                assert _is_forest((("machine", i), ("class", k))
+                                  for i, k in zip(*np.nonzero(relax.x)))
 
     @given(seed=st.integers(0, 2000), factor=st.floats(0.9, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -164,7 +183,11 @@ class TestPseudoforestRounding:
     def test_support_graph_only_fractional_edges(self):
         x = np.array([[1.0, 0.4], [0.0, 0.6]])
         graph = support_graph(x)
-        assert graph.number_of_edges() == 2  # only the 0.4/0.6 column
+        # Only the 0.4/0.6 column, nodes in the order the edges added them.
+        assert graph == {("machine", 0): {("class", 1): 0.4},
+                         ("class", 1): {("machine", 0): 0.4, ("machine", 1): 0.6},
+                         ("machine", 1): {("class", 1): 0.6}}
+        assert list(graph) == [("machine", 0), ("class", 1), ("machine", 1)]
 
     def test_verify_pseudoforest(self):
         x = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -217,6 +240,28 @@ class TestPseudoforestRounding:
                 for i in machines:
                     machine_kept.setdefault(i, []).append(k)
             assert all(len(ks) <= 1 for ks in machine_kept.values())
+
+    def test_rounding_independent_of_hash_seed(self):
+        """A 4-cycle beside a longer path: the cycle's component holds fewer
+        than half the nodes, where a set-ordered traversal picked the cycle's
+        direction, and with it the dropped edges, by string hashing."""
+        script = (
+            "import numpy as np\n"
+            "from repro.algorithms.restricted import round_support_graph\n"
+            "x = np.zeros((6, 6))\n"
+            "x[0, 0] = x[0, 1] = x[1, 0] = x[1, 1] = 0.5\n"
+            "x[2, 2] = x[3, 2] = x[3, 3] = x[4, 3] = x[4, 4] = x[5, 4] = x[5, 5] = 0.5\n"
+            "r = round_support_graph(x)\n"
+            "print(sorted(r.kept_machines.items()), sorted(r.dropped_machine.items()))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                 text=True, env={**os.environ, "PYTHONPATH": src,
+                                                 "PYTHONHASHSEED": str(seed)})
+                for seed in range(4)]
+        outputs = {run.communicate(timeout=120)[0] for run in runs}
+        assert all(run.returncode == 0 for run in runs)
+        assert outputs == {"[(0, [0]), (1, [1]), (2, [2, 3]), (3, [4]), (4, [5]), (5, [])] "
+                           "[(0, 1), (1, 0), (2, None), (3, 3), (4, 4), (5, 5)]\n"}
 
     def test_non_pseudoforest_rejected(self):
         # A dense fractional matrix whose support is K_{3,3} (not a pseudo-forest).

@@ -113,3 +113,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "lpt-with-setups" in proc.stdout
         assert "result(s)" in proc.stderr
+
+
+class TestImports:
+    def test_api_import_leaves_networkx_out(self):
+        """networkx is a test-only dependency: no module of the package loads it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.api; print('networkx' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,6 +1,8 @@
 """Tests for the Instance data model."""
 
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import Instance, MachineEnvironment
+from repro.runtime.runner import BatchTask, instance_fingerprint
 
 
 class TestFactories:
@@ -131,6 +134,36 @@ class TestQueries:
         assert tiny_uniform.n == tiny_uniform.num_jobs
         assert tiny_uniform.m == tiny_uniform.num_machines
         assert tiny_uniform.K == tiny_uniform.num_classes
+
+
+class TestClassIndex:
+    """``jobs_of_class`` serves a per-class memo that is not instance state."""
+
+    @given(classes=st.lists(st.integers(0, 5), max_size=30), extra=st.integers(0, 2),
+           machines=st.integers(1, 3), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_memo_is_flatnonzero_and_not_state(self, classes, extra, machines, seed):
+        num_classes = max(classes, default=0) + 1 + extra
+        rng = np.random.default_rng(seed)
+        inst = Instance.uniform(rng.uniform(1, 10, len(classes)), rng.uniform(0, 5, num_classes),
+                                classes, rng.uniform(1, 3, machines))
+        twin = pickle.loads(pickle.dumps(inst))
+        before = pickle.dumps(inst)
+        for k in range(num_classes):
+            members = inst.jobs_of_class(k)
+            assert members.tolist() == np.flatnonzero(inst.job_classes == k).tolist()
+            assert inst.jobs_of_class(k) is members
+            with pytest.raises(ValueError):
+                members[:1] = 0  # read-only
+        assert pickle.dumps(inst) == before
+        assert instance_fingerprint(inst) == instance_fingerprint(twin)
+        assert (BatchTask.make("lpt-with-setups", inst).cache_key()
+                == BatchTask.make("lpt-with-setups", twin).cache_key())
+        assert inst == dataclasses.replace(inst)
+        assert repr(inst) == repr(twin)
+        for bad in (-1, num_classes, 0.5):
+            with pytest.raises(ValueError, match="class"):
+                inst.jobs_of_class(bad)
 
 
 class TestStructurePredicates:
