@@ -67,7 +67,7 @@ def convert_relaxed_to_schedule(relaxed: RelaxedSchedule) -> Schedule:
     # greedy procedure: job sizes plus the setups of core classes (the
     # relaxed-load convention).
     assignment = relaxed.assignment.tolist()
-    fill_load = relaxed.relaxed_loads().tolist()
+    fill_load = relaxed.relaxed_loads()
 
     # Group the fractional jobs by the group they become available in.
     frac_by_group: Dict[int, List[int]] = {}

@@ -25,7 +25,7 @@ schedule of makespan ``T`` can be converted into a schedule of makespan
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -70,8 +70,11 @@ class RelaxedSchedule:
         return np.flatnonzero(self.assignment != UNASSIGNED)
 
     # ------------------------------------------------------------------
-    def _loads(self) -> List[float]:
-        """``L'_i`` for every machine, summed job by job, then setup by setup."""
+    def relaxed_loads(self) -> List[float]:
+        """``L'_i`` for every machine (sizes, not processing times; fringe setups ignored).
+
+        Each load is summed job by job, then setup by setup.
+        """
         inst = self.instance
         assert inst.job_sizes is not None and inst.setup_sizes is not None
         sizes = inst.job_sizes.tolist()
@@ -91,8 +94,14 @@ class RelaxedSchedule:
                 loads[i] += setups[k]
         return loads
 
-    def _free_space(self, loads: List[float]) -> List[float]:
+    def free_space(self, loads: Optional[List[float]] = None) -> List[float]:
+        """``A_i = max{0, T·v_i − L'_i}`` for every machine.
+
+        ``loads`` are the :meth:`relaxed_loads`, computed here if not given.
+        """
         assert self.instance.speeds is not None
+        if loads is None:
+            loads = self.relaxed_loads()
         return [max(0.0, cap - load)
                 for cap, load in zip((self.guess * self.instance.speeds).tolist(), loads)]
 
@@ -120,8 +129,17 @@ class RelaxedSchedule:
             w[g] = w.get(g, 0.0) + float(inst.setup_sizes[k])
         return w
 
-    def _reduced_accumulated_loads(self, w: Dict[int, float],
-                                   free: List[float]) -> Dict[int, float]:
+    def reduced_accumulated_loads(self, w: Optional[Dict[int, float]] = None,
+                                  free: Optional[List[float]] = None) -> Dict[int, float]:
+        """``R_g`` for every group from the slowest to ``G`` (the space-condition recursion).
+
+        ``w`` (the :meth:`fractional_group_load`) and ``free`` (the
+        :meth:`free_space`) are computed here if not given.
+        """
+        if w is None:
+            w = self.fractional_group_load()
+        if free is None:
+            free = self.free_space()
         groups_with_machines = self.groups.groups_with_machines()
         if not groups_with_machines:
             return {}
@@ -135,19 +153,6 @@ class RelaxedSchedule:
             r[g] = value
             prev = value
         return r
-
-    def relaxed_loads(self) -> np.ndarray:
-        """``L'_i`` for every machine (sizes, not processing times; fringe setups ignored)."""
-        return np.array(self._loads())
-
-    def free_space(self) -> np.ndarray:
-        """``A_i = max{0, T·v_i − L'_i}`` for every machine."""
-        return np.array(self._free_space(self._loads()))
-
-    def reduced_accumulated_loads(self) -> Dict[int, float]:
-        """``R_g`` for every group from the slowest to ``G`` (the space-condition recursion)."""
-        return self._reduced_accumulated_loads(self.fractional_group_load(),
-                                               self._free_space(self._loads()))
 
     # ------------------------------------------------------------------
     def violations(self) -> List[str]:
@@ -168,7 +173,7 @@ class RelaxedSchedule:
                 problems.append(
                     f"job {j} (target group {target}) sits on machine {i} "
                     f"of groups {machine_group_pair}")
-        loads = self._loads()
+        loads = self.relaxed_loads()
         capacity = (self.guess * inst.speeds).tolist()
         tol = 1e-9 * max(1.0, max(capacity))
         for i in range(inst.num_machines):
@@ -177,7 +182,7 @@ class RelaxedSchedule:
                     f"machine {i}: relaxed load {loads[i]:.6g} exceeds T·v_i = {capacity[i]:.6g}")
         # Space condition.
         w = self.fractional_group_load()
-        r = self._reduced_accumulated_loads(w, self._free_space(loads))
+        r = self.reduced_accumulated_loads(w, self.free_space(loads))
         g_max = max(self.groups.groups_with_machines(), default=0)
         tol_w = 1e-9 * max(1.0, sum(w.values()) if w else 1.0)
         if w.get(g_max, 0.0) > tol_w:

@@ -133,7 +133,6 @@ class SimplifiedInstance:
             for j in queue[cursor:]:
                 assignment[j] = order[-1]
         return Schedule(original, assignment)
-        return result
 
 
 def simplify_instance(instance: Instance, guess: float,

@@ -166,25 +166,21 @@ class Schedule:
         Checks completeness (optional), machine index ranges, and that no
         job is placed on an ineligible machine.
         """
+        inst = self.instance
+        assignment = self.assignment
+        placed = np.flatnonzero((assignment >= 0) & (assignment < inst.num_machines))
+        ok = np.zeros(inst.num_jobs, dtype=bool)
+        ok[placed] = np.isfinite(inst.processing[assignment[placed], placed])
+        if not require_complete:
+            ok |= assignment == UNASSIGNED
         problems: List[str] = []
-        n = self.instance.num_jobs
-        # The common case, a valid schedule, is checked in one vectorised pass.
-        jobs = np.flatnonzero(self.assignment != UNASSIGNED)
-        machines = self.assignment[jobs]
-        if ((jobs.size == n or not require_complete)
-                and ((machines >= 0) & (machines < self.instance.num_machines)).all()
-                and np.isfinite(self.instance.processing[machines, jobs]).all()):
-            return problems
-        for j in range(n):
-            i = int(self.assignment[j])
+        for j in np.flatnonzero(~ok).tolist():
+            i = int(assignment[j])
             if i == UNASSIGNED:
-                if require_complete:
-                    problems.append(f"job {j} is unassigned")
-                continue
-            if not (0 <= i < self.instance.num_machines):
+                problems.append(f"job {j} is unassigned")
+            elif not 0 <= i < inst.num_machines:
                 problems.append(f"job {j} assigned to invalid machine {i}")
-                continue
-            if not self.instance.is_eligible(i, j):
+            else:
                 problems.append(f"job {j} assigned to ineligible machine {i}")
         return problems
 
