@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,13 +59,14 @@ class MachineEnvironment(enum.Enum):
     UNRELATED = "unrelated"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """An instance of scheduling with setup times.
 
     Use the factory classmethods (:meth:`unrelated`, :meth:`uniform`,
     :meth:`identical`, :meth:`restricted`) rather than the constructor; they
-    validate shapes and fill in the derived matrices.
+    validate shapes and fill in the derived matrices.  Two instances are
+    equal when every field is, arrays by value (see :meth:`__eq__`).
 
     Attributes
     ----------
@@ -281,8 +282,9 @@ class Instance:
 
         Memoised per class on first use, which is sound because the instance
         is frozen: the dual-approximation algorithms ask for the same
-        classes on every guess.  The memo is not part of the instance's
-        state (see :meth:`__getstate__`), its equality or its fingerprint.
+        classes on every guess.  Like every ``_``-prefixed memo, it is not
+        part of the instance's state (see :meth:`__getstate__`), its
+        equality or its fingerprint.
         """
         k = check_index("class", klass, self.num_classes)
         index = self.__dict__.get("_class_index")
@@ -525,9 +527,21 @@ class Instance:
         return inst, jobs
 
     def __getstate__(self) -> Dict[str, object]:
-        """The fields only: the :meth:`jobs_of_class` memo is never pickled."""
+        """The fields only: ``_``-prefixed memos are never pickled."""
         return {key: value for key, value in self.__dict__.items()
-                if key != "_class_index"}
+                if not key.startswith("_")}
+
+    def __eq__(self, other: object) -> bool:
+        """Field-by-field equality, arrays by value; memos are ignored."""
+        if not isinstance(other, Instance):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                   else a == b for a, b in pairs)
+
+    def __hash__(self) -> int:
+        """Agrees with :meth:`__eq__`: the environment and array shapes."""
+        return hash((self.environment, self.processing.shape, self.setups.shape))
 
     def __repr__(self) -> str:
         return (f"Instance({self.name!r}, env={self.environment.value}, "

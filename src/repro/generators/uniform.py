@@ -39,7 +39,10 @@ def sample_job_classes(rng: np.random.Generator, num_jobs: int, num_classes: int
         raise ValueError("num_jobs must be non-negative")
     weights = 1.0 / np.arange(1, num_classes + 1, dtype=float) ** max(skew - 1.0, 0.0)
     weights /= weights.sum()
-    labels = rng.choice(num_classes, size=num_jobs, p=weights)
+    # rng.choice(num_classes, size=num_jobs, p=weights), minus its argument checks.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    labels = cdf.searchsorted(rng.random(num_jobs), side="right")
     if num_jobs >= num_classes:
         # Guarantee every class is non-empty so K really is the class count.
         forced = rng.permutation(num_jobs)[:num_classes]

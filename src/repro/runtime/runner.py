@@ -55,7 +55,6 @@ import hashlib
 import multiprocessing
 import os
 import time
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,22 +103,17 @@ def _hash_array(h, arr: np.ndarray) -> None:
     h.update(a.tobytes())
 
 
-#: Memoized fingerprints, keyed by object identity and evicted on GC.
-#: Sound because Instance is frozen; an (A algorithms x I instances) grid
-#: would otherwise re-hash every instance's matrices A times.
-_FINGERPRINT_MEMO: Dict[int, str] = {}
-
-
 def instance_fingerprint(instance: Instance) -> str:
     """SHA-256 content hash of an instance (name and meta excluded).
 
     Two instances with identical matrices hash identically regardless of how
-    they were generated, so cached results survive regeneration.
+    they were generated, so cached results survive regeneration.  Memoised
+    on the frozen instance, outside its state like its class index: an
+    (A algorithms x I instances) grid would otherwise hash each one A times.
     """
-    memo_key = id(instance)
-    cached = _FINGERPRINT_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
+    fingerprint = instance.__dict__.get("_fingerprint")
+    if fingerprint is not None:
+        return fingerprint
     h = hashlib.sha256()
     h.update(instance.environment.value.encode())
     for arr in (instance.processing, instance.setups, instance.job_classes,
@@ -129,8 +123,7 @@ def instance_fingerprint(instance: Instance) -> str:
         else:
             _hash_array(h, arr)
     fingerprint = h.hexdigest()
-    _FINGERPRINT_MEMO[memo_key] = fingerprint
-    weakref.finalize(instance, _FINGERPRINT_MEMO.pop, memo_key, None)
+    object.__setattr__(instance, "_fingerprint", fingerprint)
     return fingerprint
 
 

@@ -12,7 +12,9 @@ transaction per group of fresh results whose compute time reaches
 the held group, under 0.1 s of compute, and since the store is a cache
 those results are only recomputed.  Reads never write: a warm hit is one
 SELECT and the unpickling of a payload that leaves out the task's own
-instance (:func:`encode`; the reader holds the task, :func:`decode`).
+instance (:func:`encode`; the reader holds the task, :func:`decode`) and
+holds the schedule's assignment as raw ``int`` bytes
+(:meth:`repro.core.schedule.Schedule.__reduce__`).
 
 Alongside the payload, each row records run metadata (algorithm name,
 machine-environment tag, instance dimensions, wall time, payload size,
@@ -65,8 +67,9 @@ __all__ = ["ResultStore", "StoreRecord", "SCHEMA_VERSION", "encode", "decode"]
 
 #: Bump when the layout of either table (``results``, ``task_queue``) or
 #: the pickle payload contract changes; files written under another
-#: version are rebuilt empty on open.  Version 4 moved the task queue in.
-SCHEMA_VERSION = 4
+#: version are rebuilt empty on open.  Version 4 moved the task queue in;
+#: version 5 pickles a schedule's assignment as raw ``int`` bytes.
+SCHEMA_VERSION = 5
 
 #: SQLite caps host parameters per statement (999 on older builds); bulk
 #: SELECTs are chunked below this.

@@ -157,6 +157,8 @@ class TestClassIndex:
                 members[:1] = 0  # read-only
         assert pickle.dumps(inst) == before
         assert instance_fingerprint(inst) == instance_fingerprint(twin)
+        assert pickle.dumps(inst) == before  # both memos filled now
+        assert "_fingerprint" not in pickle.loads(before).__dict__
         assert (BatchTask.make("lpt-with-setups", inst).cache_key()
                 == BatchTask.make("lpt-with-setups", twin).cache_key())
         assert inst == dataclasses.replace(inst)
@@ -164,6 +166,40 @@ class TestClassIndex:
         for bad in (-1, num_classes, 0.5):
             with pytest.raises(ValueError, match="class"):
                 inst.jobs_of_class(bad)
+
+
+class TestEquality:
+    """Instances compare field by field, arrays by value, memos ignored."""
+
+    def test_pickled_twin_is_equal_and_hashes_alike(self, tiny_uniform):
+        twin = pickle.loads(pickle.dumps(tiny_uniform))
+        instance_fingerprint(tiny_uniform)
+        tiny_uniform.jobs_of_class(0)
+        assert tiny_uniform == twin and not tiny_uniform != twin
+        assert tiny_uniform in [twin]
+        assert hash(tiny_uniform) == hash(twin)
+        assert twin in {tiny_uniform} and {tiny_uniform: 1}[twin] == 1
+
+    def test_replace_copy_is_equal(self, tiny_uniform):
+        copy = dataclasses.replace(tiny_uniform)
+        assert copy == tiny_uniform and hash(copy) == hash(tiny_uniform)
+        assert dataclasses.replace(tiny_uniform, name="other") != tiny_uniform
+
+    @pytest.mark.parametrize("field", ["processing", "setups", "job_classes",
+                                       "speeds", "job_sizes", "setup_sizes"])
+    def test_one_changed_array_is_unequal(self, tiny_uniform, field):
+        changed = getattr(tiny_uniform, field).copy()
+        changed.flat[0] += 1
+        other = dataclasses.replace(tiny_uniform, **{field: changed})
+        assert other != tiny_uniform
+        assert other not in {tiny_uniform}
+        assert dataclasses.replace(tiny_uniform, **{field: None}) != tiny_uniform
+
+    def test_other_types_are_unequal(self, tiny_uniform, tiny_unrelated):
+        assert tiny_uniform != tiny_unrelated
+        assert tiny_uniform != "instance"
+        assert len({tiny_uniform, tiny_unrelated,
+                    pickle.loads(pickle.dumps(tiny_unrelated))}) == 2
 
 
 class TestStructurePredicates:

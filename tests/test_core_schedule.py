@@ -1,5 +1,8 @@
 """Tests for Schedule load accounting and validation."""
 
+import io
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,35 @@ class TestAssignment:
         clone = schedule.copy()
         clone.assign(0, 1)
         assert schedule.machine_of(0) == 0
+
+
+class TestPickle:
+    """A schedule pickles its assignment as raw ``int`` bytes."""
+
+    @pytest.mark.parametrize("n", [0, 7, 2000])
+    def test_roundtrip_restores_a_writable_int_array(self, n):
+        inst = uniform_instance(n, 3, 1, seed=n)
+        schedule = Schedule(inst, np.arange(n) % 3)
+        schedule.assignment[1::2] = UNASSIGNED  # partly unassigned
+        restored = pickle.loads(pickle.dumps(schedule, pickle.HIGHEST_PROTOCOL))
+        assert restored.assignment.dtype == Schedule(inst).assignment.dtype
+        assert restored.assignment.flags.writeable
+        assert restored.assignment.tolist() == schedule.assignment.tolist()
+        assert restored.instance == inst
+        if n:
+            restored.assign(0, 2)
+            assert schedule.machine_of(0) == 0
+
+    def test_payload_holds_raw_bytes_not_an_array(self, tiny_uniform):
+        """With its instance left out (as the store does), a pickled
+        schedule is the raw bytes and its restore function: no array."""
+        schedule = Schedule(tiny_uniform, [0, 1, 0, 1, 1])
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: "instance" if obj is tiny_uniform else None
+        pickler.dump(schedule)
+        assert schedule.assignment.tobytes() in buffer.getvalue()
+        assert b"numpy" not in buffer.getvalue()
 
 
 class TestLoads:

@@ -322,6 +322,23 @@ class TestPayloadContract:
                 == task.instance.processing).all()
         assert fetched.makespan == result.makespan
 
+    def test_encode_decode_restore_the_task_instance_by_identity(self):
+        """A foreign instance in ``meta`` (an equal copy included) is
+        pickled whole; only the task's own object becomes the token."""
+        task = _task()
+        result = _result_for(task)
+        twin = pickle.loads(pickle.dumps(task.instance))
+        result.meta["sub"] = twin
+        payload = result_store.encode(task, result)
+        assert len(payload) > len(pickle.dumps(twin))
+        decoded = result_store.decode(task, payload)
+        assert decoded.schedule.instance is task.instance
+        assert decoded.meta["sub"] is not task.instance
+        assert decoded.meta["sub"] == task.instance
+        assert decoded.schedule.assignment.tolist() \
+            == result.schedule.assignment.tolist()
+        assert decoded.schedule.assignment.flags.writeable
+
     def test_warm_reads_write_nothing(self, tmp_path):
         tasks = [_task(seed=s) for s in range(4)]
         with ResultStore(tmp_path / "s.sqlite") as store:
@@ -446,7 +463,7 @@ class TestOneSchema:
             assert _tables(store) == {"store_meta", "results", "task_queue"}
             assert _meta(store) == [("change_seq", "0"),
                                     ("schema_version", str(SCHEMA_VERSION))]
-            assert SCHEMA_VERSION == 4
+            assert SCHEMA_VERSION == 5
 
     @pytest.mark.parametrize("with_queue", [False, True],
                              ids=["results-only", "with-v6-queue"])
@@ -469,6 +486,23 @@ class TestOneSchema:
         with ResultStore(path) as reopened:  # current now: no second rebuild
             assert reopened.stats_counters["rebuilds"] == 0
             assert reopened.get(task) is not None
+
+    def test_version_4_file_opens_as_an_empty_current_file(self, tmp_path):
+        """Version 5 changed only the payload (raw assignment bytes): a
+        file stamped 4 has the current layout and is still rebuilt."""
+        path = tmp_path / "v4.sqlite"
+        task = _task()
+        with ResultStore(path) as store:
+            store.put(task, _result_for(task))
+            with store._conn:
+                store._conn.execute("UPDATE store_meta SET value = '4'"
+                                    " WHERE key = 'schema_version'")
+        with ResultStore(path) as store:
+            assert store.stats_counters["rebuilds"] == 1
+            assert len(store) == 0 and store.get(task) is None
+            assert _tables(store) == {"store_meta", "results", "task_queue"}
+            assert _meta(store) == [("change_seq", "0"),
+                                    ("schema_version", "5")]
 
     def test_a_stale_file_is_rebuilt_in_place(self, tmp_path):
         """A connection that held the stale file open sees the rebuilt
