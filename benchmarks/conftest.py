@@ -1,8 +1,11 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark module regenerates one experiment of the registry
-(E1–E9, F1–F5) in :mod:`repro.analysis.experiments` and prints the
-resulting table, so running
+Every ``bench_e*`` module and ``bench_f1_speed_groups`` regenerates one
+experiment of the paper's registry (E1–E9, F1) in
+:mod:`repro.analysis.experiments` through :func:`run_and_print`.  The
+F2–F5 modules measure the serving stack (pool, store, queue,
+supervisor) rather than the paper: each holds its own harness and hands
+the table it builds to :func:`publish`.  Running
 
     pytest benchmarks/ --benchmark-only
 
@@ -12,7 +15,11 @@ reproduces the full empirical evaluation (README § Testing) at the
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
+
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def pytest_addoption(parser):
@@ -27,25 +34,27 @@ def scale(request) -> str:
     return request.config.getoption("--scale")
 
 
-def run_and_print(experiment_id: str, scale: str):
-    """Run one experiment, print its table, persist it, and return it.
+def publish(table, experiment_id: str, scale: str):
+    """Print ``table``, write it to ``benchmarks/results/<ID>_<scale>.txt``
+    (so the numbers can be regenerated and diffed), and return it."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    print()
+    print(table.render())
+    (RESULTS_DIR / f"{experiment_id.upper()}_{scale}.txt").write_text(table.render() + "\n")
+    return table
 
-    The rendered table is also written to ``benchmarks/results/<id>.txt`` so
-    that the numbers can be regenerated and diffed.
-    The shared experiment runner is given a persistent result store under
+
+def run_and_print(experiment_id: str, scale: str):
+    """Run one registered experiment and :func:`publish` its table.
+
+    The experiment's session is given a persistent result store under
     ``benchmarks/results/`` (gitignored), so re-running the harness reuses
     every algorithm result computed by earlier invocations — across
     processes, not just within one.
     """
-    import pathlib
-
     from repro.analysis import run_experiment
 
-    results_dir = pathlib.Path(__file__).parent / "results"
-    results_dir.mkdir(parents=True, exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     table = run_experiment(experiment_id, scale,
-                           store_path=results_dir / "result_store.sqlite")
-    print()
-    print(table.render())
-    (results_dir / f"{experiment_id.upper()}_{scale}.txt").write_text(table.render() + "\n")
-    return table
+                           store_path=RESULTS_DIR / "result_store.sqlite")
+    return publish(table, experiment_id, scale)

@@ -104,37 +104,6 @@ class GroupStructure:
         """``J̃_k``: fringe jobs of class ``k``."""
         return list(self._fringe_jobs[k])
 
-    def is_fringe_machine(self, i: int, k: int) -> bool:
-        """Whether machine ``i`` is a fringe (faster than core) machine of class ``k``."""
-        assert self.instance.setup_sizes is not None and self.instance.speeds is not None
-        s_k = float(self.instance.setup_sizes[k])
-        tv = self.guess * float(self.instance.speeds[i])
-        return tv >= s_k / self.params.gamma
-
-    def size_category(self, size: float, speed: float) -> str:
-        """``"small"``, ``"big"`` or ``"huge"`` for a size on a machine of the given speed."""
-        eps = self.params.epsilon
-        if size < eps * speed * self.guess:
-            return "small"
-        if size <= speed * self.guess:
-            return "big"
-        return "huge"
-
-    def class_core_speed_interval(self, k: int) -> Tuple[float, float]:
-        """Speed interval ``[s_k/T, s_k/(γT))`` of possible core machines of class ``k``.
-
-        This is the dashed interval of Figure 1.
-        """
-        assert self.instance.setup_sizes is not None
-        s_k = float(self.instance.setup_sizes[k])
-        return s_k / self.guess, s_k / (self.params.gamma * self.guess)
-
-    def job_big_speed_interval(self, j: int) -> Tuple[float, float]:
-        """Speed interval ``(p_j/T, p_j/(εT)]`` for which job ``j`` is big (dotted in Figure 1)."""
-        assert self.instance.job_sizes is not None
-        p_j = float(self.instance.job_sizes[j])
-        return p_j / self.guess, p_j / (self.params.epsilon * self.guess)
-
     def groups_with_machines(self) -> List[int]:
         """Sorted list of groups that contain at least one machine."""
         present = sorted({g for pair in self.machine_groups for g in pair})

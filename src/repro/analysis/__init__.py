@@ -8,11 +8,13 @@ examples) rather than ad-hoc scripting.
   measure makespans against the best available reference (exact MILP optimum
   on small instances, LP lower bound otherwise).
 * :mod:`repro.analysis.experiments` — the experiment registry
-  (``EXPERIMENTS``): one function per experiment id (E1–E9, F1–F5)
-  producing a :class:`repro.analysis.tables.ResultTable`; since the
-  :mod:`repro.api` redesign each E-experiment is a thin
+  (``EXPERIMENTS``): one function per experiment id (E1–E9 check the
+  paper's guarantees, F1 regenerates Figure 1) producing a
+  :class:`repro.analysis.tables.ResultTable`; each E-experiment is a thin
   :class:`~repro.api.ScenarioSpec`-plus-post-processing wrapper over the
-  :class:`~repro.api.Session` facade.
+  :class:`~repro.api.Session` facade.  The F2–F5 benchmarks measure the
+  serving stack, not the paper, and live in
+  ``benchmarks/bench_f{2,3,4,5}_*.py``.
 * :mod:`repro.analysis.tables` — plain-text/markdown/CSV/JSON table
   rendering used by the benchmark harness (``benchmarks/``) and the
   ``python -m repro run --export`` CLI.
@@ -34,7 +36,6 @@ from repro.analysis.experiments import (
     experiment_e8_dual_search,
     experiment_e9_scalability,
     experiment_f1_speed_groups,
-    experiment_f2_batch_throughput,
 )
 
 __all__ = [
@@ -55,5 +56,4 @@ __all__ = [
     "experiment_e8_dual_search",
     "experiment_e9_scalability",
     "experiment_f1_speed_groups",
-    "experiment_f2_batch_throughput",
 ]

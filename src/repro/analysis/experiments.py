@@ -14,12 +14,11 @@ post-processing that turns aligned results into its published table (ratio
 columns); reference MILPs are ``milp-optimal`` tasks the session runs and
 stores like any other.  Non-algorithm sweep steps (the E4 hardness
 construction, the E8 dual-search probes, the F1 structure analysis) go
-through ``Session.map``.
-The F-benchmarks that *measure the stack itself* (F2 throughput, F3 store,
-F4 queue, F5 supervisor) keep their bespoke harnesses but construct every
-runner via the session's :meth:`~repro.api.Session.build_runner`, so one
-config object governs them too.  Every experiment takes ``(scale,
-session)``; :func:`run_experiment` builds the session.
+through ``Session.map``.  Every experiment takes ``(scale, session)``;
+:func:`run_experiment` builds the session.  The benchmarks that measure
+the serving stack rather than the paper (F2 throughput, F3 store, F4
+queue, F5 worker fleet) live with their harnesses in
+``benchmarks/bench_f{2,3,4,5}_*.py``, not here.
 
 The paper itself contains no empirical evaluation (it is a theory paper);
 the experiments here verify each proven guarantee empirically and
@@ -31,11 +30,10 @@ harness, ``"full"`` by ``pytest benchmarks/ --scale=full``.
 from __future__ import annotations
 
 import math
-import sqlite3
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -44,13 +42,11 @@ from repro.algorithms.ptas import PTASParams, compute_groups, simplify_instance
 from repro.algorithms.unrelated import theoretical_ratio_bound
 from repro.analysis.tables import ResultTable
 from repro.api import (AlgorithmSweep, ReferencePolicy, ScalePreset,
-                       ScenarioSpec, Session)
+                       ScenarioRun, ScenarioSpec, Session)
 from repro.core.bounds import greedy_upper_bound, lp_lower_bound, makespan_bounds
 from repro.core.dual import dual_approximation_search
 from repro.core.instance import Instance
-from repro.generators import uniform_instance
 from repro.generators.suites import SUITES, iter_suite
-from repro.runtime import BatchRunner, BatchTask
 from repro.setcover import (
     greedy_set_cover,
     integrality_gap_instance,
@@ -72,11 +68,6 @@ __all__ = [
     "experiment_e8_dual_search",
     "experiment_e9_scalability",
     "experiment_f1_speed_groups",
-    "experiment_f2_batch_throughput",
-    "experiment_f3_store_warm_vs_cold",
-    "experiment_f4_queue_workers",
-    "experiment_f5_supervisor",
-    "result_digest",
 ]
 
 
@@ -465,7 +456,8 @@ def experiment_e9_scalability(scale: str, session: Session) -> ResultTable:
     runner = session.build_runner(max_workers=1, store=None,
                                   backend="serial")
     batch = runner.run_tasks(compiled.tasks).raise_for_failures()
-    run = _scenario_run_over(compiled, batch)
+    run = ScenarioRun(compiled=compiled, results=list(batch.results),
+                      wall_seconds=batch.wall_seconds)
     lpt = run.by_algorithm("lpt-with-setups")
     greedy = run.by_algorithm("class-aware-greedy")
     ptas = run.by_algorithm("ptas-uniform")
@@ -483,15 +475,6 @@ def experiment_e9_scalability(scale: str, session: Session) -> ResultTable:
     table.add_note("expected shape: near-linear growth for LPT/greedy, polynomial for the "
                    "PTAS decision and the LP")
     return table
-
-
-def _scenario_run_over(compiled, batch):
-    """A :class:`~repro.api.ScenarioRun` over an externally executed batch
-    (experiments that need a bespoke runner still get aligned access)."""
-    from repro.api.session import ScenarioRun
-
-    return ScenarioRun(compiled=compiled, results=list(batch.results),
-                       wall_seconds=batch.wall_seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -538,423 +521,6 @@ def experiment_f1_speed_groups(scale: str, session: Session) -> ResultTable:
 
 
 # ---------------------------------------------------------------------------
-# F2 — batch runtime throughput (serial vs process pool)
-# ---------------------------------------------------------------------------
-#: Algorithms used for the throughput grid.  The PTAS at a small epsilon
-#: makes each task cost tens of milliseconds, so pool startup and pickling
-#: overheads amortise and the measured speedup reflects the dispatch
-#: engine, not fork latency.
-F2_ALGORITHMS = (("ptas-uniform", {"epsilon": 0.05}),
-                 ("lpt-with-setups", {}),
-                 ("class-aware-greedy", {}))
-
-
-def experiment_f2_batch_throughput(scale: str, session: Session) -> ResultTable:
-    """Instances/second of the batch runtime, serial vs parallel dispatch.
-
-    Runs the same ``(algorithm × instance)`` grid twice, each time on a
-    fresh store-less runner (so every task is computed): once on a single
-    in-process worker and once with the auto-sized process pool.  Tasks
-    are interleaved instance-major, so every auto-sized chunk mixes heavy
-    PTAS tasks with cheap ones and the heavy work spreads across workers.
-    On a single-CPU host the two modes coincide (the runner degrades to
-    in-process execution) and the speedup column stays ≈ 1.
-    """
-    quick = scale == "quick"
-    num_instances = 16 if quick else 48
-    n, m, K = (200, 12, 20) if quick else (400, 20, 40)
-    instances = [uniform_instance(n, m, K, seed=7000 + i, integral=True)
-                 for i in range(num_instances)]
-    tasks = [BatchTask.make(name, inst, kwargs)
-             for inst in instances for name, kwargs in F2_ALGORITHMS]
-
-    serial = session.build_runner(max_workers=1, store=None,
-                                  backend="serial")
-    serial_batch = serial.run_tasks(tasks)
-    serial_batch.raise_for_failures()
-    parallel = session.build_runner(store=None, backend=None)
-    parallel_batch = parallel.run_tasks(tasks)
-    parallel_batch.raise_for_failures()
-
-    table = ResultTable(
-        title="F2: batch runtime throughput — serial vs process-pool dispatch",
-        columns=["mode", "workers", "tasks", "wall_s", "tasks_per_s",
-                 "speedup_vs_serial"],
-    )
-    table.add_row(mode="serial", workers=1, tasks=len(serial_batch),
-                  wall_s=serial_batch.wall_seconds,
-                  tasks_per_s=serial_batch.throughput(), speedup_vs_serial=1.0)
-    speedup = (serial_batch.wall_seconds / parallel_batch.wall_seconds
-               if parallel_batch.wall_seconds > 0 else float("inf"))
-    table.add_row(mode="parallel", workers=parallel.max_workers,
-                  tasks=len(parallel_batch), wall_s=parallel_batch.wall_seconds,
-                  tasks_per_s=parallel_batch.throughput(),
-                  speedup_vs_serial=speedup)
-    table.add_note("expected shape: tasks_per_s scales with the worker count; on a "
-                   "single-CPU host both modes run in-process and the speedup is ~1")
-    return table
-
-
-# ---------------------------------------------------------------------------
-# F3 — persistent store: warm vs cold grid re-runs, streaming latency
-# ---------------------------------------------------------------------------
-#: The F3 grid leans on the PTAS at a small epsilon so each cold task costs
-#: a tangible fraction of a second — the quantity under test is the store's
-#: ability to *skip* that work on a warm re-run, not the work itself.
-F3_ALGORITHMS = (("ptas-uniform", {"epsilon": 0.04}),
-                 ("lpt-with-setups", {}),
-                 ("class-aware-greedy", {}))
-
-
-def _f3_stream(runner: BatchRunner, tasks: List[BatchTask]) -> Dict[str, float]:
-    """Drain ``run_iter`` and time first-yield / first-fresh / total wall.
-
-    ``first_result_s`` is the latency to the *first* streamed result of any
-    origin; ``first_fresh_s`` to the first result that was actually
-    computed this run (``nan`` when everything was warm).  The gap between
-    the two is the streaming win: warm results reach the consumer while
-    cold work is still running.
-    """
-    warm_before = runner.stats["cache_hits"] + runner.stats["store_hits"]
-    start = time.perf_counter()
-    first_result = first_fresh = float("nan")
-    count = 0
-    for _idx, _result in runner.run_iter(tasks):
-        now = time.perf_counter() - start
-        count += 1
-        if math.isnan(first_result):
-            first_result = now
-        warm_now = runner.stats["cache_hits"] + runner.stats["store_hits"]
-        if math.isnan(first_fresh) and count > warm_now - warm_before:
-            first_fresh = now
-    wall = time.perf_counter() - start
-    warm_served = (runner.stats["cache_hits"] + runner.stats["store_hits"]
-                   - warm_before)
-    return {"wall_s": wall, "first_result_s": first_result,
-            "first_fresh_s": first_fresh, "warm_served": warm_served,
-            "tasks": count}
-
-
-def experiment_f3_store_warm_vs_cold(scale: str, session: Session) -> ResultTable:
-    """Persistent-store throughput: cold compute vs warm re-run vs mixed.
-
-    Three passes over the same task grid, each with a *fresh*
-    ``BatchRunner`` (empty in-memory cache) sharing one on-disk
-    :class:`~repro.store.ResultStore`:
-
-    * ``cold`` — empty store; every task computes and is persisted;
-    * ``warm`` — a new runner (think: restarted process) re-runs the
-      identical grid; everything streams from the store with no pool work;
-    * ``mixed`` — the warm grid plus fresh instances; warm results must
-      reach the consumer before the pool finishes its first cold chunk.
-
-    ``store_written``: a second connection's ``PRAGMA data_version``
-    moved, i.e. the pass committed a write (a warm pass must not).
-
-    The pool is forced on (even on one CPU) so the mixed row measures real
-    fork/dispatch latency; it sizes its chunks from the batch (the mixed
-    pass's few cold tasks go one per chunk).  The cost model fitted from
-    the cold pass orders the mixed pass's cold tasks by descending
-    predicted cost.  Runners come from the session's ``build_runner`` on a
-    scratch store (fresh in-memory cache per pass, shared disk store).
-    """
-    import shutil
-    import tempfile
-
-    quick = scale == "quick"
-    num_instances = 6 if quick else 16
-    num_fresh = 2 if quick else 4
-    n, m, K = (500, 16, 24) if quick else (900, 24, 40)
-    instances = [uniform_instance(n, m, K, seed=7300 + i, integral=True)
-                 for i in range(num_instances)]
-    fresh_instances = [uniform_instance(n, m, K, seed=7900 + i, integral=True)
-                      for i in range(num_fresh)]
-    base_tasks = [BatchTask.make(name, inst, kwargs)
-                  for inst in instances for name, kwargs in F3_ALGORITHMS]
-    mixed_tasks = base_tasks + [BatchTask.make(name, inst, kwargs)
-                                for inst in fresh_instances
-                                for name, kwargs in F3_ALGORITHMS]
-
-    store_dir = Path(tempfile.mkdtemp(prefix="repro-f3-"))
-    store_path = store_dir / "f3_store.sqlite"
-
-    def fresh_runner() -> BatchRunner:
-        return session.build_runner(store=str(store_path), backend="pool")
-
-    table = ResultTable(
-        title="F3: persistent result store — warm vs cold grid re-runs",
-        columns=["mode", "tasks", "warm_served", "wall_s", "first_result_s",
-                 "first_fresh_s", "tasks_per_s", "speedup_vs_cold",
-                 "store_written", "payload_bytes_per_row"],
-    )
-    timings: Dict[str, Dict[str, float]] = {}
-    try:
-        for mode, tasks in (("cold", base_tasks), ("warm", base_tasks),
-                            ("mixed", mixed_tasks)):
-            runner = fresh_runner()
-            watcher = sqlite3.connect(str(store_path))
-            try:
-                version = watcher.execute("PRAGMA data_version").fetchone()
-                timing = _f3_stream(runner, tasks)
-                written = watcher.execute("PRAGMA data_version").fetchone() != version
-                stats = runner.store.stats()
-            finally:
-                watcher.close()
-                runner.store.close()
-            timings[mode] = timing
-            table.add_row(
-                mode=mode, tasks=timing["tasks"], warm_served=timing["warm_served"],
-                wall_s=timing["wall_s"], first_result_s=timing["first_result_s"],
-                first_fresh_s=timing["first_fresh_s"],
-                tasks_per_s=timing["tasks"] / timing["wall_s"],
-                speedup_vs_cold=timings["cold"]["wall_s"] / timing["wall_s"],
-                store_written=written,
-                payload_bytes_per_row=(stats["total_payload_bytes"]
-                                       // max(1, stats["entries"])),
-            )
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-    table.add_note("expected shape: the warm re-run serves every task from the store "
-                   ">= 5x faster than the cold run; in the mixed run first_result_s "
-                   "(a warm stream hit) comes well before first_fresh_s (the first "
-                   "pool-computed result)")
-    return table
-
-
-# ---------------------------------------------------------------------------
-# F4 — distributed queue: subprocess workers vs the serial backend
-# ---------------------------------------------------------------------------
-#: The F4 grid: deterministic algorithms only (no MILP incumbents, no
-#: randomness), so the serial and the distributed runs must agree to the
-#: byte — any divergence is a queue-layer bug, not solver noise.
-F4_ALGORITHMS = (("ptas-uniform", {"epsilon": 0.3}),
-                 ("lpt-with-setups", {}),
-                 ("class-aware-greedy", {}))
-
-
-def result_digest(results) -> str:
-    """SHA-256 over the canonical content of a result list.
-
-    Hashes everything a scheduling answer *is* — algorithm name, makespan,
-    guarantee, and the full job-to-machine assignment — and nothing that
-    merely describes how it was produced (wall times, meta diagnostics),
-    so two backends computing the same tasks must collide exactly.
-    """
-    import hashlib
-
-    h = hashlib.sha256()
-    for result in results:
-        h.update(result.name.encode())
-        h.update(repr(result.makespan).encode())
-        h.update(repr(result.guarantee).encode())
-        arr = np.ascontiguousarray(result.schedule.assignment)
-        h.update(str(arr.dtype).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
-
-
-def experiment_f4_queue_workers(scale: str, session: Session) -> ResultTable:
-    """Distributed queue backend vs serial: equality and exactly-once compute.
-
-    Runs one deterministic task grid twice:
-
-    * ``serial`` — the in-process :class:`SerialBackend`, the semantic
-      reference;
-    * ``queue`` — tasks enqueued into a fresh store file's ``task_queue``
-      and drained by **two** ``python -m repro.runtime.worker``
-      subprocesses; the submitting runner is a pure coordinator
-      (``inline=False``), so every result was computed by a worker and
-      travelled back through the store.
-
-    The acceptance properties of the distributed layer are measured into
-    the table (and asserted by ``bench_f4_queue_workers``):
-    ``digest(queue) == digest(serial)`` and ``duplicate_computes == 0``
-    (store-mediated dedup: two workers on one file never compute a cache
-    key twice).  On a 1-CPU host the workers interleave instead of
-    parallelising — correctness, not speedup, is the quantity under test.
-    Both runners are built by the session's ``build_runner``: the serial
-    reference store-less, the coordinator on the queue backend with its
-    options in ``backend_options``.
-    """
-    import shutil
-    import subprocess
-    import sys
-    import tempfile
-
-    from repro.runtime.supervisor import child_env
-    from repro.store.task_queue import TaskQueue
-
-    quick = scale == "quick"
-    num_instances = 4 if quick else 12
-    n, m, K = (80, 6, 8) if quick else (200, 12, 16)
-    instances = [uniform_instance(n, m, K, seed=7400 + i, integral=True)
-                 for i in range(num_instances)]
-    tasks = [BatchTask.make(name, inst, kwargs)
-             for inst in instances for name, kwargs in F4_ALGORITHMS]
-
-    table = ResultTable(
-        title="F4: distributed SQLite work queue — two workers vs serial",
-        columns=["mode", "workers", "tasks", "unique_keys", "wall_s",
-                 "computed", "duplicate_computes", "digest12"],
-    )
-
-    serial = session.build_runner(backend="serial", max_workers=1,
-                                  store=None)
-    serial_batch = serial.run_tasks(tasks).raise_for_failures()
-    serial_digest = result_digest(serial_batch.results)
-    table.add_row(mode="serial", workers=0, tasks=len(serial_batch),
-                  unique_keys=len({t.cache_key() for t in tasks}),
-                  wall_s=serial_batch.wall_seconds,
-                  computed=len(serial_batch), duplicate_computes=0,
-                  digest12=serial_digest[:12])
-
-    store_dir = Path(tempfile.mkdtemp(prefix="repro-f4-"))
-    store_path = store_dir / "f4_store.sqlite"
-    workers = []
-    try:
-        for i in range(2):
-            workers.append(subprocess.Popen(
-                [sys.executable, "-m", "repro.runtime.worker",
-                 "--store", str(store_path), "--worker-id", f"f4-worker-{i}",
-                 "--idle-exit", "20", "--poll-s", "0.02"],
-                env=child_env(), stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL))
-        coordinator = session.build_runner(
-            store=str(store_path), backend="queue", max_workers=1,
-            backend_options={"inline": False, "poll_s": 0.02,
-                             "stall_timeout_s": 120.0})
-        queue_batch = coordinator.run_tasks(tasks).raise_for_failures()
-        queue_digest = result_digest(queue_batch.results)
-        queue = TaskQueue(store_path)
-        compute_counts = queue.compute_counts(
-            sorted({t.cache_key() for t in tasks}))
-        queue.close()
-        coordinator.store.close()
-        table.add_row(
-            mode="queue", workers=len(workers), tasks=len(queue_batch),
-            unique_keys=len(compute_counts), wall_s=queue_batch.wall_seconds,
-            computed=sum(compute_counts.values()),
-            duplicate_computes=sum(max(0, c - 1)
-                                   for c in compute_counts.values()),
-            digest12=queue_digest[:12])
-    finally:
-        for proc in workers:
-            proc.terminate()
-        for proc in workers:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
-        shutil.rmtree(store_dir, ignore_errors=True)
-    table.add_note("expected shape: identical digest12 for both modes "
-                   "(byte-identical schedules), duplicate_computes = 0 "
-                   "(store-mediated dedup), computed = unique_keys")
-    return table
-
-
-# ---------------------------------------------------------------------------
-# F5 — supervised worker fleet: autoscaling, crash restarts
-# ---------------------------------------------------------------------------
-def experiment_f5_supervisor(scale: str, session: Session) -> ResultTable:
-    """Supervised chaos fleet vs serial: equality, exactly-once, lifecycle.
-
-    Runs one deterministic task grid twice:
-
-    * ``serial`` — the in-process :class:`SerialBackend`, the semantic
-      reference (built by the session's ``build_runner``);
-    * ``supervised`` — tasks enqueued into a fresh store file's
-      ``task_queue``, then drained by a
-      :class:`~repro.runtime.supervisor.Supervisor` managing a fleet of
-      **chaos** workers
-      (``python -m repro.testing.chaos --crash-after 5``, fleet capped at
-      2 — CI runs on 1 CPU): every incarnation computes five tasks and
-      dies, so the run only finishes if crash-restart actually works, and
-      — since 5 never divides the grid — at least one final incarnation
-      survives to be retired idle.
-
-    The acceptance properties of the supervisor layer are measured into
-    the table (and asserted by ``bench_f5_supervisor``):
-    ``digest(supervised) == digest(serial)``, ``duplicate_computes == 0``
-    despite the injected crashes, and the supervisor log shows spawns,
-    crash-restarts and an idle retirement.
-    """
-    import shutil
-    import tempfile
-
-    from repro.runtime.supervisor import Supervisor
-    from repro.store import ResultStore
-    from repro.store.task_queue import TaskQueue
-
-    quick = scale == "quick"
-    num_instances = 4 if quick else 12
-    n, m, K = (80, 6, 8) if quick else (200, 12, 16)
-    instances = [uniform_instance(n, m, K, seed=7500 + i, integral=True)
-                 for i in range(num_instances)]
-    tasks = [BatchTask.make(name, inst, kwargs)
-             for inst in instances for name, kwargs in F4_ALGORITHMS]
-
-    table = ResultTable(
-        title="F5: supervised worker fleet — autoscale, crash-restart",
-        columns=["mode", "max_workers", "tasks", "wall_s", "computed",
-                 "duplicate_computes", "spawned", "crashed", "restarts",
-                 "retired", "digest12"],
-    )
-
-    serial = session.build_runner(backend="serial", max_workers=1,
-                                  store=None)
-    serial_batch = serial.run_tasks(tasks).raise_for_failures()
-    serial_digest = result_digest(serial_batch.results)
-    table.add_row(mode="serial", max_workers=0, tasks=len(serial_batch),
-                  wall_s=serial_batch.wall_seconds, computed=len(serial_batch),
-                  duplicate_computes=0, spawned=0, crashed=0, restarts=0,
-                  retired=0, digest12=serial_digest[:12])
-
-    store_dir = Path(tempfile.mkdtemp(prefix="repro-f5-"))
-    store_path = store_dir / "f5_store.sqlite"
-    try:
-        with TaskQueue(store_path, lease_s=30.0) as queue:
-            queue.enqueue(tasks)
-        supervisor = Supervisor(
-            store_path, max_workers=2, lease_s=30.0, poll_s=0.05,
-            idle_grace_s=0.3, restart_backoff_s=0.1, restart_cap=60,
-            worker_module="repro.testing.chaos",
-            worker_args=["--crash-after", "5"],
-            worker_idle_exit=2.0, worker_poll_s=0.02)
-        t0 = time.perf_counter()
-        summary = supervisor.run()
-        wall = time.perf_counter() - t0
-        if not summary["drained"]:
-            raise RuntimeError(
-                f"supervisor gave up before draining the queue: {summary}")
-
-        with TaskQueue(store_path, lease_s=30.0) as queue:
-            compute_counts = queue.compute_counts(
-                sorted({t.cache_key() for t in tasks}))
-        with ResultStore(store_path) as store:
-            warm = store.prefetch(tasks)
-        missing = [t.cache_key() for t in tasks if t.cache_key() not in warm]
-        if missing:
-            raise RuntimeError(
-                f"{len(missing)} task(s) never produced a stored result")
-        results = [warm[t.cache_key()] for t in tasks]
-        table.add_row(
-            mode="supervised", max_workers=2, tasks=len(tasks), wall_s=wall,
-            computed=sum(compute_counts.values()),
-            duplicate_computes=sum(max(0, c - 1)
-                                   for c in compute_counts.values()),
-            spawned=summary["spawned"], crashed=summary["crashed"],
-            restarts=summary["restarts"], retired=summary["retired"],
-            digest12=result_digest(results)[:12])
-    finally:
-        shutil.rmtree(store_dir, ignore_errors=True)
-    table.add_note("expected shape: identical digest12 for both modes, "
-                   "duplicate_computes = 0 despite injected crashes, "
-                   "spawned/crashed/restarts/retired all >= 1 on the "
-                   "supervised row")
-    return table
-
-
-# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 EXPERIMENTS: Dict[str, Callable[[str, Session], ResultTable]] = {
@@ -968,21 +534,19 @@ EXPERIMENTS: Dict[str, Callable[[str, Session], ResultTable]] = {
     "E8": experiment_e8_dual_search,
     "E9": experiment_e9_scalability,
     "F1": experiment_f1_speed_groups,
-    "F2": experiment_f2_batch_throughput,
-    "F3": experiment_f3_store_warm_vs_cold,
-    "F4": experiment_f4_queue_workers,
-    "F5": experiment_f5_supervisor,
 }
 
 
 def run_experiment(experiment_id: str, scale: str = "quick",
                    store_path: Union[None, str, Path] = None) -> ResultTable:
-    """Run one experiment by id (``"E1"`` … ``"E9"``, ``"F1"``–``"F5"``).
+    """Run one experiment by id (``"E1"`` … ``"E9"``, ``"F1"``).
 
     The experiment runs on ``Session(store_path=store_path)``, or on
     ``Session()`` (``REPRO_*`` environment, then defaults) when no path is
-    given.  With a store, sweep results are reused across processes;
-    F2/F3/F4/F5/E9 manage their own runners and stores by design.
+    given.  With a store, sweep results are reused across processes; E9
+    times its tasks on a dedicated store-less runner by design.  F2–F5
+    are not registered: their harnesses live in
+    ``benchmarks/bench_f{2,3,4,5}_*.py``.
     """
     key = experiment_id.upper()
     if key not in EXPERIMENTS:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -352,23 +352,6 @@ class Instance:
         return True
 
     # ------------------------------------------------------------------
-    # aggregates used by bounds / algorithms
-    # ------------------------------------------------------------------
-    def class_workload_on(self, machine: int, klass: int) -> float:
-        """``p̄_ik``: total processing time of class ``klass`` on ``machine``.
-
-        Returns ``inf`` if any job of the class is ineligible there
-        (matching the convention of LP-RelaxedRA in Section 3.3.1).
-        """
-        members = self.jobs_of_class(klass)
-        if members.size == 0:
-            return 0.0
-        times = self.processing[machine, members]
-        if np.any(~np.isfinite(times)):
-            return float("inf")
-        return float(times.sum())
-
-    # ------------------------------------------------------------------
     # validation / serialisation
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -502,29 +485,6 @@ class Instance:
             meta=dict(self.meta),
         )
         return inst
-
-    def restrict_to_jobs(self, jobs: Iterable[int]) -> Tuple["Instance", np.ndarray]:
-        """Sub-instance induced by ``jobs`` (classes are re-indexed densely).
-
-        Returns the sub-instance and the array of original job indices in the
-        new job order.
-        """
-        jobs = np.asarray(sorted(set(int(j) for j in jobs)), dtype=int)
-        old_classes = self.job_classes[jobs]
-        uniq, new_classes = np.unique(old_classes, return_inverse=True)
-        inst = Instance(
-            environment=self.environment,
-            processing=self.processing[:, jobs],
-            setups=self.setups[:, uniq],
-            job_classes=new_classes,
-            speeds=None if self.speeds is None else self.speeds.copy(),
-            job_sizes=None if self.job_sizes is None else self.job_sizes[jobs],
-            setup_sizes=None if self.setup_sizes is None else self.setup_sizes[uniq],
-            name=f"{self.name}-sub",
-            meta=dict(self.meta),
-        )
-        inst.validate()
-        return inst, jobs
 
     def __getstate__(self) -> Dict[str, object]:
         """The fields only: ``_``-prefixed memos are never pickled."""

@@ -123,13 +123,6 @@ class TestQueries:
         assert not tiny_unrelated.is_eligible(0, 3)
         assert tiny_unrelated.is_eligible(1, 3)
 
-    def test_class_workload_on(self, tiny_uniform):
-        # Class 1 jobs sizes 2, 8, 5 on machine 1 (speed 2) -> 7.5.
-        assert tiny_uniform.class_workload_on(1, 1) == pytest.approx(7.5)
-
-    def test_class_workload_inf_when_ineligible(self, tiny_unrelated):
-        assert np.isinf(tiny_unrelated.class_workload_on(0, 1))
-
     def test_aliases(self, tiny_uniform):
         assert tiny_uniform.n == tiny_uniform.num_jobs
         assert tiny_uniform.m == tiny_uniform.num_machines
@@ -324,11 +317,3 @@ class TestTransformations:
         no_setup = tiny_uniform.without_setups()
         assert np.all(no_setup.setups[np.isfinite(no_setup.setups)] == 0.0)
         assert no_setup.num_jobs == tiny_uniform.num_jobs
-
-    def test_restrict_to_jobs(self, tiny_uniform):
-        sub, mapping = tiny_uniform.restrict_to_jobs([2, 3])
-        assert sub.num_jobs == 2
-        assert mapping.tolist() == [2, 3]
-        # Classes are re-indexed densely: both jobs are class 1 -> class 0.
-        assert sub.num_classes == 1
-        assert sub.job_classes.tolist() == [0, 0]

@@ -170,14 +170,23 @@ class TestGroups:
 
     def test_remark_2_6_core_jobs_small_on_fringe_machines(self):
         """Core jobs of a class are small on the class's fringe machines."""
-        groups = self._structure()
-        inst = groups.instance
-        for k in (int(c) for c in inst.classes_present()):
-            for j in groups.core_jobs_of_class(k):
-                for i in range(inst.num_machines):
-                    if groups.is_fringe_machine(i, k):
-                        assert groups.size_category(
-                            float(inst.job_sizes[j]), float(inst.speeds[i])) == "small"
+        checked = 0
+        # The default structure has no fringe machine under a core job;
+        # the other two do, so the remark is exercised.
+        for seed, eps in ((1, 0.25), (3, 0.25), (1, 0.5)):
+            groups = self._structure(seed=seed, eps=eps)
+            inst = groups.instance
+            T, gamma = groups.guess, groups.params.gamma
+            for k in (int(c) for c in inst.classes_present()):
+                # Fringe machines of class k: T*v_i >= s_k/gamma.
+                fringe = [float(v) for v in inst.speeds
+                          if T * v >= inst.setup_sizes[k] / gamma]
+                for j in groups.core_jobs_of_class(k):
+                    for v in fringe:
+                        # Small on speed v means p_j < eps*v*T.
+                        assert inst.job_sizes[j] < eps * v * T
+                        checked += 1
+        assert checked > 0
 
     def test_remark_2_7_core_job_big_for_some_core_group_speed(self):
         """A core job's size is big for at least one speed inside the class's core group."""
@@ -202,7 +211,10 @@ class TestGroups:
         for k in (int(c) for c in inst.classes_present()):
             g = int(groups.class_core_group[k])
             glo, ghi = groups.group_bounds(g)
-            clo, chi = groups.class_core_speed_interval(k)
+            # Possible core-machine speeds: [s_k/T, s_k/(gamma*T)).
+            s_k = float(inst.setup_sizes[k])
+            clo = s_k / groups.guess
+            chi = s_k / (groups.params.gamma * groups.guess)
             assert clo >= glo - 1e-9
             assert chi <= ghi * (1 + 1e-9)
 
@@ -212,7 +224,10 @@ class TestGroups:
         for j in range(inst.num_jobs):
             g = int(groups.job_native_group[j])
             glo, ghi = groups.group_bounds(g)
-            jlo, jhi = groups.job_big_speed_interval(j)
+            # Speeds for which j is big: (p_j/T, p_j/(eps*T)].
+            p_j = float(inst.job_sizes[j])
+            jlo = p_j / groups.guess
+            jhi = p_j / (groups.params.epsilon * groups.guess)
             assert jlo >= glo - 1e-9
             assert jhi <= ghi * (1 + 1e-9)
 

@@ -10,22 +10,25 @@ Three layers, matching the design split:
 * ``TestSupervisorSmoke`` / ``TestSupervisorSoak`` — the real mechanism:
   subprocess fleets over a shared store file, the soak (slow lane) under
   injected crashes and stalls with a fleet capped at 2 (CI runs on one
-  CPU).
+  CPU);
+* ``TestResultDigest`` — the digest the soak compares against the serial
+  reference.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.experiments import result_digest
+from repro.core.schedule import Schedule
 from repro.generators import uniform_instance
 from repro.runtime import BatchRunner, BatchTask, Supervisor, SupervisorPolicy
 from repro.runtime.backends.queue import QueueBackend
 from repro.runtime.worker import drain
 from repro.store import ResultStore, TaskQueue
-from repro.testing import FakeClock
+from repro.testing import FakeClock, result_digest
 
 
 def _tasks(count: int, *, algorithm: str = "class-aware-greedy",
@@ -433,3 +436,28 @@ class TestSupervisorSoak:
             warm = store.prefetch(tasks)
         results = [warm[t.cache_key()] for t in tasks]
         assert result_digest(results) == result_digest(serial_batch.results)
+
+
+class TestResultDigest:
+    """``result_digest`` hashes what an answer is, not how it was made."""
+
+    def _result(self):
+        batch = BatchRunner(max_workers=1, backend="serial").run_tasks(
+            _tasks(1, algorithm="lpt-with-setups"))
+        return batch.raise_for_failures().results[0]
+
+    def test_ignores_runtime_and_meta(self):
+        result = self._result()
+        other = replace(result, runtime_seconds=result.runtime_seconds + 1.0,
+                        meta={"probe": 1})
+        assert result_digest([other]) == result_digest([result])
+
+    def test_changes_with_one_assignment_entry_or_the_makespan(self):
+        result = self._result()
+        digest = result_digest([result])
+        inst = result.schedule.instance
+        assignment = result.schedule.assignment.copy()
+        assignment[0] = (assignment[0] + 1) % inst.num_machines
+        moved = replace(result, schedule=Schedule(inst, assignment))
+        assert result_digest([moved]) != digest
+        assert result_digest([replace(result, makespan=result.makespan + 1.0)]) != digest
