@@ -1,5 +1,8 @@
 """Tests for the analysis harness: tables, ratio measurement, experiment registry."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -139,6 +142,26 @@ class TestExperimentRegistry:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_experiment("E42")
+
+    def test_analysis_imports_neither_the_supervisor_nor_the_queue(self):
+        """The paper's experiments stand apart from the stack benchmarks (F2-F5)."""
+        import repro.analysis
+
+        banned = ("repro.runtime.supervisor", "repro.store.task_queue", "sqlite3")
+        package = Path(repro.analysis.__file__).parent
+        modules = sorted(package.glob("*.py"))
+        assert modules
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [f"{node.module}.{alias.name}"
+                                             for alias in node.names]
+                else:
+                    continue
+                for name in names:
+                    assert not name.startswith(banned), f"{path.name} imports {name}"
 
     def test_f1_runs_and_reports_groups(self):
         table = run_experiment("F1")
