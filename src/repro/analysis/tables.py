@@ -125,9 +125,9 @@ class ResultTable:
     def to_json(self, *, indent: int = 2) -> str:
         """Render as a JSON document: title, columns, rows, notes.
 
-        Lossless up to numpy-scalar conversion: ``from_json(to_json(t))``
-        equals ``t`` for tables whose cells are plain scalars (NaN uses
-        the JavaScript-style ``NaN`` token Python's json module emits and
+        Lossless up to numpy-scalar conversion: ``json.loads`` gives back
+        every cell of a table whose cells are plain scalars (NaN uses the
+        JavaScript-style ``NaN`` token Python's json module emits and
         accepts).
         """
         payload = {
@@ -138,16 +138,6 @@ class ResultTable:
             "notes": list(self.notes),
         }
         return json.dumps(payload, indent=indent) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultTable":
-        """Rebuild a table from :meth:`to_json` output."""
-        payload = json.loads(text)
-        table = cls(title=payload["title"], columns=list(payload["columns"]),
-                    notes=list(payload.get("notes", ())))
-        for row in payload.get("rows", ()):
-            table.add_row(**row)
-        return table
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return self.render()

@@ -5,7 +5,7 @@ Two ideas, one package:
 * **Declarative scenarios** (:mod:`repro.api.spec`) — a
   :class:`ScenarioSpec` describes a sweep (generator suite or inline
   sweep, seeds, algorithm × parameter grid, scale presets, per-task
-  time limit, output columns) as data: it round-trips to TOML/JSON files
+  time limit, output columns) as data: it loads from TOML/JSON files
   under ``scenarios/`` and compiles deterministically to
   :class:`~repro.runtime.BatchTask` lists.
 * **The Session facade** (:mod:`repro.api.session`) — a

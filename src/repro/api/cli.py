@@ -61,7 +61,12 @@ def _run(args: argparse.Namespace) -> int:
     from repro.api.spec import load_scenario
 
     spec_path = Path(args.spec)
-    spec = load_scenario(spec_path)
+    try:
+        spec = load_scenario(spec_path)
+    except ValueError as exc:
+        # A bad spec file is a usage error, reported like one.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     overrides = {}
     if args.store is not None:
         overrides["store_path"] = args.store

@@ -1,15 +1,17 @@
 """Declarative scenario specifications.
 
-A :class:`ScenarioSpec` is the serializable description of a sweep: where
+A :class:`ScenarioSpec` is the declarative description of a sweep: where
 the instances come from (a named generator suite or an inline generator +
 parameter sweep), which seeds to draw, which algorithms to run with which
 parameter grids, how each scale preset trims the grid, the per-task
 time limit, and which columns the result table shows.  Specs are plain
 frozen dataclasses that
 
-* **round-trip to disk** — :func:`load_scenario` reads ``.toml`` /
-  ``.json`` files, :meth:`ScenarioSpec.save` writes them back, and
-  ``from_dict(to_dict(spec)) == spec`` holds exactly;
+* **load from disk** — :func:`load_scenario` reads ``.toml`` / ``.json``
+  files (specs are read, never written) and rejects, with a
+  ``ValueError`` naming the file and the key, unknown keys, mistyped
+  values, unknown algorithms and keyword arguments the generator or
+  algorithm does not take;
 * **compile deterministically** — :meth:`ScenarioSpec.compile` expands
   the spec into a concrete :class:`BatchTask` list whose
   ``cache_key()`` sequence is identical across compiles (and across
@@ -26,13 +28,13 @@ has always used, which keeps golden tables byte-stable.
 
 from __future__ import annotations
 
+import inspect
 import json
-import math
 import tomllib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.instance import Instance
 from repro.generators import (
@@ -80,13 +82,6 @@ def _freeze(value: Any) -> Any:
     return value
 
 
-def _thaw(value: Any) -> Any:
-    """Tuples back to lists for JSON/TOML serialization."""
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
-
-
 #: The value kinds a spec file may hold where a key is typed, by the
 #: names error messages use (a bool is never a number).
 _TYPES = {"a string": (str,), "an integer": (int,), "a number": (int, float),
@@ -110,14 +105,20 @@ def _check_keys(mapping: Any, allowed: Mapping[str, str], where: str) -> None:
     """Reject a non-table, unknown keys, and a value that is not of the
     kind ``allowed`` maps its key to (``None`` counts as absent)."""
     _check_value(mapping, "a table", where)
-    unknown = set(mapping) - set(allowed)
+    _check_names(mapping, allowed, where)
+    for key, kind in allowed.items():
+        if mapping.get(key) is not None:
+            _check_value(mapping[key], kind, f"{key!r} in {where}")
+
+
+def _check_names(names: Iterable[str], allowed: Iterable[str],
+                 where: str) -> None:
+    """Reject a name that is not ``allowed``."""
+    unknown = set(names) - set(allowed)
     if unknown:
         raise ValueError(
             f"unknown key(s) {sorted(unknown)} in {where}; "
             f"allowed: {sorted(allowed)}")
-    for key, kind in allowed.items():
-        if mapping.get(key) is not None:
-            _check_value(mapping[key], kind, f"{key!r} in {where}")
 
 
 @dataclass(frozen=True)
@@ -156,21 +157,25 @@ class AlgorithmSweep:
                    for variant in out for choice in choices]
         return out
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.params:
-            data["params"] = {key: [_thaw(c) for c in choices]
-                              for key, choices in self.params}
-        if self.seed_kwarg is not None:
-            data["seed_kwarg"] = self.seed_kwarg
-        return data
-
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "AlgorithmSweep":
         _check_keys(data, {"name": "a string", "params": "a table",
                            "seed_kwarg": "a string"}, "an [[algorithms]] entry")
         if "name" not in data:
             raise ValueError("an [[algorithms]] entry needs a name")
+        from repro.runtime.registry import get_algorithm
+
+        try:
+            func = get_algorithm(data["name"]).func
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        # Every parameter but the leading instance is a keyword argument.
+        kwargs = list(inspect.signature(func).parameters)[1:]
+        where = f"[[algorithms]] {data['name']!r}"
+        _check_names(data.get("params") or {}, kwargs, f"the params of {where}")
+        if data.get("seed_kwarg") is not None:
+            _check_names([data["seed_kwarg"]], kwargs,
+                         f"the seed_kwarg of {where}")
         return AlgorithmSweep.make(data["name"], data.get("params"),
                                    data.get("seed_kwarg"))
 
@@ -186,14 +191,6 @@ class ScalePreset:
 
     max_points: Optional[int] = None
     replications: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        if self.max_points is not None:
-            data["max_points"] = self.max_points
-        if self.replications is not None:
-            data["replications"] = self.replications
-        return data
 
     @staticmethod
     def from_dict(data: Mapping[str, Any], where: str) -> "ScalePreset":
@@ -213,9 +210,6 @@ class ReferencePolicy:
 
     def __post_init__(self) -> None:
         check_count(self.exact_limit, "exact_limit in [scenario.reference]")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"exact_limit": self.exact_limit}
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "ReferencePolicy":
@@ -250,7 +244,7 @@ class CompiledScenario:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A declarative, serializable description of one sweep scenario.
+    """A declarative description of one sweep scenario.
 
     Exactly one of ``suite`` (a name from
     :data:`repro.generators.suites.SUITES`) or ``generator`` (a name from
@@ -327,8 +321,8 @@ class ScenarioSpec:
                 raise ValueError(
                     f"scenario {self.name!r}: reference ratios are a grid-"
                     f"mode feature")
-        # Normalise sweep point values (lists -> tuples) so equality is
-        # structural across TOML/JSON round-trips.
+        # Normalise sweep point values (lists -> tuples) so a spec loaded
+        # from TOML or JSON equals one built in code.
         object.__setattr__(self, "sweep", tuple(
             {key: _freeze(value) for key, value in point.items()}
             for point in self.sweep))
@@ -401,131 +395,14 @@ class ScenarioSpec:
         return CompiledScenario(spec=self, scale=scale, points=points,
                                 tasks=tasks, infos=infos)
 
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        scenario: Dict[str, Any] = {"name": self.name}
-        if self.title:
-            scenario["title"] = self.title
-        if self.description:
-            scenario["description"] = self.description
-        if self.mode != "grid":
-            scenario["mode"] = self.mode
-        if self.suite is not None:
-            scenario["suite"] = self.suite
-        if self.replications is not None:
-            scenario["replications"] = self.replications
-        if self.base_seed is not None:
-            scenario["base_seed"] = self.base_seed
-        if self.columns:
-            scenario["columns"] = list(self.columns)
-        if self.notes:
-            scenario["notes"] = list(self.notes)
-        scenario["scales"] = {name: preset.to_dict()
-                              for name, preset in self.scales.items()}
-        if self.timeout_s is not None:
-            scenario["budget"] = {"timeout_s": self.timeout_s}
-        if self.reference is not None:
-            scenario["reference"] = self.reference.to_dict()
-        data: Dict[str, Any] = {
-            "scenario": scenario,
-            "algorithms": [sweep.to_dict() for sweep in self.algorithms],
-        }
-        if self.generator is not None:
-            data["generator"] = {
-                "name": self.generator,
-                "sweep": [{key: _thaw(value) for key, value in point.items()}
-                          for point in self.sweep],
-            }
-        return data
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
-
-    def to_toml(self) -> str:
-        """Render the spec as TOML (the inverse of :func:`load_scenario`)."""
-        data = self.to_dict()
-        out: List[str] = []
-        scenario = dict(data["scenario"])
-        scales = scenario.pop("scales", {})
-        budget = scenario.pop("budget", None)
-        reference = scenario.pop("reference", None)
-        out.append("[scenario]")
-        for key, value in scenario.items():
-            out.append(f"{key} = {_toml_value(value)}")
-        for name, preset in scales.items():
-            out.append("")
-            out.append(f"[scenario.scales.{name}]")
-            for key, value in preset.items():
-                out.append(f"{key} = {_toml_value(value)}")
-        for header, table in (("budget", budget), ("reference", reference)):
-            if table is not None:
-                out.append("")
-                out.append(f"[scenario.{header}]")
-                for key, value in table.items():
-                    out.append(f"{key} = {_toml_value(value)}")
-        for entry in data["algorithms"]:
-            out.append("")
-            out.append("[[algorithms]]")
-            for key, value in entry.items():
-                if key == "params":
-                    continue
-                out.append(f"{key} = {_toml_value(value)}")
-            if "params" in entry:
-                out.append("[algorithms.params]")
-                for key, value in entry["params"].items():
-                    out.append(f"{key} = {_toml_value(value)}")
-        if "generator" in data:
-            out.append("")
-            out.append("[generator]")
-            out.append(f"name = {_toml_value(data['generator']['name'])}")
-            for point in data["generator"]["sweep"]:
-                out.append("")
-                out.append("[[generator.sweep]]")
-                for key, value in point.items():
-                    out.append(f"{key} = {_toml_value(value)}")
-        return "\n".join(out) + "\n"
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the spec to ``path`` (``.toml`` or ``.json``)."""
-        path = Path(path)
-        if path.suffix == ".toml":
-            path.write_text(self.to_toml())
-        elif path.suffix == ".json":
-            path.write_text(self.to_json())
-        else:
-            raise ValueError(
-                f"unsupported spec extension {path.suffix!r} "
-                f"(use .toml or .json)")
-        return path
-
-
-def _toml_value(value: Any) -> str:
-    """Render one Python value as a TOML literal."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_toml_value(v) for v in value) + "]"
-    raise TypeError(f"cannot render {type(value).__name__} as TOML")
-
 
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     """Build a :class:`ScenarioSpec` from parsed TOML/JSON, rejecting
-    unknown keys and mistyped values at every level with a ``ValueError``
-    (a typo in a spec file must fail loudly, not silently drop a
-    constraint)."""
+    unknown keys and mistyped values at every level, unknown algorithm
+    names, and sweep, ``params`` and ``seed_kwarg`` names the generator or
+    algorithm does not take, with a ``ValueError`` naming the key (a typo
+    in a spec file must fail here, not silently drop a constraint or fail
+    every task; :meth:`ScenarioSpec.compile` repeats none of this)."""
     _check_keys(data, {"scenario": "a table", "algorithms": "an array",
                        "generator": "a table"}, "the spec top level")
     scenario = data.get("scenario")
@@ -562,7 +439,7 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
                for name, preset in scales_data.items()}
               if scales_data else
               {"quick": ScalePreset(max_points=4), "full": ScalePreset()})
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         name=scenario.get("name", ""),
         algorithms=tuple(AlgorithmSweep.from_dict(entry)
                          for entry in data.get("algorithms") or ()),
@@ -581,6 +458,21 @@ def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
         columns=_items(scenario.get("columns"), "a string", "columns"),
         notes=_items(scenario.get("notes"), "a string", "notes"),
     )
+    if spec.generator is not None:
+        # The suite draws each point's seed; every other argument is the
+        # sweep's to set, and the required ones on every point.
+        params = inspect.signature(GENERATORS[spec.generator]).parameters
+        kwargs = [name for name in params if name != "seed"]
+        required = {name for name, param in params.items()
+                    if param.default is param.empty}
+        where = f"[[generator.sweep]] of {spec.generator}"
+        for point in spec.sweep:
+            _check_names(point, kwargs, where)
+            missing = required - set(point)
+            if missing:
+                raise ValueError(
+                    f"missing key(s) {sorted(missing)} in {where}")
+    return spec
 
 
 def load_scenario(source: Union[str, Path]) -> ScenarioSpec:

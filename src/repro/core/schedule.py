@@ -14,7 +14,7 @@ The class below stores the assignment as an integer NumPy array
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -198,17 +198,8 @@ class Schedule:
             raise ValueError("invalid schedule: " + "; ".join(problems[:5]))
 
     # ------------------------------------------------------------------
-    # serialisation / display
+    # display
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Serialise to plain containers (assignment only; instance not embedded)."""
-        return {"assignment": self.assignment.tolist()}
-
-    @staticmethod
-    def from_dict(instance: Instance, payload: Dict[str, object]) -> "Schedule":
-        """Rebuild a schedule for ``instance`` from :meth:`to_dict` output."""
-        return Schedule(instance, np.asarray(payload["assignment"], dtype=int))
-
     def summary(self) -> str:
         """A short human-readable summary of the schedule."""
         loads = self.machine_loads()

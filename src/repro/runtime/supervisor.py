@@ -195,10 +195,9 @@ class Supervisor:
     store_path:
         The shared SQLite store/queue file workers drain.
     max_workers:
-        Fleet ceiling (forwarded to the default policy).
-    policy:
-        A ready :class:`SupervisorPolicy`; overrides ``max_workers`` /
-        ``idle_grace_s`` / ``restart_backoff_s`` / ``restart_cap``.
+        Fleet ceiling (``usable_cpus()`` unless given).
+    idle_grace_s / restart_backoff_s / restart_cap:
+        Forwarded to the :class:`SupervisorPolicy` that decides scaling.
     lease_s:
         Lease duration, both for this process's reclaim sweeps and for
         the spawned workers (kept identical so expiry judgements agree).
@@ -218,8 +217,6 @@ class Supervisor:
         ``idle_grace_s`` so the supervisor, not the worker, decides
         retirement (either way is safe — a self-exited worker is reaped
         as retired).
-    sleep:
-        Injectable sleep for the tick loop (tests pass a fake).
 
     :meth:`run` blocks until the queue drains (or the crash cap trips)
     and returns a summary dict; ``events`` keeps the human-readable log
@@ -228,37 +225,32 @@ class Supervisor:
 
     def __init__(self, store_path: Union[str, Path], *,
                  max_workers: Optional[int] = None,
-                 policy: Optional[SupervisorPolicy] = None,
                  lease_s: float = 60.0, poll_s: float = 0.2,
                  idle_grace_s: float = 1.0, restart_backoff_s: float = 0.5,
                  restart_cap: int = 5,
                  worker_module: str = "repro.runtime.worker",
                  worker_args: Sequence[str] = (),
                  worker_idle_exit: float = 10.0,
-                 worker_poll_s: float = 0.05,
-                 sleep: Callable[[float], None] = time.sleep) -> None:
+                 worker_poll_s: float = 0.05) -> None:
         check_timeout(lease_s, "lease_s", none_ok=False)
         check_timeout(poll_s, "poll_s", none_ok=False, zero_ok=True)
         check_timeout(worker_idle_exit, "worker_idle_exit", none_ok=False,
                       zero_ok=True)
         check_timeout(worker_poll_s, "worker_poll_s", none_ok=False)
         self.store_path = Path(store_path)
-        if policy is None:
-            if max_workers is None:
-                from repro.runtime.runner import usable_cpus
-                max_workers = usable_cpus()
-            policy = SupervisorPolicy(max_workers=max_workers,
-                                      idle_grace_s=idle_grace_s,
-                                      restart_backoff_s=restart_backoff_s,
-                                      restart_cap=restart_cap)
-        self.policy = policy
+        if max_workers is None:
+            from repro.runtime.runner import usable_cpus
+            max_workers = usable_cpus()
+        self.policy = SupervisorPolicy(max_workers=max_workers,
+                                       idle_grace_s=idle_grace_s,
+                                       restart_backoff_s=restart_backoff_s,
+                                       restart_cap=restart_cap)
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self.worker_module = worker_module
         self.worker_args = list(worker_args)
         self.worker_idle_exit = float(worker_idle_exit)
         self.worker_poll_s = float(worker_poll_s)
-        self._sleep = sleep
         self.events: List[str] = []
         self.summary: Dict[str, object] = {
             "spawned": 0, "crashed": 0, "restarts": 0, "retired": 0,
@@ -345,7 +337,7 @@ class Supervisor:
                         retiring.add(wid)
                         workers[wid].terminate()
                         self._event(f"retiring idle worker {wid}")
-                self._sleep(self.poll_s)
+                time.sleep(self.poll_s)
         finally:
             for proc in workers.values():
                 proc.terminate()

@@ -174,8 +174,8 @@ class TaskQueue:
     max_attempts:
         Leases a task may consume before it is declared ``failed``.
     clock:
-        Time source for every ``now`` default (``time.time`` unless
-        overridden).  Tests inject a
+        Time source for every timestamp and expiry (``time.time``
+        unless overridden).  Tests inject a
         :class:`~repro.testing.clock.FakeClock` here so lease expiry is
         driven by advancing a number, not by sleeping.
 
@@ -224,8 +224,7 @@ class TaskQueue:
     # ------------------------------------------------------------------
     # producer side
     # ------------------------------------------------------------------
-    def enqueue(self, tasks: Sequence["BatchTask"], *,
-                now: Optional[float] = None) -> List[str]:
+    def enqueue(self, tasks: Sequence["BatchTask"]) -> List[str]:
         """Add tasks to the queue, deduplicating by cache key.
 
         A key that is already queued, leased, or done is left untouched
@@ -236,7 +235,7 @@ class TaskQueue:
         other submitter already owns are *not* in the list, which is what
         lets a submitter later cancel only its own unclaimed work.
         """
-        now = self._clock() if now is None else now
+        now = self._clock()
         armed: List[str] = []
         with write_transaction(self._conn):
             for task in tasks:
@@ -262,8 +261,7 @@ class TaskQueue:
                 self._advance_seq()
         return armed
 
-    def requeue(self, keys: Sequence[str], *,
-                now: Optional[float] = None) -> int:
+    def requeue(self, keys: Sequence[str]) -> int:
         """Re-arm finished rows (``done`` or ``failed``) to ``queued``.
 
         The escape hatch for a ``done`` row whose published result has
@@ -273,7 +271,7 @@ class TaskQueue:
         Resets the attempt budget; in-flight (``queued``/``leased``) rows
         are left alone.
         """
-        now = self._clock() if now is None else now
+        now = self._clock()
         changed = 0
         with write_transaction(self._conn):
             for lo in range(0, len(keys), _MAX_SQL_PARAMS):
@@ -312,8 +310,7 @@ class TaskQueue:
     # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
-    def lease(self, worker_id: str, *,
-              now: Optional[float] = None) -> Optional[LeasedTask]:
+    def lease(self, worker_id: str) -> Optional[LeasedTask]:
         """Atomically claim one task, or ``None`` when nothing is claimable.
 
         Claimable rows are ``queued`` rows, excluding rows whose
@@ -334,7 +331,7 @@ class TaskQueue:
         read, and the lock is taken only once it finds a row, so an idle
         drain loop polls without write-lock traffic.
         """
-        now = self._clock() if now is None else now
+        now = self._clock()
         params = {"worker": worker_id, "grace_before": now - self.lease_s,
                   "max_attempts": self.max_attempts}
         if self._conn.execute(_LEASE_SQL, params).fetchone() is None:
@@ -354,8 +351,8 @@ class TaskQueue:
         return LeasedTask(key=key, task_payload=payload, attempts=attempts + 1)
 
     def complete(self, key: str, worker_id: str, *, computed: bool,
-                 publish: Optional[Tuple["BatchTask", "AlgorithmResult"]] = None,
-                 now: Optional[float] = None) -> None:
+                 publish: Optional[Tuple["BatchTask", "AlgorithmResult"]] = None
+                 ) -> None:
         """Mark a key ``done``.  ``computed=False`` records a dedup hit
         (the result was already in the store; nothing was computed).
 
@@ -370,7 +367,7 @@ class TaskQueue:
         worker re-leased the row) still reports a correct outcome —
         last-writer-wins on identical content is harmless.
         """
-        now = self._clock() if now is None else now
+        now = self._clock()
         if publish is not None:
             task, result = publish
             payload = encode(task, result)
@@ -389,8 +386,7 @@ class TaskQueue:
         if publish is not None:
             self.store.evict()
 
-    def fail(self, key: str, worker_id: str, error: str, *,
-             now: Optional[float] = None) -> None:
+    def fail(self, key: str, worker_id: str, error: str) -> None:
         """Mark a key ``failed`` with an error message (no retry).
 
         For *deterministic* failures — a captured algorithm exception will
@@ -398,7 +394,7 @@ class TaskQueue:
         nothing.  Crash-shaped failures go through lease expiry and
         :meth:`reclaim_expired` instead, which does retry.
         """
-        now = self._clock() if now is None else now
+        now = self._clock()
         with write_transaction(self._conn):
             cur = self._conn.execute(
                 "UPDATE task_queue SET status = 'failed', owner = ?,"
@@ -409,7 +405,7 @@ class TaskQueue:
             if cur.rowcount:
                 self._advance_seq()
 
-    def reclaim_expired(self, *, now: Optional[float] = None) -> int:
+    def reclaim_expired(self) -> int:
         """Requeue expired leases; fail rows that exhausted their attempts.
 
         The presumed-dead worker is recorded as ``excluded_worker`` so it
@@ -418,7 +414,7 @@ class TaskQueue:
         any lease has expired: on an idle poll none has, and no write
         lock is taken.
         """
-        now = self._clock() if now is None else now
+        now = self._clock()
         if self._conn.execute(
                 "SELECT 1 FROM task_queue WHERE status = 'leased'"
                 " AND lease_expires_at <= ? LIMIT 1", (now,)).fetchone() is None:

@@ -6,8 +6,8 @@ casualties — but none of that is trustworthy until it has been exercised
 against *actual* faults on a schedule the test controls.  This package is
 that control plane:
 
-* :class:`~repro.testing.clock.FakeClock` — a deterministic stand-in for
-  ``time.time`` / ``time.monotonic`` / ``time.sleep``, injectable into
+* :class:`~repro.testing.clock.FakeClock` — a deterministic time
+  source, injectable into
   :class:`~repro.store.task_queue.TaskQueue` (``clock=``) and
   :class:`~repro.runtime.supervisor.SupervisorPolicy` (``clock=``), so
   lease expiry and scaling decisions are tested by *advancing a number*,

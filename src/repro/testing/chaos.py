@@ -97,9 +97,8 @@ class ChaosQueue(TaskQueue):
         return (self.plan.crash_after is not None
                 and self._settled >= self.plan.crash_after)
 
-    def lease(self, worker_id: str, **kwargs: object
-              ) -> Optional[LeasedTask]:
-        leased = super().lease(worker_id, **kwargs)
+    def lease(self, worker_id: str) -> Optional[LeasedTask]:
+        leased = super().lease(worker_id)
         if leased is None:
             return None
         if self.plan.crash_mid_task and self._crash_due():
@@ -112,17 +111,15 @@ class ChaosQueue(TaskQueue):
         return leased
 
     def complete(self, key: str, worker_id: str, *, computed: bool,
-                 publish: object = None, **kwargs: object) -> None:
+                 publish: object = None) -> None:
         if (publish is not None and self.plan.crash_in_publish
                 and self._crash_due()):
             self._die_inside_publish()
-        super().complete(key, worker_id, computed=computed, publish=publish,
-                         **kwargs)
+        super().complete(key, worker_id, computed=computed, publish=publish)
         self._note_settled()
 
-    def fail(self, key: str, worker_id: str, error: str,
-             **kwargs: object) -> None:
-        super().fail(key, worker_id, error, **kwargs)
+    def fail(self, key: str, worker_id: str, error: str) -> None:
+        super().fail(key, worker_id, error)
         self._note_settled()
 
     def _note_settled(self) -> None:

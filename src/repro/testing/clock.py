@@ -8,18 +8,16 @@ __all__ = ["FakeClock"]
 class FakeClock:
     """Time that only moves when the test says so.
 
-    One instance stands in for ``time.time``, ``time.monotonic`` *and*
-    ``time.sleep`` at once: components that take a ``clock=`` callable
+    Components that take a ``clock=`` callable
     (:class:`~repro.store.task_queue.TaskQueue`,
     :class:`~repro.runtime.supervisor.SupervisorPolicy`) accept the
-    instance itself (it is callable), and code written against
-    ``clock.sleep`` advances the same timeline instead of blocking.
+    instance itself (it is callable); :meth:`advance` moves the timeline
+    they read.
 
     >>> clock = FakeClock(100.0)
     >>> clock()
     100.0
-    >>> clock.sleep(5)
-    >>> clock.monotonic()
+    >>> clock.advance(5)
     105.0
     """
 
@@ -29,22 +27,12 @@ class FakeClock:
     def __call__(self) -> float:
         return self._now
 
-    def time(self) -> float:
-        return self._now
-
-    def monotonic(self) -> float:
-        return self._now
-
     def advance(self, seconds: float) -> float:
         """Move time forward; returns the new now."""
         if seconds < 0:
             raise ValueError("time only moves forward")
         self._now += float(seconds)
         return self._now
-
-    def sleep(self, seconds: float) -> None:
-        """A 'sleep' that costs nothing but advances the timeline."""
-        self.advance(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FakeClock(now={self._now})"

@@ -95,6 +95,19 @@ class TestRunCommand:
         assert rc == 2
         assert "--backend queue" in capsys.readouterr().err
 
+    def test_a_bad_spec_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        path = tmp_path / "typo.toml"
+        path.write_text(
+            "[scenario]\nname = 'typo'\n"
+            "[[algorithms]]\nname = 'lpt-with-setups'\n"
+            "[generator]\nname = 'uniform_instance'\n"
+            "[[generator.sweep]]\n"
+            "num_job = 20\nnum_machines = 3\nnum_classes = 4\n")
+        assert main(["run", str(path), "--backend", "serial"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "typo.toml" in err and "num_job" in err
+
 
 class TestModuleEntryPoint:
     """The real ``python -m repro run`` invocation, as CI runs it."""

@@ -1,11 +1,14 @@
-"""Scenario specs: serialization round-trips, unknown-key rejection,
+"""Scenario specs: reading spec files, unknown-key rejection,
 deterministic compilation.
 
-The contracts the satellite checklist pins:
+The contracts pinned here:
 
-* TOML/JSON round-trip equals the in-memory spec (structural equality,
-  through both ``save``/``load_scenario`` and ``to_dict``/``from_dict``);
-* unknown keys anywhere in a spec file fail loudly;
+* literal TOML and JSON spec files load equal to the spec built in code
+  and compile to the same ``cache_key()`` task list (specs are read,
+  never written, so the fixtures are literal text);
+* unknown keys anywhere in a spec file fail loudly, and so do unknown
+  algorithms and sweep, ``params`` and ``seed_kwarg`` names the
+  generator or algorithm does not take;
 * two compiles of one spec produce identical ``cache_key()`` task lists;
 * the shipped ``scenarios/*.toml`` files all load;
 * a malformed spec file fails with a ``ValueError`` naming the file,
@@ -73,36 +76,134 @@ def _generator_spec() -> ScenarioSpec:
     )
 
 
-class TestRoundTrip:
-    def test_dict_round_trip_equals_in_memory_spec(self):
-        spec = _demo_spec()
-        assert scenario_from_dict(spec.to_dict()) == spec
+#: ``_demo_spec()`` as a TOML spec file.
+_DEMO_TOML = """\
+[scenario]
+name = "demo"
+title = "Demo scenario"
+suite = "e1_lpt_uniform"
+columns = ["algorithm", "n", "makespan"]
+notes = ["a note"]
 
-    def test_json_file_round_trip(self, tmp_path):
-        spec = _demo_spec(reference=ReferencePolicy(exact_limit=400))
-        path = spec.save(tmp_path / "demo.json")
-        assert load_scenario(path) == spec
+[scenario.scales.quick]
+max_points = 2
 
-    def test_toml_file_round_trip(self, tmp_path):
-        spec = _demo_spec()
-        path = spec.save(tmp_path / "demo.toml")
-        assert load_scenario(path) == spec
+[scenario.scales.full]
 
-    def test_generator_spec_round_trips_both_formats(self, tmp_path):
-        spec = _generator_spec()
-        assert load_scenario(spec.save(tmp_path / "gen.toml")) == spec
-        assert load_scenario(spec.save(tmp_path / "gen.json")) == spec
+[scenario.budget]
+timeout_s = 30.0
 
-    def test_json_and_toml_agree(self, tmp_path):
-        """The two on-disk formats describe the same spec object."""
-        spec = _demo_spec()
-        from_toml = load_scenario(spec.save(tmp_path / "a.toml"))
-        from_json = load_scenario(spec.save(tmp_path / "a.json"))
-        assert from_toml == from_json
+[[algorithms]]
+name = "ptas-uniform"
+[algorithms.params]
+epsilon = [0.5, 0.25]
+
+[[algorithms]]
+name = "randomized-rounding"
+seed_kwarg = "seed"
+[algorithms.params]
+restarts = 1
+
+[[algorithms]]
+name = "lpt-with-setups"
+"""
+
+#: ``_generator_spec()`` as a TOML spec file.
+_GENERATOR_TOML = """\
+[scenario]
+name = "gen-demo"
+replications = 2
+base_seed = 77
+
+[scenario.scales.quick]
+max_points = 3
+
+[[algorithms]]
+name = "class-aware-greedy"
+
+[generator]
+name = "unrelated_instance"
+
+[[generator.sweep]]
+num_jobs = 20
+num_machines = 3
+num_classes = 4
+correlation = "uncorrelated"
+setup_range = [1.0, 20.0]
+
+[[generator.sweep]]
+num_jobs = 30
+num_machines = 4
+num_classes = 5
+correlation = "machine_correlated"
+setup_range = [50.0, 200.0]
+"""
+
+
+def _demo_data() -> dict:
+    """``_demo_spec()`` as a parsed JSON spec file."""
+    return {
+        "scenario": {
+            "name": "demo", "title": "Demo scenario",
+            "suite": "e1_lpt_uniform",
+            "columns": ["algorithm", "n", "makespan"], "notes": ["a note"],
+            "scales": {"quick": {"max_points": 2}, "full": {}},
+            "budget": {"timeout_s": 30.0},
+        },
+        "algorithms": [
+            {"name": "ptas-uniform", "params": {"epsilon": [0.5, 0.25]}},
+            {"name": "randomized-rounding", "params": {"restarts": [1]},
+             "seed_kwarg": "seed"},
+            {"name": "lpt-with-setups"},
+        ],
+    }
+
+
+def _generator_data() -> dict:
+    """``_generator_spec()`` as a parsed JSON spec file, its seeding under
+    ``[generator]`` instead of ``[scenario]``."""
+    return {
+        "scenario": {"name": "gen-demo", "scales": {"quick": {"max_points": 3}}},
+        "algorithms": [{"name": "class-aware-greedy"}],
+        "generator": {
+            "name": "unrelated_instance", "replications": 2, "base_seed": 77,
+            "sweep": [
+                {"num_jobs": 20, "num_machines": 3, "num_classes": 4,
+                 "correlation": "uncorrelated", "setup_range": [1.0, 20.0]},
+                {"num_jobs": 30, "num_machines": 4, "num_classes": 5,
+                 "correlation": "machine_correlated",
+                 "setup_range": [50.0, 200.0]},
+            ],
+        },
+    }
+
+
+def _keys(spec: ScenarioSpec, scale: str = "quick") -> list:
+    return [task.cache_key() for task in spec.compile(scale).tasks]
+
+
+class TestReader:
+    @pytest.mark.parametrize("name, text, expected", [
+        ("demo.toml", _DEMO_TOML, _demo_spec),
+        ("demo.json", json.dumps(_demo_data()), _demo_spec),
+        ("gen.toml", _GENERATOR_TOML, _generator_spec),
+        ("gen.json", json.dumps(_generator_data()), _generator_spec),
+    ])
+    def test_spec_file_loads_equal_to_the_spec_and_its_tasks(
+            self, tmp_path, name, text, expected):
+        path = tmp_path / name
+        path.write_text(text)
+        loaded = load_scenario(path)
+        assert loaded == expected()
+        assert _keys(loaded) == _keys(expected())
+
+    def test_reference_table_loads(self):
+        data = _demo_data()
+        data["scenario"]["reference"] = {"exact_limit": 400}
+        assert (scenario_from_dict(data)
+                == _demo_spec(reference=ReferencePolicy(exact_limit=400)))
 
     def test_unsupported_extension_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="extension"):
-            _demo_spec().save(tmp_path / "demo.yaml")
         (tmp_path / "demo.yaml").write_text("x")
         with pytest.raises(ValueError, match="extension"):
             load_scenario(tmp_path / "demo.yaml")
@@ -110,25 +211,25 @@ class TestRoundTrip:
 
 class TestUnknownKeys:
     def test_unknown_scenario_key_rejected(self):
-        data = _demo_spec().to_dict()
+        data = _demo_data()
         data["scenario"]["sweeep"] = []
         with pytest.raises(ValueError, match="sweeep"):
             scenario_from_dict(data)
 
     def test_unknown_top_level_key_rejected(self):
-        data = _demo_spec().to_dict()
+        data = _demo_data()
         data["algoritms"] = []
         with pytest.raises(ValueError, match="algoritms"):
             scenario_from_dict(data)
 
     def test_unknown_algorithm_key_rejected(self):
-        data = _demo_spec().to_dict()
+        data = _demo_data()
         data["algorithms"][0]["seed_kwargs"] = "seed"
         with pytest.raises(ValueError, match="seed_kwargs"):
             scenario_from_dict(data)
 
     def test_unknown_scale_key_rejected(self):
-        data = _demo_spec().to_dict()
+        data = _demo_data()
         data["scenario"]["scales"]["quick"]["max_point"] = 3
         with pytest.raises(ValueError, match="max_point"):
             scenario_from_dict(data)
@@ -137,17 +238,36 @@ class TestUnknownKeys:
         # timeout_s is the only budget key; the two retired cost-model
         # budget keys fail like any typo.
         for key in ("timeout", "budget_factor", "min_budget_s"):
-            data = _demo_spec().to_dict()
+            data = _demo_data()
             data["scenario"]["budget"][key] = 3
             with pytest.raises(ValueError, match=key):
                 scenario_from_dict(data)
 
     def test_file_error_names_the_file(self, tmp_path):
         path = tmp_path / "typo.json"
-        data = _demo_spec().to_dict()
+        data = _demo_data()
         data["scenario"]["moed"] = "grid"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="typo.json"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("text, key", [
+        (_GENERATOR_TOML.replace("num_jobs = 20", "num_job = 20"), "num_job"),
+        (_GENERATOR_TOML.replace("num_classes = 5\n", ""), "num_classes"),
+        (_DEMO_TOML.replace("epsilon = ", "epsilonn = "), "epsilonn"),
+        (_DEMO_TOML.replace('"lpt-with-setups"', '"lpt-with-setup"'),
+         "lpt-with-setup"),
+        (_DEMO_TOML.replace('seed_kwarg = "seed"', 'seed_kwarg = "sed"'),
+         "sed"),
+    ], ids=["sweep-key", "missing-sweep-key", "params-key", "algorithm",
+            "seed_kwarg"])
+    def test_a_name_the_code_does_not_take_fails_at_load(self, tmp_path,
+                                                          text, key):
+        """Each of these used to load and then fail in ``compile`` or in
+        every task of the batch."""
+        path = tmp_path / "typo.toml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"typo\.toml.*'{key}'"):
             load_scenario(path)
 
 
@@ -159,11 +279,9 @@ class TestTimeout:
     @pytest.mark.parametrize("literal", ["0", "0.0", "-5.0", "nan", "inf"])
     def test_bad_timeout_in_a_toml_file_names_file_and_field(self, tmp_path,
                                                             literal):
-        text = _demo_spec().to_toml()
-        assert "timeout_s = 30.0" in text
         path = tmp_path / "bad-timeout.toml"
-        path.write_text(text.replace("timeout_s = 30.0",
-                                     f"timeout_s = {literal}"))
+        path.write_text(_DEMO_TOML.replace("timeout_s = 30.0",
+                                           f"timeout_s = {literal}"))
         with pytest.raises(ValueError,
                            match=r"bad-timeout\.toml.*timeout_s"):
             load_scenario(path)
@@ -177,8 +295,8 @@ class TestReferencePolicy:
     def test_bad_exact_limit_names_the_field(self, tmp_path, value):
         with pytest.raises(ValueError, match="exact_limit"):
             ReferencePolicy(exact_limit=value)
-        data = _demo_spec(reference=ReferencePolicy()).to_dict()
-        data["scenario"]["reference"]["exact_limit"] = value
+        data = _demo_data()
+        data["scenario"]["reference"] = {"exact_limit": value}
         path = tmp_path / "bad-reference.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError,
@@ -187,8 +305,9 @@ class TestReferencePolicy:
 
     def test_time_limit_is_an_unknown_key(self):
         # The reference MILP runs at milp-optimal's own time limit.
-        data = _demo_spec(reference=ReferencePolicy()).to_dict()
-        data["scenario"]["reference"]["time_limit"] = 60.0
+        data = _demo_data()
+        data["scenario"]["reference"] = {"exact_limit": 600,
+                                         "time_limit": 60.0}
         with pytest.raises(ValueError, match="time_limit"):
             scenario_from_dict(data)
 
@@ -237,15 +356,7 @@ class TestValidation:
 class TestCompilation:
     def test_two_compiles_have_identical_cache_key_lists(self):
         spec = _demo_spec()
-        first = [t.cache_key() for t in spec.compile("quick").tasks]
-        second = [t.cache_key() for t in spec.compile("quick").tasks]
-        assert first and first == second
-
-    def test_round_tripped_spec_compiles_to_the_same_tasks(self, tmp_path):
-        spec = _generator_spec()
-        reloaded = load_scenario(spec.save(tmp_path / "gen.toml"))
-        assert ([t.cache_key() for t in spec.compile("quick").tasks]
-                == [t.cache_key() for t in reloaded.compile("quick").tasks])
+        assert _keys(spec) and _keys(spec) == _keys(spec)
 
     def test_algorithm_major_order_and_grid_expansion(self):
         spec = _demo_spec()
@@ -320,8 +431,8 @@ class TestMalformedFiles:
     @given(where=st.sampled_from(_FIELDS), value=_JSON_VALUES)
     def test_a_malformed_field_fails_with_a_value_error_naming_the_file(
             self, tmp_path_factory, where, value):
-        spec = _generator_spec() if where[:1] == ("generator",) else _demo_spec()
-        data = spec.to_dict()
+        data = (_generator_data() if where[:1] == ("generator",)
+                else _demo_data())
         if where:
             parent = data
             for key in where[:-1]:

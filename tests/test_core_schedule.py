@@ -135,11 +135,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             schedule.assert_valid()
 
-    def test_serialisation_roundtrip(self, tiny_uniform):
-        schedule = Schedule(tiny_uniform, [0, 1, 0, 1, 1])
-        rebuilt = Schedule.from_dict(tiny_uniform, schedule.to_dict())
-        assert np.array_equal(rebuilt.assignment, schedule.assignment)
-
     def test_summary_mentions_makespan(self, tiny_uniform):
         schedule = Schedule(tiny_uniform, [0, 1, 0, 1, 1])
         assert "makespan" in schedule.summary()

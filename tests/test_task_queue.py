@@ -25,7 +25,7 @@ with it, in ``tests/test_store.py``.
 
 Faults are injected with ``repro.testing`` (chaos workers, FakeClock) —
 no ``time.sleep``-based assertions: lease expiry is driven by advancing
-an injected clock or passing explicit ``now`` values.
+an injected clock.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class TestQueueBasics:
     def test_lease_is_exclusive_and_fifo(self, tmp_path):
         tasks = [_task(seed=s) for s in range(3)]
         with TaskQueue(tmp_path / "q.sqlite") as queue:
-            queue.enqueue(tasks, now=100.0)
+            queue.enqueue(tasks)
             first = queue.lease("w1")
             second = queue.lease("w2")
             assert first.key != second.key
@@ -142,10 +142,9 @@ class TestQueueBasics:
     def test_requeue_spares_inflight_rows(self, tmp_path):
         tasks = [_task(seed=s) for s in range(2)]
         with TaskQueue(tmp_path / "q.sqlite") as queue:
-            queue.enqueue(tasks, now=100.0)
-            leased = queue.lease("w1", now=100.0)
-            assert queue.requeue([t.cache_key() for t in tasks],
-                                 now=100.0) == 0
+            queue.enqueue(tasks)
+            leased = queue.lease("w1")
+            assert queue.requeue([t.cache_key() for t in tasks]) == 0
             (row,) = queue.rows([leased.key])
             assert row.status == "leased"  # the active lease survived
 
@@ -153,7 +152,7 @@ class TestQueueBasics:
         tasks = [_task(seed=s) for s in range(3)]
         keys = [t.cache_key() for t in tasks]
         with TaskQueue(tmp_path / "q.sqlite") as queue:
-            queue.enqueue(tasks, now=100.0)
+            queue.enqueue(tasks)
             leased = queue.lease("w1")
             queue.cancel_queued(keys)
             statuses = {row.key: row.status for row in queue.rows()}
@@ -249,23 +248,31 @@ class TestLeaseExpiry:
 
     def test_expired_lease_is_reclaimed_with_exclusion(self, tmp_path):
         task = _task()
-        with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0) as queue:
-            queue.enqueue([task], now=100.0)
-            leased = queue.lease("w1", now=100.0)
-            assert queue.reclaim_expired(now=105.0) == 0  # still live
-            assert queue.reclaim_expired(now=111.0) == 1  # expired: requeued
+        clock = FakeClock(100.0)
+        with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0,
+                       clock=clock) as queue:
+            queue.enqueue([task])
+            leased = queue.lease("w1")
+            clock.advance(5.0)
+            assert queue.reclaim_expired() == 0  # still live
+            clock.advance(6.0)
+            assert queue.reclaim_expired() == 1  # expired: requeued
             (row,) = queue.rows([leased.key])
             assert row.status == "queued"
             assert row.excluded_worker == "w1"  # presumed-dead worker
 
     def test_excluded_worker_cannot_reclaim_its_own_casualty(self, tmp_path):
         task = _task()
-        with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0) as queue:
-            queue.enqueue([task], now=100.0)
-            queue.lease("w1", now=100.0)
-            queue.reclaim_expired(now=111.0)
-            assert queue.lease("w1", now=112.0) is None  # excluded
-            other = queue.lease("w2", now=112.0)  # someone else's second try
+        clock = FakeClock(100.0)
+        with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0,
+                       clock=clock) as queue:
+            queue.enqueue([task])
+            queue.lease("w1")
+            clock.advance(11.0)
+            queue.reclaim_expired()
+            clock.advance(1.0)
+            assert queue.lease("w1") is None  # excluded
+            other = queue.lease("w2")  # someone else's second try
             assert other is not None and other.attempts == 2
 
     def test_exclusion_expires_after_a_grace_period(self, tmp_path):
@@ -273,31 +280,36 @@ class TestLeaseExpiry:
         requeued row sat unclaimed for a full lease_s, the excluded worker
         may take it after all."""
         task = _task()
-        with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0) as queue:
-            queue.enqueue([task], now=100.0)
-            queue.lease("w1", now=100.0)
-            queue.reclaim_expired(now=111.0)  # requeued, excluded_worker=w1
-            assert queue.lease("w1", now=115.0) is None  # inside the grace
-            retaken = queue.lease("w1", now=121.5)  # 10s unclaimed: eligible
+        clock = FakeClock(100.0)
+        with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0,
+                       clock=clock) as queue:
+            queue.enqueue([task])
+            queue.lease("w1")
+            clock.advance(11.0)
+            queue.reclaim_expired()  # requeued, excluded_worker=w1
+            clock.advance(4.0)
+            assert queue.lease("w1") is None  # inside the grace
+            clock.advance(6.5)
+            retaken = queue.lease("w1")  # 10s unclaimed: eligible
             assert retaken is not None and retaken.attempts == 2
 
     def test_attempt_cap_fails_the_task(self, tmp_path):
         task = _task()
+        clock = FakeClock(100.0)
         with TaskQueue(tmp_path / "q.sqlite", lease_s=10.0,
-                       max_attempts=2) as queue:
-            queue.enqueue([task], now=100.0)
-            now = 100.0
+                       max_attempts=2, clock=clock) as queue:
+            queue.enqueue([task])
             for worker in ("w1", "w2"):  # two attempts, two crashes
-                queue.reclaim_expired(now=now)  # as every drain loop does
-                leased = queue.lease(worker, now=now)
+                queue.reclaim_expired()  # as every drain loop does
+                leased = queue.lease(worker)
                 assert leased is not None
-                now += 11.0
-            queue.reclaim_expired(now=now)
+                clock.advance(11.0)
+            queue.reclaim_expired()
             (row,) = queue.rows([task.cache_key()])
             assert row.status == "failed"
             assert row.attempts == 2
             assert "attempt cap" in row.error
-            assert queue.lease("w3", now=now) is None
+            assert queue.lease("w3") is None
 
 
 def _hold_write_lock(path) -> sqlite3.Connection:
@@ -529,8 +541,8 @@ class TestCrossProcess:
         """A chaos worker killed mid-lease (``--crash-after 0
         --crash-mid-task``: lease the first task, ``os._exit`` holding it)
         leaves an expiring lease; reclaim hands the task to the next
-        worker with the dead one excluded.  Expiry is driven by explicit
-        ``now`` values, not by sleeping through wall-clock time."""
+        worker with the dead one excluded.  Expiry is driven by a
+        :class:`FakeClock`, not by sleeping through wall-clock time."""
         path = tmp_path / "crash.sqlite"
         task = _task()
         key = task.cache_key()
@@ -543,19 +555,19 @@ class TestCrossProcess:
              "--idle-exit", "0", "--poll-s", "0.01"],
             capture_output=True, text=True, env=_src_env(), timeout=60)
         assert proc.returncode == 9, proc.stderr  # the worker really died
-        with TaskQueue(path, lease_s=30.0) as queue:
+        clock = FakeClock(time.time())
+        with TaskQueue(path, lease_s=30.0, clock=clock) as queue:
             (row,) = queue.rows([key])
             assert row.status == "leased"  # the crash left the lease behind
             assert row.owner == "crashy-worker"
-            now = time.time()
-            assert queue.reclaim_expired(now=now) == 0  # lease still live
-            expired = now + 31.0
-            assert queue.reclaim_expired(now=expired) == 1
+            assert queue.reclaim_expired() == 0  # lease still live
+            clock.advance(31.0)
+            assert queue.reclaim_expired() == 1
             (row,) = queue.rows([key])
             assert row.status == "queued"
             assert row.excluded_worker == "crashy-worker"
-            assert queue.lease("crashy-worker", now=expired) is None
-            takeover = queue.lease("healthy-worker", now=expired)
+            assert queue.lease("crashy-worker") is None
+            takeover = queue.lease("healthy-worker")
             assert takeover is not None and takeover.key == key
 
     def test_chaos_crash_between_tasks_holds_no_lease(self, tmp_path):
@@ -599,13 +611,15 @@ class TestCrossProcess:
              "--idle-exit", "0", "--poll-s", "0.01"],
             capture_output=True, text=True, env=_src_env(), timeout=60)
         assert proc.returncode == 9, proc.stderr  # died inside the publish
+        clock = FakeClock(time.time())
         with ResultStore(path) as store, \
-                TaskQueue(store, lease_s=30.0) as queue:
+                TaskQueue(store, lease_s=30.0, clock=clock) as queue:
             assert not store.contains(key)
             (row,) = queue.rows([key])
             assert row.status == "leased" and row.owner == "crashy-worker"
             assert row.compute_count == 0
-            assert queue.reclaim_expired(now=time.time() + 31.0) == 1
+            clock.advance(31.0)
+            assert queue.reclaim_expired() == 1
             stats = drain(queue, "healthy-worker", idle_exit=0.0,
                           poll_s=0.01)
             assert stats["computed"] == 1 and stats["deduped"] == 0
@@ -669,17 +683,21 @@ class TestChangeCursor:
 class TestIndexOrderedLease:
     def test_expired_lease_older_than_the_queued_head_wins(self, tmp_path):
         old, fresh = _task(seed=0), _task(seed=1)
-        with TaskQueue(tmp_path / "order.sqlite", lease_s=10.0) as queue:
-            queue.enqueue([old], now=100.0)
-            assert queue.lease("w1", now=100.0).key == old.cache_key()
-            queue.enqueue([fresh], now=105.0)
+        clock = FakeClock(100.0)
+        with TaskQueue(tmp_path / "order.sqlite", lease_s=10.0,
+                       clock=clock) as queue:
+            queue.enqueue([old])
+            assert queue.lease("w1").key == old.cache_key()
+            clock.advance(5.0)
+            queue.enqueue([fresh])
             # At 111 w1's lease on the older task has expired; reclaimed,
             # it keeps its place ahead of the younger queued head, and w2
             # takes it over first.
-            queue.reclaim_expired(now=111.0)
-            taken = queue.lease("w2", now=111.0)
+            clock.advance(6.0)
+            queue.reclaim_expired()
+            taken = queue.lease("w2")
             assert taken.key == old.cache_key() and taken.attempts == 2
-            assert queue.lease("w2", now=111.0).key == fresh.cache_key()
+            assert queue.lease("w2").key == fresh.cache_key()
 
     def test_lease_probes_walk_the_index_without_sorting(self, tmp_path):
         params = {"worker": "w", "grace_before": 0.0, "max_attempts": 3}
